@@ -37,7 +37,8 @@
 //                       recorded cursor (must match method/homes/seed);
 //                       accepts whole-run files or a per-shard base path
 //   --shards N          bulk-synchronous shards for the federation engine
-//                       (docs/scaling.md); 0/1 = legacy flat fan-out.
+//                       (docs/scaling.md); each shard trains as one fused
+//                       group (docs/fused_training.md); 0/1 = unsharded.
 //                       Also shards the snapshot files (one per shard)
 //   --sync-mode MODE    bsp | pipeline (default pipeline): round
 //                       synchronization of the sharded EMS loop.
@@ -46,10 +47,6 @@
 //                       (unsharded, star, stochastic faults) use bsp
 //   --pool-workers N    global thread-pool size override (equivalent to
 //                       setting PFDRL_POOL_WORKERS before launch)
-//   --fuse-homes N      cross-home fused training group size
-//                       (docs/fused_training.md); up to N homes per group
-//                       train as one stacked batch per gate, bitwise
-//                       identical to per-home. 0/1 = legacy per-home path
 //   --wire-codec        lossless delta/XOR compression of parameter
 //                       payloads on both federation buses (docs/wire.md);
 //                       received parameters stay bitwise identical
@@ -117,7 +114,6 @@ int main(int argc, char** argv) {
   std::string resume_path;
   std::size_t shards = 0;
   core::SyncMode sync_mode = core::SyncMode::kPipeline;
-  std::size_t fuse_homes = 0;
   bool wire_codec = false;
   bool wire_quant = false;
   std::optional<net::TopologyKind> topology;
@@ -197,8 +193,6 @@ int main(int argc, char** argv) {
       const std::size_t workers = std::stoul(next());
       if (workers == 0) usage_error("--pool-workers must be >= 1");
       util::ThreadPool::set_global_workers(workers);
-    } else if (arg == "--fuse-homes") {
-      fuse_homes = std::stoul(next());
     } else if (arg == "--wire-codec") {
       wire_codec = true;
     } else if (arg == "--wire-quant") {
@@ -251,7 +245,6 @@ int main(int argc, char** argv) {
   cfg.robustness = robustness;
   cfg.shards = shards;
   cfg.sync_mode = sync_mode;
-  cfg.fuse_homes = fuse_homes;
   cfg.wire_codec = wire_codec;
   cfg.wire_quant = wire_quant;
   cfg.topology = topology;
@@ -270,10 +263,6 @@ int main(int argc, char** argv) {
   if (plan.sharded()) {
     std::printf("shards: %s (sync %s)\n", plan.describe().c_str(),
                 core::sync_mode_name(sync_mode));
-  }
-  if (fuse_homes > 1) {
-    std::printf("fused training: up to %zu homes per batch group\n",
-                fuse_homes);
   }
   std::printf("\n");
 

@@ -11,6 +11,7 @@
 #include "net/shard_router.hpp"
 #include "obs/metrics.hpp"
 #include "rl/fused.hpp"
+#include "util/shard.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfdrl::core {
@@ -86,7 +87,6 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
     dc.robustness = cfg_.robustness;
     dc.metrics = &metrics();
     dc.shards = cfg_.shards;
-    dc.fuse_homes = cfg_.fuse_homes;
     dc.wire_codec = cfg_.wire_codec;
     dc.wire_quant = cfg_.wire_quant;
     dc.topology = cfg_.topology;
@@ -203,111 +203,51 @@ EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
       }
     }
   }
-  if (cfg_.fuse_homes > 1 && !plan.jobs.empty()) {
-    // Fused grouping (docs/fused_training.md): consecutive jobs of up to
-    // fuse_homes homes, never crossing a shard boundary. Per-agent
-    // act/remember/learn sequences are unchanged by fusing, so fused
-    // rounds stay bitwise identical to per-job ones.
-    std::size_t start = 0;
-    while (start < plan.jobs.size()) {
-      const std::size_t shard =
-          shard_runner_.shard_of_home(plan.jobs[start].home);
-      std::size_t j = start;
-      std::size_t homes_in = 0;
-      while (j < plan.jobs.size() &&
-             shard_runner_.shard_of_home(plan.jobs[j].home) == shard) {
-        if (j == start || plan.jobs[j].home != plan.jobs[j - 1].home) {
-          if (homes_in == cfg_.fuse_homes) break;
-          ++homes_in;
-        }
-        ++j;
-      }
-      plan.groups.push_back({start, j});
-      plan.group_homes.push_back(plan.jobs[start].home);
-      start = j;
-    }
-    while (fused_learners_.size() < plan.groups.size()) {
-      fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
-    }
+  // Fused groups (docs/fused_training.md): one per shard, or one per pool
+  // worker when unsharded. Per-agent act/remember/learn sequences do not
+  // depend on the grouping, so neither do the results.
+  plan.group_begin =
+      util::job_groups(plan.job_homes, agents_.size(), shard_runner_.shards(),
+                       util::ThreadPool::global().size());
+  const std::size_t groups = plan.group_begin.size() - 1;
+  for (std::size_t g = 0; g < groups; ++g) {
+    plan.group_homes.push_back(plan.job_homes[plan.group_begin[g]]);
+  }
+  while (fused_learners_.size() < groups) {
+    fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
   }
   plan.shard_job_begin = shard_slices(plan.job_homes, shard_runner_);
   plan.shard_group_begin = shard_slices(plan.group_homes, shard_runner_);
   return plan;
 }
 
-void EmsPipeline::run_ems_job(const EmsRoundPlan& plan, std::size_t j,
-                              std::size_t begin, std::size_t end,
-                              const EmsRoundCounters& counters) {
-  // One decision step per meter interval: the agent commits a mode when a
-  // fresh reading arrives, holds it until the next report, and banks the
-  // reward integrated over the held interval.
+void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
+                                std::size_t begin, std::size_t end,
+                                const EmsRoundCounters& counters) {
+  // The group's rollouts run in lockstep, one decision step per meter
+  // interval: each agent commits a mode when a fresh reading arrives,
+  // holds it until the next report and banks the reward integrated over
+  // the held interval; on learn ticks the group's minibatches stack into
+  // one fused learn step.
   const std::size_t stride =
       std::max<std::size_t>(1, cfg_.meter_interval_minutes);
-  const auto [h, d] = plan.jobs[j];
-  rl::DqnAgent& agent = *agents_[h][d];
-  const ems::EmsEnvironment env = runner_.environment(h, d, begin, end);
-  std::uint64_t steps = 0;
-  std::uint64_t learns = 0;
-  std::array<double, ems::EmsEnvironment::kStateDim> state;
-  std::array<double, ems::EmsEnvironment::kStateDim> next_state;
-  env.state_into(0, state);
-  for (std::size_t t = 0; t < env.length(); t += stride) {
-    const std::size_t t_next = std::min(t + stride, env.length());
-    const int action = agent.act(state);
-    double r = 0.0;
-    for (std::size_t m = t; m < t_next; ++m) r += env.reward_at(m, action);
-    const bool terminal = t_next >= env.length();
-    if (terminal) {
-      next_state = state;
-    } else {
-      env.state_into(t_next, next_state);
-    }
-    agent.remember({{state.begin(), state.end()},
-                    action,
-                    r,
-                    {next_state.begin(), next_state.end()},
-                    terminal});
-    // `t` is a minute offset but advances one meter interval per step:
-    // learn whenever the step's interval [t, t+stride) crosses a
-    // multiple of the learn period, so the average learn cadence is one
-    // step per learn_every_minutes of simulated time regardless of the
-    // meter interval (and unaliased against `begin`).
-    if ((begin + t) % cfg_.learn_every_minutes < stride) {
-      agent.learn();
-      ++learns;
-    }
-    state = next_state;
-    ++steps;
-  }
-  counters.env_steps.add(steps);
-  counters.replay_pushes.add(steps);
-  counters.learn_calls.add(learns);
-}
-
-void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
-                                  std::size_t begin, std::size_t end,
-                                  const EmsRoundCounters& counters) {
-  const std::size_t stride =
-      std::max<std::size_t>(1, cfg_.meter_interval_minutes);
-  const auto [gb, ge] = plan.groups[g];
-  const std::size_t n = ge - gb;
+  const std::size_t gb = plan.group_begin[g];
+  const std::size_t n = plan.group_begin[g + 1] - gb;
   std::vector<ems::EmsEnvironment> envs;
   std::vector<rl::DqnAgent*> group_agents;
   envs.reserve(n);
   group_agents.reserve(n);
-  for (std::size_t j = gb; j < ge; ++j) {
+  for (std::size_t j = gb; j < gb + n; ++j) {
     const auto [h, d] = plan.jobs[j];
     envs.push_back(runner_.environment(h, d, begin, end));
     group_agents.push_back(agents_[h][d].get());
   }
-  const std::size_t len = envs.front().length();
+  // Every environment spans exactly [begin, end): forecast series are
+  // padded to the window, so a group can never be ragged.
+  const std::size_t len = end - begin;
   for (const ems::EmsEnvironment& env : envs) {
     if (env.length() != len) {
-      // Ragged environments can't run in lockstep; per-job fallback.
-      for (std::size_t j = gb; j < ge; ++j) {
-        run_ems_job(plan, j, begin, end, counters);
-      }
-      return;
+      throw std::logic_error("EmsPipeline: ragged EMS group");
     }
   }
   std::uint64_t steps = 0;
@@ -341,11 +281,16 @@ void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
                       terminal});
       states[i] = next_states[i];
     }
-    // Same interval-aware gate as the per-job loop; it depends only
-    // on (begin, t), so the whole group learns on the same ticks.
+    // `t` is a minute offset but advances one meter interval per step:
+    // learn whenever the step's interval [t, t+stride) crosses a
+    // multiple of the learn period, so the average learn cadence is one
+    // step per learn_every_minutes of simulated time regardless of the
+    // meter interval (and unaliased against `begin`). The gate depends
+    // only on (begin, t), so the whole group learns on the same ticks.
     if ((begin + t) % cfg_.learn_every_minutes < stride) {
+      // Every agent is built from cfg_.dqn, so the group always fuses.
       if (!learner.learn(group_agents, losses)) {
-        for (rl::DqnAgent* a : group_agents) a->learn();
+        throw std::logic_error("EmsPipeline: EMS group did not fuse");
       }
       learns += n;
     }
@@ -382,20 +327,11 @@ void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
                                   reg.counter("ems.learn_calls")};
   const EmsRoundPlan plan = prepare_round_plan();
 
-  if (!plan.groups.empty()) {
-    // Fused dispatch (docs/fused_training.md): groups run their EMS
-    // rollouts in lockstep so learn ticks stack into one fused batch.
-    shard_runner_.run(plan.group_homes, [&](std::size_t g) {
-      run_fused_group(plan, g, begin, end, counters);
-    });
-  } else {
-    // Shard-local EMS steps: one pool task per shard of homes (the
-    // legacy flat parallel_for when unsharded). Jobs are independent, so
-    // the sharded grouping never changes per-agent results.
-    shard_runner_.run(plan.job_homes, [&](std::size_t j) {
-      run_ems_job(plan, j, begin, end, counters);
-    });
-  }
+  // One pool task per group: a shard's group when sharded, otherwise the
+  // per-worker groups of a flat parallel_for.
+  shard_runner_.run(plan.group_homes, [&](std::size_t g) {
+    run_ems_group(plan, g, begin, end, counters);
+  });
 
   // Mean exploration rate across agents after this round — the epsilon
   // trajectory is the quickest convergence sanity check in a dump.
@@ -521,16 +457,9 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
       }
     }
     const auto [wb, we] = windows[static_cast<std::size_t>(r - r0)];
-    if (!plan.groups.empty()) {
-      for (std::size_t g = plan.shard_group_begin[s];
-           g < plan.shard_group_begin[s + 1]; ++g) {
-        run_fused_group(plan, g, wb, we, counters);
-      }
-    } else {
-      for (std::size_t j = plan.shard_job_begin[s];
-           j < plan.shard_job_begin[s + 1]; ++j) {
-        run_ems_job(plan, j, wb, we, counters);
-      }
+    for (std::size_t g = plan.shard_group_begin[s];
+         g < plan.shard_group_begin[s + 1]; ++g) {
+      run_ems_group(plan, g, wb, we, counters);
     }
     std::vector<double>& eps =
         round_eps[static_cast<std::size_t>(r - seg_first)];
@@ -696,6 +625,8 @@ void EmsPipeline::sync_runtime_metrics() const {
   obs::record_nn_workspace_stats(reg);
   obs::record_nn_kernel_stats(reg);
   obs::record_nn_fused_stats(reg);
+  reg.counter("forecast.fused_fallbacks")
+      .set(dfl_ ? dfl_->fused_fallbacks() : 0);
 }
 
 const rl::DqnAgent& EmsPipeline::agent(std::size_t home,

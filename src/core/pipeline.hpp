@@ -88,12 +88,13 @@ struct PipelineConfig {
 
   std::uint64_t seed = 123;
 
-  // Bulk-synchronous sharding (docs/scaling.md). 0/1 = the legacy flat
-  // fan-out. > 1 partitions homes into contiguous shards: EMS/training
-  // steps run one pool task per shard, cross-shard parameter messages
-  // batch per shard pair per round (net::ShardRouter), and the exchange
-  // drain/aggregate phases run on the pool. On a clean fault plan,
-  // results are bitwise identical to the unsharded engine.
+  // Bulk-synchronous sharding (docs/scaling.md). > 1 partitions homes
+  // into contiguous shards: each shard's jobs train as one fused group
+  // (docs/fused_training.md) on one pool task, cross-shard parameter
+  // messages batch per shard pair per round (net::ShardRouter), and the
+  // exchange drain/aggregate phases run on the pool. 0/1 = unsharded: one
+  // fused group per pool worker and the flat exchange. On a clean fault
+  // plan, results are bitwise identical to the unsharded engine.
   std::size_t shards = 0;
   /// Round synchronization of the EMS loop (docs/scaling.md). kPipeline
   /// overlaps one shard's compute with another's exchange using
@@ -103,13 +104,6 @@ struct PipelineConfig {
   /// stochastic fault plans, < 2 homes) silently use the BSP engine, so
   /// the default is safe for every method.
   SyncMode sync_mode = SyncMode::kPipeline;
-  /// Cross-home fused training (docs/fused_training.md): > 1 gathers up
-  /// to this many homes' jobs — never crossing a shard boundary — into
-  /// one fused batch group. Forecast rounds fuse their minibatches and
-  /// EMS rounds run in lockstep so DQN learn steps stack into one slab
-  /// per group. 0/1 = the legacy per-home paths. Results are bitwise
-  /// identical either way; non-fusable groups fall back per home.
-  std::size_t fuse_homes = 0;
   /// Lossless delta/XOR wire codec on BOTH federation buses
   /// (docs/wire.md): payload broadcasts are delta-coded against each
   /// sender's previous round and bill the compressed frame size.
@@ -268,19 +262,18 @@ class EmsPipeline {
   struct EmsJob {
     std::size_t home, dev;
   };
-  struct FusedGroup {
-    std::size_t begin_j, end_j;  ///< job range [begin_j, end_j)
-  };
   /// The round's work-list, identical for BSP and pipelined rounds: one
-  /// job per live (home, device) agent in home-major order, optional
-  /// fused groups (never crossing a shard boundary), and the shard
-  /// slicing of both (size shards+1 prefix arrays; jobs/groups are
-  /// home-major and the shard map is monotone, so slices are contiguous).
+  /// job per live (home, device) agent in home-major order, the fused
+  /// groups over it (util::job_groups: one per shard, or one per pool
+  /// worker when unsharded), and the shard slicing of both (size
+  /// shards+1 prefix arrays; jobs/groups are home-major and the shard map
+  /// is monotone, so slices are contiguous).
   struct EmsRoundPlan {
     std::vector<EmsJob> jobs;
     std::vector<std::size_t> job_homes;
-    std::vector<FusedGroup> groups;  ///< empty unless fuse_homes > 1
-    std::vector<std::size_t> group_homes;
+    /// Group g covers jobs [group_begin[g], group_begin[g + 1]).
+    std::vector<std::size_t> group_begin;
+    std::vector<std::size_t> group_homes;  ///< first home of each group
     std::vector<std::size_t> shard_job_begin;
     std::vector<std::size_t> shard_group_begin;
   };
@@ -290,19 +283,15 @@ class EmsPipeline {
     obs::Counter& learn_calls;
   };
   /// Build the round plan (and grow fused_learners_ to match — group
-  /// boundaries are pinned by (jobs, shards, fuse_homes), so this is
+  /// boundaries are pinned by (jobs, shards, pool size), so this is
   /// idempotent across rounds).
   [[nodiscard]] EmsRoundPlan prepare_round_plan();
-  /// One (home, device) EMS rollout+train pass over trace minutes
-  /// [begin, end). Independent across jobs; safe to run concurrently for
-  /// jobs of distinct homes.
-  void run_ems_job(const EmsRoundPlan& plan, std::size_t j, std::size_t begin,
-                   std::size_t end, const EmsRoundCounters& counters);
-  /// Lockstep fused pass over group g's jobs (falls back to per-job runs
-  /// when the group's environments are ragged).
-  void run_fused_group(const EmsRoundPlan& plan, std::size_t g,
-                       std::size_t begin, std::size_t end,
-                       const EmsRoundCounters& counters);
+  /// EMS rollout+train pass of group g's jobs over trace minutes
+  /// [begin, end), in lockstep so learn ticks stack into one fused DQN
+  /// step. Independent across groups; groups never share a home.
+  void run_ems_group(const EmsRoundPlan& plan, std::size_t g,
+                     std::size_t begin, std::size_t end,
+                     const EmsRoundCounters& counters);
 
   /// True when train_ems may use the dependency-driven pipeline: asked
   /// for, sharded, federated, and free of the whole-round protocols
@@ -324,11 +313,11 @@ class EmsPipeline {
   /// Declared after cfg_ (its ForecastFn and metrics sink read it).
   EpisodeRunner runner_;
   /// Bulk-synchronous fan-out stage (cfg_.shards); with shards <= 1 it
-  /// reproduces the legacy flat parallel_for scheduling exactly.
+  /// runs the groups as one flat parallel_for.
   ShardedRunner shard_runner_;
-  /// Per-group fused DQN learners (cfg_.fuse_homes > 1). Group
-  /// boundaries are pinned by (jobs, shards, fuse_homes), so group g
-  /// reuses the same learner's slab capacity every round.
+  /// Per-group fused DQN learners. Group boundaries are pinned by (jobs,
+  /// shards, pool size), so group g reuses the same learner's slab
+  /// capacity every round.
   std::vector<std::unique_ptr<rl::FusedDqnLearner>> fused_learners_;
   std::uint64_t ems_rounds_done_ = 0;
   std::uint64_t on_round_end_every_ = 1;

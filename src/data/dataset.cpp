@@ -38,15 +38,40 @@ CalendarFeature calendar(std::size_t minute) noexcept {
   return {std::sin(angle), std::cos(angle)};
 }
 
-std::size_t count_samples(std::size_t begin, std::size_t end,
-                          const WindowConfig& cfg, std::size_t stride) {
-  // Target indices run over [first_feasible_target, end).
-  const std::size_t first = first_feasible_target(cfg, begin);
+}  // namespace
+
+std::size_t sample_count(const DeviceTrace& trace, const WindowConfig& cfg,
+                         std::size_t begin_minute, std::size_t end_minute) {
+  // Target minutes run over [first_feasible_target, end) in stride steps.
+  const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
+  const std::size_t end = std::min(end_minute, trace.minutes());
+  const std::size_t first = first_feasible_target(cfg, begin_minute);
   if (end <= first) return 0;
   return (end - first + stride - 1) / stride;
 }
 
-}  // namespace
+void encode_step(const DeviceTrace& trace, const WindowConfig& cfg,
+                 double scale, std::size_t minute, double* out) noexcept {
+  out[0] = encode_watts(trace.watts[minute], scale, cfg.log_scale);
+  if (cfg.calendar_features) {
+    const auto cal = calendar(minute);
+    out[1] = cal.sin_h;
+    out[2] = cal.cos_h;
+  }
+}
+
+void encode_flat_row(const DeviceTrace& trace, const WindowConfig& cfg,
+                     double scale, std::size_t t, double* out) noexcept {
+  const std::size_t w0 = window_start(cfg, t);
+  for (std::size_t k = 0; k < cfg.window; ++k) {
+    out[k] = encode_watts(trace.watts[w0 + k], scale, cfg.log_scale);
+  }
+  if (cfg.calendar_features) {
+    const auto cal = calendar(t);
+    out[cfg.window] = cal.sin_h;
+    out[cfg.window + 1] = cal.cos_h;
+  }
+}
 
 SupervisedSet make_supervised(const DeviceTrace& trace,
                               const WindowConfig& cfg,
@@ -54,37 +79,20 @@ SupervisedSet make_supervised(const DeviceTrace& trace,
                               std::size_t end_minute) {
   assert(cfg.window >= 1);
   const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
-  end_minute = std::min(end_minute, trace.minutes());
+  const std::size_t n = sample_count(trace, cfg, begin_minute, end_minute);
 
   SupervisedSet set;
   set.scale = normalization_scale(trace.spec);
-  const std::size_t n = count_samples(begin_minute, end_minute, cfg, stride);
-  const std::size_t feat = cfg.window + (cfg.calendar_features ? 2 : 0);
-  set.x = nn::Matrix(n, feat);
+  set.x = nn::Matrix(n, flat_features(cfg));
   set.y = nn::Matrix(n, 1);
   set.target_minute.reserve(n);
-
-  // For target t the feature window is the `window` minutes ending
-  // `horizon` minutes earlier: [t - horizon - window + 1, t - horizon].
-  const std::size_t gap = cfg.horizon > 0 ? cfg.horizon : 1;
-  std::size_t row = 0;
-  for (std::size_t t = first_feasible_target(cfg, begin_minute);
-       t < end_minute; t += stride) {
-    double* xr = set.x.row(row).data();
-    for (std::size_t k = 0; k < cfg.window; ++k) {
-      xr[k] = encode_watts(trace.watts[t - gap - cfg.window + 1 + k],
-                           set.scale, cfg.log_scale);
-    }
-    if (cfg.calendar_features) {
-      const auto cal = calendar(t);
-      xr[cfg.window] = cal.sin_h;
-      xr[cfg.window + 1] = cal.cos_h;
-    }
+  const std::size_t first = first_feasible_target(cfg, begin_minute);
+  for (std::size_t row = 0; row < n; ++row) {
+    const std::size_t t = first + row * stride;
+    encode_flat_row(trace, cfg, set.scale, t, set.x.row(row).data());
     set.y(row, 0) = encode_watts(trace.watts[t], set.scale, cfg.log_scale);
     set.target_minute.push_back(t);
-    ++row;
   }
-  assert(row == n);
   return set;
 }
 
@@ -92,35 +100,23 @@ SequenceSet make_sequences(const DeviceTrace& trace, const WindowConfig& cfg,
                            std::size_t begin_minute, std::size_t end_minute) {
   assert(cfg.window >= 1);
   const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
-  end_minute = std::min(end_minute, trace.minutes());
+  const std::size_t n = sample_count(trace, cfg, begin_minute, end_minute);
 
   SequenceSet set;
   set.scale = normalization_scale(trace.spec);
-  const std::size_t n = count_samples(begin_minute, end_minute, cfg, stride);
-  const std::size_t step_feat = 1 + (cfg.calendar_features ? 2 : 0);
-  set.xs.assign(cfg.window, nn::Matrix(n, step_feat));
+  set.xs.assign(cfg.window, nn::Matrix(n, step_features(cfg)));
   set.y = nn::Matrix(n, 1);
   set.target_minute.reserve(n);
-
-  const std::size_t gap = cfg.horizon > 0 ? cfg.horizon : 1;
-  std::size_t row = 0;
-  for (std::size_t t = first_feasible_target(cfg, begin_minute);
-       t < end_minute; t += stride) {
+  const std::size_t first = first_feasible_target(cfg, begin_minute);
+  for (std::size_t row = 0; row < n; ++row) {
+    const std::size_t t = first + row * stride;
+    const std::size_t w0 = window_start(cfg, t);
     for (std::size_t k = 0; k < cfg.window; ++k) {
-      const std::size_t src = t - gap - cfg.window + 1 + k;
-      double* xr = set.xs[k].row(row).data();
-      xr[0] = encode_watts(trace.watts[src], set.scale, cfg.log_scale);
-      if (cfg.calendar_features) {
-        const auto cal = calendar(src);
-        xr[1] = cal.sin_h;
-        xr[2] = cal.cos_h;
-      }
+      encode_step(trace, cfg, set.scale, w0 + k, set.xs[k].row(row).data());
     }
     set.y(row, 0) = encode_watts(trace.watts[t], set.scale, cfg.log_scale);
     set.target_minute.push_back(t);
-    ++row;
   }
-  assert(row == n);
   return set;
 }
 

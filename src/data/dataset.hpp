@@ -54,6 +54,41 @@ constexpr std::size_t first_feasible_target(const WindowConfig& cfg,
   return std::max(begin, history_needed(cfg));
 }
 
+// --- Per-sample arithmetic ------------------------------------------------
+// make_supervised / make_sequences are loops over these, and batch gathers
+// that read samples straight from a trace (forecast/fused.hpp) call the same
+// functions, so a gathered row is bitwise the materialized one.
+
+/// Samples a set over trace minutes [begin, end) holds (end clamped to the
+/// trace); sample i targets minute first_feasible_target(cfg, begin) +
+/// i * max(1, cfg.stride).
+std::size_t sample_count(const DeviceTrace& trace, const WindowConfig& cfg,
+                         std::size_t begin_minute, std::size_t end_minute);
+
+/// First trace minute of the feature window for target minute `t`: the
+/// window ends `horizon` minutes before the target.
+constexpr std::size_t window_start(const WindowConfig& cfg,
+                                   std::size_t t) noexcept {
+  return t - (cfg.horizon > 0 ? cfg.horizon : 1) - cfg.window + 1;
+}
+
+/// Features per sequence step (1 + 2 calendar) and per flat row (window +
+/// 2 calendar).
+constexpr std::size_t step_features(const WindowConfig& cfg) noexcept {
+  return 1 + (cfg.calendar_features ? 2 : 0);
+}
+constexpr std::size_t flat_features(const WindowConfig& cfg) noexcept {
+  return cfg.window + (cfg.calendar_features ? 2 : 0);
+}
+
+/// One sequence step for trace minute `minute`: [scaled watt, sin h, cos h]
+/// into out[0, step_features(cfg)).
+void encode_step(const DeviceTrace& trace, const WindowConfig& cfg,
+                 double scale, std::size_t minute, double* out) noexcept;
+/// The flat feature row for target minute `t` into out[0, flat_features).
+void encode_flat_row(const DeviceTrace& trace, const WindowConfig& cfg,
+                     double scale, std::size_t t, double* out) noexcept;
+
 /// Flat supervised set for the MLP/LR/SVR-style forecasters.
 /// X row = [w_{t-W+1..t} scaled | sin h | cos h], y = scaled w_{t+1}.
 struct SupervisedSet {

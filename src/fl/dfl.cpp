@@ -117,134 +117,77 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
                        &cfg_.metrics->series("dfl.round_seconds_series"));
   }
   // Local training step: every (agent, device) pair trains on the newly
-  // recorded minutes. The pairs are independent, so fan out on the pool.
-  struct Job {
-    std::size_t home;
-    std::size_t dev;
-  };
-  std::vector<Job> jobs;
+  // recorded minutes. Pairs are independent; they train in fused groups
+  // (docs/fused_training.md) of one shard's jobs each — an unsharded run
+  // is cut into one group per pool worker — one pool task per group.
+  std::vector<std::size_t> job_homes;
+  std::vector<std::size_t> job_devs;
   for (std::size_t h = 0; h < agents_.size(); ++h) {
     for (std::size_t d = 0; d < agents_[h].devices.size(); ++d) {
-      jobs.push_back({h, d});
+      job_homes.push_back(h);
+      job_devs.push_back(d);
     }
   }
-  // Per-epoch training windows this round, summed over jobs (the same
-  // span/stride arithmetic the sampling cap uses). Relaxed atomic: jobs
-  // only accumulate; the fold into the registry happens once below.
-  std::atomic<std::uint64_t> round_windows{0};
-  // Per-round train config + trainable-window span for one model.
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::vector<std::size_t> groups =
+      util::job_groups(job_homes, agents_.size(), cfg_.shards, pool.size());
+  // Groups that could not fuse this round. Relaxed atomic: groups only
+  // accumulate; the fold happens once below.
+  std::atomic<std::uint64_t> round_fallbacks{0};
   // Small-batch training (paper Table 2): federated agents train on a
   // bounded sample of each round's windows and lean on aggregation for
   // coverage; the Local baseline (kNone) uses everything it has. The
   // span/stride arithmetic is home-independent (every forecaster shares
-  // cfg_.window), which is what lets fused groups share one config.
-  const auto capped_train = [&](const forecast::Forecaster& model) {
-    forecast::TrainConfig train =
-        forecast::resolve_train_config(cfg_.method, cfg_.train);
-    const std::size_t hist = data::history_needed(model.window_config());
-    const std::size_t span = end > begin + hist ? end - begin - hist : 0;
-    if (cfg_.max_round_samples > 0 &&
-        cfg_.aggregation != AggregationMode::kNone) {
-      const std::size_t windows = span / std::max<std::size_t>(1, train.stride);
-      if (windows > cfg_.max_round_samples) {
-        train.stride = (span + cfg_.max_round_samples - 1) /
-                       cfg_.max_round_samples;
-      }
-    }
-    return std::pair{train, span};
-  };
-  const auto train_job = [&](std::size_t j) {
-    const auto [h, d] = jobs[j];
-    // Per-job RNG forked deterministically: results do not depend on the
-    // thread schedule.
-    util::Rng rng =
-        util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d);
-    auto& model = *agents_[h].devices[d];
-    const auto [train, span] = capped_train(model);
-    round_windows.fetch_add(span / std::max<std::size_t>(1, train.stride),
-                            std::memory_order_relaxed);
-    model.train(traces_[h].devices[d], begin, end, train, rng);
-  };
-  // Sharded engine: one pool task per shard of homes instead of one per
-  // job. The per-job RNG fork keeps results independent of which path
-  // (or thread) runs a job, so sharding never changes training output.
-  util::ShardTiming timing;
-  if (cfg_.fuse_homes > 1 && !jobs.empty()) {
-    // Fused dispatch (docs/fused_training.md): consecutive jobs of up to
-    // fuse_homes homes — never crossing a shard boundary — form one
-    // fused batch group. Per-job RNG forks and window accounting are
-    // unchanged, so fused rounds stay bitwise identical to per-job ones.
-    struct Group {
-      std::size_t begin_j, end_j;
-    };
-    std::vector<Group> groups;
-    std::size_t start = 0;
-    while (start < jobs.size()) {
-      const std::size_t shard =
-          util::shard_of(jobs[start].home, agents_.size(), cfg_.shards);
-      std::size_t j = start;
-      std::size_t homes_in = 0;
-      while (j < jobs.size() &&
-             util::shard_of(jobs[j].home, agents_.size(), cfg_.shards) ==
-                 shard) {
-        if (j == start || jobs[j].home != jobs[j - 1].home) {
-          if (homes_in == cfg_.fuse_homes) break;
-          ++homes_in;
-        }
-        ++j;
-      }
-      groups.push_back({start, j});
-      start = j;
-    }
-    while (fused_pool_.size() < groups.size()) {
-      fused_pool_.push_back(
-          std::make_unique<forecast::FusedForecastTrainer>());
-    }
-    const auto train_group = [&](std::size_t g) {
-      const auto [gb, ge] = groups[g];
-      std::vector<util::Rng> rngs;
-      rngs.reserve(ge - gb);
-      std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
-      for (std::size_t j = gb; j < ge; ++j) {
-        const auto [h, d] = jobs[j];
-        rngs.push_back(
-            util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d));
-      }
-      for (std::size_t j = gb; j < ge; ++j) {
-        const auto [h, d] = jobs[j];
-        fjobs[j - gb] = {agents_[h].devices[d].get(), &traces_[h].devices[d],
-                         &rngs[j - gb], 0.0};
-      }
-      const auto [train, span] = capped_train(*fjobs.front().forecaster);
-      round_windows.fetch_add(
-          static_cast<std::uint64_t>(ge - gb) *
-              (span / std::max<std::size_t>(1, train.stride)),
-          std::memory_order_relaxed);
-      if (!fused_pool_[g]->train(fjobs, begin, end, train)) {
-        // Non-fusable group (closed-form method, mismatched shapes):
-        // per-job fallback with the still-unconsumed forked RNGs.
-        for (std::size_t j = gb; j < ge; ++j) {
-          const auto [h, d] = jobs[j];
-          agents_[h].devices[d]->train(traces_[h].devices[d], begin, end,
-                                       train, rngs[j - gb]);
-        }
-      }
-    };
-    timing = util::sharded_for(
-        util::ThreadPool::global(), groups.size(), cfg_.shards,
-        [&](std::size_t g) {
-          return util::shard_of(jobs[groups[g].begin_j].home, agents_.size(),
-                                cfg_.shards);
-        },
-        train_group);
-  } else {
-    timing = util::sharded_for(
-        util::ThreadPool::global(), jobs.size(), cfg_.shards,
-        [&](std::size_t j) {
-          return util::shard_of(jobs[j].home, agents_.size(), cfg_.shards);
-        },
-        train_job);
+  // cfg_.window), which is what lets a group share one config.
+  forecast::TrainConfig train =
+      forecast::resolve_train_config(cfg_.method, cfg_.train);
+  const std::size_t hist = data::history_needed(cfg_.window);
+  const std::size_t span = end > begin + hist ? end - begin - hist : 0;
+  if (cfg_.max_round_samples > 0 &&
+      cfg_.aggregation != AggregationMode::kNone &&
+      span / std::max<std::size_t>(1, train.stride) > cfg_.max_round_samples) {
+    train.stride =
+        (span + cfg_.max_round_samples - 1) / cfg_.max_round_samples;
   }
+  // Per-epoch training windows of one job (the dfl.train_windows unit).
+  const std::uint64_t windows_per_job =
+      span / std::max<std::size_t>(1, train.stride);
+  const auto train_group = [&](std::size_t g) {
+    const std::size_t gb = groups[g];
+    const std::size_t ge = groups[g + 1];
+    // Per-job RNGs forked deterministically: results depend neither on
+    // the thread schedule nor on how jobs are grouped.
+    std::vector<util::Rng> rngs;
+    rngs.reserve(ge - gb);
+    for (std::size_t j = gb; j < ge; ++j) {
+      rngs.push_back(util::Rng(cfg_.seed).fork(
+          rounds_done_ * 10000 + job_homes[j] * 100 + job_devs[j]));
+    }
+    std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
+    for (std::size_t j = gb; j < ge; ++j) {
+      fjobs[j - gb] = {agents_[job_homes[j]].devices[job_devs[j]].get(),
+                       &traces_[job_homes[j]].devices[job_devs[j]],
+                       &rngs[j - gb], 0.0};
+    }
+    // A trainer per group and round: nothing it sizes outlives the round.
+    forecast::FusedForecastTrainer trainer;
+    if (!trainer.train(fjobs, begin, end, train)) {
+      // Closed-form method (or mismatched shapes): per-job training with
+      // the still-unconsumed forked RNGs, counted as a fused fallback.
+      round_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      for (forecast::FusedTrainJob& fj : fjobs) {
+        fj.forecaster->train(*fj.trace, begin, end, train, *fj.rng);
+      }
+    }
+  };
+  const util::ShardTiming timing = util::sharded_for(
+      pool, groups.size() - 1, cfg_.shards,
+      [&](std::size_t g) {
+        return util::shard_of(job_homes[groups[g]], agents_.size(),
+                              cfg_.shards);
+      },
+      train_group);
+  fused_fallbacks_ += round_fallbacks.load(std::memory_order_relaxed);
   if (cfg_.metrics != nullptr) {
     obs::record_shard_timing(*cfg_.metrics, "dfl.shard", timing);
   }
@@ -255,9 +198,10 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
   ++rounds_done_;
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->counter("dfl.rounds").add(1);
-    cfg_.metrics->counter("dfl.devices_trained").add(jobs.size());
+    cfg_.metrics->counter("dfl.devices_trained").add(job_homes.size());
     cfg_.metrics->counter("dfl.train_windows")
-        .add(round_windows.load(std::memory_order_relaxed));
+        .add(job_homes.size() * windows_per_job);
+    cfg_.metrics->counter("forecast.fused_fallbacks").set(fused_fallbacks_);
     obs::record_bus_stats(*cfg_.metrics, "bus.forecast", bus_.stats());
     if (router_) {
       obs::record_shard_router_stats(*cfg_.metrics, "bus.forecast",

@@ -33,10 +33,6 @@ namespace pfdrl::obs {
 class MetricsRegistry;
 }
 
-namespace pfdrl::forecast {
-class FusedForecastTrainer;
-}
-
 namespace pfdrl::fl {
 
 enum class AggregationMode : std::uint8_t {
@@ -84,20 +80,14 @@ struct DflConfig {
   std::optional<net::TopologyKind> topology;
   /// Cluster size / gossip fanout+seed for the sparse topologies.
   net::TopologyOptions topology_options{};
-  /// Shards for the bulk-synchronous engine: > 1 buckets per-home
-  /// training onto one pool task per shard, batches cross-shard
-  /// parameter messages per shard pair per round (net::ShardRouter), and
-  /// parallelizes the exchange drain/aggregate phases. 0/1 = the legacy
-  /// flat fan-out (bitwise identical results either way on a clean
-  /// fault plan).
+  /// Shards for the bulk-synchronous engine: > 1 trains each shard's
+  /// (home, device) jobs as one fused group on one pool task
+  /// (docs/fused_training.md), batches cross-shard parameter messages per
+  /// shard pair per round (net::ShardRouter), and parallelizes the
+  /// exchange drain/aggregate phases. 0/1 = unsharded: one fused group
+  /// per pool worker and the flat exchange (bitwise identical results
+  /// either way on a clean fault plan).
   std::size_t shards = 0;
-  /// Cross-home fused training (docs/fused_training.md): > 1 gathers the
-  /// (home, device) jobs of up to this many homes — never crossing a
-  /// shard boundary — into one fused batch group per training step, so
-  /// each gate runs one big slab matmul instead of per-home stripes.
-  /// 0/1 = the legacy per-job path. Bitwise identical results either
-  /// way; groups that turn out non-fusable fall back per job.
-  std::size_t fuse_homes = 0;
   /// Lossless delta/XOR wire codec for parameter broadcasts
   /// (docs/wire.md): received params stay bitwise identical, only the
   /// billed wire bytes shrink. Default off.
@@ -167,6 +157,12 @@ class DflTrainer {
   [[nodiscard]] const net::ShardRouter* shard_router() const noexcept {
     return router_.get();
   }
+  /// Training groups that could not fuse (closed-form LR/SVR methods,
+  /// mismatched shapes) and trained per job instead, summed over rounds.
+  /// Folded into the registry as `forecast.fused_fallbacks`.
+  [[nodiscard]] std::uint64_t fused_fallbacks() const noexcept {
+    return fused_fallbacks_;
+  }
   /// Attached wire codec; nullptr unless wire_codec/wire_quant is set.
   [[nodiscard]] net::WireCodec* wire_codec() const noexcept {
     return codec_.get();
@@ -178,16 +174,13 @@ class DflTrainer {
   const std::vector<data::HouseholdTrace>& traces_;
   DflConfig cfg_;
   std::vector<AgentModels> agents_;
-  /// Per-group fused trainers (cfg_.fuse_homes > 1). Group boundaries
-  /// are pinned by (jobs, shards, fuse_homes), so group g reuses the
-  /// same trainer's slab capacity every round.
-  std::vector<std::unique_ptr<forecast::FusedForecastTrainer>> fused_pool_;
   /// Declared before bus_ — the bus holds non-owning router and codec
   /// pointers.
   std::unique_ptr<net::ShardRouter> router_;
   std::unique_ptr<net::WireCodec> codec_;
   net::MessageBus bus_;
   std::uint64_t rounds_done_ = 0;
+  std::uint64_t fused_fallbacks_ = 0;
 };
 
 }  // namespace pfdrl::fl

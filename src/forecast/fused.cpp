@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "data/dataset.hpp"
 #include "forecast/bp.hpp"
 #include "forecast/gru_forecaster.hpp"
 #include "forecast/lstm_forecaster.hpp"
@@ -24,372 +25,219 @@ struct FusedAccess {
   static nn::Adam& opt(BpForecaster& f) { return f.opt_; }
 };
 
+namespace {
+
+/// Collects every job's network and optimizer as forecaster type F.
+template <typename F, typename Net>
+void collect(std::span<FusedTrainJob> jobs, std::vector<Net*>& nets,
+             std::vector<nn::Adam*>& adams) {
+  nets.clear();
+  adams.clear();
+  for (const FusedTrainJob& j : jobs) {
+    auto& f = static_cast<F&>(*j.forecaster);
+    nets.push_back(&FusedAccess::net(f));
+    adams.push_back(&FusedAccess::opt(f));
+  }
+}
+
+/// Recurrent nets fuse when they share (feature, hidden, output) dims.
+template <typename Net>
+bool same_dims(const std::vector<Net*>& nets) {
+  const Net& ref = *nets.front();
+  return std::all_of(nets.begin(), nets.end(), [&](const Net* n) {
+    return n->feature_dim() == ref.feature_dim() &&
+           n->hidden_dim() == ref.hidden_dim() &&
+           n->output_dim() == ref.output_dim();
+  });
+}
+
+/// Selects the batch participants' networks.
+template <typename Net>
+void select(const std::vector<Net*>& all, const std::vector<std::size_t>& part,
+            std::vector<Net*>& out) {
+  out.clear();
+  for (const std::size_t a : part) out.push_back(all[a]);
+}
+
+template <typename T>
+std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
 bool FusedForecastTrainer::train(std::span<FusedTrainJob> jobs,
                                  std::size_t begin, std::size_t end,
                                  const TrainConfig& cfg) {
   if (jobs.empty()) return true;
   const Method method = jobs.front().forecaster->method();
+  const data::WindowConfig& shape = jobs.front().forecaster->window_config();
   for (const FusedTrainJob& j : jobs) {
-    if (j.forecaster->method() != method) return false;
+    const data::WindowConfig& wc = j.forecaster->window_config();
+    if (j.forecaster->method() != method || wc.window != shape.window ||
+        wc.calendar_features != shape.calendar_features) {
+      return false;
+    }
   }
   const TrainConfig tcfg = resolve_train_config(method, cfg);
+  // Every fusability check precedes run_epochs, the commit point: a
+  // refused group has had nothing observable happen to it.
   switch (method) {
-    case Method::kLstm: return train_lstm(jobs, begin, end, tcfg);
-    case Method::kGru: return train_gru(jobs, begin, end, tcfg);
-    case Method::kBp: return train_bp(jobs, begin, end, tcfg);
-    default: return false;  // closed-form methods have no minibatch loop
+    case Method::kLstm:
+      collect<LstmForecaster>(jobs, lstm_all_, adams_);
+      if (!same_dims(lstm_all_)) return false;
+      run_epochs(jobs, begin, end, tcfg, /*sequence=*/true, [&] {
+        select(lstm_all_, part_, lstm_nets_);
+        lstm_.train_batch(lstm_nets_, slices_, xs_ptrs_, slab_y_,
+                          nn::LossKind::kMae, opts_, batch_losses_,
+                          /*clip_norm=*/5.0);
+      });
+      return true;
+    case Method::kGru:
+      collect<GruForecaster>(jobs, gru_all_, adams_);
+      if (!same_dims(gru_all_)) return false;
+      run_epochs(jobs, begin, end, tcfg, /*sequence=*/true, [&] {
+        select(gru_all_, part_, gru_nets_);
+        gru_.train_batch(gru_nets_, slices_, xs_ptrs_, slab_y_,
+                         nn::LossKind::kMae, opts_, batch_losses_,
+                         /*clip_norm=*/5.0);
+      });
+      return true;
+    case Method::kBp: {
+      collect<BpForecaster>(jobs, mlp_all_, adams_);
+      const nn::Mlp& ref = *mlp_all_.front();
+      for (const nn::Mlp* n : mlp_all_) {
+        if (!n->same_architecture(ref)) return false;
+      }
+      run_epochs(jobs, begin, end, tcfg, /*sequence=*/false, [&] {
+        select(mlp_all_, part_, mlp_nets_);
+        mlp_.train_batch(mlp_nets_, slices_, slab_xs_.front(), slab_y_,
+                         nn::LossKind::kMae, opts_, batch_losses_);
+      });
+      return true;
+    }
+    default:
+      return false;  // closed-form methods have no minibatch loop
   }
 }
 
-bool FusedForecastTrainer::train_lstm(std::span<FusedTrainJob> jobs,
+void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
                                       std::size_t begin, std::size_t end,
-                                      const TrainConfig& tcfg) {
-  lstm_all_.clear();
-  adam_all_.clear();
-  for (const FusedTrainJob& j : jobs) {
-    auto& f = static_cast<LstmForecaster&>(*j.forecaster);
-    lstm_all_.push_back(&FusedAccess::net(f));
-    adam_all_.push_back(&FusedAccess::opt(f));
-  }
-  const nn::LstmRegressor& ref = *lstm_all_.front();
-  for (const nn::LstmRegressor* n : lstm_all_) {
-    if (n->feature_dim() != ref.feature_dim() ||
-        n->hidden_dim() != ref.hidden_dim() ||
-        n->output_dim() != ref.output_dim()) {
-      return false;
-    }
-  }
-
-  // Dataset construction is pure: nothing observable happens to a job
-  // until after every fusability check has passed.
-  seq_sets_.resize(jobs.size());
-  active_.clear();
+                                      const TrainConfig& tcfg, bool sequence,
+                                      const std::function<void()>& step) {
+  // Per-job state of this call only — the shuffle orders are the one
+  // thing sized by the round's length, and they die with the call.
+  struct Member {
+    data::WindowConfig wc;
+    double scale = 1.0;
+    std::size_t samples = 0;
+    std::size_t first_target = 0;
+    std::vector<std::size_t> order;
+    double loss_sum = 0.0;
+    std::size_t batches = 0;
+  };
+  std::vector<Member> members(jobs.size());
+  const std::size_t stride = std::max<std::size_t>(1, tcfg.stride);
+  std::size_t max_samples = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    data::WindowConfig wc = jobs[j].forecaster->window_config();
-    wc.stride = tcfg.stride;
-    seq_sets_[j] = data::make_sequences(*jobs[j].trace, wc, begin, end);
+    Member& m = members[j];
+    m.wc = jobs[j].forecaster->window_config();
+    m.wc.stride = stride;
+    m.scale = data::normalization_scale(jobs[j].trace->spec);
+    m.samples = data::sample_count(*jobs[j].trace, m.wc, begin, end);
+    m.first_target = data::first_feasible_target(m.wc, begin);
     jobs[j].loss = 0.0;
     // Empty datasets early-out before any RNG use, as the solo path does.
-    if (seq_sets_[j].size() > 0) active_.push_back(j);
-  }
-  if (active_.empty()) return true;
-  const std::size_t steps = seq_sets_[active_.front()].xs.size();
-  const std::size_t feat = seq_sets_[active_.front()].step_features();
-  std::size_t max_size = 0;
-  for (const std::size_t a : active_) {
-    if (seq_sets_[a].xs.size() != steps ||
-        seq_sets_[a].step_features() != feat) {
-      return false;
-    }
-    max_size = std::max(max_size, seq_sets_[a].size());
+    if (m.samples == 0) continue;
+    adams_[j]->set_learning_rate(tcfg.learning_rate);
+    m.order.resize(m.samples);
+    std::iota(m.order.begin(), m.order.end(), 0);
+    max_samples = std::max(max_samples, m.samples);
   }
 
-  // Commit point: from here the per-job sequence mirrors the solo loop.
-  orders_.resize(jobs.size());
-  for (const std::size_t a : active_) {
-    adam_all_[a]->set_learning_rate(tcfg.learning_rate);
-    orders_[a].resize(seq_sets_[a].size());
-    std::iota(orders_[a].begin(), orders_[a].end(), 0);
-  }
+  const data::WindowConfig& shape = members.front().wc;
+  const std::size_t steps = sequence ? shape.window : 1;
+  const std::size_t feat =
+      sequence ? data::step_features(shape) : data::flat_features(shape);
   slab_xs_.resize(steps);
-  loss_sums_.resize(jobs.size());
-  batch_counts_.resize(jobs.size());
-
   xs_ptrs_.resize(steps);
+  for (std::size_t t = 0; t < steps; ++t) xs_ptrs_[t] = &slab_xs_[t];
+
   for (std::size_t epoch = 0; epoch < tcfg.epochs; ++epoch) {
-    for (const std::size_t a : active_) jobs[a].rng->shuffle(orders_[a]);
-    std::fill(loss_sums_.begin(), loss_sums_.end(), 0.0);
-    std::fill(batch_counts_.begin(), batch_counts_.end(), std::size_t{0});
-    // ---- Epoch arena gather: map every arena row to its (job, sample)
-    // in exact batch-consumption order, then copy each timestep slab in
-    // one sequential t-outer pass. Each batch then trains in place at
-    // its arena offset — no per-batch gather or reshape.
-    gather_job_.clear();
-    gather_src_.clear();
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      for (const std::size_t a : active_) {
-        const std::size_t n = seq_sets_[a].size();
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      Member& m = members[j];
+      if (m.samples == 0) continue;
+      jobs[j].rng->shuffle(m.order);
+      m.loss_sum = 0.0;
+      m.batches = 0;
+    }
+    for (std::size_t ofs = 0; ofs < max_samples; ofs += tcfg.batch_size) {
+      part_.clear();
+      slices_.clear();
+      opts_.clear();
+      std::size_t rows = 0;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const std::size_t n = members[j].samples;
         if (ofs >= n) continue;  // this job ran out of batches this epoch
         const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        for (std::size_t i = 0; i < bs; ++i) {
-          gather_job_.push_back(a);
-          gather_src_.push_back(orders_[a][ofs + i]);
-        }
-      }
-    }
-    const std::size_t total = gather_job_.size();
-    for (std::size_t t = 0; t < steps; ++t) {
-      slab_xs_[t].reshape(total, feat);
-      for (std::size_t r = 0; r < total; ++r) {
-        auto row = seq_sets_[gather_job_[r]].xs[t].row(gather_src_[r]);
-        std::copy(row.begin(), row.end(), slab_xs_[t].row(r).begin());
-      }
-      xs_ptrs_[t] = &slab_xs_[t];
-    }
-    slab_y_.reshape(total, 1);
-    for (std::size_t r = 0; r < total; ++r) {
-      slab_y_(r, 0) = seq_sets_[gather_job_[r]].y(gather_src_[r], 0);
-    }
-
-    std::size_t batch_row0 = 0;
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      part_.clear();
-      slices_.clear();
-      lstm_nets_.clear();
-      opts_.clear();
-      std::size_t rows = 0;
-      for (const std::size_t a : active_) {
-        const std::size_t n = seq_sets_[a].size();
-        if (ofs >= n) continue;
-        const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        part_.push_back(a);
+        part_.push_back(j);
         slices_.push_back({rows, bs});
-        lstm_nets_.push_back(lstm_all_[a]);
-        opts_.push_back(adam_all_[a]);
+        opts_.push_back(adams_[j]);
         rows += bs;
       }
-      batch_losses_.resize(part_.size());
-      lstm_.train_batch(lstm_nets_, slices_, xs_ptrs_, slab_y_,
-                        nn::LossKind::kMae, opts_, batch_losses_,
-                        /*clip_norm=*/5.0, /*src_row0=*/batch_row0);
-      batch_row0 += rows;
+      for (nn::Matrix& slab : slab_xs_) slab.reshape(rows, feat);
+      slab_y_.reshape(rows, 1);
+      // Gather each participant's shuffled samples from its trace.
       for (std::size_t p = 0; p < part_.size(); ++p) {
-        loss_sums_[part_[p]] += batch_losses_[p];
-        ++batch_counts_[part_[p]];
+        const Member& m = members[part_[p]];
+        const data::DeviceTrace& trace = *jobs[part_[p]].trace;
+        for (std::size_t i = 0; i < slices_[p].rows; ++i) {
+          const std::size_t r = slices_[p].row_begin + i;
+          const std::size_t t = m.first_target + m.order[ofs + i] * stride;
+          if (sequence) {
+            const std::size_t w0 = data::window_start(m.wc, t);
+            for (std::size_t k = 0; k < steps; ++k) {
+              data::encode_step(trace, m.wc, m.scale, w0 + k,
+                                slab_xs_[k].row(r).data());
+            }
+          } else {
+            data::encode_flat_row(trace, m.wc, m.scale, t,
+                                  slab_xs_.front().row(r).data());
+          }
+          slab_y_(r, 0) =
+              data::encode_watts(trace.watts[t], m.scale, m.wc.log_scale);
+        }
+      }
+      batch_losses_.resize(part_.size());
+      step();
+      for (std::size_t p = 0; p < part_.size(); ++p) {
+        members[part_[p]].loss_sum += batch_losses_[p];
+        ++members[part_[p]].batches;
       }
     }
-    for (const std::size_t a : active_) {
-      jobs[a].loss = batch_counts_[a] != 0
-                         ? loss_sums_[a] / static_cast<double>(batch_counts_[a])
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const Member& m = members[j];
+      if (m.samples == 0) continue;
+      jobs[j].loss = m.batches != 0
+                         ? m.loss_sum / static_cast<double>(m.batches)
                          : 0.0;
     }
   }
-  return true;
 }
 
-bool FusedForecastTrainer::train_gru(std::span<FusedTrainJob> jobs,
-                                     std::size_t begin, std::size_t end,
-                                     const TrainConfig& tcfg) {
-  gru_all_.clear();
-  adam_all_.clear();
-  for (const FusedTrainJob& j : jobs) {
-    auto& f = static_cast<GruForecaster&>(*j.forecaster);
-    gru_all_.push_back(&FusedAccess::net(f));
-    adam_all_.push_back(&FusedAccess::opt(f));
+std::size_t FusedForecastTrainer::retained_bytes() const noexcept {
+  std::size_t bytes = lstm_.scratch_bytes() + gru_.scratch_bytes() +
+                      mlp_.scratch_bytes() + slab_y_.capacity() * sizeof(double);
+  for (const nn::Matrix& slab : slab_xs_) {
+    bytes += slab.capacity() * sizeof(double);
   }
-  const nn::GruRegressor& ref = *gru_all_.front();
-  for (const nn::GruRegressor* n : gru_all_) {
-    if (n->feature_dim() != ref.feature_dim() ||
-        n->hidden_dim() != ref.hidden_dim() ||
-        n->output_dim() != ref.output_dim()) {
-      return false;
-    }
-  }
-
-  seq_sets_.resize(jobs.size());
-  active_.clear();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    data::WindowConfig wc = jobs[j].forecaster->window_config();
-    wc.stride = tcfg.stride;
-    seq_sets_[j] = data::make_sequences(*jobs[j].trace, wc, begin, end);
-    jobs[j].loss = 0.0;
-    if (seq_sets_[j].size() > 0) active_.push_back(j);
-  }
-  if (active_.empty()) return true;
-  const std::size_t steps = seq_sets_[active_.front()].xs.size();
-  const std::size_t feat = seq_sets_[active_.front()].step_features();
-  std::size_t max_size = 0;
-  for (const std::size_t a : active_) {
-    if (seq_sets_[a].xs.size() != steps ||
-        seq_sets_[a].step_features() != feat) {
-      return false;
-    }
-    max_size = std::max(max_size, seq_sets_[a].size());
-  }
-
-  orders_.resize(jobs.size());
-  for (const std::size_t a : active_) {
-    adam_all_[a]->set_learning_rate(tcfg.learning_rate);
-    orders_[a].resize(seq_sets_[a].size());
-    std::iota(orders_[a].begin(), orders_[a].end(), 0);
-  }
-  slab_xs_.resize(steps);
-  loss_sums_.resize(jobs.size());
-  batch_counts_.resize(jobs.size());
-
-  xs_ptrs_.resize(steps);
-  for (std::size_t epoch = 0; epoch < tcfg.epochs; ++epoch) {
-    for (const std::size_t a : active_) jobs[a].rng->shuffle(orders_[a]);
-    std::fill(loss_sums_.begin(), loss_sums_.end(), 0.0);
-    std::fill(batch_counts_.begin(), batch_counts_.end(), std::size_t{0});
-    // Epoch arena gather, as in train_lstm.
-    gather_job_.clear();
-    gather_src_.clear();
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      for (const std::size_t a : active_) {
-        const std::size_t n = seq_sets_[a].size();
-        if (ofs >= n) continue;
-        const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        for (std::size_t i = 0; i < bs; ++i) {
-          gather_job_.push_back(a);
-          gather_src_.push_back(orders_[a][ofs + i]);
-        }
-      }
-    }
-    const std::size_t total = gather_job_.size();
-    for (std::size_t t = 0; t < steps; ++t) {
-      slab_xs_[t].reshape(total, feat);
-      for (std::size_t r = 0; r < total; ++r) {
-        auto row = seq_sets_[gather_job_[r]].xs[t].row(gather_src_[r]);
-        std::copy(row.begin(), row.end(), slab_xs_[t].row(r).begin());
-      }
-      xs_ptrs_[t] = &slab_xs_[t];
-    }
-    slab_y_.reshape(total, 1);
-    for (std::size_t r = 0; r < total; ++r) {
-      slab_y_(r, 0) = seq_sets_[gather_job_[r]].y(gather_src_[r], 0);
-    }
-
-    std::size_t batch_row0 = 0;
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      part_.clear();
-      slices_.clear();
-      gru_nets_.clear();
-      opts_.clear();
-      std::size_t rows = 0;
-      for (const std::size_t a : active_) {
-        const std::size_t n = seq_sets_[a].size();
-        if (ofs >= n) continue;
-        const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        part_.push_back(a);
-        slices_.push_back({rows, bs});
-        gru_nets_.push_back(gru_all_[a]);
-        opts_.push_back(adam_all_[a]);
-        rows += bs;
-      }
-      batch_losses_.resize(part_.size());
-      gru_.train_batch(gru_nets_, slices_, xs_ptrs_, slab_y_,
-                       nn::LossKind::kMae, opts_, batch_losses_,
-                       /*clip_norm=*/5.0, /*src_row0=*/batch_row0);
-      batch_row0 += rows;
-      for (std::size_t p = 0; p < part_.size(); ++p) {
-        loss_sums_[part_[p]] += batch_losses_[p];
-        ++batch_counts_[part_[p]];
-      }
-    }
-    for (const std::size_t a : active_) {
-      jobs[a].loss = batch_counts_[a] != 0
-                         ? loss_sums_[a] / static_cast<double>(batch_counts_[a])
-                         : 0.0;
-    }
-  }
-  return true;
-}
-
-bool FusedForecastTrainer::train_bp(std::span<FusedTrainJob> jobs,
-                                    std::size_t begin, std::size_t end,
-                                    const TrainConfig& tcfg) {
-  mlp_all_.clear();
-  adam_all_.clear();
-  for (const FusedTrainJob& j : jobs) {
-    auto& f = static_cast<BpForecaster&>(*j.forecaster);
-    mlp_all_.push_back(&FusedAccess::net(f));
-    adam_all_.push_back(&FusedAccess::opt(f));
-  }
-  const nn::Mlp& ref = *mlp_all_.front();
-  for (const nn::Mlp* n : mlp_all_) {
-    if (!n->same_architecture(ref)) return false;
-  }
-
-  sup_sets_.resize(jobs.size());
-  active_.clear();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    data::WindowConfig wc = jobs[j].forecaster->window_config();
-    wc.stride = tcfg.stride;
-    sup_sets_[j] = data::make_supervised(*jobs[j].trace, wc, begin, end);
-    jobs[j].loss = 0.0;
-    if (sup_sets_[j].size() > 0) active_.push_back(j);
-  }
-  if (active_.empty()) return true;
-  const std::size_t feat = sup_sets_[active_.front()].features();
-  std::size_t max_size = 0;
-  for (const std::size_t a : active_) {
-    if (sup_sets_[a].features() != feat) return false;
-    max_size = std::max(max_size, sup_sets_[a].size());
-  }
-
-  orders_.resize(jobs.size());
-  for (const std::size_t a : active_) {
-    adam_all_[a]->set_learning_rate(tcfg.learning_rate);
-    orders_[a].resize(sup_sets_[a].size());
-    std::iota(orders_[a].begin(), orders_[a].end(), 0);
-  }
-  slab_xs_.resize(1);
-  loss_sums_.resize(jobs.size());
-  batch_counts_.resize(jobs.size());
-
-  for (std::size_t epoch = 0; epoch < tcfg.epochs; ++epoch) {
-    for (const std::size_t a : active_) jobs[a].rng->shuffle(orders_[a]);
-    std::fill(loss_sums_.begin(), loss_sums_.end(), 0.0);
-    std::fill(batch_counts_.begin(), batch_counts_.end(), std::size_t{0});
-    // Epoch arena gather, as in train_lstm (single step slab here).
-    gather_job_.clear();
-    gather_src_.clear();
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      for (const std::size_t a : active_) {
-        const std::size_t n = sup_sets_[a].size();
-        if (ofs >= n) continue;
-        const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        for (std::size_t i = 0; i < bs; ++i) {
-          gather_job_.push_back(a);
-          gather_src_.push_back(orders_[a][ofs + i]);
-        }
-      }
-    }
-    const std::size_t total = gather_job_.size();
-    slab_xs_[0].reshape(total, feat);
-    slab_y_.reshape(total, 1);
-    for (std::size_t r = 0; r < total; ++r) {
-      const data::SupervisedSet& set = sup_sets_[gather_job_[r]];
-      auto row = set.x.row(gather_src_[r]);
-      std::copy(row.begin(), row.end(), slab_xs_[0].row(r).begin());
-      slab_y_(r, 0) = set.y(gather_src_[r], 0);
-    }
-
-    std::size_t batch_row0 = 0;
-    for (std::size_t ofs = 0; ofs < max_size; ofs += tcfg.batch_size) {
-      part_.clear();
-      slices_.clear();
-      mlp_nets_.clear();
-      opts_.clear();
-      std::size_t rows = 0;
-      for (const std::size_t a : active_) {
-        const std::size_t n = sup_sets_[a].size();
-        if (ofs >= n) continue;
-        const std::size_t bs = std::min(tcfg.batch_size, n - ofs);
-        part_.push_back(a);
-        slices_.push_back({rows, bs});
-        mlp_nets_.push_back(mlp_all_[a]);
-        opts_.push_back(adam_all_[a]);
-        rows += bs;
-      }
-      batch_losses_.resize(part_.size());
-      mlp_.train_batch(mlp_nets_, slices_, slab_xs_[0], slab_y_,
-                       nn::LossKind::kMae, opts_, batch_losses_,
-                       /*src_row0=*/batch_row0);
-      batch_row0 += rows;
-      for (std::size_t p = 0; p < part_.size(); ++p) {
-        loss_sums_[part_[p]] += batch_losses_[p];
-        ++batch_counts_[part_[p]];
-      }
-    }
-    for (const std::size_t a : active_) {
-      jobs[a].loss = batch_counts_[a] != 0
-                         ? loss_sums_[a] / static_cast<double>(batch_counts_[a])
-                         : 0.0;
-    }
-  }
-  return true;
+  return bytes + capacity_bytes(slab_xs_) + capacity_bytes(xs_ptrs_) +
+         capacity_bytes(part_) + capacity_bytes(slices_) +
+         capacity_bytes(opts_) + capacity_bytes(batch_losses_) +
+         capacity_bytes(adams_) + capacity_bytes(lstm_all_) +
+         capacity_bytes(lstm_nets_) + capacity_bytes(gru_all_) +
+         capacity_bytes(gru_nets_) + capacity_bytes(mlp_all_) +
+         capacity_bytes(mlp_nets_);
 }
 
 }  // namespace pfdrl::forecast

@@ -3,13 +3,16 @@
 // A DFL round trains one forecaster per (home, device) on that device's
 // newly recorded minutes — thousands of tiny minibatches through
 // identical architectures. The fused trainer takes a group of such jobs
-// (same method, same window/train config), builds every job's dataset,
-// and then runs the group's epochs in lockstep: each epoch's shuffled
-// rows are gathered ONCE into a persistent epoch arena laid out in
-// batch-consumption order, and each (epoch, batch index) trains its
-// home-major span of that arena in place (via the engines' src_row0
-// offset) through the nn::Fused* engines against each job's own
-// parameter bank and Adam state.
+// (same method, same window shape, one train config) and runs the
+// group's epochs in lockstep: for each (epoch, batch offset) it gathers
+// every participating job's rows straight from that job's DeviceTrace
+// into one reused home-major batch slab — with make_sequences' /
+// make_supervised's own per-sample arithmetic (data::encode_step /
+// encode_flat_row), so a gathered row is bitwise the materialized one —
+// and trains the slab through the nn::Fused* engines against each job's
+// own parameter bank and Adam state. No per-job dataset is ever built:
+// what the trainer keeps between calls is sized by the group and the
+// batch size, never by the round's length.
 //
 // Determinism contract: PRESERVED. Per job, the observable sequence is
 // exactly the per-home Forecaster::train() loop — the empty-dataset
@@ -24,10 +27,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
-#include "data/dataset.hpp"
 #include "data/trace.hpp"
 #include "forecast/forecaster.hpp"
 #include "nn/fused.hpp"
@@ -59,53 +62,42 @@ class FusedForecastTrainer {
  public:
   /// Runs the whole group over [begin, end) with the shared config.
   /// Returns false — with no job state touched — when the group is not
-  /// fusable (non-NN or mixed methods, mismatched network or dataset
-  /// shapes); the caller must fall back to per-job Forecaster::train().
+  /// fusable (closed-form LR/SVR or mixed methods, mismatched network or
+  /// window shapes); the caller must fall back to per-job
+  /// Forecaster::train().
   bool train(std::span<FusedTrainJob> jobs, std::size_t begin,
              std::size_t end, const TrainConfig& cfg);
 
+  /// Heap bytes the trainer holds between train() calls: batch slabs,
+  /// dispatch buffers and the engines' scratch. Bounded by the group size
+  /// and the batch size, independent of the round's length.
+  [[nodiscard]] std::size_t retained_bytes() const noexcept;
+
  private:
-  bool train_lstm(std::span<FusedTrainJob> jobs, std::size_t begin,
-                  std::size_t end, const TrainConfig& tcfg);
-  bool train_gru(std::span<FusedTrainJob> jobs, std::size_t begin,
-                 std::size_t end, const TrainConfig& tcfg);
-  bool train_bp(std::span<FusedTrainJob> jobs, std::size_t begin,
-                std::size_t end, const TrainConfig& tcfg);
+  /// The lockstep epoch loop shared by every method: per-batch gather
+  /// into slab_xs_ (window step slabs when `sequence`, else one flat
+  /// slab) and slab_y_, then `step()` trains part_/slices_/opts_ through
+  /// the method's engine into batch_losses_.
+  void run_epochs(std::span<FusedTrainJob> jobs, std::size_t begin,
+                  std::size_t end, const TrainConfig& tcfg, bool sequence,
+                  const std::function<void()>& step);
 
   nn::FusedLstm lstm_;
   nn::FusedGru gru_;
   nn::FusedMlp mlp_;
-  // Per-job datasets (rebuilt per round; building is pure so a fallback
-  // after dataset construction still leaves job state untouched).
-  std::vector<data::SequenceSet> seq_sets_;
-  std::vector<data::SupervisedSet> sup_sets_;
-  // Per-job shuffle orders (trainer-owned stand-ins for the forecaster's
-  // private order_ buffers; RNG-stream-identical, see header comment).
-  std::vector<std::vector<std::size_t>> orders_;
-  // Capacity-reusing epoch arena + dispatch buffers. The arena holds the
-  // WHOLE epoch's rows in exact batch-consumption order — one t-outer
-  // gather pass per epoch instead of a strided re-gather per batch — and
-  // each batch trains in place via the engines' src_row0 offset. The
-  // gather_* maps record arena row -> (job, dataset row) for the pass.
-  std::vector<nn::Matrix> slab_xs_;  // per-step arenas ([0] only for BP)
-  nn::Matrix slab_y_;
-  std::vector<std::size_t> gather_job_;
-  std::vector<std::size_t> gather_src_;
-  std::vector<std::size_t> active_;  // jobs with non-empty datasets
-  std::vector<std::size_t> part_;    // jobs participating in one batch
-  std::vector<nn::FusedSlice> slices_;
+  // One fused batch, reused across batches and calls.
+  std::vector<nn::Matrix> slab_xs_;
   std::vector<const nn::Matrix*> xs_ptrs_;
+  nn::Matrix slab_y_;
+  std::vector<std::size_t> part_;  // jobs participating in one batch
+  std::vector<nn::FusedSlice> slices_;
   std::vector<nn::Optimizer*> opts_;
   std::vector<double> batch_losses_;
-  std::vector<double> loss_sums_;
-  std::vector<std::size_t> batch_counts_;
-  std::vector<nn::LstmRegressor*> lstm_nets_;
-  std::vector<nn::GruRegressor*> gru_nets_;
-  std::vector<nn::Mlp*> mlp_nets_;
-  std::vector<nn::LstmRegressor*> lstm_all_;
-  std::vector<nn::GruRegressor*> gru_all_;
-  std::vector<nn::Mlp*> mlp_all_;
-  std::vector<nn::Adam*> adam_all_;
+  // Per-job network/optimizer handles, and their per-batch selections.
+  std::vector<nn::Adam*> adams_;
+  std::vector<nn::LstmRegressor*> lstm_all_, lstm_nets_;
+  std::vector<nn::GruRegressor*> gru_all_, gru_nets_;
+  std::vector<nn::Mlp*> mlp_all_, mlp_nets_;
 };
 
 }  // namespace pfdrl::forecast

@@ -89,6 +89,11 @@ class FusedLstm {
                    std::span<double> losses, double clip_norm = 5.0,
                    std::size_t src_row0 = 0);
 
+  /// Heap bytes of scratch held between batches (arena + gradient arena).
+  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
+    return ws_.bytes() + grads_.capacity() * sizeof(double);
+  }
+
  private:
   Workspace ws_;
   // Per-step slab pointers into ws_ (stable addresses; rebuilt per batch).
@@ -107,6 +112,11 @@ class FusedGru {
                    LossKind loss, std::span<Optimizer* const> opts,
                    std::span<double> losses, double clip_norm = 5.0,
                    std::size_t src_row0 = 0);
+
+  /// Heap bytes of scratch held between batches (arena + gradient arena).
+  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
+    return ws_.bytes() + grads_.capacity() * sizeof(double);
+  }
 
  private:
   Workspace ws_;
@@ -136,6 +146,11 @@ class FusedMlp {
                    const Matrix& y, LossKind loss,
                    std::span<Optimizer* const> opts, std::span<double> losses,
                    std::size_t src_row0 = 0);
+
+  /// Heap bytes of the activation/gradient slab arena.
+  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
+    return ws_.bytes();
+  }
 
  private:
   Workspace ws_;

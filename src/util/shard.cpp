@@ -19,6 +19,21 @@ std::size_t shard_begin(std::size_t s, std::size_t n,
   return (s * n) / shards;
 }
 
+std::vector<std::size_t> job_groups(std::span<const std::size_t> job_homes,
+                                    std::size_t num_homes, std::size_t shards,
+                                    std::size_t chunks) {
+  const std::size_t blocks = shards > 1 ? shards : chunks;
+  std::vector<std::size_t> starts;
+  for (std::size_t j = 0; j < job_homes.size(); ++j) {
+    if (j == 0 || shard_of(job_homes[j], num_homes, blocks) !=
+                      shard_of(job_homes[j - 1], num_homes, blocks)) {
+      starts.push_back(j);
+    }
+  }
+  starts.push_back(job_homes.size());
+  return starts;
+}
+
 double ShardTiming::max_over_mean() const noexcept {
   if (shard_seconds.empty()) return 1.0;
   double sum = 0.0;

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace pfdrl::util {
@@ -23,6 +24,16 @@ class ThreadPool;
 /// First item of shard `s` (also one-past-last of shard s-1).
 [[nodiscard]] std::size_t shard_begin(std::size_t s, std::size_t n,
                                       std::size_t shards) noexcept;
+
+/// Fused-training groups over a home-major job list (job_homes[j] is the
+/// home owning job j; docs/fused_training.md): every job of one shard is
+/// one group. An unsharded run (shards <= 1) is cut instead into up to
+/// `chunks` contiguous balanced blocks of homes — one per pool worker, so
+/// the groups still fill the cores. Groups never split a home. Returns
+/// the start offset of each group plus a trailing job_homes.size().
+[[nodiscard]] std::vector<std::size_t> job_groups(
+    std::span<const std::size_t> job_homes, std::size_t num_homes,
+    std::size_t shards, std::size_t chunks);
 
 /// Wall-clock seconds each shard spent in its serial slice of a
 /// sharded_for dispatch; empty when the dispatch ran unsharded.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
@@ -212,19 +214,32 @@ TEST(Pipeline, LearnCadenceAndAccountingFollowMeterInterval) {
   EXPECT_EQ(reg.histogram("ems.round_seconds").count(), 2u);
 }
 
-// The fused-training contract end-to-end (docs/fused_training.md):
-// fuse_homes > 1 runs EMS rounds in cross-home lockstep (stacked DQN
-// learn slabs) and fuses DFL forecast minibatches, but every agent
-// parameter and every evaluation number must stay bitwise identical to
-// the legacy per-home pipeline — with and without sharding on top.
-TEST(Pipeline, FusedHomesBitwiseMatchesLegacy) {
+/// FNV-1a over the values' bit patterns: a run's bitwise fingerprint.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xffU)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The fused-training contract end-to-end (docs/fused_training.md): every
+// round runs in fused groups — one per shard, or one per pool worker when
+// unsharded — so forecast minibatches stack per gate and EMS rollouts run
+// in lockstep with stacked DQN learn slabs. Every agent parameter and
+// evaluation number must match the fingerprint recorded from the per-home
+// pipeline, at every shard count here and every pool size through the
+// PFDRL_POOL_WORKERS reruns in tests/CMakeLists.txt.
+TEST(Pipeline, FusedGroupsMatchPerHomeGolden) {
   const auto scenario = tiny();
   const std::size_t day = data::kMinutesPerDay;
-  const auto run = [&](std::size_t fuse_homes, std::size_t shards,
-                       forecast::Method fm) {
+  const auto run = [&](std::size_t shards, forecast::Method fm) {
     auto cfg = tiny_pipeline(EmsMethod::kPfdrl);
     cfg.forecast_method = fm;
-    cfg.fuse_homes = fuse_homes;
     cfg.shards = shards;
     EmsPipeline pipeline(scenario.traces, cfg);
     pipeline.train_forecasters(0, day);
@@ -241,16 +256,36 @@ TEST(Pipeline, FusedHomesBitwiseMatchesLegacy) {
     for (const auto& r : pipeline.evaluate(day, 2 * day)) {
       fingerprint.push_back(r.total_reward);
     }
-    return fingerprint;
+    return fnv1a(fingerprint);
   };
-  // kLr forecasts: the DFL groups fall back per job (non-NN method), the
-  // EMS rounds fuse — covers the fallback seam.
-  const auto legacy_lr = run(0, 0, forecast::Method::kLr);
-  EXPECT_EQ(run(2, 0, forecast::Method::kLr), legacy_lr);
-  EXPECT_EQ(run(2, 2, forecast::Method::kLr), legacy_lr);
-  // kBp forecasts: both the forecast and the EMS fused paths engage.
-  const auto legacy_bp = run(0, 0, forecast::Method::kBp);
-  EXPECT_EQ(run(3, 0, forecast::Method::kBp), legacy_bp);
+  // kLr forecasts fall back per job (closed form); kBp forecasts fuse.
+  // The EMS rounds fuse either way.
+  for (const std::size_t shards : {0, 2, 3}) {
+    EXPECT_EQ(run(shards, forecast::Method::kLr), 0x5926488e54b7658aULL)
+        << "LR shards " << shards;
+    EXPECT_EQ(run(shards, forecast::Method::kBp), 0x5317c3ac5bcefacbULL)
+        << "BP shards " << shards;
+  }
+}
+
+// No silent fallback: groups of a closed-form forecaster train per job
+// and say so in forecast.fused_fallbacks; NN forecasters never fall back.
+TEST(Pipeline, FusedFallbacksAreCounted) {
+  const auto scenario = tiny();
+  const std::size_t day = data::kMinutesPerDay;
+  const auto fallbacks = [&](forecast::Method fm) {
+    auto cfg = tiny_pipeline(EmsMethod::kPfdrl);
+    cfg.forecast_method = fm;
+    cfg.forecast_train.epochs = 1;
+    obs::MetricsRegistry reg;
+    cfg.metrics = &reg;
+    EmsPipeline pipeline(scenario.traces, cfg);
+    pipeline.train_forecasters(0, day);
+    pipeline.sync_runtime_metrics();
+    return reg.counter("forecast.fused_fallbacks").value();
+  };
+  EXPECT_GT(fallbacks(forecast::Method::kLr), 0u);
+  EXPECT_EQ(fallbacks(forecast::Method::kLstm), 0u);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "fl/baselines.hpp"
 #include "fl/dfl.hpp"
+#include "forecast/fused.hpp"
 #include "sim/scenario.hpp"
 
 namespace pfdrl::fl {
@@ -248,12 +252,11 @@ TEST(DflTrainer, DeterministicAcrossRunsDespiteThreadPool) {
   EXPECT_EQ(run(), run());
 }
 
-// --- Cross-home fused training (docs/fused_training.md) ---------------
+// --- Fused training (docs/fused_training.md) -----------------------------
 
 namespace {
 
-/// Every forecaster parameter of every (home, device), flattened — the
-/// bitwise fingerprint the fused-vs-legacy comparisons use.
+/// Every forecaster parameter of every (home, device), flattened.
 std::vector<double> all_parameters(const DflTrainer& trainer,
                                    const std::vector<data::HouseholdTrace>& traces) {
   std::vector<double> all;
@@ -266,49 +269,183 @@ std::vector<double> all_parameters(const DflTrainer& trainer,
   return all;
 }
 
+/// FNV-1a over the values' bit patterns: a run's bitwise fingerprint.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xffU)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Fingerprints recorded from the per-job loop (one Forecaster::train per
+// (home, device), no grouping), which fused groups replaced as the only
+// dispatch. Grouping never moves a bit, so every shard count and pool
+// size must reproduce them.
+constexpr std::uint64_t kGoldenBp = 0x04c4edc595691126ULL;
+constexpr std::uint64_t kGoldenLstm = 0x184e502c920c435cULL;
+constexpr std::uint64_t kGoldenGru = 0xf7a2a2f88bbdd086ULL;
+constexpr std::uint64_t kGoldenLocalLstm = 0x5930e2a86c04199fULL;
+constexpr std::uint64_t kGoldenLr = 0x866605af7984d547ULL;
+
 }  // namespace
 
-// The fused-training contract at the DFL layer: fuse_homes > 1 gathers
-// cross-home minibatches into shared slabs, but the trained parameters
-// must stay bitwise identical to the legacy per-job path — at every
-// shard count, for each NN method.
-TEST(DflTrainer, FusedHomesBitwiseMatchesLegacy) {
+// The fused-training contract at the DFL layer: a round's groups are
+// derived (one per shard; one per pool worker when unsharded), and the
+// trained parameters match the per-job golden bitwise for every NN
+// method and shard count. tests/CMakeLists.txt reruns this grid under
+// PFDRL_POOL_WORKERS=1/2/3 (quick_suite_pool4 covers 4).
+TEST(DflTrainer, FusedGroupsMatchPerJobGolden) {
   const auto traces = small_traces(5, 2);
-  for (const auto method :
-       {forecast::Method::kBp, forecast::Method::kLstm, forecast::Method::kGru}) {
+  const struct {
+    forecast::Method method;
+    std::uint64_t golden;
+  } cases[] = {{forecast::Method::kBp, kGoldenBp},
+               {forecast::Method::kLstm, kGoldenLstm},
+               {forecast::Method::kGru, kGoldenGru}};
+  for (const auto& c : cases) {
     auto cfg = fast_dfl(AggregationMode::kDecentralized);
-    cfg.method = method;
+    cfg.method = c.method;
     cfg.train.epochs = 2;         // keep the recurrent methods quick
     cfg.max_round_samples = 120;  // (explicit values win over defaults)
-    const auto run = [&](std::size_t fuse_homes, std::size_t shards) {
-      auto c = cfg;
-      c.fuse_homes = fuse_homes;
-      c.shards = shards;
-      DflTrainer trainer(traces, c);
+    for (const std::size_t shards : {0, 2, 3, 5}) {
+      cfg.shards = shards;
+      DflTrainer trainer(traces, cfg);
       trainer.run(0, data::kMinutesPerDay);
-      return all_parameters(trainer, traces);
-    };
-    const auto legacy = run(0, 0);
-    EXPECT_EQ(run(3, 0), legacy) << forecast::method_name(method);
-    EXPECT_EQ(run(16, 0), legacy) << forecast::method_name(method)
-                                  << " (one group spanning all homes)";
-    EXPECT_EQ(run(2, 2), legacy) << forecast::method_name(method)
-                                 << " (groups within shard boundaries)";
+      EXPECT_EQ(fnv1a(all_parameters(trainer, traces)), c.golden)
+          << forecast::method_name(c.method) << " shards " << shards;
+      EXPECT_EQ(trainer.fused_fallbacks(), 0u);
+    }
+  }
+  // The Local baseline trains on every window (no sampling cap).
+  auto local = fast_dfl(AggregationMode::kNone);
+  local.method = forecast::Method::kLstm;
+  local.train.epochs = 1;
+  for (const std::size_t shards : {0, 2}) {
+    local.shards = shards;
+    DflTrainer trainer(traces, local);
+    trainer.run(0, data::kMinutesPerDay);
+    EXPECT_EQ(fnv1a(all_parameters(trainer, traces)), kGoldenLocalLstm)
+        << "local LSTM shards " << shards;
   }
 }
 
-// Non-NN methods cannot fuse: the group trainer must refuse and the
-// per-job fallback must reproduce the legacy result bitwise (the forked
-// per-job RNGs are handed over unconsumed).
-TEST(DflTrainer, FusedFallbackForNonNnMethodsMatchesLegacy) {
+// Closed-form methods have no minibatch loop, so every group falls back
+// to per-job training — counted, never silent — and, with the forked RNGs
+// handed over unconsumed, still reproduces the per-job golden.
+TEST(DflTrainer, ClosedFormGroupsFallBackCountedAndBitwise) {
   const auto traces = small_traces(4, 1);
-  auto cfg = fast_dfl(AggregationMode::kDecentralized);  // kLr
-  DflTrainer legacy(traces, cfg);
-  legacy.run(0, data::kMinutesPerDay);
-  cfg.fuse_homes = 3;
-  DflTrainer fused(traces, cfg);
-  fused.run(0, data::kMinutesPerDay);
-  EXPECT_EQ(all_parameters(fused, traces), all_parameters(legacy, traces));
+  for (const std::size_t shards : {0, 2}) {
+    auto cfg = fast_dfl(AggregationMode::kDecentralized);  // kLr
+    cfg.shards = shards;
+    DflTrainer trainer(traces, cfg);
+    trainer.run(0, data::kMinutesPerDay);
+    EXPECT_EQ(fnv1a(all_parameters(trainer, traces)), kGoldenLr)
+        << "shards " << shards;
+    EXPECT_GT(trainer.fused_fallbacks(), 0u);
+  }
+}
+
+namespace {
+
+/// One LSTM/GRU/BP forecaster per (home, device) of `traces`.
+std::vector<std::unique_ptr<forecast::Forecaster>> make_models(
+    forecast::Method method, const std::vector<data::HouseholdTrace>& traces,
+    const data::WindowConfig& window) {
+  std::vector<std::unique_ptr<forecast::Forecaster>> models;
+  for (const auto& home : traces) {
+    for (std::size_t d = 0; d < home.devices.size(); ++d) {
+      models.push_back(forecast::make_forecaster(method, window, 1000 + d));
+    }
+  }
+  return models;
+}
+
+}  // namespace
+
+// The forecast-layer oracle: one fused group over traces of unequal
+// length (so some jobs run out of batches early) trains every model and
+// reports every loss bitwise as the solo Forecaster::train loop would.
+TEST(FusedForecastTrainer, MatchesPerJobTrainBitwise) {
+  auto traces = small_traces(2, 1);
+  const auto longer = small_traces(2, 2, /*seed=*/9);
+  traces.insert(traces.end(), longer.begin(), longer.end());
+  const data::WindowConfig window = fast_dfl(AggregationMode::kNone).window;
+  forecast::TrainConfig train;
+  train.epochs = 2;
+  train.stride = 3;
+  const std::size_t begin = 600;
+  const std::size_t end = 2 * data::kMinutesPerDay;
+  for (const auto method :
+       {forecast::Method::kBp, forecast::Method::kLstm, forecast::Method::kGru}) {
+    auto fused = make_models(method, traces, window);
+    auto solo = make_models(method, traces, window);
+    std::vector<util::Rng> rngs;
+    std::vector<forecast::FusedTrainJob> jobs;
+    std::vector<double> solo_loss;
+    std::size_t m = 0;
+    for (const auto& home : traces) {
+      for (const auto& dev : home.devices) {
+        rngs.emplace_back(50 + m);
+        util::Rng solo_rng(50 + m);
+        solo_loss.push_back(solo[m]->train(dev, begin, end, train, solo_rng));
+        ++m;
+      }
+    }
+    m = 0;
+    for (const auto& home : traces) {
+      for (const auto& dev : home.devices) {
+        jobs.push_back({fused[m].get(), &dev, &rngs[m], -1.0});
+        ++m;
+      }
+    }
+    forecast::FusedForecastTrainer trainer;
+    ASSERT_TRUE(trainer.train(jobs, begin, end, train));
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const auto a = fused[j]->parameters();
+      const auto b = solo[j]->parameters();
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << forecast::method_name(method) << " job " << j;
+      EXPECT_EQ(jobs[j].loss, solo_loss[j])
+          << forecast::method_name(method) << " job " << j;
+    }
+  }
+}
+
+// What a fused trainer keeps between rounds is sized by the group and
+// the batch — never by the round: after a round 4x longer it holds no
+// more bytes than after the short one.
+TEST(FusedForecastTrainer, RetainedBytesDoNotGrowWithRoundLength) {
+  const auto traces = small_traces(3, 2);
+  const data::WindowConfig window = fast_dfl(AggregationMode::kNone).window;
+  auto models = make_models(forecast::Method::kLstm, traces, window);
+  forecast::TrainConfig train;
+  train.epochs = 1;
+  train.stride = 1;
+  forecast::FusedForecastTrainer trainer;
+  const auto round = [&](std::size_t begin, std::size_t end) {
+    std::vector<util::Rng> rngs;
+    rngs.reserve(models.size());
+    std::vector<forecast::FusedTrainJob> jobs;
+    std::size_t m = 0;
+    for (const auto& home : traces) {
+      for (const auto& dev : home.devices) {
+        rngs.emplace_back(m);
+        jobs.push_back({models[m].get(), &dev, &rngs.back(), 0.0});
+        ++m;
+      }
+    }
+    ASSERT_TRUE(trainer.train(jobs, begin, end, train));
+  };
+  round(0, 180);
+  const std::size_t short_round = trainer.retained_bytes();
+  EXPECT_GT(short_round, 0u);
+  round(180, 180 + 4 * 180);
+  EXPECT_LE(trainer.retained_bytes(), short_round);
 }
 
 TEST(DflTrainer, SmallBatchCapOnlyAppliesToFederatedModes) {

@@ -289,24 +289,31 @@ foreach(line_re "forecast accuracy [^\n]*" "traffic: [^\n]*")
 endforeach()
 message(STATUS "bench_smoke: sharded snapshot/resume round-trip agreed")
 
-# --- fused training through the shipped CLI: the same scenario with
-# --fuse-homes 2 must produce byte-identical result lines to the
-# per-home run above (the fused ≡ per-home contract of
-# docs/fused_training.md, pinned end-to-end through the CLI wiring).
-execute_process(
-  COMMAND "${PFDRL_CLI}" ${cli_flags} --fuse-homes 2
-  RESULT_VARIABLE fused_rc
-  OUTPUT_VARIABLE fused_out
-  ERROR_VARIABLE fused_err)
-if(NOT fused_rc EQUAL 0)
-  message(FATAL_ERROR "pfdrl_cli fused run failed (${fused_rc}):\n${fused_out}\n${fused_err}")
+# --- determinism across pool sizes through the shipped CLI: training
+# runs in fused groups, and an unsharded run cuts one group per pool
+# worker (docs/fused_training.md). Grouping must never move a bit, so the
+# same scenario on 1 and on 4 workers must print byte-identical output,
+# and both must match the snapshot run's result lines above.
+foreach(workers 1 4)
+  execute_process(
+    COMMAND "${PFDRL_CLI}" ${cli_flags} --pool-workers ${workers}
+    RESULT_VARIABLE pool_rc
+    OUTPUT_VARIABLE pool_out_${workers}
+    ERROR_VARIABLE pool_err)
+  if(NOT pool_rc EQUAL 0)
+    message(FATAL_ERROR "pfdrl_cli --pool-workers ${workers} run failed (${pool_rc}):\n${pool_out_${workers}}\n${pool_err}")
+  endif()
+endforeach()
+if(NOT pool_out_1 STREQUAL pool_out_4)
+  message(FATAL_ERROR
+    "pfdrl_cli output depends on the pool size:\n--- 1 worker:\n${pool_out_1}\n--- 4 workers:\n${pool_out_4}")
 endif()
 foreach(line_re "forecast accuracy [^\n]*" "traffic: [^\n]*")
   string(REGEX MATCH "${line_re}" save_line "${save_out}")
-  string(REGEX MATCH "${line_re}" fused_line "${fused_out}")
-  if(NOT save_line STREQUAL fused_line)
+  string(REGEX MATCH "${line_re}" pool_line "${pool_out_1}")
+  if(NOT save_line STREQUAL pool_line)
     message(FATAL_ERROR
-      "fused run diverged from per-home:\n  per-home: ${save_line}\n  fused:    ${fused_line}")
+      "pool-size twin diverged from the snapshot run:\n  snapshot: ${save_line}\n  1 worker: ${pool_line}")
   endif()
 endforeach()
-message(STATUS "bench_smoke: fused CLI run matched the per-home run")
+message(STATUS "bench_smoke: CLI output identical on 1 and 4 pool workers")
