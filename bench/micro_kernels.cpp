@@ -1,14 +1,24 @@
 // Micro-benchmarks of the computational kernels underlying the system:
-// matmul, dense forward/backward, LSTM steps, replay sampling, message
-// bus broadcast, and federated averaging.
+// matmul, dense forward/backward, LSTM steps, the Adam step, replay
+// sampling, message bus broadcast, and federated averaging. Inference
+// and optimizer kernels run beside their scalar nn::ref form (arg ref=1),
+// which they are bitwise equal to.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "fl/aggregate.hpp"
 #include "net/bus.hpp"
 #include "nn/dense.hpp"
+#include "nn/kernels.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/ref.hpp"
 #include "nn/workspace.hpp"
 #include "rl/dqn.hpp"
 #include "rl/replay.hpp"
@@ -50,8 +60,20 @@ void BM_DenseForward(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseForward);
 
+// Dense row x weights + bias through the scalar reference: bias fill, then
+// one nn::ref::axpy sweep per input — the form every tile is bitwise to.
+void dense_row_ref(const double* w, const double* b, const double* x,
+                   std::size_t in, std::size_t out, double* y) {
+  std::copy(b, b + out, y);
+  for (std::size_t k = 0; k < in; ++k) nn::ref::axpy(x[k], w + k * out, y, out);
+}
+
+// matvec1 (batch-1 act path) at the DQN's input, hidden and head shapes;
+// arg 2 = 1 runs the nn::ref form instead.
 void BM_Matvec1(benchmark::State& state) {
-  const std::size_t in = 100, out_dim = 100;
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out_dim = static_cast<std::size_t>(state.range(1));
+  const bool ref = state.range(2) != 0;
   util::Rng rng(12);
   std::vector<double> params(nn::dense_param_count(in, out_dim));
   nn::dense_init(params, in, out_dim, nn::InitScheme::kHeNormal, rng);
@@ -61,12 +83,52 @@ void BM_Matvec1(benchmark::State& state) {
   for (double& v : x) v = rng.normal();
   std::vector<double> y(out_dim);
   for (auto _ : state) {
-    nn::matvec1(w, b, x, in, out_dim, y);
+    if (ref) {
+      dense_row_ref(w.data(), b.data(), x.data(), in, out_dim, y.data());
+    } else {
+      nn::matvec1(w, b, x, in, out_dim, y);
+    }
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetLabel("100x100 layer, batch 1");
+  state.SetLabel(ref ? "nn::ref axpy sweeps" : "16-column register tile");
 }
-BENCHMARK(BM_Matvec1);
+BENCHMARK(BM_Matvec1)
+    ->ArgNames({"in", "out", "ref"})
+    ->Args({5, 100, 0})
+    ->Args({5, 100, 1})
+    ->Args({100, 100, 0})
+    ->Args({100, 100, 1})
+    ->Args({100, 3, 0})
+    ->Args({100, 3, 1});
+
+// A day of rows through one dense layer (the BP forecaster's 18 -> 64
+// input layer over 1,440 windows): 4-row register tiles vs the per-row
+// nn::ref form.
+void BM_DenseRows1440(benchmark::State& state) {
+  const bool ref = state.range(0) != 0;
+  const std::size_t rows = 1440, in = 18, out_dim = 64;
+  util::Rng rng(16);
+  std::vector<double> params(nn::dense_param_count(in, out_dim));
+  nn::dense_init(params, in, out_dim, nn::InitScheme::kHeNormal, rng);
+  nn::Matrix x(rows, in);
+  for (double& v : x.data()) v = rng.normal();
+  nn::Matrix y(rows, out_dim);
+  for (auto _ : state) {
+    if (ref) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        dense_row_ref(params.data(), params.data() + in * out_dim,
+                      x.row(r).data(), in, out_dim, y.row(r).data());
+      }
+    } else {
+      nn::dense_forward(params, in, out_dim, x, nn::Activation::kIdentity, y);
+    }
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+  state.SetLabel(ref ? "nn::ref per-row axpy" : "4-row register tiles");
+}
+BENCHMARK(BM_DenseRows1440)->ArgName("ref")->Arg(0)->Arg(1);
 
 void BM_DenseForwardBatch1(benchmark::State& state) {
   const std::size_t in = 100, out_dim = 100;
@@ -166,6 +228,101 @@ void BM_LstmTrainBatch(benchmark::State& state) {
   state.SetLabel("window 16, hidden 32, batch 32");
 }
 BENCHMARK(BM_LstmTrainBatch);
+
+// LSTM predict over a day of windows (1,440 rows, T = 16, H = 32): the
+// row-tiled step vs the per-row nn::ref form of the same step.
+void lstm_predict_ref(const nn::LstmRegressor& net,
+                      const std::vector<nn::Matrix>& xs, nn::Matrix& out) {
+  const std::size_t f = net.feature_dim(), h = net.hidden_dim();
+  const std::size_t o = net.output_dim(), g4 = 4 * h;
+  const double* wx = net.parameters().data();
+  const double* wh = wx + f * g4;
+  const double* b = wh + h * g4;
+  const double* w_head = b + g4;
+  const std::size_t rows = xs.front().rows();
+  std::vector<double> z(g4), hv(h), c(h), tc(h);
+  out.reshape(rows, o);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::fill(hv.begin(), hv.end(), 0.0);
+    std::fill(c.begin(), c.end(), 0.0);
+    for (const nn::Matrix& x : xs) {
+      std::copy(b, b + g4, z.begin());
+      for (std::size_t k = 0; k < f; ++k) {
+        nn::ref::axpy(x(r, k), wx + k * g4, z.data(), g4);
+      }
+      for (std::size_t k = 0; k < h; ++k) {
+        nn::ref::axpy(hv[k], wh + k * g4, z.data(), g4);
+      }
+      nn::kernels::sigmoid_inplace(z.data(), 2 * h);
+      nn::kernels::tanh_inplace(z.data() + 2 * h, h);
+      nn::kernels::sigmoid_inplace(z.data() + 3 * h, h);
+      for (std::size_t j = 0; j < h; ++j) {
+        c[j] = z[h + j] * c[j] + z[j] * z[2 * h + j];
+        tc[j] = c[j];
+      }
+      nn::kernels::tanh_inplace(tc.data(), h);
+      for (std::size_t j = 0; j < h; ++j) hv[j] = z[3 * h + j] * tc[j];
+    }
+    dense_row_ref(w_head, w_head + h * o, hv.data(), h, o, out.row(r).data());
+  }
+}
+
+void BM_LstmPredict1440(benchmark::State& state) {
+  const bool ref = state.range(0) != 0;
+  util::Rng rng(17);
+  nn::LstmRegressor net(3, 32, 1, rng);
+  std::vector<nn::Matrix> xs(16, nn::Matrix(1440, 3));
+  for (auto& m : xs) {
+    for (double& v : m.data()) v = rng.normal(0.0, 0.5);
+  }
+  nn::Workspace ws;
+  nn::Matrix out;
+  for (auto _ : state) {
+    if (ref) {
+      lstm_predict_ref(net, xs, out);
+      benchmark::DoNotOptimize(out.data().data());
+    } else {
+      ws.reset();
+      benchmark::DoNotOptimize(net.predict(xs, ws).data().data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          1440);
+  state.SetLabel(ref ? "nn::ref per-row step" : "4-row register tiles");
+}
+BENCHMARK(BM_LstmPredict1440)->ArgName("ref")->Arg(0)->Arg(1);
+
+// One Adam step at the BP forecaster (3,329), paper LSTM (4,641) and paper
+// DQN (71,603) parameter counts: 4-lane vector step vs nn::ref::adam_step.
+void BM_AdamStep(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool ref = state.range(1) != 0;
+  util::Rng rng(18);
+  std::vector<double> p(n), g(n), m(n, 0.0), v(n, 0.0);
+  for (double& x : p) x = rng.normal();
+  for (double& x : g) x = rng.normal();
+  nn::Adam opt(1e-3);
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    if (ref) {
+      nn::ref::adam_step(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, ++t);
+    } else {
+      opt.step(p, g);
+    }
+    benchmark::DoNotOptimize(p.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.SetLabel(ref ? "nn::ref scalar" : "4-lane AVX2");
+}
+BENCHMARK(BM_AdamStep)
+    ->ArgNames({"params", "ref"})
+    ->Args({3329, 0})
+    ->Args({3329, 1})
+    ->Args({4641, 0})
+    ->Args({4641, 1})
+    ->Args({71603, 0})
+    ->Args({71603, 1});
 
 void BM_ReplaySample(benchmark::State& state) {
   rl::ReplayBuffer buf(2000);

@@ -7,6 +7,8 @@
 // predict_series sweep) for the same (home, device, interval) triple.
 // EpisodeRunner owns environment construction behind a forecast-series
 // cache and provides the one greedy rollout the two evaluators share.
+// EmsPipeline::forecast_accuracy scores the same cached series, so an
+// evaluation day is predicted once for both.
 //
 // The cache is keyed (home, dev, begin, end) and must be invalidated
 // whenever the forecasting models retrain (the pipeline calls
@@ -47,15 +49,23 @@ class EpisodeRunner {
                 ForecastFn forecast, std::size_t meter_interval_minutes,
                 obs::MetricsRegistry* metrics = nullptr);
 
-  /// Environment for (home, dev) over trace minutes [begin, end); the
-  /// forecast series comes from the cache when this triple was built
-  /// before (and the forecasters have not retrained since).
+  /// Forecast series (watts, one per minute) for (home, dev) over trace
+  /// minutes [begin, end), from the cache when this key was computed
+  /// before and the forecasters have not retrained since. Every lookup
+  /// counts as a hit or a miss.
+  [[nodiscard]] std::shared_ptr<const std::vector<double>> series(
+      std::size_t home, std::size_t dev, std::size_t begin,
+      std::size_t end) const;
+
+  /// Environment for (home, dev) over trace minutes [begin, end) on the
+  /// cached series().
   [[nodiscard]] ems::EmsEnvironment environment(std::size_t home,
                                                 std::size_t dev,
                                                 std::size_t begin,
                                                 std::size_t end) const;
 
-  /// Greedy rollout: the agent's argmax action for every step of `env`.
+  /// Greedy rollout: the agent's argmax action for every step of `env`,
+  /// bitwise act_greedy per step, computed in 64-state batches.
   [[nodiscard]] static std::vector<int> greedy_actions(
       const rl::DqnAgent& agent, const ems::EmsEnvironment& env);
 

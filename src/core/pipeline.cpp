@@ -5,13 +5,16 @@
 #include <cassert>
 #include <chrono>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "forecast/metrics.hpp"
 #include "net/shard_router.hpp"
 #include "obs/metrics.hpp"
 #include "rl/fused.hpp"
 #include "util/shard.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfdrl::core {
@@ -166,8 +169,36 @@ void EmsPipeline::train_forecasters(std::size_t begin, std::size_t end) {
 
 double EmsPipeline::forecast_accuracy(std::size_t begin,
                                       std::size_t end) const {
-  return cloud_ ? cloud_->mean_test_accuracy(begin, end)
-                : dfl_->mean_test_accuracy(begin, end);
+  // The per-home and per-device means of mean_test_accuracy, in its order.
+  std::vector<double> per_home(traces_.size(), 0.0);
+  util::ThreadPool::global().parallel_for(0, traces_.size(), [&](std::size_t h) {
+    util::RunningStats stats;
+    for (std::size_t d = 0; d < traces_[h].devices.size(); ++d) {
+      const auto& trace = traces_[h].devices[d];
+      const auto series = runner_.series(h, d, begin, end);
+      // The series holds the model's predictions for the targets
+      // [first, min(end, minutes)) behind a padded prefix (see
+      // forecast_series): exactly what predict_series returns.
+      const std::size_t first =
+          data::first_feasible_target(model_for(h, d).window_config(), begin);
+      const std::size_t last = std::min(end, trace.minutes());
+      const std::size_t n = last > first ? last - first : 0;
+      const auto result = forecast::score(
+          std::span(*series).subspan(n > 0 ? first - begin : 0, n), trace,
+          first);
+      if (result.samples > 0) stats.add(result.mean_accuracy);
+    }
+    per_home[h] = stats.mean();
+  });
+  util::RunningStats stats;
+  for (double acc : per_home) stats.add(acc);
+  return stats.mean();
+}
+
+const forecast::Forecaster& EmsPipeline::model_for(std::size_t home,
+                                                   std::size_t dev) const {
+  return cloud_ ? cloud_->model_for_type(traces_[home].devices[dev].spec.type)
+                : dfl_->forecaster(home, dev);
 }
 
 std::vector<double> EmsPipeline::forecast_series(std::size_t home,
@@ -175,9 +206,7 @@ std::vector<double> EmsPipeline::forecast_series(std::size_t home,
                                                  std::size_t begin,
                                                  std::size_t end) const {
   const auto& trace = traces_[home].devices[dev];
-  const forecast::Forecaster& model =
-      cloud_ ? cloud_->model_for_type(trace.spec.type)
-             : dfl_->forecaster(home, dev);
+  const forecast::Forecaster& model = model_for(home, dev);
   auto series = model.predict_series(trace, begin, end);
   // predict_series targets start at max(begin, window): pad the leading
   // minutes (no history yet) with the real reading so indices align.

@@ -136,7 +136,10 @@ class EmsPipeline {
   /// Phase A — train the forecasting models over [begin, end) minutes.
   void train_forecasters(std::size_t begin, std::size_t end);
 
-  /// Mean paper-accuracy of the forecasting stage over [begin, end).
+  /// Mean paper-accuracy of the forecasting stage over [begin, end):
+  /// bitwise DflTrainer/CloudTrainer::mean_test_accuracy, but scored on
+  /// the episode runner's cached series, so a day evaluate() has already
+  /// predicted is not predicted again.
   [[nodiscard]] double forecast_accuracy(std::size_t begin,
                                          std::size_t end) const;
 
@@ -241,6 +244,9 @@ class EmsPipeline {
   }
 
  private:
+  /// The forecasting model of (home, dev) under the method's backend.
+  [[nodiscard]] const forecast::Forecaster& model_for(std::size_t home,
+                                                      std::size_t dev) const;
   /// Forecast series (watts) for trace minutes [begin, end) of one
   /// device, from whichever backend the method uses. Raw (uncached)
   /// backend call — episode code goes through runner_ instead.

@@ -70,14 +70,11 @@ std::vector<double> BpForecaster::predict_series(const data::DeviceTrace& trace,
                                                  std::size_t end) const {
   data::WindowConfig wc = window_;
   wc.stride = 1;
-  const std::size_t hist = data::history_needed(wc);
-  const std::size_t from = begin >= hist ? begin - hist : 0;
-  const auto set = data::make_supervised(trace, wc, from, end);
+  const auto set = data::make_supervised(trace, wc, begin, end);
   const nn::Matrix pred = net_.predict(set.x);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    if (set.target_minute[r] < begin) continue;
     out.push_back(data::decode_watts(pred(r, 0), set.scale, wc.log_scale));
   }
   return out;

@@ -105,14 +105,11 @@ std::vector<double> LrForecaster::predict_series(const data::DeviceTrace& trace,
                                                  std::size_t end) const {
   data::WindowConfig wc = window_;
   wc.stride = 1;
-  const std::size_t hist = data::history_needed(wc);
-  const std::size_t from = begin >= hist ? begin - hist : 0;
-  const auto set = data::make_supervised(trace, wc, from, end);
+  const auto set = data::make_supervised(trace, wc, begin, end);
   const std::size_t f = feature_count();
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    if (set.target_minute[r] < begin) continue;
     const double* xr = set.x.row(r).data();
     double pred = weights_[f];
     for (std::size_t i = 0; i < f; ++i) pred += weights_[i] * xr[i];

@@ -64,15 +64,12 @@ std::vector<double> LstmForecaster::predict_series(
     const data::DeviceTrace& trace, std::size_t begin, std::size_t end) const {
   data::WindowConfig wc = window_;
   wc.stride = 1;
-  const std::size_t hist = data::history_needed(wc);
-  const std::size_t from = begin >= hist ? begin - hist : 0;
-  const auto set = data::make_sequences(trace, wc, from, end);
+  const auto set = data::make_sequences(trace, wc, begin, end);
   if (set.size() == 0) return {};
   const nn::Matrix pred = net_.predict(set.xs);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    if (set.target_minute[r] < begin) continue;
     out.push_back(data::decode_watts(pred(r, 0), set.scale, wc.log_scale));
   }
   return out;

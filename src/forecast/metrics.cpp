@@ -12,18 +12,21 @@ std::size_t first_target_minute(const Forecaster& model, std::size_t begin) {
 }
 }  // namespace
 
-EvalResult evaluate(const Forecaster& model, const data::DeviceTrace& trace,
-                    std::size_t begin, std::size_t end) {
-  const auto preds = model.predict_series(trace, begin, end);
-  const std::size_t t0 = first_target_minute(model, begin);
+EvalResult score(std::span<const double> preds, const data::DeviceTrace& trace,
+                 std::size_t t0) {
   util::RunningStats stats;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     const std::size_t t = t0 + i;
     if (t >= trace.minutes()) break;
-    const double acc = data::prediction_accuracy(preds[i], trace.watts[t]);
-    stats.add(acc);
+    stats.add(data::prediction_accuracy(preds[i], trace.watts[t]));
   }
   return {stats.mean(), stats.count()};
+}
+
+EvalResult evaluate(const Forecaster& model, const data::DeviceTrace& trace,
+                    std::size_t begin, std::size_t end) {
+  return score(model.predict_series(trace, begin, end), trace,
+               first_target_minute(model, begin));
 }
 
 std::vector<double> accuracy_samples(const Forecaster& model,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "data/trace.hpp"
@@ -15,6 +16,13 @@ struct EvalResult {
   double mean_accuracy = 0.0;
   std::size_t samples = 0;
 };
+
+/// Mean paper-accuracy of `preds[i]` against trace minute t0 + i (stops
+/// at the end of the trace). evaluate() and
+/// core::EmsPipeline::forecast_accuracy (which scores cached series) both
+/// go through it, so the two accuracy paths cannot drift.
+EvalResult score(std::span<const double> preds, const data::DeviceTrace& trace,
+                 std::size_t t0);
 
 /// Evaluate one-step-ahead accuracy over trace minutes [begin, end).
 EvalResult evaluate(const Forecaster& model, const data::DeviceTrace& trace,

@@ -2,7 +2,12 @@
 
 #include <cassert>
 
+#include "nn/fused.hpp"
 #include "nn/kernels.hpp"
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace pfdrl::nn {
 
@@ -12,27 +17,63 @@ void matvec1(std::span<const double> w, std::span<const double> b,
   assert(w.size() == in * out && b.size() == out);
   assert(x.size() == in && y.size() == out);
   const double* pw = w.data();
+  const double* px = x.data();
+  const double* pb = b.data();
+  double* py = y.data();
   std::size_t j = 0;
+#if defined(__AVX2__)
+  // 16-column tile: four independent ymm accumulators, so the k loop runs
+  // four add chains side by side instead of one. Explicit mul-then-add
+  // (never fmadd): every lane is one output's scalar sequence b + x0*w0 +
+  // x1*w1 + ... in ascending k, so the tile is bitwise the loop below.
+  for (; j + 16 <= out; j += 16) {
+    __m256d a0 = _mm256_loadu_pd(pb + j);
+    __m256d a1 = _mm256_loadu_pd(pb + j + 4);
+    __m256d a2 = _mm256_loadu_pd(pb + j + 8);
+    __m256d a3 = _mm256_loadu_pd(pb + j + 12);
+    const double* wk = pw + j;
+    for (std::size_t k = 0; k < in; ++k, wk += out) {
+      const __m256d s = _mm256_set1_pd(px[k]);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(s, _mm256_loadu_pd(wk)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(s, _mm256_loadu_pd(wk + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(s, _mm256_loadu_pd(wk + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(s, _mm256_loadu_pd(wk + 12)));
+    }
+    _mm256_storeu_pd(py + j, a0);
+    _mm256_storeu_pd(py + j + 4, a1);
+    _mm256_storeu_pd(py + j + 8, a2);
+    _mm256_storeu_pd(py + j + 12, a3);
+  }
   for (; j + 4 <= out; j += 4) {
-    double a0 = b[j], a1 = b[j + 1], a2 = b[j + 2], a3 = b[j + 3];
+    __m256d a = _mm256_loadu_pd(pb + j);
+    const double* wk = pw + j;
+    for (std::size_t k = 0; k < in; ++k, wk += out) {
+      a = _mm256_add_pd(a,
+                        _mm256_mul_pd(_mm256_set1_pd(px[k]), _mm256_loadu_pd(wk)));
+    }
+    _mm256_storeu_pd(py + j, a);
+  }
+#endif
+  for (; j + 4 <= out; j += 4) {
+    double a0 = pb[j], a1 = pb[j + 1], a2 = pb[j + 2], a3 = pb[j + 3];
     const double* wj = pw + j;
     for (std::size_t k = 0; k < in; ++k) {
-      const double xk = x[k];
+      const double xk = px[k];
       const double* wk = wj + k * out;
       a0 += xk * wk[0];
       a1 += xk * wk[1];
       a2 += xk * wk[2];
       a3 += xk * wk[3];
     }
-    y[j] = a0;
-    y[j + 1] = a1;
-    y[j + 2] = a2;
-    y[j + 3] = a3;
+    py[j] = a0;
+    py[j + 1] = a1;
+    py[j + 2] = a2;
+    py[j + 3] = a3;
   }
   for (; j < out; ++j) {
-    double acc = b[j];
-    for (std::size_t k = 0; k < in; ++k) acc += x[k] * pw[k * out + j];
-    y[j] = acc;
+    double acc = pb[j];
+    for (std::size_t k = 0; k < in; ++k) acc += px[k] * pw[k * out + j];
+    py[j] = acc;
   }
 }
 
@@ -43,21 +84,9 @@ void dense_forward(std::span<const double> params, std::size_t in,
   assert(x.cols() == in);
   const std::size_t batch = x.rows();
   y.reshape(batch, out);
-
-  const auto w = params.first(in * out);
-  const auto b = params.subspan(in * out);
-  if (batch == 1) {
-    matvec1(w, b, x.row(0), in, out, y.row(0));
-  } else {
-    for (std::size_t r = 0; r < batch; ++r) {
-      const double* xr = x.row(r).data();
-      double* yr = y.row(r).data();
-      for (std::size_t j = 0; j < out; ++j) yr[j] = b[j];
-      for (std::size_t k = 0; k < in; ++k) {
-        kernels::axpy(xr[k], w.data() + k * out, yr, out);
-      }
-    }
-  }
+  dense_forward_slice(params, in, out, x, 0, y, FusedSlice{0, batch});
+  // Activation over the whole matrix, not per row: libmvec's split between
+  // vector lanes and scalar tail depends on the extent of the call.
   activate_inplace(act, y);
 }
 

@@ -28,18 +28,20 @@ constexpr std::size_t dense_param_count(std::size_t in, std::size_t out) {
 
 /// y = act(x * W + b).
 /// x: batch x in; y: batch x out (reshaped in place, reusing capacity);
-/// params: [W|b]. Batch-1 inputs dispatch to matvec1 below.
+/// params: [W|b]. Runs nn::dense_forward_slice over every row — 4-row
+/// register tiles, leftover rows through matvec1 — so a row's result does
+/// not depend on the batch it sits in.
 void dense_forward(std::span<const double> params, std::size_t in,
                    std::size_t out, const Matrix& x, Activation act,
                    Matrix& y);
 
-/// Batch-1 kernel: y[j] = b[j] + sum_k x[k] * W[k][j] (no activation).
-/// Branch-free inner loop, four outputs per pass with one register
-/// accumulator each; every output is accumulated in ascending-k order,
-/// so results are bitwise identical to the batched dense_forward row
-/// kernel (which skips x[k] == 0 terms — those contribute exactly +0.0).
-/// This is the per-decision hot path of the EMS loop: one call per layer
-/// per DQN decision, millions of times per multi-home run.
+/// One-row kernel: y[j] = b[j] + sum_k x[k] * W[k][j] (no activation).
+/// With AVX2, 16 columns per pass in four independent ymm accumulators,
+/// then 4-column steps, then a scalar tail; every output is one
+/// accumulator advanced in ascending k, so results are bitwise identical
+/// to the 4-row tile (kernels::fused_gates_rows) and to nn::ref::axpy
+/// sweeps. This is the per-decision hot path of the EMS loop: one call
+/// per layer per DQN decision, millions of times per multi-home run.
 void matvec1(std::span<const double> w, std::span<const double> b,
              std::span<const double> x, std::size_t in, std::size_t out,
              std::span<double> y) noexcept;

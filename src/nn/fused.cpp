@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "nn/activation.hpp"
+#include "nn/dense.hpp"
 #include "nn/gru.hpp"
 #include "nn/kernels.hpp"
 #include "nn/lstm.hpp"
@@ -27,21 +28,6 @@ template <class M>
 void block_rows_const(const M& m, std::size_t r,
                       const double* out[kRB]) noexcept {
   for (std::size_t i = 0; i < kRB; ++i) out[i] = m.row(r + i).data();
-}
-
-/// Dense head rows for one slice: out[r] = b + h_last[r] * W. Identical
-/// per-row loop to LstmRegressor::head_into / GruRegressor::head_into.
-void head_slice(const double* w, const double* b, std::size_t h,
-                std::size_t o, const Matrix& h_last, Matrix& out,
-                const FusedSlice& s) {
-  for (std::size_t r = s.row_begin; r < s.row_begin + s.rows; ++r) {
-    const double* hr = h_last.row(r).data();
-    double* yr = out.row(r).data();
-    for (std::size_t j = 0; j < o; ++j) yr[j] = b[j];
-    for (std::size_t k = 0; k < h; ++k) {
-      kernels::axpy(hr[k], w + k * o, yr, o);
-    }
-  }
 }
 
 /// Head backward for one slice: per-row bias/outer accumulation into the
@@ -127,10 +113,78 @@ void lstm_phase1_row(const double* __restrict zg, const double* __restrict tc,
   }
 }
 
-/// One LSTM step over one slice's rows: blocked gate preactivation, then
-/// the per-row nonlinearity/state-update sequence of step_compute.
-/// `x_row0` offsets the rows read from x (the forecast epoch arena); the
-/// state slabs stay batch-local.
+// ----------------------------------------------------------------- GRU --
+
+struct GruOffsets {
+  std::size_t wx, wh, b, w_head, b_head, total;
+};
+
+GruOffsets gru_offsets(std::size_t f, std::size_t h, std::size_t o) {
+  GruOffsets ofs{};
+  ofs.wx = 0;
+  ofs.wh = f * 3 * h;
+  ofs.b = ofs.wh + h * 3 * h;
+  ofs.w_head = ofs.b + 3 * h;
+  ofs.b_head = ofs.w_head + h * o;
+  ofs.total = ofs.b_head + o;
+  return ofs;
+}
+
+// ----------------------------------------------------------------- MLP --
+
+/// Blocked dense backward for one slice: bias/weight gradients into the
+/// member's own gradient slice, dL/dx rows into grad_x. `grad_y` must
+/// already hold the pre-activation delta (the caller scales the slab
+/// once — element-independent, so slab-wide equals per-slice).
+void dense_backward_slice(std::span<const double> params, std::size_t in,
+                          std::size_t out, const Matrix& x,
+                          std::size_t in_row0, const Matrix& grad_y,
+                          std::span<double> grad_params, Matrix* grad_x,
+                          const FusedSlice& s) {
+  double* gw = grad_params.data();
+  double* gb = grad_params.data() + in * out;
+  const double* w = params.data();
+  const std::size_t r_end = s.row_begin + s.rows;
+  std::size_t r = s.row_begin;
+  for (; r + kRB <= r_end; r += kRB) {
+    const double* dr[kRB];
+    const double* xr[kRB];
+    block_rows_const(grad_y, r, dr);
+    block_rows_const(x, in_row0 + r, xr);
+    kernels::fused_bias_acc_rows(dr, out, gb);
+    kernels::fused_outer_acc_rows(xr, in, dr, out, gw, out);
+    if (grad_x != nullptr) {
+      double* gx[kRB];
+      block_rows(*grad_x, r, gx);
+      double dots[kRB];
+      for (std::size_t k = 0; k < in; ++k) {
+        kernels::fused_dot_rows(dr, w + k * out, out, dots);
+        for (std::size_t i = 0; i < kRB; ++i) gx[i][k] = dots[i];
+      }
+    }
+  }
+  for (; r < r_end; ++r) {
+    const double* xr = x.row(in_row0 + r).data();
+    const double* dr = grad_y.row(r).data();
+    for (std::size_t j = 0; j < out; ++j) gb[j] += dr[j];
+    kernels::outer_acc(xr, in, dr, out, gw);
+    if (grad_x != nullptr) {
+      double* gxr = grad_x->row(r).data();
+      for (std::size_t k = 0; k < in; ++k) {
+        gxr[k] = kernels::dot(dr, w + k * out, out);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+// ------------------------------------------------- per-layer step functions --
+
+// One LSTM step over one slice's rows: blocked gate preactivation, then
+// the per-row nonlinearity/state-update sequence. `x_row0` offsets the
+// rows read from x (the forecast epoch arena); the state slabs stay
+// batch-local.
 void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
                      std::size_t f, std::size_t h, const Matrix& x,
                      std::size_t x_row0, const Matrix& h_prev,
@@ -178,29 +232,12 @@ void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
   }
 }
 
-// ----------------------------------------------------------------- GRU --
-
-struct GruOffsets {
-  std::size_t wx, wh, b, w_head, b_head, total;
-};
-
-GruOffsets gru_offsets(std::size_t f, std::size_t h, std::size_t o) {
-  GruOffsets ofs{};
-  ofs.wx = 0;
-  ofs.wh = f * 3 * h;
-  ofs.b = ofs.wh + h * 3 * h;
-  ofs.w_head = ofs.b + 3 * h;
-  ofs.b_head = ofs.w_head + h * o;
-  ofs.total = ofs.b_head + o;
-  return ofs;
-}
-
-/// One GRU step over one slice's rows. `x_row0` offsets the rows read
-/// from x, as in lstm_step_slice. The bias fill + input matrix ride the
-/// specialized fused_gates_rows register tile (its generic fallback is
-/// literally that bias-fill + fused_acc_rows sequence, so the swap is
-/// bitwise free); the recurrent matrix cannot join the same call because
-/// it only feeds the z/r gate columns until (r ⊙ h) is known.
+// One GRU step over one slice's rows. `x_row0` offsets the rows read
+// from x, as in lstm_step_slice. The bias fill + input matrix ride the
+// specialized fused_gates_rows register tile (its generic fallback is
+// literally that bias-fill + fused_acc_rows sequence, so the swap is
+// bitwise free); the recurrent matrix cannot join the same call because
+// it only feeds the z/r gate columns until (r ⊙ h) is known.
 void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
                     std::size_t f, std::size_t h, const Matrix& x,
                     std::size_t x_row0, const Matrix& h_prev, Matrix& gates,
@@ -268,14 +305,11 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
   }
 }
 
-// ----------------------------------------------------------------- MLP --
-
-/// Blocked dense forward preactivation for one slice (activation applies
-/// slab-wide afterwards). Matches the batched dense_forward row kernel;
-/// the per-home batch-1 matvec1 dispatch is bitwise identical to it by
-/// the dense.hpp contract, so slicing never changes results. `in_row0`
-/// offsets the rows read from x (nonzero only for the input layer when
-/// the batch lives inside an epoch arena).
+// Dense forward preactivation for one slice (activation applies to the
+// whole slab or slice afterwards). `in_row0` offsets the rows read from x
+// (nonzero only for the input layer when the batch lives inside an epoch
+// arena). Leftover rows go through matvec1, bitwise the tile's rows by the
+// dense.hpp contract, so slicing never changes results.
 void dense_forward_slice(std::span<const double> params, std::size_t in,
                          std::size_t out, const Matrix& x, std::size_t in_row0,
                          Matrix& y, const FusedSlice& s) {
@@ -291,61 +325,10 @@ void dense_forward_slice(std::span<const double> params, std::size_t in,
     kernels::fused_gates_rows(b, xr, in, w, nullptr, 0, nullptr, out, yr, out);
   }
   for (; r < r_end; ++r) {
-    const double* xr = x.row(in_row0 + r).data();
-    double* yr = y.row(r).data();
-    for (std::size_t j = 0; j < out; ++j) yr[j] = b[j];
-    for (std::size_t k = 0; k < in; ++k) {
-      kernels::axpy(xr[k], w + k * out, yr, out);
-    }
+    matvec1(params.first(in * out), params.subspan(in * out, out),
+            x.row(in_row0 + r), in, out, y.row(r));
   }
 }
-
-/// Blocked dense backward for one slice: bias/weight gradients into the
-/// member's own gradient slice, dL/dx rows into grad_x. `grad_y` must
-/// already hold the pre-activation delta (the caller scales the slab
-/// once — element-independent, so slab-wide equals per-slice).
-void dense_backward_slice(std::span<const double> params, std::size_t in,
-                          std::size_t out, const Matrix& x,
-                          std::size_t in_row0, const Matrix& grad_y,
-                          std::span<double> grad_params, Matrix* grad_x,
-                          const FusedSlice& s) {
-  double* gw = grad_params.data();
-  double* gb = grad_params.data() + in * out;
-  const double* w = params.data();
-  const std::size_t r_end = s.row_begin + s.rows;
-  std::size_t r = s.row_begin;
-  for (; r + kRB <= r_end; r += kRB) {
-    const double* dr[kRB];
-    const double* xr[kRB];
-    block_rows_const(grad_y, r, dr);
-    block_rows_const(x, in_row0 + r, xr);
-    kernels::fused_bias_acc_rows(dr, out, gb);
-    kernels::fused_outer_acc_rows(xr, in, dr, out, gw, out);
-    if (grad_x != nullptr) {
-      double* gx[kRB];
-      block_rows(*grad_x, r, gx);
-      double dots[kRB];
-      for (std::size_t k = 0; k < in; ++k) {
-        kernels::fused_dot_rows(dr, w + k * out, out, dots);
-        for (std::size_t i = 0; i < kRB; ++i) gx[i][k] = dots[i];
-      }
-    }
-  }
-  for (; r < r_end; ++r) {
-    const double* xr = x.row(in_row0 + r).data();
-    const double* dr = grad_y.row(r).data();
-    for (std::size_t j = 0; j < out; ++j) gb[j] += dr[j];
-    kernels::outer_acc(xr, in, dr, out, gw);
-    if (grad_x != nullptr) {
-      double* gxr = grad_x->row(r).data();
-      for (std::size_t k = 0; k < in; ++k) {
-        gxr[k] = kernels::dot(dr, w + k * out, out);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 // note_fused_batch and the fused telemetry getters live in kernels.cpp
 // next to the train-batch counter, so the sanitizer stress jobs (which
@@ -430,7 +413,8 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
                       src_row0, hp, cp, *gates_[t], *c_[t], *tanh_c_[t],
                       *h_[t], s);
     }
-    head_slice(p + ofs.w_head, p + ofs.b_head, h, o, *h_[T - 1], pred, s);
+    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, *h_[T - 1], 0, pred,
+                        s);
 
     // ---- Loss over this member's row range (targets sit at the arena
     // offset; predictions are batch-local). ----
@@ -475,11 +459,12 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
         block_rows_const(*xs[t], src_row0 + r, xr);
         kernels::fused_bias_acc_rows(dzr, 4 * h, g + ofs.b);
         kernels::fused_outer_acc_rows(xr, f, dzr, 4 * h, g + ofs.wx, 4 * h);
-        if (t > 0) {
-          const double* hp[kRB];
-          block_rows_const(h_prev, r, hp);
-          kernels::fused_outer_acc_rows(hp, h, dzr, 4 * h, g + ofs.wh, 4 * h);
-        }
+        // At t == 0 there is no h_{-1}: no recurrent gradient, and
+        // dh_{-1} would be read by nothing.
+        if (t == 0) continue;
+        const double* hp[kRB];
+        block_rows_const(h_prev, r, hp);
+        kernels::fused_outer_acc_rows(hp, h, dzr, 4 * h, g + ofs.wh, 4 * h);
         double* dhr[kRB];
         block_rows(dh, r, dhr);
         double dots[kRB];
@@ -493,10 +478,9 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
         const double* xr = xs[t]->row(src_row0 + r).data();
         for (std::size_t j = 0; j < 4 * h; ++j) g[ofs.b + j] += dzr[j];
         kernels::outer_acc(xr, f, dzr, 4 * h, g + ofs.wx);
-        if (t > 0) {
-          const double* hp = h_prev.row(r).data();
-          kernels::outer_acc(hp, h, dzr, 4 * h, g + ofs.wh);
-        }
+        if (t == 0) continue;
+        const double* hp = h_prev.row(r).data();
+        kernels::outer_acc(hp, h, dzr, 4 * h, g + ofs.wh);
         double* dhr = dh.row(r).data();
         for (std::size_t k = 0; k < h; ++k) {
           dhr[k] = kernels::dot(dzr, pwh + k * 4 * h, 4 * h);
@@ -587,7 +571,8 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
       gru_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t],
                      src_row0, hp, *gates_[t], *h_[t], coeff, coeff_base, s);
     }
-    head_slice(p + ofs.w_head, p + ofs.b_head, h, o, *h_[T - 1], pred, s);
+    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, *h_[T - 1], 0, pred,
+                        s);
 
     losses[i] = loss_value_rows(loss, pred, s.row_begin, y,
                                 src_row0 + s.row_begin, s.rows);
@@ -649,9 +634,10 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
           for (std::size_t b = 0; b < kRB; ++b) {
             const double rk = zg[b][h + k];
             dzr[b][h + k] = dots[b] * hp[b][k] * rk * (1.0 - rk);
-            dhr[b][k] += dots[b] * rk;
+            if (t > 0) dhr[b][k] += dots[b] * rk;
           }
         }
+        if (t == 0) continue;  // dh_{-1} would be read by nothing
         for (std::size_t k = 0; k < h; ++k) {
           kernels::fused_dot_rows(dzc, pwh + k * 3 * h, 2 * h, dots);
           for (std::size_t b = 0; b < kRB; ++b) dhr[b][k] += dots[b];
@@ -681,8 +667,9 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
               kernels::dot(dzr + 2 * h, pwh + k * 3 * h + 2 * h, h);
           const double rk = zg[h + k];
           dzr[h + k] = sck * hp[k] * rk * (1.0 - rk);
-          dhr[k] += sck * rk;
+          if (t > 0) dhr[k] += sck * rk;
         }
+        if (t == 0) continue;
         for (std::size_t k = 0; k < h; ++k) {
           dhr[k] += kernels::dot(dzr, pwh + k * 3 * h, 2 * h);
         }
@@ -745,9 +732,9 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
 
 // ------------------------------------------------------------- FusedMlp --
 
-const Matrix& FusedMlp::forward(std::span<Mlp* const> nets,
-                                std::span<const FusedSlice> slices,
-                                const Matrix& x, std::size_t src_row0) {
+std::size_t FusedMlp::begin_forward(std::span<Mlp* const> nets,
+                                    std::span<const FusedSlice> slices,
+                                    const Matrix& x, std::size_t src_row0) {
   assert(!nets.empty() && nets.size() == slices.size());
   const Mlp& n0 = *nets[0];
   std::size_t rows = 0;
@@ -770,58 +757,76 @@ const Matrix& FusedMlp::forward(std::span<Mlp* const> nets,
   for (std::size_t l = 0; l < layers; ++l) {
     acts_[l + 1] = &ws_.take(rows, dims[l + 1]);
   }
-  // Member-major: each member drives its own slice rows through the
-  // whole layer stack (its activations depend on its own rows only), so
-  // the members fan out across the pool without changing any member's
-  // arithmetic. The per-slice activation application is bitwise the
-  // slab-wide one (element-independent).
+  return rows;
+}
+
+void FusedMlp::take_delta_slabs(const Mlp& n0, std::size_t rows) {
+  // Delta slabs for layers layers-1 .. 1, taken up front so the member
+  // tasks never touch the workspace.
+  const std::size_t layers = n0.num_layers();
+  grad_slabs_.assign(layers, nullptr);
+  for (std::size_t l = layers; l-- > 1;) {
+    grad_slabs_[l] = &ws_.take(rows, n0.dims()[l]);
+  }
+}
+
+// Member-major: each member drives its own slice rows through the whole
+// layer stack (its activations depend on its own rows only), so the
+// members fan out across the pool without changing any member's
+// arithmetic. The per-slice activation application is bitwise the
+// slab-wide one (element-independent).
+void FusedMlp::forward_member(const Mlp& net, const FusedSlice& s) {
+  const auto& dims = net.dims();
+  const std::size_t layers = net.num_layers();
+  const Matrix* cur = input_;
+  for (std::size_t l = 0; l < layers; ++l) {
+    Matrix& slab = *acts_[l + 1];
+    dense_forward_slice(net.layer_parameters(l), dims[l], dims[l + 1], *cur,
+                        l == 0 ? input_row0_ : 0, slab, s);
+    const Activation act =
+        l + 1 == layers ? net.output_activation() : net.hidden_activation();
+    activate_rows(act, slab, s.row_begin, s.rows);
+    cur = &slab;
+  }
+}
+
+// Same scheme as forward_member: the member back-propagates its own slice
+// rows into its own Mlp::gradients() buffer.
+void FusedMlp::backward_member(Mlp& net, const FusedSlice& s,
+                               Matrix& grad_out) {
+  const auto& dims = net.dims();
+  const std::size_t layers = net.num_layers();
+  Matrix* g = &grad_out;
+  for (std::size_t l = layers; l-- > 0;) {
+    const Activation act =
+        l + 1 == layers ? net.output_activation() : net.hidden_activation();
+    scale_by_activation_grad_rows(act, *acts_[l + 1], *g, s.row_begin, s.rows);
+    Matrix* gx = l > 0 ? grad_slabs_[l] : nullptr;
+    const Matrix& in = l == 0 ? *input_ : *acts_[l];
+    auto grad_slice =
+        net.gradients().subspan(net.layer_offset(l), net.layer_param_count(l));
+    dense_backward_slice(net.layer_parameters(l), dims[l], dims[l + 1], in,
+                         l == 0 ? input_row0_ : 0, *g, grad_slice, gx, s);
+    g = gx;
+  }
+}
+
+const Matrix& FusedMlp::forward(std::span<Mlp* const> nets,
+                                std::span<const FusedSlice> slices,
+                                const Matrix& x, std::size_t src_row0) {
+  begin_forward(nets, slices, x, src_row0);
   util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    const FusedSlice& s = slices[i];
-    const Matrix* cur = &x;
-    for (std::size_t l = 0; l < layers; ++l) {
-      Matrix& slab = *acts_[l + 1];
-      dense_forward_slice(nets[i]->layer_parameters(l), dims[l], dims[l + 1],
-                          *cur, l == 0 ? src_row0 : 0, slab, s);
-      const Activation act =
-          l + 1 == layers ? n0.output_activation() : n0.hidden_activation();
-      activate_rows(act, slab, s.row_begin, s.rows);
-      cur = &slab;
-    }
+    forward_member(*nets[i], slices[i]);
   });
-  return *acts_[layers];
+  return *acts_.back();
 }
 
 void FusedMlp::backward(std::span<Mlp* const> nets,
                         std::span<const FusedSlice> slices, Matrix& grad_out) {
   assert(input_ != nullptr && "backward() requires a preceding forward()");
-  const Mlp& n0 = *nets[0];
-  const auto& dims = n0.dims();
-  const std::size_t layers = n0.num_layers();
-  // Delta slabs for layers layers-1 .. 1, taken up front so the member
-  // tasks never touch the workspace.
-  grad_slabs_.assign(layers, nullptr);
-  for (std::size_t l = layers; l-- > 1;) {
-    grad_slabs_[l] = &ws_.take(grad_out.rows(), dims[l]);
-  }
-  // Member-major, same scheme as forward(): each member back-propagates
-  // its own slice rows into its own Mlp::gradients() buffer.
+  take_delta_slabs(*nets[0], grad_out.rows());
   util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    const FusedSlice& s = slices[i];
-    Matrix* g = &grad_out;
-    for (std::size_t l = layers; l-- > 0;) {
-      const Activation act =
-          l + 1 == layers ? n0.output_activation() : n0.hidden_activation();
-      scale_by_activation_grad_rows(act, *acts_[l + 1], *g, s.row_begin,
-                                    s.rows);
-      Matrix* gx = l > 0 ? grad_slabs_[l] : nullptr;
-      const Matrix& in = l == 0 ? *input_ : *acts_[l];
-      auto grad_slice = nets[i]->gradients().subspan(
-          nets[i]->layer_offset(l), nets[i]->layer_param_count(l));
-      dense_backward_slice(nets[i]->layer_parameters(l), dims[l], dims[l + 1],
-                           in, l == 0 ? input_row0_ : 0, *g, grad_slice, gx,
-                           s);
-      g = gx;
-    }
+    backward_member(*nets[i], slices[i], grad_out);
   });
 }
 
@@ -831,24 +836,26 @@ void FusedMlp::train_batch(std::span<Mlp* const> nets,
                            std::span<Optimizer* const> opts,
                            std::span<double> losses, std::size_t src_row0) {
   assert(opts.size() == nets.size() && losses.size() == nets.size());
-  const Matrix& pred = forward(nets, slices, x, src_row0);
-  Matrix& grad = ws_.take(pred.rows(), pred.cols());
-  // Loss rows and gradient buffers are member-disjoint, so these loops
-  // fan out like forward()/backward() without changing any result.
+  const std::size_t rows = begin_forward(nets, slices, x, src_row0);
+  const Matrix& pred = *acts_.back();
+  Matrix& grad = ws_.take(rows, pred.cols());
+  take_delta_slabs(*nets[0], rows);
+  // One task per member runs forward, loss, backward and step over its
+  // own slice rows and its own bank: one pool barrier per batch, and the
+  // same per-member sequence as forward() + backward() + step.
   util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    losses[i] = loss_value_rows(loss, pred, slices[i].row_begin, y,
-                                src_row0 + slices[i].row_begin,
-                                slices[i].rows);
-    loss_grad_rows(loss, pred, slices[i].row_begin, y,
-                   src_row0 + slices[i].row_begin, slices[i].rows, grad);
+    const FusedSlice& s = slices[i];
+    forward_member(*nets[i], s);
+    losses[i] = loss_value_rows(loss, pred, s.row_begin, y,
+                                src_row0 + s.row_begin, s.rows);
+    loss_grad_rows(loss, pred, s.row_begin, y, src_row0 + s.row_begin, s.rows,
+                   grad);
     nets[i]->zero_grad();
-  });
-  backward(nets, slices, grad);
-  util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
+    backward_member(*nets[i], s, grad);
     opts[i]->step(nets[i]->parameters(), nets[i]->gradients());
     kernels::note_train_batch();
   });
-  note_fused_batch(nets.size(), pred.rows());
+  note_fused_batch(nets.size(), rows);
 }
 
 }  // namespace pfdrl::nn

@@ -59,6 +59,39 @@ struct FusedSlice {
   std::size_t rows = 0;
 };
 
+// ---- Per-layer step functions ----------------------------------------
+// One forward implementation per layer type. The fused trainers run them
+// over each member's slice; Mlp/DenseLayer (through dense_forward) and
+// LstmRegressor/GruRegressor forward()/predict() run them over all rows
+// of their batch. Rows go through kernels::fused_gates_rows in blocks of
+// kernels::kRowBlock; leftover rows take the per-row path. Both keep each
+// output element one accumulator in the same term order, so a row's
+// result never depends on its position in the batch.
+
+/// Dense preactivation rows y[r] = b + x[in_row0 + r] * W for r in the
+/// slice (no activation; params is [W|b]). Leftover rows use matvec1.
+void dense_forward_slice(std::span<const double> params, std::size_t in,
+                         std::size_t out, const Matrix& x, std::size_t in_row0,
+                         Matrix& y, const FusedSlice& s);
+
+/// One LSTM step (gate layout i | f | g | o) over the slice's rows: gate
+/// preactivation, per-row nonlinearities, then c, tanh(c) and h. x rows
+/// are read at x_row0 + r; the state matrices are indexed by r.
+void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
+                     std::size_t f, std::size_t h, const Matrix& x,
+                     std::size_t x_row0, const Matrix& h_prev,
+                     const Matrix& c_prev, Matrix& gates, Matrix& c,
+                     Matrix& tanh_c, Matrix& hm, const FusedSlice& s);
+
+/// One GRU step (gate layout z | r | candidate) over the slice's rows.
+/// `coeff` rows [coeff_base, coeff_base + kernels::kRowBlock) are the
+/// caller's private (r ⊙ h) scratch, h columns wide.
+void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
+                    std::size_t f, std::size_t h, const Matrix& x,
+                    std::size_t x_row0, const Matrix& h_prev, Matrix& gates,
+                    Matrix& hm, Matrix& coeff, std::size_t coeff_base,
+                    const FusedSlice& s);
+
 /// Process-wide fused-batch telemetry (exported by the obs layer as
 /// `nn.fused_homes` — high-water group members per fused batch — and
 /// `nn.fused_batch_rows` — cumulative slab rows trained). One relaxed
@@ -140,7 +173,8 @@ class FusedMlp {
                         std::size_t src_row0 = 0);
   void backward(std::span<Mlp* const> nets, std::span<const FusedSlice> slices,
                 Matrix& grad_out);
-  /// Forward + per-slice loss + backward + per-member optimizer step.
+  /// Forward + per-slice loss + backward + per-member optimizer step, as
+  /// one pool task per member (a single barrier per batch).
   void train_batch(std::span<Mlp* const> nets,
                    std::span<const FusedSlice> slices, const Matrix& x,
                    const Matrix& y, LossKind loss,
@@ -153,6 +187,16 @@ class FusedMlp {
   }
 
  private:
+  /// Validate the batch, reset the arena and take the activation slabs;
+  /// returns the slab row count.
+  std::size_t begin_forward(std::span<Mlp* const> nets,
+                            std::span<const FusedSlice> slices,
+                            const Matrix& x, std::size_t src_row0);
+  /// Take the backward delta slabs (layers num_layers-1 .. 1).
+  void take_delta_slabs(const Mlp& n0, std::size_t rows);
+  void forward_member(const Mlp& net, const FusedSlice& s);
+  void backward_member(Mlp& net, const FusedSlice& s, Matrix& grad_out);
+
   Workspace ws_;
   std::vector<Matrix*> acts_;  // acts_[i] = layer i output slab (1-based)
   std::vector<Matrix*> grad_slabs_;  // backward delta slab per layer (l >= 1)

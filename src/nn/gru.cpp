@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/fused.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
 #include "nn/workspace.hpp"
@@ -48,59 +49,25 @@ void GruRegressor::set_parameters(std::span<const double> values) {
 }
 
 void GruRegressor::step_compute(const Matrix& x, const Matrix& h_prev,
-                                Matrix& gates, Matrix& h) const {
+                                Matrix& gates, Matrix& h,
+                                Matrix& coeff) const {
   const std::size_t batch = x.rows();
   assert(x.cols() == f_);
   gates.reshape(batch, 3 * h_);
   h.reshape(batch, h_);
 
   const double* wx = params_.data();
-  const double* wh = params_.data() + f_ * 3 * h_;
-  const double* b = params_.data() + f_ * 3 * h_ + h_ * 3 * h_;
-
-  for (std::size_t r = 0; r < batch; ++r) {
-    double* z = gates.row(r).data();
-    for (std::size_t j = 0; j < 3 * h_; ++j) z[j] = b[j];
-    const double* xr = x.row(r).data();
-    for (std::size_t k = 0; k < f_; ++k) {
-      kernels::axpy(xr[k], wx + k * 3 * h_, z, 3 * h_);
-    }
-    // Recurrent input: z and r gates see h directly; the candidate sees
-    // r ⊙ h, so it must be computed after r. First accumulate h into the
-    // z/r slices only.
-    const double* hp = h_prev.row(r).data();
-    for (std::size_t k = 0; k < h_; ++k) {
-      kernels::axpy(hp[k], wh + k * 3 * h_, z, 2 * h_);
-    }
-    // Gate nonlinearities for z, r — one batched call over the slice.
-    kernels::sigmoid_inplace(z, 2 * h_);
-    // Candidate pre-activation gets (r ⊙ h) through the last H columns.
-    for (std::size_t k = 0; k < h_; ++k) {
-      kernels::axpy(z[h_ + k] * hp[k], wh + k * 3 * h_ + 2 * h_, z + 2 * h_,
-                    h_);
-    }
-    kernels::tanh_inplace(z + 2 * h_, h_);
-    double* hv = h.row(r).data();
-    for (std::size_t j = 0; j < h_; ++j) {
-      const double zg = z[j];
-      hv[j] = (1.0 - zg) * hp[j] + zg * z[2 * h_ + j];
-    }
-  }
+  const double* wh = wx + f_ * 3 * h_;
+  gru_step_slice(wx, wh, wh + h_ * 3 * h_, f_, h_, x, 0, h_prev, gates, h,
+                 coeff, 0, FusedSlice{0, batch});
 }
 
 void GruRegressor::head_into(const Matrix& h_last, Matrix& out) const {
   const std::size_t batch = h_last.rows();
   out.reshape(batch, o_);
   const double* w = params_.data() + f_ * 3 * h_ + h_ * 3 * h_ + 3 * h_;
-  const double* b = w + h_ * o_;
-  for (std::size_t r = 0; r < batch; ++r) {
-    const double* hr = h_last.row(r).data();
-    double* yr = out.row(r).data();
-    for (std::size_t j = 0; j < o_; ++j) yr[j] = b[j];
-    for (std::size_t k = 0; k < h_; ++k) {
-      kernels::axpy(hr[k], w + k * o_, yr, o_);
-    }
-  }
+  dense_forward_slice({w, h_ * o_ + o_}, h_, o_, h_last, 0, out,
+                      FusedSlice{0, batch});
 }
 
 const Matrix& GruRegressor::forward(const std::vector<Matrix>& xs) {
@@ -110,12 +77,13 @@ const Matrix& GruRegressor::forward(const std::vector<Matrix>& xs) {
   steps_.resize(xs.size());
   h0_.reshape(batch, h_);
   h0_.zero();
+  coeff_.reshape(kernels::kRowBlock, h_);
   for (std::size_t t = 0; t < xs.size(); ++t) {
     assert(xs[t].rows() == batch);
     StepCache& cache = steps_[t];
     cache.x = &xs[t];
     cache.h_prev = t > 0 ? &steps_[t - 1].h : &h0_;
-    step_compute(xs[t], *cache.h_prev, cache.gates, cache.h);
+    step_compute(xs[t], *cache.h_prev, cache.gates, cache.h, coeff_);
   }
   head_into(steps_.back().h, output_);
   return output_;
@@ -134,10 +102,11 @@ const Matrix& GruRegressor::predict(const std::vector<Matrix>& xs,
   Matrix* h_prev = &ws.take(batch, h_);
   Matrix* h_next = &ws.take(batch, h_);
   Matrix& out = ws.take(batch, o_);
+  Matrix& coeff = ws.take(kernels::kRowBlock, h_);
   h_prev->zero();
   for (const Matrix& x : xs) {
     assert(x.rows() == batch);
-    step_compute(x, *h_prev, gates, *h_next);
+    step_compute(x, *h_prev, gates, *h_next, coeff);
     std::swap(h_prev, h_next);
   }
   head_into(*h_prev, out);
@@ -208,10 +177,11 @@ void GruRegressor::backward(const Matrix& grad_out, std::span<double> grads) {
         const double rk = g[h_ + k];
         // through r: dr_k = s * h_prev_k; through h_prev: += s * r_k.
         dzr[h_ + k] = s * hp[k] * rk * (1.0 - rk);
-        dhr[k] += s * rk;
+        if (t > 0) dhr[k] += s * rk;
       }
-      // z and r recurrent paths into dh_prev.
-      for (std::size_t k = 0; k < h_; ++k) {
+      // z and r recurrent paths into dh_prev (none at t == 0: dh_{-1}
+      // would be read by nothing).
+      for (std::size_t k = 0; t > 0 && k < h_; ++k) {
         dhr[k] += kernels::dot(dzr, wh + k * 3 * h_, 2 * h_);
       }
       // Parameter gradients.

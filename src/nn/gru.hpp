@@ -59,10 +59,11 @@ class GruRegressor {
   };
 
   /// One recurrent step into caller-provided scratch (outputs reshaped in
-  /// place, fully overwritten). Shared by forward() and the workspace
-  /// predict.
+  /// place, fully overwritten) through nn::gru_step_slice; `coeff` is
+  /// kernels::kRowBlock x H (r ⊙ h) scratch. Shared by forward() and the
+  /// workspace predict.
   void step_compute(const Matrix& x, const Matrix& h_prev, Matrix& gates,
-                    Matrix& h) const;
+                    Matrix& h, Matrix& coeff) const;
   /// Dense head: out = h_last * W_head + b_head (out reshaped in place).
   void head_into(const Matrix& h_last, Matrix& out) const;
   void backward(const Matrix& grad_out, std::span<double> grads);
@@ -73,6 +74,7 @@ class GruRegressor {
   // buffers; h0_ is the zeroed initial hidden the first step points at.
   std::vector<StepCache> steps_;
   Matrix h0_;
+  Matrix coeff_;  // (r ⊙ h) row-block scratch of forward()
   Matrix output_;
   // Persistent training scratch (see LstmRegressor): reused in place each
   // train_batch so steady-state batches allocate nothing.

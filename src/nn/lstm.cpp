@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "nn/activation.hpp"
+#include "nn/fused.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
 #include "nn/workspace.hpp"
@@ -93,54 +94,15 @@ void LstmRegressor::step_compute(const Matrix& x, const Matrix& h_prev,
   tanh_c.reshape(batch, h_);
   h.reshape(batch, h_);
 
-  const double* pwx = wx().data();
-  const double* pwh = wh().data();
-  const double* pb = bias().data();
-
-  for (std::size_t r = 0; r < batch; ++r) {
-    double* z = gates.row(r).data();
-    for (std::size_t j = 0; j < 4 * h_; ++j) z[j] = pb[j];
-    const double* xr = x.row(r).data();
-    for (std::size_t k = 0; k < f_; ++k) {
-      kernels::axpy(xr[k], pwx + k * 4 * h_, z, 4 * h_);
-    }
-    const double* hr = h_prev.row(r).data();
-    for (std::size_t k = 0; k < h_; ++k) {
-      kernels::axpy(hr[k], pwh + k * 4 * h_, z, 4 * h_);
-    }
-    // Nonlinearities, batched per gate slice so each slice is one
-    // vector-math call (gate layout i | f | g | o): sigmoid over the
-    // contiguous i,f block, tanh over g, sigmoid over o.
-    kernels::sigmoid_inplace(z, 2 * h_);
-    kernels::tanh_inplace(z + 2 * h_, h_);
-    kernels::sigmoid_inplace(z + 3 * h_, h_);
-    // State update.
-    const double* cprev = c_prev.row(r).data();
-    double* cr = c.row(r).data();
-    double* tc = tanh_c.row(r).data();
-    double* hv = h.row(r).data();
-    for (std::size_t j = 0; j < h_; ++j) {
-      cr[j] = z[h_ + j] * cprev[j] + z[j] * z[2 * h_ + j];
-      tc[j] = cr[j];
-    }
-    kernels::tanh_inplace(tc, h_);
-    for (std::size_t j = 0; j < h_; ++j) hv[j] = z[3 * h_ + j] * tc[j];
-  }
+  lstm_step_slice(wx().data(), wh().data(), bias().data(), f_, h_, x, 0,
+                  h_prev, c_prev, gates, c, tanh_c, h, FusedSlice{0, batch});
 }
 
 void LstmRegressor::head_into(const Matrix& h_last, Matrix& out) const {
   const std::size_t batch = h_last.rows();
   out.reshape(batch, o_);
-  const double* w = w_head().data();
-  const double* b = b_head().data();
-  for (std::size_t r = 0; r < batch; ++r) {
-    const double* hr = h_last.row(r).data();
-    double* yr = out.row(r).data();
-    for (std::size_t j = 0; j < o_; ++j) yr[j] = b[j];
-    for (std::size_t k = 0; k < h_; ++k) {
-      kernels::axpy(hr[k], w + k * o_, yr, o_);
-    }
-  }
+  dense_forward_slice({w_head().data(), h_ * o_ + o_}, h_, o_, h_last, 0, out,
+                      FusedSlice{0, batch});
 }
 
 const Matrix& LstmRegressor::forward(const std::vector<Matrix>& xs) {
@@ -270,10 +232,11 @@ void LstmRegressor::backward(const Matrix& grad_out, std::span<double> grads) {
       const double* xr = st.x->row(r).data();
       for (std::size_t j = 0; j < 4 * h_; ++j) grads[b_off + j] += dzr[j];
       kernels::outer_acc(xr, f_, dzr, 4 * h_, grads.data() + wx_off);
-      if (h_prev != nullptr) {
-        const double* hp = h_prev->row(r).data();
-        kernels::outer_acc(hp, h_, dzr, 4 * h_, grads.data() + wh_off);
-      }
+      // At t == 0 there is no h_{-1}: no recurrent gradient, and dh_{-1}
+      // would be read by nothing.
+      if (h_prev == nullptr) continue;
+      const double* hp = h_prev->row(r).data();
+      kernels::outer_acc(hp, h_, dzr, 4 * h_, grads.data() + wh_off);
       // dh_{t-1} = dz * Wh^T.
       double* dhr = dh.row(r).data();
       for (std::size_t k = 0; k < h_; ++k) {

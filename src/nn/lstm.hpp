@@ -80,8 +80,9 @@ class LstmRegressor {
   [[nodiscard]] std::span<const double> b_head() const noexcept;
 
   /// One recurrent step into caller-provided scratch (all outputs are
-  /// reshaped in place and fully overwritten). Shared by the training
-  /// forward (cache matrices) and the workspace predict (arena slots).
+  /// reshaped in place and fully overwritten) through nn::lstm_step_slice.
+  /// Shared by the training forward (cache matrices) and the workspace
+  /// predict (arena slots).
   void step_compute(const Matrix& x, const Matrix& h_prev,
                     const Matrix& c_prev, Matrix& gates, Matrix& c,
                     Matrix& tanh_c, Matrix& h) const;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "nn/matrix.hpp"
 
@@ -36,5 +38,13 @@ void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = a * bᵀ without materializing the transpose.
 void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// One Adam step in the scalar order nn::Adam::step's vector lanes must
+/// reproduce: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+/// p -= (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps). `t` is the 1-based
+/// step count after this step; m and v match params in size.
+void adam_step(std::span<double> params, std::span<const double> grads,
+               std::span<double> m, std::span<double> v, double lr,
+               double beta1, double beta2, double eps, std::int64_t t);
 
 }  // namespace pfdrl::nn::ref

@@ -62,6 +62,18 @@ int DqnAgent::act_greedy(std::span<const double> state) const {
   return static_cast<int>(std::max_element(q.begin(), q.end()) - q.begin());
 }
 
+void DqnAgent::act_greedy_batch(const nn::Matrix& states, nn::Workspace& ws,
+                                std::span<int> out) const {
+  assert(states.cols() == cfg_.state_dim && out.size() == states.rows());
+  ws.reset();
+  const nn::Matrix& q = net_.predict(states, ws);
+  for (std::size_t r = 0; r < q.rows(); ++r) {
+    const auto row = q.row(r);
+    out[r] = static_cast<int>(std::max_element(row.begin(), row.end()) -
+                              row.begin());
+  }
+}
+
 std::vector<double> DqnAgent::q_values(std::span<const double> state) const {
   std::vector<double> out(cfg_.num_actions);
   q_values_into(state, out);

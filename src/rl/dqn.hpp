@@ -73,6 +73,14 @@ class DqnAgent {
   int act(std::span<const double> state);
   /// Greedy action (evaluation policy; no exploration, no schedule).
   [[nodiscard]] int act_greedy(std::span<const double> state) const;
+  /// Greedy actions for a batch of states, one per row of `states`,
+  /// through one Mlp::predict in the caller's workspace `ws` (reset on
+  /// entry). Never the agent's own arena: a day of evaluation rows kept
+  /// alive in every agent would multiply peak memory. The Q-network is
+  /// ReLU layers plus an identity head, so out[r] equals
+  /// act_greedy(states.row(r)) bit for bit.
+  void act_greedy_batch(const nn::Matrix& states, nn::Workspace& ws,
+                        std::span<int> out) const;
   /// Q-values for a state (diagnostics/tests).
   [[nodiscard]] std::vector<double> q_values(
       std::span<const double> state) const;

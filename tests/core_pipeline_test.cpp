@@ -4,6 +4,9 @@
 
 #include <cstring>
 
+#include "core/episode.hpp"
+#include "fl/baselines.hpp"
+#include "fl/dfl.hpp"
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
@@ -286,6 +289,73 @@ TEST(Pipeline, FusedFallbacksAreCounted) {
   };
   EXPECT_GT(fallbacks(forecast::Method::kLr), 0u);
   EXPECT_EQ(fallbacks(forecast::Method::kLstm), 0u);
+}
+
+// The evaluation rollout stacks an episode's states into batched
+// predicts; every minute's action must equal the batch-1 act_greedy.
+TEST(EpisodeRunner, BatchedGreedyMatchesActGreedyEveryMinute) {
+  const auto scenario = tiny();
+  const std::size_t day = data::kMinutesPerDay;
+  std::size_t dev = 0;
+  while (scenario.traces[0].devices[dev].spec.protected_device) ++dev;
+  const auto& trace = scenario.traces[0].devices[dev];
+  std::vector<double> forecast(trace.watts.begin() + day,
+                               trace.watts.begin() + 2 * day);
+  const ems::EmsEnvironment env(trace, std::move(forecast), day);
+  ASSERT_EQ(env.length(), day);
+  rl::DqnConfig qc;  // the paper's 8 x 100 Q-network
+  qc.state_dim = ems::EmsEnvironment::kStateDim;
+  qc.num_actions = ems::kNumActions;
+  const rl::DqnAgent agent(qc);
+  const std::vector<int> actions = EpisodeRunner::greedy_actions(agent, env);
+  ASSERT_EQ(actions.size(), day);
+  for (std::size_t i = 0; i < day; ++i) {
+    ASSERT_EQ(actions[i], agent.act_greedy(env.state_at(i))) << "minute " << i;
+  }
+}
+
+// forecast_accuracy scores the episode runner's cached series: it equals
+// the trainers' mean_test_accuracy bit for bit whether or not evaluate()
+// has already predicted the day, and after evaluate() every actionable
+// device is a cache hit.
+TEST(Pipeline, ForecastAccuracyReadsEpisodeCacheBitwise) {
+  const auto scenario = tiny();
+  const std::size_t day = data::kMinutesPerDay;
+  std::size_t devices = 0, actionable = 0;
+  for (const auto& home : scenario.traces) {
+    for (const auto& dev : home.devices) {
+      ++devices;
+      if (!dev.spec.protected_device) ++actionable;
+    }
+  }
+  for (const auto method : {EmsMethod::kPfdrl, EmsMethod::kCloud}) {
+    for (const auto fm : {forecast::Method::kLr, forecast::Method::kLstm}) {
+      auto cfg = tiny_pipeline(method);
+      cfg.forecast_method = fm;
+      cfg.forecast_train.epochs = 1;
+      obs::MetricsRegistry reg;
+      cfg.metrics = &reg;
+      EmsPipeline pipeline(scenario.traces, cfg);
+      pipeline.train_forecasters(0, day);
+      const double expect =
+          pipeline.cloud_trainer() != nullptr
+              ? pipeline.cloud_trainer()->mean_test_accuracy(day, 2 * day)
+              : pipeline.dfl_trainer()->mean_test_accuracy(day, 2 * day);
+      const auto& hits = reg.counter("episode.forecast_cache_hits");
+      const auto& misses = reg.counter("episode.forecast_cache_misses");
+
+      EXPECT_EQ(pipeline.forecast_accuracy(day, 2 * day), expect);
+      EXPECT_EQ(hits.value(), 0u);
+      EXPECT_EQ(misses.value(), devices);
+
+      pipeline.invalidate_forecast_cache();
+      (void)pipeline.evaluate(day, 2 * day);
+      EXPECT_EQ(misses.value(), devices + actionable);
+      EXPECT_EQ(pipeline.forecast_accuracy(day, 2 * day), expect);
+      EXPECT_EQ(hits.value(), actionable);
+      EXPECT_EQ(misses.value(), 2 * devices);
+    }
+  }
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -6,6 +6,7 @@
 #include "nn/dense.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/ref.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
@@ -253,28 +254,44 @@ TEST(Mlp, LayerParametersAreViewsIntoFlatBuffer) {
 // goldens pin that order. Exercises out dims around the 4-wide unroll
 // boundary (remainders 0..3) and states containing exact zeros (the
 // batched kernel skips them; the branch-free kernel adds +0.0).
+// Every row of dense_forward — inside a 4-row tile, a leftover row, or a
+// batch of one through matvec1 — equals the per-row nn::ref::axpy sweep
+// bit for bit, across tile and column-tail shapes.
 TEST(Dense, Batch1MatchesBatchedBitwise) {
   util::Rng rng(31);
-  for (const std::size_t out : {1u, 3u, 4u, 5u, 7u, 8u}) {
+  for (const std::size_t out : {1u, 3u, 4u, 5u, 15u, 16u, 17u, 33u, 100u}) {
     const std::size_t in = 6;
     std::vector<double> params(dense_param_count(in, out));
     for (double& p : params) p = rng.normal();
-    Matrix batch(5, in);
-    for (double& v : batch.data()) v = rng.normal();
-    batch(1, 2) = 0.0;  // exercise the zero-skip equivalence
-    batch(3, 0) = 0.0;
-    for (const auto act : {Activation::kIdentity, Activation::kRelu}) {
-      Matrix y_batched;
-      dense_forward(params, in, out, batch, act, y_batched);
-      for (std::size_t r = 0; r < batch.rows(); ++r) {
-        Matrix x(1, in);
-        std::copy(batch.row(r).begin(), batch.row(r).end(),
-                  x.row(0).begin());
-        Matrix y1;
-        dense_forward(params, in, out, x, act, y1);
-        for (std::size_t j = 0; j < out; ++j) {
-          ASSERT_EQ(y1(0, j), y_batched(r, j))
-              << "row " << r << " col " << j << " out=" << out;
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      Matrix batch(rows, in);
+      for (double& v : batch.data()) v = rng.normal();
+      batch(rows / 2, 2) = 0.0;  // exercise the zero-skip equivalence
+      for (const auto act : {Activation::kIdentity, Activation::kRelu}) {
+        Matrix expect(rows, out);
+        for (std::size_t r = 0; r < rows; ++r) {
+          double* yr = expect.row(r).data();
+          std::copy(params.begin() + in * out, params.end(), yr);
+          for (std::size_t k = 0; k < in; ++k) {
+            ref::axpy(batch(r, k), params.data() + k * out, yr, out);
+          }
+        }
+        activate_inplace(act, expect);
+        Matrix y_batched;
+        dense_forward(params, in, out, batch, act, y_batched);
+        for (std::size_t r = 0; r < rows; ++r) {
+          Matrix x(1, in);
+          std::copy(batch.row(r).begin(), batch.row(r).end(),
+                    x.row(0).begin());
+          Matrix y1;
+          dense_forward(params, in, out, x, act, y1);
+          for (std::size_t j = 0; j < out; ++j) {
+            ASSERT_EQ(y_batched(r, j), expect(r, j))
+                << "rows " << rows << " row " << r << " col " << j
+                << " out=" << out;
+            ASSERT_EQ(y1(0, j), expect(r, j))
+                << "row " << r << " col " << j << " out=" << out;
+          }
         }
       }
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/loss.hpp"
@@ -60,6 +61,31 @@ TEST(Lstm, PredictMatchesForward) {
   const Matrix a = net.predict(xs);
   const Matrix& b = net.forward(xs);
   EXPECT_EQ(a, b);
+}
+
+// Rows of a batch go through 4-row register tiles or the per-row path
+// depending on their position; either way each row's prediction equals
+// the row predicted alone, bit for bit.
+TEST(Lstm, PredictRowsIndependentOfBatchBitwise) {
+  util::Rng rng(21);
+  LstmRegressor net(3, 8, 2, rng);
+  for (std::size_t batch = 1; batch <= 9; ++batch) {
+    util::Rng data_rng(100 + batch);
+    const auto xs = random_sequence(5, batch, 3, data_rng);
+    const Matrix all = net.predict(xs);
+    for (std::size_t r = 0; r < batch; ++r) {
+      std::vector<Matrix> one(xs.size(), Matrix(1, 3));
+      for (std::size_t t = 0; t < xs.size(); ++t) {
+        std::copy(xs[t].row(r).begin(), xs[t].row(r).end(),
+                  one[t].row(0).begin());
+      }
+      const Matrix alone = net.predict(one);
+      for (std::size_t j = 0; j < 2; ++j) {
+        ASSERT_EQ(all(r, j), alone(0, j))
+            << "batch " << batch << " row " << r << " out " << j;
+      }
+    }
+  }
 }
 
 TEST(Lstm, SameSeedSameOutput) {
