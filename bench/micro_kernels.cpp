@@ -1,18 +1,21 @@
 // Micro-benchmarks of the computational kernels underlying the system:
 // matmul, dense forward/backward, LSTM steps, the Adam step, replay
-// sampling, message bus broadcast, and federated averaging. Inference
-// and optimizer kernels run beside their scalar nn::ref form (arg ref=1),
-// which they are bitwise equal to.
+// sampling, message bus broadcast, federated averaging and the exchange
+// round. Inference, backward and optimizer kernels run beside a per-row
+// or scalar twin (arg ref=1), which they are bitwise equal to.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fl/aggregate.hpp"
+#include "fl/exchange.hpp"
 #include "net/bus.hpp"
 #include "nn/dense.hpp"
+#include "nn/fused.hpp"
 #include "nn/kernels.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
@@ -212,6 +215,59 @@ void BM_MlpTrainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainBatch);
 
+// The backward pass of a 32-row batch (a DQN learn minibatch, a BP
+// forecaster batch): the slab kernels through nn::FusedMlp (one member)
+// against the per-row outer_acc/dot loops of Mlp::backward, which
+// produce the same gradients bit for bit. net 0 is the BP forecaster
+// 18-64-32-1, net 1 the EMS DQN 5-32x4-3.
+void BM_DenseBackward(benchmark::State& state) {
+  const bool dqn = state.range(0) != 0;
+  const bool ref = state.range(1) != 0;
+  const std::vector<std::size_t> dims =
+      dqn ? std::vector<std::size_t>{5, 32, 32, 32, 32, 3}
+          : std::vector<std::size_t>{18, 64, 32, 1};
+  util::Rng rng(17);
+  nn::Mlp net(dims, nn::Activation::kRelu, nn::Activation::kIdentity,
+              nn::InitScheme::kHeNormal, rng);
+  const std::size_t rows = 32;
+  nn::Matrix x(rows, dims.front());
+  nn::Matrix grad(rows, dims.back());
+  for (double& v : x.data()) v = rng.normal();
+  for (double& v : grad.data()) v = rng.normal();
+  nn::FusedMlp fused;
+  nn::Mlp* const nets[] = {&net};
+  const nn::FusedSlice slices[] = {{0, rows}};
+  if (ref) {
+    net.forward(x);
+  } else {
+    fused.forward(nets, slices, x);
+  }
+  std::size_t macs = 0;
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+    macs += dims[l] * dims[l + 1] * (l > 0 ? 2 : 1);  // dW, and dX above l 0
+  }
+  for (auto _ : state) {
+    net.zero_grad();
+    if (ref) {
+      net.backward(grad);
+    } else {
+      fused.backward(nets, slices, grad);
+    }
+    benchmark::DoNotOptimize(net.gradients().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * macs));
+  state.SetLabel(std::string(dqn ? "DQN 5-32x4-3" : "BP 18-64-32-1") +
+                 (ref ? ", per-row loops" : ", slab tiles") +
+                 "; items = MACs");
+}
+BENCHMARK(BM_DenseBackward)
+    ->ArgNames({"dqn", "ref"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
 void BM_LstmTrainBatch(benchmark::State& state) {
   util::Rng rng(4);
   nn::LstmRegressor net(3, 32, 1, rng);
@@ -374,6 +430,60 @@ void BM_FedAvg(benchmark::State& state) {
   state.SetLabel("80k params (paper DQN scale)");
 }
 BENCHMARK(BM_FedAvg)->Arg(5)->Arg(100);
+
+// One clean full-mesh exchange round at the paper's Fig. 8 client counts,
+// one 2,400-parameter item per agent. bus_only=1 runs the same
+// broadcasts and drains without aggregating: the bus moves K^2 payload
+// handles either way, so the difference between the two rows is the
+// aggregation's share of the round.
+void BM_ExchangeRound(benchmark::State& state) {
+  const auto agents = static_cast<std::size_t>(state.range(0));
+  const bool bus_only = state.range(1) != 0;
+  constexpr std::size_t kParams = 2400;
+  util::Rng rng(18);
+  std::vector<std::vector<double>> params(agents, std::vector<double>(kParams));
+  for (auto& v : params) {
+    for (double& x : v) x = rng.normal();
+  }
+  net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, agents));
+  std::vector<fl::ExchangeItem> items;
+  for (std::size_t a = 0; a < agents; ++a) {
+    items.push_back({.agent = static_cast<net::AgentId>(a),
+                     .device_type = 0,
+                     .send = params[a],
+                     .in_place = params[a]});
+  }
+  fl::ParamExchange exchange(bus, fl::ParamExchange::Options{});
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    if (bus_only) {
+      for (const auto& item : items) {
+        net::Message msg;
+        msg.sender = item.agent;
+        msg.round = round;
+        msg.payload = std::vector<double>(item.send.begin(), item.send.end());
+        bus.broadcast(msg);
+      }
+      for (std::size_t a = 0; a < agents; ++a) {
+        auto drained = bus.drain(static_cast<net::AgentId>(a));
+        benchmark::DoNotOptimize(drained.data());
+      }
+    } else {
+      exchange.round(items, round, {});
+    }
+    ++round;
+  }
+  state.SetLabel(bus_only ? "broadcast + drain only" : "full round");
+}
+BENCHMARK(BM_ExchangeRound)
+    ->ArgNames({"agents", "bus_only"})
+    ->Args({10, 0})
+    ->Args({10, 1})
+    ->Args({50, 0})
+    ->Args({50, 1})
+    ->Args({190, 0})
+    ->Args({190, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

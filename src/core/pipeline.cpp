@@ -287,6 +287,8 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   for (std::size_t i = 0; i < n; ++i) envs[i].state_into(0, states[i]);
   std::vector<double> losses(n);
   rl::FusedDqnLearner& learner = *fused_learners_[g];
+  const std::uint64_t hits_before = learner.cache_hits();
+  const std::uint64_t misses_before = learner.cache_misses();
   for (std::size_t t = 0; t < len; t += stride) {
     const std::size_t t_next = std::min(t + stride, len);
     const bool terminal = t_next >= len;
@@ -328,6 +330,8 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   counters.env_steps.add(steps);
   counters.replay_pushes.add(steps);
   counters.learn_calls.add(learns);
+  counters.target_cache_hits.add(learner.cache_hits() - hits_before);
+  counters.target_cache_misses.add(learner.cache_misses() - misses_before);
 }
 
 void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
@@ -353,7 +357,9 @@ void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
                             &reg.series("ems.round_seconds_series"));
   const EmsRoundCounters counters{reg.counter("ems.env_steps"),
                                   reg.counter("ems.replay_pushes"),
-                                  reg.counter("ems.learn_calls")};
+                                  reg.counter("ems.learn_calls"),
+                                  reg.counter("rl.target_cache_hits"),
+                                  reg.counter("rl.target_cache_misses")};
   const EmsRoundPlan plan = prepare_round_plan();
 
   // One pool task per group: a shard's group when sharded, otherwise the
@@ -414,7 +420,9 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
   obs::MetricsRegistry& reg = metrics();
   const EmsRoundCounters counters{reg.counter("ems.env_steps"),
                                   reg.counter("ems.replay_pushes"),
-                                  reg.counter("ems.learn_calls")};
+                                  reg.counter("ems.learn_calls"),
+                                  reg.counter("rl.target_cache_hits"),
+                                  reg.counter("rl.target_cache_misses")};
   obs::Histogram& round_hist = reg.histogram("ems.round_seconds");
   obs::Series& round_series = reg.series("ems.round_seconds_series");
   obs::Counter& rounds_counter = reg.counter("ems.rounds");

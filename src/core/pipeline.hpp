@@ -287,6 +287,8 @@ class EmsPipeline {
     obs::Counter& env_steps;
     obs::Counter& replay_pushes;
     obs::Counter& learn_calls;
+    obs::Counter& target_cache_hits;
+    obs::Counter& target_cache_misses;
   };
   /// Build the round plan (and grow fused_learners_ to match — group
   /// boundaries are pinned by (jobs, shards, pool size), so this is

@@ -1,52 +1,62 @@
 #include "fl/aggregate.hpp"
 
-#include <cassert>
 #include <stdexcept>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace pfdrl::fl {
 
-void fedavg(std::span<const std::span<const double>> inputs,
-            std::span<double> out) {
-  if (inputs.empty()) throw std::invalid_argument("fedavg: no inputs");
-  const std::size_t n = out.size();
-  for (const auto& in : inputs) {
-    if (in.size() != n) throw std::invalid_argument("fedavg: size mismatch");
-  }
+namespace {
+
+// out[i] = (((0 + in_0[i]) + in_1[i]) + ...) * (1 / K) for i < len: one
+// accumulator per element, inputs added in the order given. The AVX2
+// loop runs 16 elements (four ymm accumulators) per pass; its lanes are
+// independent elements with exactly that add sequence, so it is bitwise
+// the scalar loop, which also finishes the last len mod 16 elements.
+// Every input is read at element i before out[i] is written, so out may
+// alias an input.
+void average_prefix(std::span<const std::span<const double>> inputs,
+                    std::size_t len, double* out) noexcept {
   const double inv = 1.0 / static_cast<double>(inputs.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  const __m256d vinv = _mm256_set1_pd(inv);
+  for (; i + 16 <= len; i += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = a0, a2 = a0, a3 = a0;
+    for (const auto& in : inputs) {
+      const double* p = in.data() + i;
+      a0 = _mm256_add_pd(a0, _mm256_loadu_pd(p));
+      a1 = _mm256_add_pd(a1, _mm256_loadu_pd(p + 4));
+      a2 = _mm256_add_pd(a2, _mm256_loadu_pd(p + 8));
+      a3 = _mm256_add_pd(a3, _mm256_loadu_pd(p + 12));
+    }
+    _mm256_storeu_pd(out + i, _mm256_mul_pd(a0, vinv));
+    _mm256_storeu_pd(out + i + 4, _mm256_mul_pd(a1, vinv));
+    _mm256_storeu_pd(out + i + 8, _mm256_mul_pd(a2, vinv));
+    _mm256_storeu_pd(out + i + 12, _mm256_mul_pd(a3, vinv));
+  }
+#endif
+  for (; i < len; ++i) {
     double sum = 0.0;
     for (const auto& in : inputs) sum += in[i];
     out[i] = sum * inv;
   }
 }
 
-void fedavg_weighted(std::span<const std::span<const double>> inputs,
-                     std::span<const double> weights, std::span<double> out) {
-  if (inputs.empty()) throw std::invalid_argument("fedavg_weighted: no inputs");
-  if (inputs.size() != weights.size()) {
-    throw std::invalid_argument("fedavg_weighted: weights size mismatch");
-  }
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("fedavg_weighted: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("fedavg_weighted: zero total weight");
-  }
-  const std::size_t n = out.size();
+}  // namespace
+
+void fedavg(std::span<const std::span<const double>> inputs,
+            std::span<double> out) {
+  if (inputs.empty()) throw std::invalid_argument("fedavg: no inputs");
   for (const auto& in : inputs) {
-    if (in.size() != n) {
-      throw std::invalid_argument("fedavg_weighted: size mismatch");
+    if (in.size() != out.size()) {
+      throw std::invalid_argument("fedavg: size mismatch");
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      sum += weights[k] * inputs[k][i];
-    }
-    out[i] = sum / total;
-  }
+  average_prefix(inputs, out.size(), out.data());
 }
 
 void fedavg_prefix(std::span<const std::span<const double>> inputs,
@@ -60,12 +70,7 @@ void fedavg_prefix(std::span<const std::span<const double>> inputs,
       throw std::invalid_argument("fedavg_prefix: input shorter than prefix");
     }
   }
-  const double inv = 1.0 / static_cast<double>(inputs.size());
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    double sum = 0.0;
-    for (const auto& in : inputs) sum += in[i];
-    out[i] = sum * inv;
-  }
+  average_prefix(inputs, prefix_len, out.data());
 }
 
 }  // namespace pfdrl::fl

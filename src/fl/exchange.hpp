@@ -105,6 +105,10 @@ struct ExchangeStats {
   std::uint64_t relayed = 0;
   /// Items whose group reached min_group and quorum and were averaged.
   std::uint64_t items_averaged = 0;
+  /// Distinct averages computed: items with identical accepted
+  /// contributions share one (docs/robustness.md), so this is at most
+  /// items_averaged.
+  std::uint64_t averages_computed = 0;
   /// Parameters overwritten by averaging, summed over items.
   std::uint64_t params_averaged = 0;
   /// Payload buffer allocations during the round (zero-copy accounting:

@@ -30,23 +30,18 @@ void block_rows_const(const M& m, std::size_t r,
   for (std::size_t i = 0; i < kRB; ++i) out[i] = m.row(r + i).data();
 }
 
-/// Head backward for one slice: per-row bias/outer accumulation into the
-/// member's head gradients and dh[r][k] = dot(grad_out[r], W_head row k).
-/// Identical per-row loop to the recurrent models' head backward.
+/// Head backward for one slice: bias/outer accumulation into the member's
+/// head gradients and dh[r][k] = dot(grad_out[r], W_head row k), on the
+/// slab kernels — bitwise the per-row loop of the recurrent models' head
+/// backward.
 void head_backward_slice(const double* w, std::size_t h, std::size_t o,
                          const Matrix& grad_out, const Matrix& h_last,
                          Matrix& dh, double* gw_head, double* gb_head,
                          const FusedSlice& s) {
-  for (std::size_t r = s.row_begin; r < s.row_begin + s.rows; ++r) {
-    const double* go = grad_out.row(r).data();
-    const double* hr = h_last.row(r).data();
-    double* dhr = dh.row(r).data();
-    for (std::size_t j = 0; j < o; ++j) gb_head[j] += go[j];
-    kernels::outer_acc(hr, h, go, o, gw_head);
-    for (std::size_t k = 0; k < h; ++k) {
-      dhr[k] = kernels::dot(go, w + k * o, o);
-    }
-  }
+  const double* go = grad_out.row(s.row_begin).data();
+  kernels::slab_outer_acc(h_last.row(s.row_begin).data(), h, h, go, o, o,
+                          s.rows, gw_head, o, gb_head);
+  kernels::slab_dot(go, o, o, s.rows, w, o, h, dh.row(s.row_begin).data(), h);
 }
 
 /// Member's fused-vs-per-home uniformity is the caller's contract; the
@@ -132,48 +127,23 @@ GruOffsets gru_offsets(std::size_t f, std::size_t h, std::size_t o) {
 
 // ----------------------------------------------------------------- MLP --
 
-/// Blocked dense backward for one slice: bias/weight gradients into the
-/// member's own gradient slice, dL/dx rows into grad_x. `grad_y` must
-/// already hold the pre-activation delta (the caller scales the slab
-/// once — element-independent, so slab-wide equals per-slice).
+/// Dense backward for one slice on the slab kernels: bias/weight
+/// gradients into the member's own gradient slice, dL/dx rows into
+/// grad_x. `grad_y` must already hold the pre-activation delta (the
+/// caller scales the slab once — element-independent, so slab-wide
+/// equals per-slice).
 void dense_backward_slice(std::span<const double> params, std::size_t in,
                           std::size_t out, const Matrix& x,
                           std::size_t in_row0, const Matrix& grad_y,
                           std::span<double> grad_params, Matrix* grad_x,
                           const FusedSlice& s) {
-  double* gw = grad_params.data();
-  double* gb = grad_params.data() + in * out;
-  const double* w = params.data();
-  const std::size_t r_end = s.row_begin + s.rows;
-  std::size_t r = s.row_begin;
-  for (; r + kRB <= r_end; r += kRB) {
-    const double* dr[kRB];
-    const double* xr[kRB];
-    block_rows_const(grad_y, r, dr);
-    block_rows_const(x, in_row0 + r, xr);
-    kernels::fused_bias_acc_rows(dr, out, gb);
-    kernels::fused_outer_acc_rows(xr, in, dr, out, gw, out);
-    if (grad_x != nullptr) {
-      double* gx[kRB];
-      block_rows(*grad_x, r, gx);
-      double dots[kRB];
-      for (std::size_t k = 0; k < in; ++k) {
-        kernels::fused_dot_rows(dr, w + k * out, out, dots);
-        for (std::size_t i = 0; i < kRB; ++i) gx[i][k] = dots[i];
-      }
-    }
-  }
-  for (; r < r_end; ++r) {
-    const double* xr = x.row(in_row0 + r).data();
-    const double* dr = grad_y.row(r).data();
-    for (std::size_t j = 0; j < out; ++j) gb[j] += dr[j];
-    kernels::outer_acc(xr, in, dr, out, gw);
-    if (grad_x != nullptr) {
-      double* gxr = grad_x->row(r).data();
-      for (std::size_t k = 0; k < in; ++k) {
-        gxr[k] = kernels::dot(dr, w + k * out, out);
-      }
-    }
+  const double* dy = grad_y.row(s.row_begin).data();
+  kernels::slab_outer_acc(x.row(in_row0 + s.row_begin).data(), x.cols(), in,
+                          dy, out, out, s.rows, grad_params.data(), out,
+                          grad_params.data() + in * out);
+  if (grad_x != nullptr) {
+    kernels::slab_dot(dy, out, out, s.rows, params.data(), out, in,
+                      grad_x->row(s.row_begin).data(), grad_x->cols());
   }
 }
 
@@ -450,42 +420,20 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
           lstm_phase1_row<false>(zg, tc, nullptr, dhr, dcr, dzr, h);
         }
       }
-      // Phase 2 — parameter gradients + dh_{t-1}, blocked.
-      std::size_t r = s.row_begin;
-      for (; r + kRB <= r_end; r += kRB) {
-        const double* dzr[kRB];
-        const double* xr[kRB];
-        block_rows_const(dz, r, dzr);
-        block_rows_const(*xs[t], src_row0 + r, xr);
-        kernels::fused_bias_acc_rows(dzr, 4 * h, g + ofs.b);
-        kernels::fused_outer_acc_rows(xr, f, dzr, 4 * h, g + ofs.wx, 4 * h);
-        // At t == 0 there is no h_{-1}: no recurrent gradient, and
-        // dh_{-1} would be read by nothing.
-        if (t == 0) continue;
-        const double* hp[kRB];
-        block_rows_const(h_prev, r, hp);
-        kernels::fused_outer_acc_rows(hp, h, dzr, 4 * h, g + ofs.wh, 4 * h);
-        double* dhr[kRB];
-        block_rows(dh, r, dhr);
-        double dots[kRB];
-        for (std::size_t k = 0; k < h; ++k) {
-          kernels::fused_dot_rows(dzr, pwh + k * 4 * h, 4 * h, dots);
-          for (std::size_t b = 0; b < kRB; ++b) dhr[b][k] = dots[b];
-        }
-      }
-      for (; r < r_end; ++r) {
-        const double* dzr = dz.row(r).data();
-        const double* xr = xs[t]->row(src_row0 + r).data();
-        for (std::size_t j = 0; j < 4 * h; ++j) g[ofs.b + j] += dzr[j];
-        kernels::outer_acc(xr, f, dzr, 4 * h, g + ofs.wx);
-        if (t == 0) continue;
-        const double* hp = h_prev.row(r).data();
-        kernels::outer_acc(hp, h, dzr, 4 * h, g + ofs.wh);
-        double* dhr = dh.row(r).data();
-        for (std::size_t k = 0; k < h; ++k) {
-          dhr[k] = kernels::dot(dzr, pwh + k * 4 * h, 4 * h);
-        }
-      }
+      // Phase 2 — parameter gradients + dh_{t-1} over the whole slice
+      // on the slab kernels (rows ascending per element, as per row).
+      const double* dz0 = dz.row(s.row_begin).data();
+      kernels::slab_outer_acc(xs[t]->row(src_row0 + s.row_begin).data(), f,
+                              f, dz0, 4 * h, 4 * h, s.rows, g + ofs.wx, 4 * h,
+                              g + ofs.b);
+      // At t == 0 there is no h_{-1}: no recurrent gradient, and dh_{-1}
+      // would be read by nothing.
+      if (t == 0) continue;
+      kernels::slab_outer_acc(h_prev.row(s.row_begin).data(), h, h, dz0,
+                              4 * h, 4 * h, s.rows, g + ofs.wh, 4 * h,
+                              nullptr);
+      kernels::slab_dot(dz0, 4 * h, 4 * h, s.rows, pwh, 4 * h, h,
+                        dh.row(s.row_begin).data(), h);
     }
 
     // ---- Clip + Adam step (same sequence as train_batch). ----
@@ -548,6 +496,9 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
   Matrix& dz = ws_.take(rows, 3 * h);
   // kRB (r ⊙ h) coefficient rows per member — member-private scratch.
   Matrix& coeff = ws_.take(members * kRB, h);
+  // Backward per-row scratch (recurrent dots, then (r ⊙ h) coefficients);
+  // each member uses its own slice rows.
+  Matrix& scratch = ws_.take(rows, h);
   h0.zero();
 
 #ifndef NDEBUG
@@ -587,67 +538,16 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
       const Matrix& gates = *gates_[t];
       const Matrix& h_prev = t > 0 ? *h_[t - 1] : h0;
       const std::size_t r_end = s.row_begin + s.rows;
-      // Phase 1 — elementwise deltas and recurrent dots. The per-row op
-      // sequence matches GruRegressor::backward; the recurrent dots run
-      // kRB rows at a time through fused_dot_rows (bitwise four dot()
-      // calls — exact lane decomposition) so each shared weight row
-      // streams once per block instead of once per row. Every element
-      // keeps its scalar single-accumulator chain: the candidate-dot
-      // loop writes only dzr[h, 2h) while its dots read dzr[2h, 3h),
-      // and it finishes all k before the z/r-dot loop reads dzr[0, 2h),
-      // so blocking reorders nothing within any accumulator.
-      std::size_t rp = s.row_begin;
-      for (; rp + kRB <= r_end; rp += kRB) {
-        const double* zg[kRB];
-        const double* hp[kRB];
-        double* dhr[kRB];
-        double* dzr[kRB];
-        block_rows_const(gates, rp, zg);
-        block_rows_const(h_prev, rp, hp);
-        block_rows(dh, rp, dhr);
-        block_rows(dz, rp, dzr);
-        for (std::size_t b = 0; b < kRB; ++b) {
-          for (std::size_t j = 0; j < h; ++j) {
-            const double z_g = zg[b][j];
-            const double cand = zg[b][2 * h + j];
-            const double dht = dhr[b][j];
-
-            const double dzg = dht * (cand - hp[b][j]);
-            const double dcand = dht * z_g;
-            dhr[b][j] = dht * (1.0 - z_g);
-
-            const double dcand_pre = dcand * (1.0 - cand * cand);
-            dzr[b][2 * h + j] = dcand_pre;
-            dzr[b][j] = dzg * z_g * (1.0 - z_g);
-            dzr[b][h + j] = 0.0;
-          }
-        }
-        const double* dz2[kRB];
-        const double* dzc[kRB];
-        for (std::size_t b = 0; b < kRB; ++b) {
-          dz2[b] = dzr[b] + 2 * h;
-          dzc[b] = dzr[b];
-        }
-        double dots[kRB];
-        for (std::size_t k = 0; k < h; ++k) {
-          kernels::fused_dot_rows(dz2, pwh + k * 3 * h + 2 * h, h, dots);
-          for (std::size_t b = 0; b < kRB; ++b) {
-            const double rk = zg[b][h + k];
-            dzr[b][h + k] = dots[b] * hp[b][k] * rk * (1.0 - rk);
-            if (t > 0) dhr[b][k] += dots[b] * rk;
-          }
-        }
-        if (t == 0) continue;  // dh_{-1} would be read by nothing
-        for (std::size_t k = 0; k < h; ++k) {
-          kernels::fused_dot_rows(dzc, pwh + k * 3 * h, 2 * h, dots);
-          for (std::size_t b = 0; b < kRB; ++b) dhr[b][k] += dots[b];
-        }
-      }
-      for (; rp < r_end; ++rp) {
-        const double* zg = gates.row(rp).data();
-        const double* hp = h_prev.row(rp).data();
-        double* dhr = dh.row(rp).data();
-        double* dzr = dz.row(rp).data();
+      // Phase 1 — elementwise deltas, then the recurrent dots over the
+      // whole slice into the member's rows of `scratch`, then their
+      // elementwise uses. Per element this is GruRegressor::backward's
+      // sequence: the candidate dots read only dz[2h, 3h), written above
+      // them, and all of them land before the z/r dots read dz[0, 2h).
+      for (std::size_t r = s.row_begin; r < r_end; ++r) {
+        const double* zg = gates.row(r).data();
+        const double* hp = h_prev.row(r).data();
+        double* dhr = dh.row(r).data();
+        double* dzr = dz.row(r).data();
         for (std::size_t j = 0; j < h; ++j) {
           const double z_g = zg[j];
           const double cand = zg[2 * h + j];
@@ -662,56 +562,48 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
           dzr[j] = dzg * z_g * (1.0 - z_g);
           dzr[h + j] = 0.0;
         }
-        for (std::size_t k = 0; k < h; ++k) {
-          const double sck =
-              kernels::dot(dzr + 2 * h, pwh + k * 3 * h + 2 * h, h);
-          const double rk = zg[h + k];
-          dzr[h + k] = sck * hp[k] * rk * (1.0 - rk);
-          if (t > 0) dhr[k] += sck * rk;
-        }
-        if (t == 0) continue;
-        for (std::size_t k = 0; k < h; ++k) {
-          dhr[k] += kernels::dot(dzr, pwh + k * 3 * h, 2 * h);
-        }
       }
-      // Phase 2 — parameter gradients, blocked.
-      std::size_t r = s.row_begin;
-      for (; r + kRB <= r_end; r += kRB) {
-        const double* dzr[kRB];
-        const double* xr[kRB];
-        const double* hp[kRB];
-        block_rows_const(dz, r, dzr);
-        block_rows_const(*xs[t], src_row0 + r, xr);
-        block_rows_const(h_prev, r, hp);
-        kernels::fused_bias_acc_rows(dzr, 3 * h, g + ofs.b);
-        kernels::fused_outer_acc_rows(xr, f, dzr, 3 * h, g + ofs.wx, 3 * h);
-        kernels::fused_outer_acc_rows(hp, h, dzr, 2 * h, g + ofs.wh, 3 * h);
-        // (r ⊙ h) coefficients feed the candidate column block.
-        const double* dz2[kRB];
-        const double* cf_const[kRB];
-        for (std::size_t b = 0; b < kRB; ++b) {
-          double* cf = coeff.row(coeff_base + b).data();
-          const double* zg = gates.row(r + b).data();
-          for (std::size_t k = 0; k < h; ++k) cf[k] = zg[h + k] * hp[b][k];
-          dz2[b] = dzr[b] + 2 * h;
-          cf_const[b] = cf;
-        }
-        kernels::fused_outer_acc_rows(cf_const, h, dz2, h,
-                                      g + ofs.wh + 2 * h, 3 * h);
-      }
-      for (; r < r_end; ++r) {
-        const double* dzr = dz.row(r).data();
-        const double* xr = xs[t]->row(src_row0 + r).data();
+      const double* dz0 = dz.row(s.row_begin).data();
+      double* sc0 = scratch.row(s.row_begin).data();
+      kernels::slab_dot(dz0 + 2 * h, 3 * h, h, s.rows, pwh + 2 * h, 3 * h, h,
+                        sc0, h);
+      for (std::size_t r = s.row_begin; r < r_end; ++r) {
+        const double* zg = gates.row(r).data();
         const double* hp = h_prev.row(r).data();
-        for (std::size_t j = 0; j < 3 * h; ++j) g[ofs.b + j] += dzr[j];
-        kernels::outer_acc(xr, f, dzr, 3 * h, g + ofs.wx);
+        const double* sc = scratch.row(r).data();
+        double* dhr = dh.row(r).data();
+        double* dzr = dz.row(r).data();
         for (std::size_t k = 0; k < h; ++k) {
-          double* gp = g + ofs.wh + k * 3 * h;
-          kernels::axpy(hp[k], dzr, gp, 2 * h);
-          const double rh = gates(r, h + k) * hp[k];
-          kernels::axpy(rh, dzr + 2 * h, gp + 2 * h, h);
+          const double rk = zg[h + k];
+          dzr[h + k] = sc[k] * hp[k] * rk * (1.0 - rk);
+          if (t > 0) dhr[k] += sc[k] * rk;
         }
       }
+      if (t > 0) {  // dh_{-1} would be read by nothing
+        kernels::slab_dot(dz0, 3 * h, 2 * h, s.rows, pwh, 3 * h, h, sc0, h);
+        for (std::size_t r = s.row_begin; r < r_end; ++r) {
+          const double* sc = scratch.row(r).data();
+          double* dhr = dh.row(r).data();
+          for (std::size_t k = 0; k < h; ++k) dhr[k] += sc[k];
+        }
+      }
+      // Phase 2 — parameter gradients over the whole slice. The
+      // candidate column block of W_h takes the (r ⊙ h) coefficients,
+      // built into `scratch` (the dots above are consumed).
+      const double* hp0 = h_prev.row(s.row_begin).data();
+      kernels::slab_outer_acc(xs[t]->row(src_row0 + s.row_begin).data(), f,
+                              f, dz0, 3 * h, 3 * h, s.rows, g + ofs.wx, 3 * h,
+                              g + ofs.b);
+      kernels::slab_outer_acc(hp0, h, h, dz0, 3 * h, 2 * h, s.rows,
+                              g + ofs.wh, 3 * h, nullptr);
+      for (std::size_t r = s.row_begin; r < r_end; ++r) {
+        const double* zg = gates.row(r).data();
+        const double* hp = h_prev.row(r).data();
+        double* cf = scratch.row(r).data();
+        for (std::size_t k = 0; k < h; ++k) cf[k] = zg[h + k] * hp[k];
+      }
+      kernels::slab_outer_acc(sc0, h, h, dz0 + 2 * h, 3 * h, h, s.rows,
+                              g + ofs.wh + 2 * h, 3 * h, nullptr);
     }
 
     std::span<double> gspan(g, ofs.total);

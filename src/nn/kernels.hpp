@@ -219,72 +219,6 @@ inline void fused_acc_rows(const double* const* x, std::size_t m,
   }
 }
 
-/// Fused outer-product accumulate for a block of kRowBlock rows into one
-/// shared gradient matrix: g[k * g_stride + j] += x[r][k] * d[r][j],
-/// applied for r = 0..3 as SEQUENTIAL separate roundings in ascending r
-/// per element — bitwise identical to calling outer_acc(x[r], m, d[r],
-/// n, g) for each row in order, with g loaded and stored once per
-/// element instead of once per row.
-inline void fused_outer_acc_rows(const double* const* x, std::size_t m,
-                                 const double* const* d, std::size_t n,
-                                 double* g, std::size_t g_stride) noexcept {
-#if defined(__AVX2__)
-  // Same mul-then-add element order as the generic path (r ascending
-  // per element), vectorized 4 columns wide.
-  {
-    const double* __restrict d0 = d[0];
-    const double* __restrict d1 = d[1];
-    const double* __restrict d2 = d[2];
-    const double* __restrict d3 = d[3];
-    for (std::size_t k = 0; k < m; ++k) {
-      double* __restrict gk = g + k * g_stride;
-      const __m256d b0 = _mm256_set1_pd(x[0][k]);
-      const __m256d b1 = _mm256_set1_pd(x[1][k]);
-      const __m256d b2 = _mm256_set1_pd(x[2][k]);
-      const __m256d b3 = _mm256_set1_pd(x[3][k]);
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        __m256d acc = _mm256_loadu_pd(gk + j);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(b0, _mm256_loadu_pd(d0 + j)));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(b1, _mm256_loadu_pd(d1 + j)));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(b2, _mm256_loadu_pd(d2 + j)));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(b3, _mm256_loadu_pd(d3 + j)));
-        _mm256_storeu_pd(gk + j, acc);
-      }
-      const double s0 = x[0][k], s1 = x[1][k], s2 = x[2][k], s3 = x[3][k];
-      for (; j < n; ++j) {
-        double acc = gk[j];
-        acc += s0 * d0[j];
-        acc += s1 * d1[j];
-        acc += s2 * d2[j];
-        acc += s3 * d3[j];
-        gk[j] = acc;
-      }
-    }
-    return;
-  }
-#endif
-  const double* __restrict d0 = d[0];
-  const double* __restrict d1 = d[1];
-  const double* __restrict d2 = d[2];
-  const double* __restrict d3 = d[3];
-  for (std::size_t k = 0; k < m; ++k) {
-    double* __restrict gk = g + k * g_stride;
-    const double b0 = x[0][k], b1 = x[1][k], b2 = x[2][k], b3 = x[3][k];
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = gk[j];
-      acc += b0 * d0[j];
-      acc += b1 * d1[j];
-      acc += b2 * d2[j];
-      acc += b3 * d3[j];
-      gk[j] = acc;
-    }
-  }
-}
-
-/// Fused bias accumulate: b[j] += d[r][j] for r = 0..3 as sequential
-/// separate roundings in ascending r — bitwise identical to the per-row
-/// bias loops it replaces.
 /// Full gate-preactivation tile for a block of kRowBlock rows:
 /// z[r][j] = b[j] + sum_k x[r][k] * wx[k * w_stride + j]
 ///                + sum_k hp[r][k] * wh[k * w_stride + j]
@@ -403,89 +337,39 @@ inline void fused_gates_rows(const double* b, const double* const* x,
   if (hm != 0) fused_acc_rows(hp, hm, wh, w_stride, z, n);
 }
 
-/// Four dot products sharing one right-hand vector: out[r] =
-/// dot(d[r], y, n) for r = 0..3, with each dot using the EXACT lane
-/// decomposition and combine order of kernels::dot — lane m sums terms
-/// k = m (mod 4) in ascending k, combined as ((l0 + l1) + (l2 + l3)) +
-/// tail — so the results are bitwise identical to four dot() calls
-/// while y is streamed once instead of four times.
-inline void fused_dot_rows(const double* const* d, const double* y,
-                           std::size_t n, double* out) noexcept {
-#if defined(__AVX2__)
-  {
-    const double* __restrict d0 = d[0];
-    const double* __restrict d1 = d[1];
-    const double* __restrict d2 = d[2];
-    const double* __restrict d3 = d[3];
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + kLanes <= n; k += kLanes) {
-      const __m256d yv = _mm256_loadu_pd(y + k);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(d0 + k), yv));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(d1 + k), yv));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(d2 + k), yv));
-      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(d3 + k), yv));
-    }
-    // Combine lanes in dot()'s fixed order: ((l0 + l1) + (l2 + l3)).
-    alignas(32) double l[kLanes];
-    const __m256d acc[kRowBlock] = {a0, a1, a2, a3};
-    for (std::size_t r = 0; r < kRowBlock; ++r) {
-      _mm256_store_pd(l, acc[r]);
-      double v = (l[0] + l[1]) + (l[2] + l[3]);
-      double tail = 0.0;
-      for (std::size_t t = k; t < n; ++t) tail += d[r][t] * y[t];
-      out[r] = v + tail;
-    }
-    return;
-  }
-#endif
-  for (std::size_t r = 0; r < kRowBlock; ++r) out[r] = dot(d[r], y, n);
-}
+// ---- Slab backward kernels --------------------------------------------
+// The fused backward passes hand a whole slice of slab rows to one call:
+// row r of an operand starts at base + r * stride, so a caller can pass
+// a column window of a wider gate matrix (the GRU candidate block) as
+// base + offset with the full row stride.
 
-inline void fused_bias_acc_rows(const double* const* d, std::size_t n,
-                                double* b) noexcept {
-#if defined(__AVX2__)
-  {
-    const double* __restrict d0 = d[0];
-    const double* __restrict d1 = d[1];
-    const double* __restrict d2 = d[2];
-    const double* __restrict d3 = d[3];
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256d acc = _mm256_loadu_pd(b + j);
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(d0 + j));
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(d1 + j));
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(d2 + j));
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(d3 + j));
-      _mm256_storeu_pd(b + j, acc);
-    }
-    for (; j < n; ++j) {
-      double acc = b[j];
-      acc += d0[j];
-      acc += d1[j];
-      acc += d2[j];
-      acc += d3[j];
-      b[j] = acc;
-    }
-    return;
-  }
-#endif
-  const double* __restrict d0 = d[0];
-  const double* __restrict d1 = d[1];
-  const double* __restrict d2 = d[2];
-  const double* __restrict d3 = d[3];
-  for (std::size_t j = 0; j < n; ++j) {
-    double acc = b[j];
-    acc += d0[j];
-    acc += d1[j];
-    acc += d2[j];
-    acc += d3[j];
-    b[j] = acc;
-  }
-}
+/// Outer-product accumulate over every row of a slice:
+/// g[k * g_stride + j] += x[r * x_stride + k] * d[r * d_stride + j] for
+/// k < m, j < n and r = 0 .. rows-1, and, when b is non-null,
+/// b[j] += d[r * d_stride + j]. Each element is one accumulator that
+/// adds its rows in ascending r, each term one rounding — bitwise the
+/// per-row sequence outer_acc(x_r, m, d_r, n, g) (plus the bias loop)
+/// for r = 0, 1, .... The AVX2 path keeps a 4 (k) x 8 (j) tile in
+/// registers across all rows (columns past the last 8-block ride a
+/// 4 (k) x 1..7 (j) tile whose lanes run along k), so g is loaded and
+/// stored once per slice instead of once per row. g must not overlap x,
+/// d or b.
+void slab_outer_acc(const double* x, std::size_t x_stride, std::size_t m,
+                    const double* d, std::size_t d_stride, std::size_t n,
+                    std::size_t rows, double* g, std::size_t g_stride,
+                    double* b) noexcept;
+
+/// Input gradients over every row of a slice:
+/// out[r * out_stride + k] = dot(d + r * d_stride, w + k * w_stride, n)
+/// for r < rows, k < m, each bitwise kernels::dot. The AVX2 path runs
+/// 2 rows x 4 k at a time: it keeps dot()'s four lane partials per
+/// (row, k) in registers, transposes the 4x4 block of partials once and
+/// combines ((l0 + l1) + (l2 + l3)) + tail for four k in one vector,
+/// instead of a horizontal reduction per (row, k). out must not overlap
+/// d or w.
+void slab_dot(const double* d, std::size_t d_stride, std::size_t n,
+              std::size_t rows, const double* w, std::size_t w_stride,
+              std::size_t m, double* out, std::size_t out_stride) noexcept;
 
 /// x[j] = 1 / (1 + exp(-x[j])) for j in [0, n). Batched so the whole
 /// gate slice goes through one call: with libmvec available (see

@@ -87,6 +87,16 @@ void DqnAgent::q_values_into(std::span<const double> state,
   std::copy(q.begin(), q.end(), out.begin());
 }
 
+void DqnAgent::remember(Transition t) {
+  const std::size_t slot = replay_.push(std::move(t));
+  if (slot == boot_version_.size()) {
+    boot_version_.push_back(0);
+    boot_q_.resize(boot_q_.size() + cfg_.num_actions);
+  } else {
+    boot_version_[slot] = 0;
+  }
+}
+
 double DqnAgent::learn() {
   if (replay_.size() < cfg_.batch_size) return 0.0;
   replay_.sample_into(cfg_.batch_size, rng_, batch_);
@@ -172,6 +182,7 @@ void DqnAgent::notify_external_parameter_update() {
 
 void DqnAgent::sync_target() {
   target_.set_parameters(net_.parameters());
+  ++target_version_;
 }
 
 DqnAgentState DqnAgent::capture_state() const {
@@ -197,6 +208,9 @@ void DqnAgent::restore_state(const DqnAgentState& state) {
   target_.set_parameters(state.target_params);
   opt_.restore_state(state.optimizer);
   replay_.restore_state(state.replay);
+  ++target_version_;
+  boot_version_.assign(replay_.size(), 0);
+  boot_q_.assign(replay_.size() * cfg_.num_actions, 0.0);
   rng_.restore(state.rng);
   act_steps_ = state.act_steps;
   learn_steps_ = state.learn_steps;

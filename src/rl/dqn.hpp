@@ -88,12 +88,15 @@ class DqnAgent {
   void q_values_into(std::span<const double> state,
                      std::span<double> out) const;
 
-  void remember(Transition t) { replay_.push(std::move(t)); }
+  /// Store a transition in the replay ring (invalidates the slot's
+  /// cached bootstrap row).
+  void remember(Transition t);
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
 
   /// One DQN learning step on a replay minibatch (no-op until the buffer
   /// holds at least one batch). Returns the Huber TD loss, or 0 if
-  /// skipped.
+  /// skipped. Always runs the target network over the whole minibatch:
+  /// it is the uncached oracle FusedDqnLearner is tested against.
   double learn();
 
   /// Current exploration rate.
@@ -114,6 +117,7 @@ class DqnAgent {
   /// network's own refresh schedule (see dqn.cpp for why).
   void notify_external_parameter_update();
   /// Copy online weights into the target network (exposed for tests).
+  /// Starts a new target version: every cached bootstrap row goes stale.
   void sync_target();
 
   /// Deep-copy snapshot for warm-restart persistence.
@@ -151,6 +155,17 @@ class DqnAgent {
   nn::Matrix states_;
   nn::Matrix next_states_;
   std::vector<const Transition*> batch_;
+  // Target bootstrap cache, read and written by FusedDqnLearner only.
+  // Per replay slot: the target network's Q row for the slot's
+  // next_state (boot_q_, num_actions values per slot) and the target
+  // version it was computed under (boot_version_; 0 = never). A row is
+  // valid while its version equals target_version_, which sync_target()
+  // and restore_state() advance; writing a slot resets its version. Both
+  // grow with the filled ring, never to replay_capacity up front. Derived
+  // state: snapshots do not carry it.
+  std::vector<double> boot_q_;
+  std::vector<std::uint64_t> boot_version_;
+  std::uint64_t target_version_ = 1;
 };
 
 }  // namespace pfdrl::rl

@@ -7,14 +7,18 @@ namespace pfdrl::rl {
 
 ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("ReplayBuffer: capacity 0");
-  storage_.resize(capacity);
 }
 
-void ReplayBuffer::push(Transition t) {
-  storage_[next_] = std::move(t);
+std::size_t ReplayBuffer::push(Transition t) {
+  const std::size_t slot = next_;
+  if (storage_.size() < capacity_) {
+    storage_.push_back(std::move(t));
+  } else {
+    storage_[slot] = std::move(t);
+  }
   next_ = (next_ + 1) % capacity_;
-  if (size_ < capacity_) ++size_;
   ++total_pushed_;
+  return slot;
 }
 
 std::vector<const Transition*> ReplayBuffer::sample(std::size_t batch,
@@ -25,21 +29,26 @@ std::vector<const Transition*> ReplayBuffer::sample(std::size_t batch,
 }
 
 void ReplayBuffer::sample_into(std::size_t batch, util::Rng& rng,
-                               std::vector<const Transition*>& out) const {
+                               std::vector<const Transition*>& out,
+                               std::vector<std::size_t>* slots) const {
   if (empty()) throw std::logic_error("ReplayBuffer: sample from empty");
   out.clear();
   out.reserve(batch);
+  if (slots != nullptr) {
+    slots->clear();
+    slots->reserve(batch);
+  }
   for (std::size_t i = 0; i < batch; ++i) {
     const auto idx = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(size_) - 1));
+        rng.uniform_int(0, static_cast<std::int64_t>(size()) - 1));
     out.push_back(&storage_[idx]);
+    if (slots != nullptr) slots->push_back(idx);
   }
 }
 
 ReplayBufferState ReplayBuffer::capture_state() const {
   ReplayBufferState state;
-  state.entries.assign(storage_.begin(),
-                       storage_.begin() + static_cast<std::ptrdiff_t>(size_));
+  state.entries = storage_;
   state.next = next_;
   state.total_pushed = total_pushed_;
   return state;
@@ -56,20 +65,14 @@ void ReplayBuffer::restore_state(const ReplayBufferState& state) {
       (!full && state.next != state.entries.size())) {
     throw std::invalid_argument("ReplayBuffer: inconsistent snapshot cursor");
   }
-  for (std::size_t i = 0; i < state.entries.size(); ++i) {
-    storage_[i] = state.entries[i];
-  }
-  for (std::size_t i = state.entries.size(); i < capacity_; ++i) {
-    storage_[i] = Transition{};
-  }
-  size_ = state.entries.size();
+  storage_ = state.entries;
   next_ = state.next;
   total_pushed_ = state.total_pushed;
 }
 
 void ReplayBuffer::clear() noexcept {
+  storage_.clear();
   next_ = 0;
-  size_ = 0;
   // A cleared buffer restarts its telemetry too: leaving the cumulative
   // counter running would double-count pushes across clears.
   total_pushed_ = 0;

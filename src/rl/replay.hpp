@@ -1,5 +1,9 @@
 // Fixed-capacity experience replay (the paper sets memory capacity 2000).
 // Ring-buffer overwrite semantics; uniform sampling with replacement.
+// Storage grows with the pushes until it reaches capacity and then
+// overwrites at the cursor, so a buffer never holds more slots than it
+// has filled (a city of agents would otherwise pay for 2000 empty
+// transitions each).
 #pragma once
 
 #include <cstddef>
@@ -33,11 +37,12 @@ class ReplayBuffer {
   explicit ReplayBuffer(std::size_t capacity);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return storage_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return storage_.empty(); }
 
-  /// Insert; overwrites the oldest entry once full.
-  void push(Transition t);
+  /// Insert; overwrites the oldest entry once full. Returns the slot
+  /// written (the index sample_into reports for it).
+  std::size_t push(Transition t);
 
   /// Uniform sample with replacement. Requires a non-empty buffer.
   [[nodiscard]] std::vector<const Transition*> sample(std::size_t batch,
@@ -45,10 +50,13 @@ class ReplayBuffer {
 
   /// Allocation-free variant of sample(): draws into `out` (cleared and
   /// refilled; capacity is reused across calls). Consumes the identical
-  /// RNG sequence as sample() for the same inputs.
+  /// RNG sequence as sample() for the same inputs. When `slots` is
+  /// non-null it receives the slot index of each drawn transition.
   void sample_into(std::size_t batch, util::Rng& rng,
-                   std::vector<const Transition*>& out) const;
+                   std::vector<const Transition*>& out,
+                   std::vector<std::size_t>* slots = nullptr) const;
 
+  /// Drop every stored transition (and the telemetry counter).
   void clear() noexcept;
 
   /// Deep-copy snapshot of the ring (contents, write cursor, telemetry).
@@ -67,7 +75,6 @@ class ReplayBuffer {
   std::size_t capacity_;
   std::vector<Transition> storage_;
   std::size_t next_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t total_pushed_ = 0;
 };
 

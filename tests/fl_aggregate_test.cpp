@@ -88,44 +88,6 @@ TEST(FedAvg, OutMayAliasInput) {
   EXPECT_DOUBLE_EQ(a[1], 2.0);
 }
 
-TEST(FedAvgWeighted, RespectsWeights) {
-  const std::vector<double> a = {0.0};
-  const std::vector<double> b = {10.0};
-  std::vector<std::span<const double>> views = {a, b};
-  const std::vector<double> w = {3.0, 1.0};
-  std::vector<double> out(1);
-  fedavg_weighted(views, w, out);
-  EXPECT_DOUBLE_EQ(out[0], 2.5);
-}
-
-TEST(FedAvgWeighted, UniformWeightsMatchPlain) {
-  util::Rng rng(3);
-  std::vector<std::vector<double>> inputs(4, std::vector<double>(6));
-  for (auto& v : inputs) {
-    for (double& x : v) x = rng.normal();
-  }
-  std::vector<std::span<const double>> views(inputs.begin(), inputs.end());
-  std::vector<double> weighted(6);
-  const std::vector<double> w(4, 0.25);
-  fedavg_weighted(views, w, weighted);
-  const auto plain = avg_of(inputs);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(weighted[i], plain[i], 1e-12);
-  }
-}
-
-TEST(FedAvgWeighted, InvalidWeightsThrow) {
-  const std::vector<double> a = {1.0};
-  std::vector<std::span<const double>> views = {a};
-  std::vector<double> out(1);
-  EXPECT_THROW(fedavg_weighted(views, std::vector<double>{-1.0}, out),
-               std::invalid_argument);
-  EXPECT_THROW(fedavg_weighted(views, std::vector<double>{0.0}, out),
-               std::invalid_argument);
-  EXPECT_THROW(fedavg_weighted(views, std::vector<double>{1.0, 1.0}, out),
-               std::invalid_argument);
-}
-
 TEST(FedAvgPrefix, SuffixUntouched) {
   const std::vector<double> a = {1.0, 2.0, 100.0};
   const std::vector<double> b = {3.0, 4.0, 200.0};

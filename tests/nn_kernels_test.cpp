@@ -7,11 +7,14 @@
 //     gate widths (4H = 128, 3H = 96, and ragged sizes for the tail path);
 //   * the lane combine order is pinned (a permutation-sensitivity probe);
 //   * threaded matmul must be bitwise identical to single-threaded;
+//   * the slab backward kernels must match their per-row sequence
+//     BITWISE, signed zeros, strides and column windows included;
 //   * FP contraction must be off in the flags this binary was built with.
 #include "nn/kernels.hpp"
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -280,6 +283,171 @@ TEST(NnKernels, TrainBatchCounterMonotonic) {
   kernels::note_train_batch();
   kernels::note_train_batch();
   EXPECT_EQ(kernels::total_train_batches(), before + 2);
+}
+
+// ---- Slab backward kernels ---------------------------------------------
+
+// Values with signed zeros sprinkled in: -0.0 + +0.0 is +0.0, so a kernel
+// that skipped, reordered or pre-summed terms would flip signs here.
+std::vector<double> signed_zero_vec(std::size_t n, util::Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const double u = rng.uniform();
+    x = u < 0.15 ? -0.0 : (u < 0.25 ? 0.0 : rng.normal());
+  }
+  return v;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+const std::size_t kSlabRows[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33};
+const std::size_t kSlabM[] = {1, 3, 4, 5, 18, 32, 64};
+const std::size_t kSlabN[] = {1, 3, 4, 7, 8, 9, 32, 128};
+
+// slab_outer_acc against the per-row sequence it replaces: for each row,
+// the bias loop and kernels::outer_acc (itself bitwise nn::ref::axpy per
+// k-row), on operands with row strides wider than their extents.
+TEST(NnKernels, SlabOuterAccMatchesPerRowBitwise) {
+  util::Rng rng(21);
+  for (const std::size_t rows : kSlabRows) {
+    for (const std::size_t m : kSlabM) {
+      for (const std::size_t n : kSlabN) {
+        const std::size_t xs = m + 2, ds = n + 3, gs = n + 1;
+        const auto x = signed_zero_vec(rows * xs, rng);
+        const auto d = signed_zero_vec(rows * ds, rng);
+        auto g_got = signed_zero_vec(m * gs, rng);
+        auto b_got = signed_zero_vec(n, rng);
+        auto g_want = g_got;
+        auto b_want = b_got;
+        kernels::slab_outer_acc(x.data(), xs, m, d.data(), ds, n, rows,
+                                g_got.data(), gs, b_got.data());
+        std::vector<double> dense(m * n);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t j = 0; j < n; ++j) b_want[j] += d[r * ds + j];
+          // outer_acc takes a dense g: gather the strided rows, apply
+          // this row's outer product, scatter them back.
+          for (std::size_t k = 0; k < m; ++k) {
+            for (std::size_t j = 0; j < n; ++j) {
+              dense[k * n + j] = g_want[k * gs + j];
+            }
+          }
+          kernels::outer_acc(x.data() + r * xs, m, d.data() + r * ds, n,
+                             dense.data());
+          for (std::size_t k = 0; k < m; ++k) {
+            for (std::size_t j = 0; j < n; ++j) {
+              g_want[k * gs + j] = dense[k * n + j];
+            }
+          }
+        }
+        for (std::size_t i = 0; i < g_got.size(); ++i) {
+          ASSERT_TRUE(same_bits(g_got[i], g_want[i]))
+              << "rows=" << rows << " m=" << m << " n=" << n << " i=" << i;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(same_bits(b_got[j], b_want[j]))
+              << "rows=" << rows << " m=" << m << " n=" << n << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+// slab_dot against one kernels::dot per (row, k): same lanes, same
+// combine, same tail — every output bit-identical, signed zeros included.
+TEST(NnKernels, SlabDotMatchesPerRowDotBitwise) {
+  util::Rng rng(22);
+  for (const std::size_t rows : kSlabRows) {
+    for (const std::size_t m : kSlabM) {
+      for (const std::size_t n : kSlabN) {
+        const std::size_t ds = n + 3, ws = n + 1, os = m + 2;
+        const auto d = signed_zero_vec(rows * ds, rng);
+        const auto w = signed_zero_vec(m * ws, rng);
+        std::vector<double> got(rows * os, 7.0);
+        kernels::slab_dot(d.data(), ds, n, rows, w.data(), ws, m, got.data(),
+                          os);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t k = 0; k < os; ++k) {
+            const double want =
+                k < m ? kernels::dot(d.data() + r * ds, w.data() + k * ws, n)
+                      : 7.0;  // padding columns are never written
+            ASSERT_TRUE(same_bits(got[r * os + k], want))
+                << "rows=" << rows << " m=" << m << " n=" << n << " r=" << r
+                << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Against the scalar reference: the outer product is bitwise ref::axpy
+// (no signed zeros in the accumulator, where ref's zero-skip would
+// differ), the dots agree with ref::dot up to lane reassociation.
+TEST(NnKernels, SlabKernelsMatchScalarReference) {
+  util::Rng rng(23);
+  const std::size_t rows = 13, m = 18, n = 33;
+  const auto x = random_vec(rows * m, rng, 0.3);
+  const auto d = random_vec(rows * n, rng);
+  const auto w = random_vec(m * n, rng);
+  auto g_got = random_vec(m * n, rng);
+  auto g_want = g_got;
+  kernels::slab_outer_acc(x.data(), m, m, d.data(), n, n, rows, g_got.data(),
+                          n, nullptr);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < m; ++k) {
+      ref::axpy(x[r * m + k], d.data() + r * n, g_want.data() + k * n, n);
+    }
+  }
+  EXPECT_EQ(g_got, g_want);
+  std::vector<double> dx(rows * m);
+  kernels::slab_dot(d.data(), n, n, rows, w.data(), n, m, dx.data(), m);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < m; ++k) {
+      EXPECT_LT(rel_err(dx[r * m + k],
+                        ref::dot(d.data() + r * n, w.data() + k * n, n)),
+                1e-12);
+    }
+  }
+}
+
+// The GRU's column windows: the candidate block of a 3h-wide gate row
+// (base + 2h, stride 3h) as the delta operand of both kernels, and the
+// matching window of W_h as the gradient/weight operand.
+TEST(NnKernels, SlabKernelsOnGruColumnWindowBitwise) {
+  util::Rng rng(24);
+  const std::size_t h = 7, g3 = 3 * h;
+  for (const std::size_t rows : {1, 4, 9, 32}) {
+    const auto dz = signed_zero_vec(rows * g3, rng);
+    const auto coeff = signed_zero_vec(rows * h, rng);
+    const auto wh = signed_zero_vec(h * g3, rng);
+    auto g_got = signed_zero_vec(h * g3, rng);
+    auto g_want = g_got;
+    kernels::slab_outer_acc(coeff.data(), h, h, dz.data() + 2 * h, g3, h, rows,
+                            g_got.data() + 2 * h, g3, nullptr);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < h; ++k) {
+        kernels::axpy(coeff[r * h + k], dz.data() + r * g3 + 2 * h,
+                      g_want.data() + k * g3 + 2 * h, h);
+      }
+    }
+    for (std::size_t i = 0; i < g_got.size(); ++i) {
+      ASSERT_TRUE(same_bits(g_got[i], g_want[i])) << "rows=" << rows;
+    }
+    std::vector<double> got(rows * h);
+    kernels::slab_dot(dz.data() + 2 * h, g3, h, rows, wh.data() + 2 * h, g3, h,
+                      got.data(), h);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < h; ++k) {
+        ASSERT_TRUE(same_bits(
+            got[r * h + k],
+            kernels::dot(dz.data() + r * g3 + 2 * h, wh.data() + k * g3 + 2 * h,
+                         h)))
+            << "rows=" << rows << " r=" << r << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace
