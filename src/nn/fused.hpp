@@ -5,9 +5,10 @@
 // batches that leave the PR 5 strip-mined kernels starved. The fused
 // layer gathers a group of homes' minibatches into one home-major slab —
 // rows [home0's batch | home1's batch | ...] — and runs the whole slab
-// through register-blocked kernels (nn::kernels::fused_*), slice by
-// slice against each home's own parameter bank, then scatters per-home
-// gradient slices back into each home's own optimizer state.
+// through register-blocked kernels (nn::kernels::fused_* forward,
+// nn::kernels::slab_* backward), slice by slice against each home's own
+// parameter bank, then scatters per-home gradient slices back into each
+// home's own optimizer state.
 //
 // Because parameter banks stay per-home, the "one big matmul per gate"
 // is block-diagonal: each home's row slice multiplies its own weights.

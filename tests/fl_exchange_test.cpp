@@ -1,17 +1,21 @@
 // ParamExchange engine unit tests: grouped averaging, shape guard, star
-// relay, secure-aggregation masking, in-place prefix averaging, and the
+// relay, secure-aggregation masking, in-place prefix averaging, the
 // zero-copy allocation guarantee (payload copies scale with items, not
-// receivers).
+// receivers), and shared averages (one per accepted contribution set,
+// summed in ascending sender order).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
+#include "fl/aggregate.hpp"
 #include "fl/exchange.hpp"
 #include "fl/secure_agg.hpp"
 #include "net/bus.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace pfdrl::fl {
 namespace {
@@ -216,6 +220,186 @@ TEST(ParamExchange, SecureMasksCancelInTheMean) {
       EXPECT_NEAR(got[a][i], want[a][i], 1e-9);
     }
   }
+}
+
+// ---- Shared averages -------------------------------------------------
+
+// Parameters whose magnitudes differ by agent, so the floating-point sum
+// depends on the order it runs in: an engine that let each receiver sum
+// in its own order would hand group members different bits.
+std::vector<std::vector<double>> order_sensitive_params(std::size_t agents,
+                                                        std::size_t len,
+                                                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> params(agents, std::vector<double>(len));
+  for (std::size_t a = 0; a < agents; ++a) {
+    const double scale = a % 3 == 0 ? 1e8 : (a % 3 == 1 ? 1.0 : 1e-8);
+    for (double& v : params[a]) v = scale * rng.normal();
+  }
+  return params;
+}
+
+// The average of `senders`' vectors in ascending sender order — the
+// engine's documented order, whoever the receiver is.
+std::vector<double> sorted_average(
+    const std::vector<std::vector<double>>& params,
+    const std::vector<std::size_t>& senders) {
+  std::vector<std::span<const double>> views;
+  for (const std::size_t a : senders) views.emplace_back(params[a]);
+  std::vector<double> out(params.front().size());
+  fedavg(views, out);
+  return out;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A clean full mesh: every member of a device-type group accepts the
+// same contributions, so the group shares one average — identical bits
+// at every receiver, equal to the ascending-sender-order mean, computed
+// once per device type. The staged engine shares within one apply.
+TEST(ParamExchange, CleanMeshSharesOneAveragePerDeviceType) {
+  const std::size_t n = 7;
+  constexpr std::uint32_t kTypes[] = {3, 9};
+  std::vector<std::vector<double>> params[2] = {
+      order_sensitive_params(n, 37, 1), order_sensitive_params(n, 37, 2)};
+  std::vector<ExchangeItem> items;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t t = 0; t < 2; ++t) {
+      items.push_back({.agent = static_cast<net::AgentId>(a),
+                       .device_type = kTypes[t],
+                       .send = params[t][a],
+                       .in_place = {}});
+    }
+  }
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t a = 0; a < n; ++a) everyone[a] = a;
+  const std::vector<double> want[2] = {sorted_average(params[0], everyone),
+                                       sorted_average(params[1], everyone)};
+  // Summing in any receiver-dependent order would move bits here.
+  ASSERT_FALSE(same_bits(want[0], sorted_average(params[0],
+                                                 {3, 0, 1, 2, 4, 5, 6})));
+
+  const auto check = [&](const std::vector<std::vector<double>>& committed) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      EXPECT_TRUE(same_bits(committed[i], want[i % 2])) << "item " << i;
+    }
+  };
+  obs::MetricsRegistry reg;
+  ParamExchange::Options options;
+  options.metrics = &reg;
+  std::vector<std::vector<double>> committed(items.size());
+  const auto commit = [&](std::size_t i, std::span<const double> averaged) {
+    committed[i].assign(averaged.begin(), averaged.end());
+  };
+  {
+    net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
+    ParamExchange exchange(bus, options);
+    const auto stats = exchange.round(items, 0, commit);
+    check(committed);
+    EXPECT_EQ(stats.items_averaged, items.size());
+    EXPECT_EQ(stats.averages_computed, 2u);
+    EXPECT_EQ(reg.counter("exchange.averages_computed").value(), 2u);
+    EXPECT_EQ(reg.counter("exchange.items").value(), items.size());
+  }
+  {
+    net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
+    StagedExchange staged(bus, {}, items);
+    committed.assign(items.size(), {});
+    staged.publish_shard(0, 4);
+    staged.apply_shard(0, 4, commit);
+    check(committed);
+    EXPECT_EQ(staged.stats().averages_computed, 2u);
+  }
+}
+
+// One lost delivery (sender s -> receiver r): r's accepted set lacks s,
+// so r averages alone — still in ascending sender order — while every
+// other receiver, s included, shares the full-set average. The engine
+// counts both averages.
+TEST(ParamExchange, DroppedLinkReceiverAveragesAloneAndIsCounted) {
+  const std::size_t n = 6;
+  const auto params = order_sensitive_params(n, 29, 3);
+  auto mutable_params = params;
+  const auto items = make_items(mutable_params);
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t a = 0; a < n; ++a) everyone[a] = a;
+  const auto full = sorted_average(params, everyone);
+
+  // Find a fault-stream seed that drops exactly one of the n(n-1)
+  // deliveries of round 0.
+  for (std::uint64_t seed = 1; seed < 500; ++seed) {
+    net::FaultPlan plan;
+    plan.link.drop_probability = 0.03;
+    plan.seed = seed;
+    net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n), plan);
+    ParamExchange exchange(bus, {});
+    std::vector<std::vector<double>> committed(n);
+    const auto stats = exchange.round(
+        items, 0, [&](std::size_t i, std::span<const double> averaged) {
+          committed[i].assign(averaged.begin(), averaged.end());
+        });
+    if (bus.stats().messages_dropped != 1) continue;
+
+    EXPECT_EQ(stats.accepted, n * (n - 1) - 1);
+    EXPECT_EQ(stats.items_averaged, n);
+    EXPECT_EQ(stats.averages_computed, 2u);
+    std::size_t alone = n;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (same_bits(committed[r], full)) continue;
+      EXPECT_EQ(alone, n) << "more than one receiver lost a contribution";
+      alone = r;
+    }
+    ASSERT_LT(alone, n);
+    // Its average is the ascending-order mean of the set it accepted:
+    // everyone but the one sender whose delivery was dropped.
+    std::size_t matches = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == alone) continue;
+      std::vector<std::size_t> senders;
+      for (std::size_t a = 0; a < n; ++a) {
+        if (a != s) senders.push_back(a);
+      }
+      if (same_bits(committed[alone], sorted_average(params, senders))) {
+        ++matches;
+      }
+    }
+    EXPECT_EQ(matches, 1u);
+    return;
+  }
+  FAIL() << "no seed in range dropped exactly one delivery";
+}
+
+// The averaged bits depend only on the accepted contributions, never on
+// which receiver sums them. Summing the receiver's own payload first —
+// the order before contributions were sorted — gives some receivers
+// different bits, which is what the check would catch.
+TEST(ParamExchange, AveragedBitsIndependentOfReceiverId) {
+  const std::size_t n = 5;
+  const auto params = order_sensitive_params(n, 41, 4);
+  auto mutable_params = params;
+  net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
+  ParamExchange exchange(bus, {});
+  const auto items = make_items(mutable_params);
+  std::vector<std::vector<double>> committed(n);
+  exchange.round(items, 0, [&](std::size_t i, std::span<const double> avg) {
+    committed[i].assign(avg.begin(), avg.end());
+  });
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t a = 0; a < n; ++a) everyone[a] = a;
+  const auto want = sorted_average(params, everyone);
+  bool own_first_differs = false;
+  for (std::size_t r = 0; r < n; ++r) {
+    EXPECT_TRUE(same_bits(committed[r], want)) << "receiver " << r;
+    std::vector<std::size_t> own_first = {r};
+    for (std::size_t a = 0; a < n; ++a) {
+      if (a != r) own_first.push_back(a);
+    }
+    own_first_differs |= !same_bits(sorted_average(params, own_first), want);
+  }
+  EXPECT_TRUE(own_first_differs);
 }
 
 }  // namespace
