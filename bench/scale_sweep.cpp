@@ -31,8 +31,7 @@
 // committed baseline at the repo root is produced by the default flags).
 // Flags: --agents CSV, --rounds R, --params P, --shards S,
 // --pool-workers CSV, --topology NAME, --fanout N, --uniform-shards,
-// --no-wire-codec, --out PATH (and --emit PATH, the internal child
-// mode).
+// --out PATH (and --emit PATH, the internal child mode).
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +44,6 @@
 #include "core/sharded_runner.hpp"
 #include "fl/exchange.hpp"
 #include "net/bus.hpp"
-#include "net/codec.hpp"
 #include "net/shard_router.hpp"
 #include "net/topology.hpp"
 #include "sim/shard.hpp"
@@ -66,8 +64,6 @@ struct SweepConfig {
   std::size_t fanout = 4;
   std::uint64_t seed = 42;
   bool weighted_shards = true;
-  /// Lossless delta/XOR wire codec on the engine bus (docs/wire.md).
-  bool wire_codec = true;
 };
 
 struct PointResult {
@@ -83,9 +79,7 @@ struct PointResult {
   double cost_imbalance = 1.0;
   core::PipelineStats pipeline;  // zeroed for bsp points
   net::ShardRouterStats router;
-  net::CodecStats codec;
-  std::uint64_t logical_bytes = 0;  ///< bus pre-codec bytes
-  std::uint64_t wire_bytes = 0;     ///< bus post-codec bytes
+  std::uint64_t logical_bytes = 0;  ///< bus bytes: header + raw payload
   std::uint64_t hash = 0;
   bool deterministic = false;
 };
@@ -106,7 +100,6 @@ struct EngineSetup {
   std::vector<std::size_t> weights;
   net::MessageBus bus;
   std::unique_ptr<net::ShardRouter> router;  // router owns mutexes: no move
-  net::WireCodec codec;
   std::vector<double> params;
   std::vector<fl::ExchangeItem> items;
 
@@ -126,7 +119,6 @@ struct EngineSetup {
         params(agents * cfg.params),
         items(agents) {
     if (plan.sharded()) bus.set_shard_router(router.get());
-    if (cfg.wire_codec) bus.set_codec(&codec);
     // Flat N x P parameter arena; agent a owns [a*P, (a+1)*P).
     const std::size_t P = cfg.params;
     for (std::size_t a = 0; a < agents; ++a) {
@@ -178,9 +170,7 @@ struct EngineSetup {
     out->links_per_round = links;
     out->cost_imbalance = plan.weight_imbalance(weights);
     out->router = router->stats();
-    out->codec = codec.stats();
     out->logical_bytes = bus.stats().logical_bytes;
-    out->wire_bytes = bus.stats().bytes_on_wire;
   }
 };
 
@@ -311,8 +301,6 @@ void print_point_json(std::FILE* f, const PointResult& p, bool last) {
       "\"batches\": %" PRIu64 ", "
       "\"max_batch_depth\": %" PRIu64 ", "
       "\"logical_bytes\": %" PRIu64 ", "
-      "\"wire_bytes\": %" PRIu64 ", "
-      "\"wire_ratio\": %.3f, "
       "\"imbalance\": %.3f, "
       "\"cost_imbalance\": %.3f, "
       "\"max_rounds_in_flight\": %" PRIu64 ", "
@@ -324,8 +312,8 @@ void print_point_json(std::FILE* f, const PointResult& p, bool last) {
       util::ThreadPool::global().size(), p.seconds, p.agent_rounds_per_sec,
       p.links_per_round, p.router.messages_batched, p.router.batched_bytes,
       p.router.batched_wire_bytes, p.router.batches_flushed,
-      p.router.max_batch_depth, p.logical_bytes, p.wire_bytes,
-      p.codec.ratio(), p.imbalance, p.cost_imbalance,
+      p.router.max_batch_depth, p.logical_bytes, p.imbalance,
+      p.cost_imbalance,
       p.pipeline.max_rounds_in_flight, p.pipeline.stall_seconds,
       p.pipeline.overlap_seconds, p.deterministic ? "true" : "false",
       p.hash, last ? "" : ",");
@@ -443,8 +431,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.topology = *kind;
-    } else if (std::strcmp(argv[i], "--no-wire-codec") == 0) {
-      cfg.wire_codec = false;
     } else if (std::strcmp(argv[i], "--uniform-shards") == 0) {
       cfg.weighted_shards = false;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -455,8 +441,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--agents CSV] [--rounds R] [--params P] "
                    "[--shards S] [--pool-workers CSV] [--topology NAME] "
-                   "[--fanout N] [--uniform-shards] [--no-wire-codec] "
-                   "[--out P]\n",
+                   "[--fanout N] [--uniform-shards] [--out P]\n",
                    argv[0]);
       return 2;
     }
@@ -494,7 +479,6 @@ int main(int argc, char** argv) {
                       std::to_string(cfg.shards) + " --fanout " +
                       std::to_string(cfg.fanout) + " --topology " +
                       net::topology_name(cfg.topology);
-    if (!cfg.wire_codec) cmd += " --no-wire-codec";
     if (!cfg.weighted_shards) cmd += " --uniform-shards";
     const int rc = std::system(cmd.c_str());
     if (rc != 0) {
@@ -595,13 +579,11 @@ int main(int argc, char** argv) {
                "  \"rounds\": %zu,\n"
                "  \"shards\": %zu,\n"
                "  \"weighted_shards\": %s,\n"
-               "  \"wire_codec\": %s,\n"
                "  \"deterministic\": %s,\n"
                "  \"hash_consistent\": %s,\n"
                "  \"points\": [\n",
                net::topology_name(cfg.topology), cfg.params, cfg.rounds,
                cfg.shards, cfg.weighted_shards ? "true" : "false",
-               cfg.wire_codec ? "true" : "false",
                all_deterministic ? "true" : "false",
                hash_consistent ? "true" : "false");
   for (std::size_t i = 0; i < point_lines.size(); ++i) {

@@ -47,12 +47,6 @@
 //                       (unsharded, star, stochastic faults) use bsp
 //   --pool-workers N    global thread-pool size override (equivalent to
 //                       setting PFDRL_POOL_WORKERS before launch)
-//   --wire-codec        lossless delta/XOR compression of parameter
-//                       payloads on both federation buses (docs/wire.md);
-//                       received parameters stay bitwise identical
-//   --wire-quant        lossy int8 wire quantization with error feedback
-//                       (implies --wire-codec; changes delivered values;
-//                       incompatible with --secure)
 //   --topology NAME     federation topology override: full_mesh | star |
 //                       ring | hierarchical | gossip (default: method's)
 //   --cluster-size N    hierarchical topology cluster size  (default 8)
@@ -114,8 +108,6 @@ int main(int argc, char** argv) {
   std::string resume_path;
   std::size_t shards = 0;
   core::SyncMode sync_mode = core::SyncMode::kPipeline;
-  bool wire_codec = false;
-  bool wire_quant = false;
   std::optional<net::TopologyKind> topology;
   net::TopologyOptions topo_opts;
 
@@ -193,10 +185,6 @@ int main(int argc, char** argv) {
       const std::size_t workers = std::stoul(next());
       if (workers == 0) usage_error("--pool-workers must be >= 1");
       util::ThreadPool::set_global_workers(workers);
-    } else if (arg == "--wire-codec") {
-      wire_codec = true;
-    } else if (arg == "--wire-quant") {
-      wire_quant = true;
     } else if (arg == "--topology") {
       const auto kind = net::parse_topology_kind(next());
       if (!kind) usage_error("unknown topology");
@@ -221,12 +209,6 @@ int main(int argc, char** argv) {
         "--secure needs a reliable fault-free plan (no --drop, --fault-plan "
         "faults, --deadline, --quorum, --crash, --straggler or --partition)");
   }
-  if (secure && wire_quant) {
-    usage_error(
-        "--wire-quant cannot combine with --secure: quantizing "
-        "pairwise-masked payloads breaks mask cancellation "
-        "(lossless --wire-codec is fine)");
-  }
 
   sim::ScenarioConfig sc;
   sc.neighborhood.num_households = homes;
@@ -245,8 +227,6 @@ int main(int argc, char** argv) {
   cfg.robustness = robustness;
   cfg.shards = shards;
   cfg.sync_mode = sync_mode;
-  cfg.wire_codec = wire_codec;
-  cfg.wire_quant = wire_quant;
   cfg.topology = topology;
   cfg.topology_options = topo_opts;
 
@@ -346,16 +326,6 @@ int main(int argc, char** argv) {
   std::printf("traffic: forecast %.1f MiB, DRL %.1f MiB\n",
               static_cast<double>(fc.bytes_on_wire) / (1024.0 * 1024.0),
               static_cast<double>(drl.bytes_on_wire) / (1024.0 * 1024.0));
-  if (wire_codec || wire_quant) {
-    const std::uint64_t logical = fc.logical_bytes + drl.logical_bytes;
-    const std::uint64_t wire = fc.bytes_on_wire + drl.bytes_on_wire;
-    std::printf("wire codec: %.1f MiB logical -> %.1f MiB on wire (%.2fx)\n",
-                static_cast<double>(logical) / (1024.0 * 1024.0),
-                static_cast<double>(wire) / (1024.0 * 1024.0),
-                wire > 0 ? static_cast<double>(logical) /
-                               static_cast<double>(wire)
-                         : 1.0);
-  }
 
   if (!metrics_out.empty()) {
     pipeline.sync_runtime_metrics();

@@ -14,36 +14,28 @@ DrlFederation::DrlFederation(std::size_t num_homes, std::size_t share_layers,
                              obs::MetricsRegistry* metrics,
                              fl::ExchangePolicy policy,
                              net::TopologyOptions topology_options,
-                             std::size_t shards, bool wire_codec,
-                             bool wire_quant)
+                             std::size_t shards)
     : share_layers_(share_layers),
       router_(shards > 1 ? std::make_unique<net::ShardRouter>(
                                std::max<std::size_t>(1, num_homes), shards)
                          : nullptr),
-      codec_(wire_codec || wire_quant
-                 ? std::make_unique<net::WireCodec>(
-                       net::CodecOptions{.quantize = wire_quant})
-                 : nullptr),
       bus_(net::Topology(topology, std::max<std::size_t>(1, num_homes),
                          topology_options),
            std::move(fault)),
       metrics_(metrics),
       policy_(std::move(policy)) {
   if (router_) bus_.set_shard_router(router_.get());
-  if (codec_) bus_.set_codec(codec_.get());
 }
 
-void DrlFederation::round(std::vector<FederatedDevice>& devices,
-                          std::uint64_t round_id) {
-  if (bus_.num_agents() < 2) return;
-
+DrlFederation::Exchange DrlFederation::make_exchange(
+    const std::vector<FederatedDevice>& devices) const {
   // One exchange item per registered device agent. `send` is the α-layer
   // base prefix (Eq. 7's shared slice); `in_place` is the live parameter
   // span, so the engine lands the grouped average directly in the network
   // via fedavg_prefix and the untouched suffix stays Eq. 8's
   // personalization layers.
-  std::vector<fl::ExchangeItem> items;
-  items.reserve(devices.size());
+  Exchange ex;
+  ex.items.reserve(devices.size());
   net::MessageKind kind = net::MessageKind::kDrlBaseParams;
   for (const auto& dev : devices) {
     nn::Mlp& net = dev.agent->network();
@@ -52,38 +44,48 @@ void DrlFederation::round(std::vector<FederatedDevice>& devices,
       kind = net::MessageKind::kDrlFullParams;  // FRL shares everything
     }
     const auto params = net.parameters();
-    items.push_back({.agent = dev.home,
-                     .device_type = dev.device_type,
-                     .send = params.subspan(0, prefix),
-                     .in_place = params});
+    ex.items.push_back({.agent = dev.home,
+                        .device_type = dev.device_type,
+                        .send = params.subspan(0, prefix),
+                        .in_place = params});
   }
+  ex.options.kind = kind;
+  ex.options.metrics = metrics_;
+  ex.options.group_size_histogram = "drl.agg_group_size";
+  ex.options.policy = policy_;
+  return ex;
+}
 
-  fl::ParamExchange::Options options;
-  options.kind = kind;
-  options.metrics = metrics_;
-  options.group_size_histogram = "drl.agg_group_size";
-  options.policy = policy_;
-  options.parallel = router_ != nullptr;
-  fl::ParamExchange exchange(bus_, options);
+void DrlFederation::fold_metrics(std::uint64_t rounds,
+                                 const fl::ExchangeStats& now,
+                                 const fl::ExchangeStats& before) {
+  if (metrics_ == nullptr) return;
+  metrics_->counter("drl.rounds").add(rounds);
+  metrics_->counter("drl.messages_relayed").add(now.relayed - before.relayed);
+  metrics_->counter("drl.contributions_accepted")
+      .add(now.accepted - before.accepted);
+  metrics_->counter("drl.contributions_rejected")
+      .add(now.rejected - before.rejected);
+  metrics_->counter("drl.params_averaged")
+      .add(now.params_averaged - before.params_averaged);
+  obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
+  if (router_) {
+    obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
+  }
+}
+
+void DrlFederation::round(std::vector<FederatedDevice>& devices,
+                          std::uint64_t round_id) {
+  if (bus_.num_agents() < 2) return;
+
+  Exchange ex = make_exchange(devices);
+  ex.options.parallel = router_ != nullptr;
+  fl::ParamExchange exchange(bus_, std::move(ex.options));
   const fl::ExchangeStats stats = exchange.round(
-      items, round_id, [&](std::size_t i, std::span<const double>) {
+      ex.items, round_id, [&](std::size_t i, std::span<const double>) {
         devices[i].agent->notify_external_parameter_update();
       });
-
-  if (metrics_ != nullptr) {
-    metrics_->counter("drl.rounds").add(1);
-    metrics_->counter("drl.messages_relayed").add(stats.relayed);
-    metrics_->counter("drl.contributions_accepted").add(stats.accepted);
-    metrics_->counter("drl.contributions_rejected").add(stats.rejected);
-    metrics_->counter("drl.params_averaged").add(stats.params_averaged);
-    obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
-    if (router_) {
-      obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
-    }
-    if (codec_) {
-      obs::record_codec_stats(*metrics_, "wire.drl", codec_->stats());
-    }
-  }
+  fold_metrics(1, stats, {});
 }
 
 void DrlFederation::begin_staged_rounds(std::vector<FederatedDevice>& devices) {
@@ -93,31 +95,10 @@ void DrlFederation::begin_staged_rounds(std::vector<FederatedDevice>& devices) {
         "DrlFederation: staged rounds need at least two agents");
   }
 
-  // Identical item construction to round(), hoisted out of the per-round
-  // path: parameter spans point into the live networks, which stay at
-  // fixed addresses for the whole session, so the items are built once.
-  std::vector<fl::ExchangeItem> items;
-  items.reserve(devices.size());
-  net::MessageKind kind = net::MessageKind::kDrlBaseParams;
-  for (const auto& dev : devices) {
-    nn::Mlp& net = dev.agent->network();
-    const std::size_t prefix = base_prefix_params(net, share_layers_);
-    if (share_layers_ >= net.num_layers()) {
-      kind = net::MessageKind::kDrlFullParams;  // FRL shares everything
-    }
-    const auto params = net.parameters();
-    items.push_back({.agent = dev.home,
-                     .device_type = dev.device_type,
-                     .send = params.subspan(0, prefix),
-                     .in_place = params});
-  }
-
-  fl::ParamExchange::Options options;
-  options.kind = kind;
-  options.metrics = metrics_;
-  options.group_size_histogram = "drl.agg_group_size";
-  options.policy = policy_;
-  staged_.emplace(bus_, std::move(options), std::move(items));
+  // Built once per session: parameter spans point into the live
+  // networks, which stay at fixed addresses for the whole session.
+  Exchange ex = make_exchange(devices);
+  staged_.emplace(bus_, std::move(ex.options), std::move(ex.items));
   staged_devices_ = &devices;
   staged_folded_ = {};
 }
@@ -136,26 +117,9 @@ void DrlFederation::apply_staged(std::size_t shard, std::uint64_t round_id) {
 
 void DrlFederation::fold_staged_metrics(std::uint64_t rounds) {
   if (!staged_.has_value()) return;
-  if (metrics_ != nullptr) {
-    const fl::ExchangeStats now = staged_->stats();
-    metrics_->counter("drl.rounds").add(rounds);
-    metrics_->counter("drl.messages_relayed")
-        .add(now.relayed - staged_folded_.relayed);
-    metrics_->counter("drl.contributions_accepted")
-        .add(now.accepted - staged_folded_.accepted);
-    metrics_->counter("drl.contributions_rejected")
-        .add(now.rejected - staged_folded_.rejected);
-    metrics_->counter("drl.params_averaged")
-        .add(now.params_averaged - staged_folded_.params_averaged);
-    staged_folded_ = now;
-    obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
-    if (router_) {
-      obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
-    }
-    if (codec_) {
-      obs::record_codec_stats(*metrics_, "wire.drl", codec_->stats());
-    }
-  }
+  const fl::ExchangeStats now = staged_->stats();
+  fold_metrics(rounds, now, staged_folded_);
+  staged_folded_ = now;
   staged_->record_metrics(rounds);
 }
 

@@ -44,17 +44,13 @@ class DrlFederation {
   /// cluster size, gossip fanout/seed); mesh/star/ring ignore it.
   /// `shards` > 1 attaches a net::ShardRouter: cross-shard plan messages
   /// are batched per shard pair per round and the drain/aggregate phases
-  /// run on the global pool (see docs/scaling.md). `wire_codec` attaches
-  /// the lossless delta/XOR wire codec to the plan-exchange bus;
-  /// `wire_quant` additionally enables lossy int8 quantization with
-  /// error feedback (docs/wire.md).
+  /// run on the global pool (see docs/scaling.md).
   DrlFederation(std::size_t num_homes, std::size_t share_layers,
                 net::TopologyKind topology, net::FaultPlan fault = {},
                 obs::MetricsRegistry* metrics = nullptr,
                 fl::ExchangePolicy policy = {},
                 net::TopologyOptions topology_options = {},
-                std::size_t shards = 0, bool wire_codec = false,
-                bool wire_quant = false);
+                std::size_t shards = 0);
 
   /// One federation round over all registered devices: broadcast each
   /// agent's shared slice, then average per device type at each home
@@ -94,17 +90,25 @@ class DrlFederation {
   [[nodiscard]] const net::ShardRouter* shard_router() const noexcept {
     return router_.get();
   }
-  /// Attached wire codec; nullptr unless wire_codec/wire_quant is set.
-  [[nodiscard]] net::WireCodec* wire_codec() const noexcept {
-    return codec_.get();
-  }
 
  private:
+  /// Exchange items for `devices` plus the engine options that ship them
+  /// — shared by round() and begin_staged_rounds().
+  struct Exchange {
+    std::vector<fl::ExchangeItem> items;
+    fl::ParamExchange::Options options;
+  };
+  [[nodiscard]] Exchange make_exchange(
+      const std::vector<FederatedDevice>& devices) const;
+  /// Fold the drl.* counters for `rounds` rounds (the exchange stats
+  /// `now` minus those already folded, `before`) and the bus and router
+  /// ledgers into the registry. No-op without one.
+  void fold_metrics(std::uint64_t rounds, const fl::ExchangeStats& now,
+                    const fl::ExchangeStats& before);
+
   std::size_t share_layers_;
-  /// Declared before bus_ — the bus holds non-owning router and codec
-  /// pointers.
+  /// Declared before bus_ — the bus holds a non-owning router pointer.
   std::unique_ptr<net::ShardRouter> router_;
-  std::unique_ptr<net::WireCodec> codec_;
   net::MessageBus bus_;
   obs::MetricsRegistry* metrics_;
   fl::ExchangePolicy policy_;

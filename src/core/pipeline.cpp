@@ -90,8 +90,6 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
     dc.robustness = cfg_.robustness;
     dc.metrics = &metrics();
     dc.shards = cfg_.shards;
-    dc.wire_codec = cfg_.wire_codec;
-    dc.wire_quant = cfg_.wire_quant;
     dc.topology = cfg_.topology;
     dc.topology_options = cfg_.topology_options;
     dfl_.emplace(traces_, dc);
@@ -150,7 +148,7 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
     }
     federation_.emplace(traces_.size(), share, topology, std::move(drl_fault),
                         &metrics(), cfg_.robustness, cfg_.topology_options,
-                        cfg_.shards, cfg_.wire_codec, cfg_.wire_quant);
+                        cfg_.shards);
   }
 }
 
@@ -636,26 +634,6 @@ void EmsPipeline::sync_runtime_metrics() const {
   if (federation_ && federation_->shard_router() != nullptr) {
     obs::record_shard_router_stats(reg, "bus.drl",
                                    federation_->shard_router()->stats());
-  }
-  // Combined wire.* rollup across both federation buses; the per-bus
-  // views live under wire.forecast / wire.drl.
-  if ((dfl_ && dfl_->wire_codec() != nullptr) ||
-      (federation_ && federation_->wire_codec() != nullptr)) {
-    net::CodecStats combined;
-    for (const net::WireCodec* codec :
-         {dfl_ ? dfl_->wire_codec() : nullptr,
-          federation_ ? federation_->wire_codec() : nullptr}) {
-      if (codec == nullptr) continue;
-      const net::CodecStats s = codec->stats();
-      combined.frames += s.frames;
-      combined.repeat_frames += s.repeat_frames;
-      combined.raw_escapes += s.raw_escapes;
-      combined.raw_bytes += s.raw_bytes;
-      combined.coded_bytes += s.coded_bytes;
-      combined.encode_ns += s.encode_ns;
-      combined.decode_ns += s.decode_ns;
-    }
-    obs::record_codec_stats(reg, "wire", combined);
   }
   obs::record_thread_pool_stats(reg, "pool",
                                 util::ThreadPool::global().stats());

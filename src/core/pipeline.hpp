@@ -104,16 +104,6 @@ struct PipelineConfig {
   /// stochastic fault plans, < 2 homes) silently use the BSP engine, so
   /// the default is safe for every method.
   SyncMode sync_mode = SyncMode::kPipeline;
-  /// Lossless delta/XOR wire codec on BOTH federation buses
-  /// (docs/wire.md): payload broadcasts are delta-coded against each
-  /// sender's previous round and bill the compressed frame size.
-  /// Received parameters stay bitwise identical — default off purely
-  /// because it is new, not because it changes results.
-  bool wire_codec = false;
-  /// Opt-in lossy int8 quantization with per-home error feedback
-  /// (implies wire_codec). Changes delivered parameter values (still
-  /// twin-run deterministic), so bitwise goldens exclude it.
-  bool wire_quant = false;
   /// Federation topology override for BOTH exchange paths; nullopt keeps
   /// the method defaults (DFL full mesh / FL+FRL star). The sparse kinds
   /// (kHierarchical, kGossip) cut broadcast cost to O(N·degree).

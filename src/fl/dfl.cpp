@@ -48,16 +48,11 @@ DflTrainer::DflTrainer(const std::vector<data::HouseholdTrace>& traces,
                   ? std::make_unique<net::ShardRouter>(
                         std::max<std::size_t>(1, traces.size()), cfg.shards)
                   : nullptr),
-      codec_(cfg.wire_codec || cfg.wire_quant
-                 ? std::make_unique<net::WireCodec>(
-                       net::CodecOptions{.quantize = cfg.wire_quant})
-                 : nullptr),
       bus_(net::Topology(cfg.topology.value_or(topology_for(cfg.aggregation)),
                          std::max<std::size_t>(1, traces.size()),
                          cfg.topology_options),
            seeded_fault(cfg.fault, cfg.seed)) {
   if (router_) bus_.set_shard_router(router_.get());
-  if (codec_) bus_.set_codec(codec_.get());
   if (traces_.empty()) throw std::invalid_argument("DflTrainer: no traces");
   if (cfg_.secure_aggregation &&
       (!cfg_.fault.reliable() || cfg_.robustness.degraded())) {
@@ -206,10 +201,6 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
     if (router_) {
       obs::record_shard_router_stats(*cfg_.metrics, "bus.forecast",
                                      router_->stats());
-    }
-    if (codec_) {
-      obs::record_codec_stats(*cfg_.metrics, "wire.forecast",
-                              codec_->stats());
     }
   }
 }

@@ -88,14 +88,6 @@ struct DflConfig {
   /// per pool worker and the flat exchange (bitwise identical results
   /// either way on a clean fault plan).
   std::size_t shards = 0;
-  /// Lossless delta/XOR wire codec for parameter broadcasts
-  /// (docs/wire.md): received params stay bitwise identical, only the
-  /// billed wire bytes shrink. Default off.
-  bool wire_codec = false;
-  /// Opt-in lossy int8 quantization with per-home error feedback on top
-  /// of the codec (implies wire_codec); changes delivered values, so it
-  /// is excluded from the bitwise goldens. Twin runs stay deterministic.
-  bool wire_quant = false;
 };
 
 /// One agent's per-device model set.
@@ -163,10 +155,6 @@ class DflTrainer {
   [[nodiscard]] std::uint64_t fused_fallbacks() const noexcept {
     return fused_fallbacks_;
   }
-  /// Attached wire codec; nullptr unless wire_codec/wire_quant is set.
-  [[nodiscard]] net::WireCodec* wire_codec() const noexcept {
-    return codec_.get();
-  }
 
  private:
   void broadcast_and_aggregate(std::uint64_t round_id);
@@ -174,10 +162,8 @@ class DflTrainer {
   const std::vector<data::HouseholdTrace>& traces_;
   DflConfig cfg_;
   std::vector<AgentModels> agents_;
-  /// Declared before bus_ — the bus holds non-owning router and codec
-  /// pointers.
+  /// Declared before bus_ — the bus holds a non-owning router pointer.
   std::unique_ptr<net::ShardRouter> router_;
-  std::unique_ptr<net::WireCodec> codec_;
   net::MessageBus bus_;
   std::uint64_t rounds_done_ = 0;
   std::uint64_t fused_fallbacks_ = 0;

@@ -216,9 +216,7 @@ struct Aggregation {
   // type and the same payload buffers in the same order — and each
   // distinct key is averaged once. Identical buffers in identical order
   // give identical bits, so a receiver sharing an average gets exactly
-  // what it would have computed alone. Keying on buffers rather than
-  // sender ids keeps that true when a receiver's own contribution is not
-  // the buffer its peers received (lossy wire quantization).
+  // what it would have computed alone.
   static bool key_less(const std::vector<std::span<const double>>& a,
                        const std::vector<std::span<const double>>& b) {
     return std::lexicographical_compare(
@@ -379,12 +377,6 @@ ExchangeStats ParamExchange::round(std::span<const ExchangeItem> items,
     if (is_crashed(item.agent)) {
       live[i] = 0;
       ++stats.crashed_items;
-      // A crashed residence's receivers hold stale delta mirrors (and
-      // its quant error accumulator died with the process) — drop its
-      // codec streams so the first post-restart broadcast is a keyframe.
-      if (net::WireCodec* codec = bus_.codec(); codec != nullptr) {
-        codec->reset_agent(item.agent);
-      }
       continue;
     }
     sent[i] = broadcast_item(bus_, options_, groups, item, round_id);
@@ -597,9 +589,6 @@ struct StagedExchange::Impl {
       if (options.policy.failures.crashed(item.agent, round_id)) {
         live[i] = 0;
         crashed_items.fetch_add(1, std::memory_order_relaxed);
-        if (net::WireCodec* codec = bus.codec(); codec != nullptr) {
-          codec->reset_agent(item.agent);
-        }
         continue;
       }
       live[i] = 1;

@@ -39,7 +39,6 @@ void MessageBus::enqueue(Inbox& inbox, Message msg,
 void MessageBus::deliver(AgentId to, Message msg) {
   if (to >= inboxes_.size()) throw std::out_of_range("bus: bad agent id");
   const std::size_t bytes = msg.wire_bytes();
-  const std::size_t logical = msg.logical_bytes();
   const LinkModel& link = fault_.link;
 
   // All fault decisions for this delivery come from the per-bus stream,
@@ -89,7 +88,7 @@ void MessageBus::deliver(AgentId to, Message msg) {
   std::lock_guard slock(stats_mutex_);
   stats_.messages_delivered += duplicated ? 2 : 1;
   stats_.bytes_on_wire += duplicated ? 2 * bytes : bytes;
-  stats_.logical_bytes += duplicated ? 2 * logical : logical;
+  stats_.logical_bytes += duplicated ? 2 * bytes : bytes;
   stats_.simulated_transfer_seconds += duplicated ? 2 * transfer : transfer;
   if (duplicated) ++stats_.messages_duplicated;
   if (extra_delay > 0.0) {
@@ -103,17 +102,14 @@ std::size_t MessageBus::broadcast(const Message& msg) {
     std::lock_guard slock(stats_mutex_);
     ++stats_.messages_sent;
   }
-  // Encode once per broadcast: every fan-out target shares the same
-  // refcounted payload handle and the same coded frame size.
-  Message coded = msg;
-  if (codec_ != nullptr) codec_->encode(coded);
+  // Every fan-out target shares the same refcounted payload handle.
   std::size_t links = 0;
-  topology_.for_each_neighbor(coded.sender, [&](AgentId to) {
+  topology_.for_each_neighbor(msg.sender, [&](AgentId to) {
     ++links;
-    if (router_ != nullptr && router_->cross_shard(coded.sender, to)) {
-      router_->enqueue(to, coded);  // parked until flush_shard_batches()
+    if (router_ != nullptr && router_->cross_shard(msg.sender, to)) {
+      router_->enqueue(to, msg);  // parked until flush_shard_batches()
     } else {
-      deliver(to, coded);
+      deliver(to, msg);
     }
   });
   return links;
@@ -137,10 +133,6 @@ void MessageBus::send(AgentId to, Message msg) {
     std::lock_guard slock(stats_mutex_);
     ++stats_.messages_sent;
   }
-  // Already-coded messages (hub relays of a received frame) keep their
-  // original frame size; fresh ones are encoded against the sender's
-  // stream — an exact retransmission collapses to a repeat frame.
-  if (codec_ != nullptr) codec_->encode(msg);
   deliver(to, std::move(msg));
 }
 

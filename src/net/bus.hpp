@@ -22,7 +22,6 @@
 #include <optional>
 #include <vector>
 
-#include "net/codec.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 #include "net/shard_router.hpp"
@@ -42,11 +41,12 @@ struct BusStats {
   std::uint64_t messages_duplicated = 0;
   /// Deliveries that received extra injected delay (delay_s/jitter_s).
   std::uint64_t messages_delayed = 0;
-  /// Bytes billed at the link layer — post-codec frame sizes when a
-  /// wire codec is attached, identical to logical_bytes otherwise.
+  /// Bytes billed at the link layer: Message::wire_bytes() (header plus
+  /// raw payload) per delivery.
   std::uint64_t bytes_on_wire = 0;
-  /// Pre-codec bytes of the same deliveries (header + raw payload).
-  /// bytes_on_wire / logical_bytes is the bus's achieved compression.
+  /// The same ledger under its older name; equal to bytes_on_wire by
+  /// construction. Kept because the end-to-end benchmark
+  /// (bench/e2e/workload.cpp) reads both fields.
   std::uint64_t logical_bytes = 0;
   /// Total simulated link-seconds consumed by transfers.
   double simulated_transfer_seconds = 0.0;
@@ -73,15 +73,6 @@ class MessageBus {
   /// router must outlive the bus or be detached first.
   void set_shard_router(ShardRouter* router) noexcept { router_ = router; }
   [[nodiscard]] ShardRouter* shard_router() const noexcept { return router_; }
-
-  /// Attach a wire codec (non-owning; nullptr detaches). With a codec
-  /// attached, broadcast()/send() encode the payload once against the
-  /// sender's stream before fan-out — every delivery (including parked
-  /// cross-shard batches and fault duplicates) then bills the coded
-  /// frame size instead of the raw payload. The codec must outlive the
-  /// bus or be detached first.
-  void set_codec(WireCodec* codec) noexcept { codec_ = codec; }
-  [[nodiscard]] WireCodec* codec() const noexcept { return codec_; }
 
   /// Drain the attached router's pair batches (pinned ascending
   /// (src shard, dst shard) order) into the inboxes, applying the same
@@ -146,7 +137,6 @@ class MessageBus {
   Topology topology_;
   FaultPlan fault_;
   ShardRouter* router_ = nullptr;
-  WireCodec* codec_ = nullptr;
   util::Rng fault_rng_;
   mutable std::mutex fault_mutex_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;

@@ -32,11 +32,6 @@ constexpr std::size_t kHeader = 25;
 }  // namespace
 
 std::size_t Message::wire_bytes() const noexcept {
-  return kHeader + (coded_bytes != 0 ? coded_bytes
-                                     : payload.size() * sizeof(double));
-}
-
-std::size_t Message::logical_bytes() const noexcept {
   return kHeader + payload.size() * sizeof(double);
 }
 

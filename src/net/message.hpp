@@ -83,19 +83,10 @@ struct Message {
   /// round deadline. Simulation metadata — not billed as wire bytes.
   double arrival_s = 0.0;
   Payload payload;
-  /// Frame size in bytes after the wire codec encoded the payload; 0
-  /// means uncoded (the payload ships as raw doubles). Stamped once by
-  /// net::WireCodec at broadcast/send time; copies (relays, duplicates,
-  /// shard-batch parking) keep the frame size of the original encode.
-  std::uint64_t coded_bytes = 0;
 
-  /// Serialized size in bytes on the simulated wire: header plus the
-  /// coded frame when a codec encoded this message, else the raw
-  /// payload. This is what links bill transfer time and bytes for.
+  /// Serialized size in bytes on the simulated wire: header plus the raw
+  /// fp64 payload. This is what links bill transfer time and bytes for.
   [[nodiscard]] std::size_t wire_bytes() const noexcept;
-  /// Pre-codec size: header plus the raw payload, regardless of coding
-  /// — the logical ledger the wire ledger is compared against.
-  [[nodiscard]] std::size_t logical_bytes() const noexcept;
 };
 
 }  // namespace pfdrl::net

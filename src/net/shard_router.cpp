@@ -73,7 +73,7 @@ std::size_t ShardRouter::drain_row(
   // Slab framing of one flushed pair batch: a real deployment ships the
   // whole batch as one transfer — a slab header (magic + shard pair +
   // round + message count), then per message a subheader (recipient,
-  // sender, kind, device_type, frame length) and the coded frame. The
+  // sender, kind, device_type, payload length) and the raw payload. The
   // 25-byte per-message wire header is amortized into the subheader.
   constexpr std::uint64_t kSlabHeader = 16;
   constexpr std::uint64_t kSlabSubheader = 17;
@@ -95,10 +95,8 @@ std::size_t ShardRouter::drain_row(
     wire += kSlabHeader;
     if (items.size() > max_depth) max_depth = items.size();
     for (auto& [to, msg] : items) {
-      bytes += msg.logical_bytes();
-      wire += kSlabSubheader +
-              (msg.coded_bytes != 0 ? msg.coded_bytes
-                                    : msg.payload.size() * sizeof(double));
+      bytes += msg.wire_bytes();
+      wire += kSlabSubheader + msg.payload.size() * sizeof(double);
       deliver(to, std::move(msg));
       ++handed_over;
     }

@@ -30,14 +30,14 @@ struct ShardRouterStats {
   std::uint64_t batches_flushed = 0;
   /// flush() calls (ticks with any router attached).
   std::uint64_t flushes = 0;
-  /// Logical (pre-codec) bytes carried inside flushed batches: the full
-  /// per-message header + raw payload, as if each message had been sent
-  /// individually and uncoded.
+  /// Bytes carried inside flushed batches under per-message framing:
+  /// Message::wire_bytes() (header + raw payload) each, as if every
+  /// message had been sent on its own.
   std::uint64_t batched_bytes = 0;
-  /// Post-codec bytes the cross-shard transfers actually pay: one slab
+  /// Bytes the cross-shard transfers pay under slab framing: one slab
   /// header per flushed pair batch plus, per message, a slab subheader
-  /// and the coded frame (raw payload when uncoded). Compare against
-  /// batched_bytes for the achieved cross-shard compression.
+  /// and the raw payload. Compare against batched_bytes for what
+  /// batching saves in framing.
   std::uint64_t batched_wire_bytes = 0;
   /// High-water message count of any single pair batch at flush time
   /// (per-shard queue depth).

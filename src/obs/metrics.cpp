@@ -408,7 +408,6 @@ void record_bus_stats(MetricsRegistry& registry, std::string_view prefix,
   registry.counter(p + ".messages_duplicated").set(stats.messages_duplicated);
   registry.counter(p + ".messages_delayed").set(stats.messages_delayed);
   registry.counter(p + ".bytes_on_wire").set(stats.bytes_on_wire);
-  registry.counter(p + ".logical_bytes").set(stats.logical_bytes);
   registry.gauge(p + ".simulated_transfer_seconds")
       .set(stats.simulated_transfer_seconds);
   registry.gauge(p + ".simulated_fault_delay_seconds")
@@ -428,19 +427,6 @@ void record_shard_router_stats(MetricsRegistry& registry,
       .set(static_cast<double>(stats.flushes));
   registry.gauge(p + ".shard_max_queue_depth")
       .set(static_cast<double>(stats.max_batch_depth));
-}
-
-void record_codec_stats(MetricsRegistry& registry, std::string_view prefix,
-                        const net::CodecStats& stats) {
-  const std::string p(prefix);
-  registry.counter(p + ".frames").set(stats.frames);
-  registry.counter(p + ".repeat_frames").set(stats.repeat_frames);
-  registry.counter(p + ".raw_escapes").set(stats.raw_escapes);
-  registry.counter(p + ".raw_bytes").set(stats.raw_bytes);
-  registry.counter(p + ".coded_bytes").set(stats.coded_bytes);
-  registry.counter(p + ".encode_ns").set(stats.encode_ns);
-  registry.counter(p + ".decode_ns").set(stats.decode_ns);
-  registry.gauge(p + ".ratio").set(stats.ratio());
 }
 
 void record_shard_timing(MetricsRegistry& registry, std::string_view prefix,

@@ -235,15 +235,6 @@ void record_shard_router_stats(MetricsRegistry& registry,
                                std::string_view prefix,
                                const net::ShardRouterStats& stats);
 
-/// Fold a wire codec's cumulative stats into `<prefix>.raw_bytes`,
-/// `.coded_bytes`, `.frames`, `.repeat_frames`, `.raw_escapes`,
-/// `.encode_ns`, `.decode_ns` counters and a `<prefix>.ratio` gauge
-/// (raw/coded — the achieved compression). Idempotent (set, not add) so
-/// it can run after every round. Prefix convention: `wire` for the
-/// combined pipeline ledger, `wire.forecast` / `wire.drl` per bus.
-void record_codec_stats(MetricsRegistry& registry, std::string_view prefix,
-                        const net::CodecStats& stats);
-
 /// Fold one sharded dispatch's per-shard wall-clock timings into a
 /// `<prefix>.imbalance` gauge (max/mean shard seconds — 1.0 is perfectly
 /// balanced) and a `<prefix>.seconds` histogram (one observation per

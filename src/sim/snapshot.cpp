@@ -18,19 +18,12 @@ namespace {
 
 /// Snapshot payload layout version, independent of the record-stream
 /// framing version (util::records::kVersion covers the framing; this
-/// covers what the payloads mean). Version 2 appended the shard identity
-/// (shard_index, shard_count) to the header; version 3 appended the
-/// logical-byte counter and the wire-codec delta streams to each bus
-/// state (docs/wire.md); version 4 appended the writing run's
-/// round-synchronization engine (core::SyncMode) to the header. Older
-/// files are still readable: version-1 deserializes as a whole-run
-/// snapshot ({0, 1}), pre-3 bus states read back with logical_bytes =
-/// bytes_on_wire (identical by definition when no codec ran) and empty
-/// codec state, and pre-4 headers read back as kBsp — provenance only
-/// either way, since the two engines are bitwise interchangeable.
-constexpr std::uint32_t kSnapshotVersion = 4;
+/// covers what the payloads mean). A snapshot resumes under the build
+/// that wrote it: the reader accepts exactly this version and rejects
+/// every other one (docs/persistence.md).
+constexpr std::uint32_t kSnapshotVersion = 5;
 
-// --- Little-endian payload codec --------------------------------------
+// --- Little-endian payload encoding -----------------------------------
 // All multi-byte fields are little-endian. The reader bounds-checks
 // every length prefix against the remaining bytes BEFORE allocating or
 // advancing, so hostile input ends in a clean throw, never an OOB read
@@ -159,19 +152,10 @@ void write_bus(ByteWriter& w, const BusSnapshot& bus) {
   w.u64(bus.stats.bytes_on_wire);
   w.f64(bus.stats.simulated_transfer_seconds);
   w.f64(bus.stats.simulated_fault_delay_seconds);
-  // Version-3 tail: logical bytes + wire-codec delta streams.
   w.u64(bus.stats.logical_bytes);
-  w.u64(bus.codec.size());
-  for (const net::CodecStreamSnapshot& s : bus.codec) {
-    w.u64(s.sender);
-    w.u8(s.kind);
-    w.u32(s.device_type);
-    w.f64_vec(s.prev);
-    w.f64_vec(s.err);
-  }
 }
 
-BusSnapshot read_bus(ByteReader& r, std::uint32_t version) {
+BusSnapshot read_bus(ByteReader& r) {
   BusSnapshot bus;
   bus.present = r.u8() != 0;
   bus.fault_rng = r.rng();
@@ -184,24 +168,7 @@ BusSnapshot read_bus(ByteReader& r, std::uint32_t version) {
   bus.stats.bytes_on_wire = r.u64();
   bus.stats.simulated_transfer_seconds = r.f64();
   bus.stats.simulated_fault_delay_seconds = r.f64();
-  if (version >= 3) {
-    bus.stats.logical_bytes = r.u64();
-    const std::uint64_t n_streams = r.u64();
-    bus.codec.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(n_streams, 1 << 20)));
-    for (std::uint64_t i = 0; i < n_streams; ++i) {
-      net::CodecStreamSnapshot s;
-      s.sender = r.u64();
-      s.kind = r.u8();
-      s.device_type = r.u32();
-      s.prev = r.f64_vec();
-      s.err = r.f64_vec();
-      bus.codec.push_back(std::move(s));
-    }
-  } else {
-    // Pre-codec files: every byte billed was a logical byte.
-    bus.stats.logical_bytes = bus.stats.bytes_on_wire;
-  }
+  bus.stats.logical_bytes = r.u64();
   return bus;
 }
 
@@ -330,18 +297,12 @@ RunSnapshot capture_run(const core::EmsPipeline& pipeline,
     snap.forecast_bus.present = true;
     snap.forecast_bus.fault_rng = dfl->bus().fault_rng_state();
     snap.forecast_bus.stats = dfl->bus().stats();
-    if (const net::WireCodec* codec = dfl->bus().codec()) {
-      snap.forecast_bus.codec = codec->capture_streams();
-    }
   }
 
   if (const core::DrlFederation* fed = pipeline.drl_federation()) {
     snap.drl_bus.present = true;
     snap.drl_bus.fault_rng = fed->bus().fault_rng_state();
     snap.drl_bus.stats = fed->bus().stats();
-    if (const net::WireCodec* codec = fed->bus().codec()) {
-      snap.drl_bus.codec = codec->capture_streams();
-    }
   }
 
   snap.metrics = pipeline.metrics().capture_state();
@@ -420,9 +381,6 @@ void restore_run(core::EmsPipeline& pipeline, const RunSnapshot& snap) {
     if (snap.forecast_bus.present) {
       dfl->bus().restore_fault_rng(snap.forecast_bus.fault_rng);
       dfl->bus().restore_stats(snap.forecast_bus.stats);
-      if (net::WireCodec* codec = dfl->bus().codec()) {
-        codec->restore_streams(snap.forecast_bus.codec);
-      }
     }
   }
 
@@ -430,9 +388,6 @@ void restore_run(core::EmsPipeline& pipeline, const RunSnapshot& snap) {
       fed && snap.drl_bus.present) {
     fed->bus().restore_fault_rng(snap.drl_bus.fault_rng);
     fed->bus().restore_stats(snap.drl_bus.stats);
-    if (net::WireCodec* codec = fed->bus().codec()) {
-      codec->restore_streams(snap.drl_bus.codec);
-    }
   }
 
   pipeline.metrics().restore_state(snap.metrics);
@@ -526,11 +481,9 @@ RunSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
   RunSnapshot snap;
   std::uint64_t n_agents = 0;
   std::uint64_t n_forecasters = 0;
-  std::uint32_t version = 0;
   {
     ByteReader r(next_record());
-    version = r.u32();
-    if (version < 1 || version > kSnapshotVersion) {
+    if (r.u32() != kSnapshotVersion) {
       throw std::runtime_error("snapshot: unsupported snapshot version");
     }
     snap.seed = r.u64();
@@ -544,14 +497,12 @@ RunSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
     snap.cloud_backend = r.u8() != 0;
     n_agents = r.u64();
     n_forecasters = r.u64();
-    if (version >= 2) {
-      snap.shard_index = r.u64();
-      snap.shard_count = r.u64();
-      if (snap.shard_count == 0 || snap.shard_index >= snap.shard_count) {
-        throw std::runtime_error("snapshot: invalid shard identity");
-      }
+    snap.shard_index = r.u64();
+    snap.shard_count = r.u64();
+    if (snap.shard_count == 0 || snap.shard_index >= snap.shard_count) {
+      throw std::runtime_error("snapshot: invalid shard identity");
     }
-    if (version >= 4) snap.sync_mode = r.u32();
+    snap.sync_mode = r.u32();
     r.expect_done();
   }
   {
@@ -575,8 +526,8 @@ RunSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
   }
   {
     ByteReader r(next_record());
-    snap.forecast_bus = read_bus(r, version);
-    snap.drl_bus = read_bus(r, version);
+    snap.forecast_bus = read_bus(r);
+    snap.drl_bus = read_bus(r);
     r.expect_done();
   }
   for (std::uint64_t i = 0; i < n_agents; ++i) {

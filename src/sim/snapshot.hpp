@@ -60,14 +60,6 @@ struct BusSnapshot {
   bool present = false;
   util::RngState fault_rng;
   net::BusStats stats;
-  /// Wire-codec delta state (per-sender previous-round params + lossy
-  /// error-feedback accumulators; docs/wire.md). Empty when the bus has
-  /// no codec attached or the file predates version 3. Restoring empty
-  /// state simply forces keyframes on the next round, so codec-off
-  /// snapshots resume into codec-on pipelines (and vice versa) cleanly;
-  /// restoring captured state keeps a codec-on crash-resume bitwise
-  /// identical in wire accounting too.
-  std::vector<net::CodecStreamSnapshot> codec;
 };
 
 struct RunSnapshot {
@@ -87,14 +79,13 @@ struct RunSnapshot {
   /// snapshots carry {0, 1}. Per-shard files written by a sharded
   /// SnapshotManager carry {k, S} and hold only shard k's agents and
   /// forecasters; the global state (buses, metrics, upload accounting)
-  /// rides shard 0. Version-1 files deserialize as {0, 1}.
+  /// rides shard 0.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
   /// Round-synchronization engine the writing run used (core::SyncMode).
   /// Provenance only — the pipelined and BSP engines are bitwise
   /// interchangeable, so restore never enforces a match; a bsp-written
-  /// file resumes under pipeline and vice versa. Pre-version-4 files
-  /// read back as kBsp (0).
+  /// file resumes under pipeline and vice versa.
   std::uint32_t sync_mode = 0;
   BusSnapshot forecast_bus;
   BusSnapshot drl_bus;
@@ -124,8 +115,9 @@ void restore_home(core::EmsPipeline& pipeline, const RunSnapshot& snapshot,
 /// Snapshot <-> versioned record stream (util/records.hpp).
 [[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
     const RunSnapshot& snapshot);
-/// Throws std::runtime_error on truncated, corrupt or mis-versioned
-/// input; never reads out of bounds.
+/// Throws std::runtime_error on truncated or corrupt input and on any
+/// payload version other than the current one; never reads out of
+/// bounds.
 [[nodiscard]] RunSnapshot deserialize_snapshot(
     std::span<const std::uint8_t> bytes);
 

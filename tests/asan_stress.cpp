@@ -13,7 +13,6 @@
 #include "fl/exchange.hpp"
 #include "fl/secure_agg.hpp"
 #include "net/bus.hpp"
-#include "net/codec.hpp"
 #include "net/topology.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -154,79 +153,6 @@ int main() {
         auto flipped = rec_bytes;
         flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
         fuzz_records(flipped);
-      }
-    }
-  }
-
-  // Phase 4: wire-codec hostile-input sweep. The frame decoder reads
-  // nibble-packed lengths from untrusted bytes; every truncation prefix,
-  // trailing-garbage suffix and single bit flip must end in a clean
-  // throw or a well-formed decode — never an out-of-bounds read. Also
-  // roundtrip random walks through the stateful encoder so the delta
-  // chain itself runs under the sanitizers.
-  {
-    std::vector<double> prev(96);
-    std::vector<double> vals(96);
-    for (std::size_t i = 0; i < prev.size(); ++i) {
-      prev[i] = 0.5 * static_cast<double>(i);
-      vals[i] = prev[i] + 1e-12;  // small delta -> packed frame
-    }
-    std::vector<std::uint8_t> frame;
-    net::WireCodec::encode_frame(vals, prev, frame);
-
-    const auto fuzz_frame = [&prev](std::span<const std::uint8_t> bytes) {
-      std::vector<double> out;
-      try {
-        net::WireCodec::decode_frame(bytes, prev, prev.size(), out);
-      } catch (const std::runtime_error&) {
-      }
-    };
-    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
-      fuzz_frame({frame.data(), cut});
-    }
-    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
-      for (int bit = 0; bit < 8; ++bit) {
-        auto flipped = frame;
-        flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-        fuzz_frame(flipped);
-      }
-    }
-    auto garbage = frame;
-    garbage.push_back(0xAB);
-    fuzz_frame(garbage);
-
-    // Stateful roundtrips: two codecs (lossless + quantized), many
-    // senders and rounds, random-walk payloads; encode() self-verifies
-    // each frame so a silent corruption aborts via std::logic_error.
-    for (const bool quant : {false, true}) {
-      net::WireCodec codec(net::CodecOptions{.quantize = quant});
-      std::uint64_t state = 0x9e3779b97f4a7c15ull;
-      std::vector<double> walk(64, 1.0);
-      for (int round = 0; round < 32; ++round) {
-        for (net::AgentId sender = 0; sender < 4; ++sender) {
-          for (auto& v : walk) {
-            state = state * 6364136223846793005ull + 1442695040888963407ull;
-            v += 1e-9 * static_cast<double>(static_cast<std::int64_t>(
-                            state >> 32) - (1ll << 31));
-          }
-          net::Message msg;
-          msg.sender = sender;
-          msg.kind = net::MessageKind::kForecastParams;
-          msg.payload = walk;
-          codec.encode(msg);
-          if (msg.coded_bytes == 0) {
-            std::fprintf(stderr, "FAIL: codec left frame unstamped\n");
-            return 1;
-          }
-          if (round == 16) codec.reset_agent(sender);  // force keyframes
-        }
-      }
-      const auto streams = codec.capture_streams();
-      net::WireCodec resumed(net::CodecOptions{.quantize = quant});
-      resumed.restore_streams(streams);
-      if (resumed.capture_streams().size() != streams.size()) {
-        std::fprintf(stderr, "FAIL: codec stream restore lost streams\n");
-        return 1;
       }
     }
   }

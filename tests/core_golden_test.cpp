@@ -51,7 +51,7 @@ struct SmallOutcome {
   std::vector<ems::EpisodeResult> results;
 };
 
-SmallOutcome run_small(std::size_t shards, bool wire_codec = false,
+SmallOutcome run_small(std::size_t shards,
                        core::SyncMode sync = core::SyncMode::kPipeline,
                        std::uint64_t* pipeline_rounds = nullptr) {
   sim::ScenarioConfig sc;
@@ -71,7 +71,6 @@ SmallOutcome run_small(std::size_t shards, bool wire_codec = false,
   cfg.alpha = 2;  // genuine base/personalization split (3 dense layers)
   cfg.gamma_hours = 6.0;
   cfg.shards = shards;
-  cfg.wire_codec = wire_codec;
   cfg.sync_mode = sync;
   obs::MetricsRegistry reg;
   cfg.metrics = &reg;
@@ -125,38 +124,24 @@ TEST(GoldenPfdrl, ShardedRunMatchesFlatGoldenBitwise) {
   expect_golden(run_small(2));
 }
 
-// The lossless wire codec must be invisible to every pinned constant:
-// received parameters are bitwise what the sender broadcast, and coded
-// frame sizes only feed the wire-byte ledger (which no golden quantity
-// reads under the no-deadline policy). Flat and sharded engines, codec
-// on — same goldens, unmodified.
-TEST(GoldenPfdrl, WireCodecOnMatchesGoldenBitwise) {
-  expect_golden(run_small(0, /*wire_codec=*/true));
-  expect_golden(run_small(2, /*wire_codec=*/true));
-}
-
 // The dependency-driven round pipeline (--sync-mode pipeline, the
 // default) must be bitwise indistinguishable from the barrier engine:
 // every shard consumes exactly the same per-round neighbor payload set
 // in the same pinned sort order, only *when* it runs changes. Both sync
-// modes, flat and sharded, codec off and on, all against the same pinned
-// constants — and the pipelined run must prove it actually pipelined
+// modes, flat and sharded, all against the same pinned constants — and
+// the pipelined run must prove it actually pipelined
 // (flat runs are ineligible and silently fall back to BSP, which is also
 // asserted).
 TEST(GoldenPfdrl, PipelineMatchesBspBitwise) {
-  expect_golden(run_small(2, false, core::SyncMode::kBsp));
-  expect_golden(run_small(2, true, core::SyncMode::kBsp));
+  expect_golden(run_small(2, core::SyncMode::kBsp));
 
   std::uint64_t rounds = 0;
-  expect_golden(run_small(2, false, core::SyncMode::kPipeline, &rounds));
+  expect_golden(run_small(2, core::SyncMode::kPipeline, &rounds));
   EXPECT_GT(rounds, 0u) << "pipelined engine never engaged";
-  rounds = 0;
-  expect_golden(run_small(2, true, core::SyncMode::kPipeline, &rounds));
-  EXPECT_GT(rounds, 0u) << "pipelined engine never engaged (codec on)";
 
   // Unsharded: nothing to overlap, the pipeline must decline.
   rounds = 1;
-  expect_golden(run_small(0, false, core::SyncMode::kPipeline, &rounds));
+  expect_golden(run_small(0, core::SyncMode::kPipeline, &rounds));
   EXPECT_EQ(rounds, 0u) << "flat run must fall back to the BSP engine";
 }
 

@@ -20,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
+#include "util/records.hpp"
 
 namespace pfdrl {
 namespace {
@@ -110,6 +113,10 @@ void expect_runs_equal(const sim::RunSnapshot& a, const sim::RunSnapshot& b) {
               b.forecast_bus.stats.messages_sent);
     EXPECT_EQ(a.forecast_bus.stats.messages_dropped,
               b.forecast_bus.stats.messages_dropped);
+    EXPECT_EQ(a.forecast_bus.stats.bytes_on_wire,
+              b.forecast_bus.stats.bytes_on_wire);
+    EXPECT_EQ(a.forecast_bus.stats.logical_bytes,
+              b.forecast_bus.stats.logical_bytes);
   }
   ASSERT_EQ(a.drl_bus.present, b.drl_bus.present);
   if (a.drl_bus.present) {
@@ -117,6 +124,8 @@ void expect_runs_equal(const sim::RunSnapshot& a, const sim::RunSnapshot& b) {
     EXPECT_EQ(a.drl_bus.stats.messages_sent, b.drl_bus.stats.messages_sent);
     EXPECT_EQ(a.drl_bus.stats.messages_dropped,
               b.drl_bus.stats.messages_dropped);
+    EXPECT_EQ(a.drl_bus.stats.bytes_on_wire, b.drl_bus.stats.bytes_on_wire);
+    EXPECT_EQ(a.drl_bus.stats.logical_bytes, b.drl_bus.stats.logical_bytes);
   }
   // Deterministic instruments only — wall-time series are excluded.
   for (const char* key :
@@ -221,93 +230,40 @@ TEST(SimSnapshot, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.metrics.series, snap.metrics.series);
 }
 
-// Codec-on crash-resume: with the wire codec enabled on both buses,
-// restoring mid-run must resume the per-sender delta chains, not just
-// the learning state. The proof is the wire-byte ledger: if restore
-// dropped codec state the first post-resume round would re-keyframe and
-// bytes_on_wire would diverge from the uninterrupted run.
-TEST(SimSnapshot, CodecOnCrashResumeBitwiseIncludingWireBytes) {
-  const auto traces = make_traces(42);
-
-  obs::MetricsRegistry reg_a;
-  auto cfg_a = make_config(reg_a);
-  cfg_a.wire_codec = true;
-  core::EmsPipeline a(traces, cfg_a);
-  a.train_forecasters(0, kDay);
-  a.train_ems(kDay, 2 * kDay);
-  const sim::RunSnapshot final_a = sim::capture_run(a);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pfdrl_codec_resume.pfrc")
-          .string();
-  {
-    obs::MetricsRegistry reg_b;
-    auto cfg_b = make_config(reg_b);
-    cfg_b.wire_codec = true;
-    core::EmsPipeline b(traces, cfg_b);
-    b.train_forecasters(0, kDay);
-    b.train_ems(kDay, kDay + 3 * kRoundMinutes);
-    const sim::RunSnapshot snap = sim::capture_run(b, kDay + 3 * kRoundMinutes);
-    // The snapshot actually carries codec stream state on both buses —
-    // otherwise this test would pass vacuously via forced keyframes.
-    EXPECT_FALSE(snap.forecast_bus.codec.empty());
-    EXPECT_FALSE(snap.drl_bus.codec.empty());
-    sim::save_snapshot(snap, path);
-  }
-
-  obs::MetricsRegistry reg_c;
-  auto cfg_c = make_config(reg_c);
-  cfg_c.wire_codec = true;
-  core::EmsPipeline c(traces, cfg_c);
-  sim::restore_run(c, sim::load_snapshot(path));
-  c.train_ems(kDay + 3 * kRoundMinutes, 2 * kDay);
-  const sim::RunSnapshot final_c = sim::capture_run(c);
-
-  expect_runs_equal(final_a, final_c);
-  // Wire accounting agrees exactly: resumed delta chains produced the
-  // same frame sizes as the uninterrupted run, and the codec actually
-  // compressed (wire < logical) so the equality is not trivial.
-  EXPECT_EQ(final_a.drl_bus.stats.bytes_on_wire,
-            final_c.drl_bus.stats.bytes_on_wire);
-  EXPECT_EQ(final_a.drl_bus.stats.logical_bytes,
-            final_c.drl_bus.stats.logical_bytes);
-  EXPECT_EQ(final_a.forecast_bus.stats.bytes_on_wire,
-            final_c.forecast_bus.stats.bytes_on_wire);
-  EXPECT_LT(final_a.drl_bus.stats.bytes_on_wire,
-            final_a.drl_bus.stats.logical_bytes);
-  std::remove(path.c_str());
-}
-
-// Codec stream state round-trips through serialize/deserialize bitwise:
-// every (sender, kind, device_type) key and the full prev/err vectors.
-TEST(SimSnapshot, CodecStateSerializesBitwise) {
+// A snapshot resumes under the build that wrote it: the reader accepts
+// exactly the current payload version. Re-framing a valid snapshot's
+// records unchanged must still load; the same records with record 0's
+// leading version word patched to an older version must be refused.
+TEST(SimSnapshot, RejectsEveryOtherPayloadVersion) {
   const auto traces = make_traces(7);
   obs::MetricsRegistry reg;
-  auto cfg = make_config(reg, 7);
-  cfg.wire_codec = true;
-  core::EmsPipeline p(traces, cfg);
+  core::EmsPipeline p(traces, make_config(reg, 7));
   p.train_forecasters(0, kDay);
-  p.train_ems(kDay, kDay + 2 * kRoundMinutes);
+  const auto bytes = sim::serialize_snapshot(sim::capture_run(p));
 
-  const sim::RunSnapshot snap = sim::capture_run(p, kDay + 2 * kRoundMinutes);
-  ASSERT_FALSE(snap.drl_bus.codec.empty());
-  const auto bytes = sim::serialize_snapshot(snap);
-  const sim::RunSnapshot back = sim::deserialize_snapshot(bytes);
-
-  for (const auto* pair :
-       {&snap.forecast_bus, &snap.drl_bus}) {
-    const auto& restored =
-        (pair == &snap.forecast_bus) ? back.forecast_bus : back.drl_bus;
-    ASSERT_EQ(restored.codec.size(), pair->codec.size());
-    for (std::size_t i = 0; i < pair->codec.size(); ++i) {
-      const auto& s = pair->codec[i];
-      const auto& r = restored.codec[i];
-      EXPECT_EQ(r.sender, s.sender);
-      EXPECT_EQ(r.kind, s.kind);
-      EXPECT_EQ(r.device_type, s.device_type);
-      EXPECT_EQ(r.prev, s.prev);  // bitwise: == on identical doubles
-      EXPECT_EQ(r.err, s.err);
+  const auto with_version = [&](std::optional<std::uint32_t> version) {
+    util::RecordReader reader(bytes);
+    util::RecordWriter writer;
+    bool header = true;
+    while (const auto rec = reader.next()) {
+      std::vector<std::uint8_t> payload(rec->begin(), rec->end());
+      if (header && version) {
+        for (int i = 0; i < 4; ++i) {
+          payload[i] = static_cast<std::uint8_t>(*version >> (8 * i));
+        }
+      }
+      header = false;
+      writer.append(payload);
     }
+    return writer.bytes();
+  };
+
+  ASSERT_EQ(with_version(std::nullopt), bytes);
+  EXPECT_NO_THROW((void)sim::deserialize_snapshot(with_version(std::nullopt)));
+  for (const std::uint32_t old : {4u, 1u}) {
+    EXPECT_THROW((void)sim::deserialize_snapshot(with_version(old)),
+                 std::runtime_error)
+        << "version " << old;
   }
 }
 
@@ -562,7 +518,7 @@ TEST(SimShardSnapshot, SplitAndMergeValidateInputs) {
   EXPECT_THROW((void)sim::merge_shards(skewed), std::invalid_argument);
 }
 
-// A version-2 stream round-trips the shard identity; hostile shard
+// A serialized stream round-trips the shard identity; hostile shard
 // identities are rejected at deserialize time.
 TEST(SimShardSnapshot, SerializedShardIdentityRoundTripsAndValidates) {
   const auto traces = make_traces(7);

@@ -1,5 +1,5 @@
 # Smoke test for the perf-baseline benchmarks (ctest job `bench_smoke`,
-# label `stress`). Runs both baseline emitters with minimal iteration
+# label `stress`). Runs the baseline emitters with minimal iteration
 # budgets into a scratch directory and checks that the JSON they produce
 # parses and carries the expected keys — so a flag rename or a broken
 # writer fails CI instead of silently producing an unusable baseline.
@@ -8,20 +8,18 @@
 # writing periodic snapshots, then a second run resuming from the file —
 # the two runs' evaluation lines must agree exactly.
 #
-# Expected -D inputs: MICRO_KERNELS, EMS_THROUGHPUT, DFL_THROUGHPUT,
-# SCALE_SWEEP, PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
+# Expected -D inputs: MICRO_KERNELS, DFL_THROUGHPUT, SCALE_SWEEP,
+# PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
 
-if(NOT DEFINED MICRO_KERNELS OR NOT DEFINED EMS_THROUGHPUT
-   OR NOT DEFINED DFL_THROUGHPUT OR NOT DEFINED SCALE_SWEEP
-   OR NOT DEFINED WIRE_THROUGHPUT
+if(NOT DEFINED MICRO_KERNELS OR NOT DEFINED DFL_THROUGHPUT
+   OR NOT DEFINED SCALE_SWEEP
    OR NOT DEFINED PFDRL_CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
-    "bench_smoke: MICRO_KERNELS, EMS_THROUGHPUT, DFL_THROUGHPUT, SCALE_SWEEP, WIRE_THROUGHPUT, PFDRL_CLI and WORK_DIR must be set")
+    "bench_smoke: MICRO_KERNELS, DFL_THROUGHPUT, SCALE_SWEEP, PFDRL_CLI and WORK_DIR must be set")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(kernels_json "${WORK_DIR}/BENCH_kernels.json")
-set(pipeline_json "${WORK_DIR}/BENCH_pipeline.json")
 set(dfl_json "${WORK_DIR}/BENCH_dfl.json")
 
 # --- micro_kernels: google-benchmark JSON emitter, minimal time budget,
@@ -37,16 +35,6 @@ execute_process(
   ERROR_VARIABLE kernels_err)
 if(NOT kernels_rc EQUAL 0)
   message(FATAL_ERROR "micro_kernels failed (${kernels_rc}):\n${kernels_out}\n${kernels_err}")
-endif()
-
-# --- ems_throughput: tiny scenario, hand-rolled JSON writer.
-execute_process(
-  COMMAND "${EMS_THROUGHPUT}" --homes 2 --minutes 60 --out "${pipeline_json}"
-  RESULT_VARIABLE pipeline_rc
-  OUTPUT_VARIABLE pipeline_out
-  ERROR_VARIABLE pipeline_err)
-if(NOT pipeline_rc EQUAL 0)
-  message(FATAL_ERROR "ems_throughput failed (${pipeline_rc}):\n${pipeline_out}\n${pipeline_err}")
 endif()
 
 # --- dfl_throughput: one tiny federated round per recurrent method. The
@@ -82,20 +70,6 @@ if(NOT scale_rc EQUAL 0)
   message(FATAL_ERROR "scale_sweep failed (${scale_rc}):\n${scale_out}\n${scale_err}")
 endif()
 
-# --- wire_throughput: the codec frame layer over real parameter shapes,
-# small rep budget. The emitter's twin sweep is the codec determinism
-# check; the LSTM converged-round ratio is asserted below against the
-# >= 2x floor docs/wire.md documents for the committed baseline.
-set(wire_json "${WORK_DIR}/BENCH_wire.json")
-execute_process(
-  COMMAND "${WIRE_THROUGHPUT}" --rounds 12 --reps 4 --out "${wire_json}"
-  RESULT_VARIABLE wire_rc
-  OUTPUT_VARIABLE wire_out
-  ERROR_VARIABLE wire_err)
-if(NOT wire_rc EQUAL 0)
-  message(FATAL_ERROR "wire_throughput failed (${wire_rc}):\n${wire_out}\n${wire_err}")
-endif()
-
 # --- validate the emitted JSON. string(JSON) needs CMake >= 3.19; on
 # older CMake fall back to substring checks of the required keys.
 function(check_keys path)
@@ -118,36 +92,11 @@ function(check_keys path)
 endfunction()
 
 check_keys("${kernels_json}" context benchmarks)
-check_keys("${pipeline_json}" bench decisions workspace_decisions_per_sec
-  legacy_decisions_per_sec speedup steady_state_workspace_allocs
-  nn_workspace_allocs nn_scratch_bytes)
 check_keys("${dfl_json}" bench lstm_windows lstm_windows_per_sec
   gru_windows gru_windows_per_sec deterministic fused_bitwise_match
   fused_points pool_hash_consistent pool_sweep)
 check_keys("${scale_json}" bench topology params rounds deterministic
   hash_consistent points speedups)
-check_keys("${wire_json}" bench rounds reps deterministic shapes)
-
-# Twin codec sweeps must agree frame-for-frame, and the LSTM shape's
-# converged-round compression must hold the documented >= 2x floor —
-# a packing regression that still round-trips would otherwise pass.
-file(READ "${wire_json}" doc)
-if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
-  string(JSON wire_det GET "${doc}" deterministic)
-  if(NOT wire_det STREQUAL "ON" AND NOT wire_det STREQUAL "true")
-    message(FATAL_ERROR "wire_throughput: twin sweeps diverged (deterministic = ${wire_det})")
-  endif()
-  string(JSON shape0 GET "${doc}" shapes 0)
-  string(JSON shape0_name GET "${shape0}" shape)
-  if(NOT shape0_name STREQUAL "lstm")
-    message(FATAL_ERROR "wire_throughput: expected shapes[0] = lstm, got ${shape0_name}")
-  endif()
-  string(JSON lstm_ratio GET "${shape0}" converged_ratio)
-  if(lstm_ratio LESS 2.0)
-    message(FATAL_ERROR "wire_throughput: lstm converged_ratio ${lstm_ratio} below the 2x floor")
-  endif()
-  message(STATUS "${wire_json}: lstm converged_ratio = ${lstm_ratio}")
-endif()
 
 # Twin sharded engine runs must agree bitwise (the scaling determinism
 # contract from docs/scaling.md, re-checked end-to-end).
@@ -186,17 +135,7 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   endif()
 endif()
 
-# The act path must stay allocation-free in the steady state — the same
-# invariant the unit test pins, re-checked here end-to-end.
-file(READ "${pipeline_json}" doc)
-if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
-  string(JSON steady GET "${doc}" steady_state_workspace_allocs)
-  if(NOT steady EQUAL 0)
-    message(FATAL_ERROR "ems_throughput: steady-state arena allocations = ${steady}, expected 0")
-  endif()
-endif()
-
-message(STATUS "bench_smoke: both baseline emitters produced valid JSON")
+message(STATUS "bench_smoke: the baseline emitters produced valid JSON")
 
 # --- pfdrl_cli snapshot/resume: write a snapshot every round, then
 # resume from the file with matching flags. The snapshot cadence covers
