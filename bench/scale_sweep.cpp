@@ -1,37 +1,34 @@
-// City-scale federation engine sweep — the perf baseline for the sharded
-// engine and its two round-synchronization disciplines (docs/scaling.md).
+// City-scale federation engine sweep — the perf baseline for the round
+// engine (docs/scaling.md).
 //
 // The full EMS pipeline cannot run 100k homes on a laptop (the DQN +
 // forecaster state alone would swamp RAM), but the *engine* — sharded
-// local steps, topology broadcast, cross-shard batch routing, parallel
+// local steps, topology broadcast, cross-shard batch routing, per-shard
 // drain/aggregate — can, and that is what this bench measures. Each
 // point spins up N synthetic agents with P-double parameter slices and
-// runs R federation rounds twice over:
+// runs R federation rounds on the round engine: fl::StagedExchange
+// double buffers driven by fl::RoundPipeline readiness counters, so
+// per-shard compute overlaps neighbor exchange (stall/overlap seconds
+// are reported from fl::PipelineStats).
 //
-//  * mode "bsp": the bulk-synchronous reference — util::sharded_for
-//    local step, then one fl::ParamExchange barrier round per round;
-//  * mode "pipeline": the dependency-driven engine — fl::StagedExchange
-//    double buffers driven by core::RoundPipeline readiness counters,
-//    per-shard compute overlapping neighbor exchange (stall/overlap
-//    seconds are reported from core::PipelineStats).
-//
-// Homes are cost-weighted (device count ramps 1..4 across the city) and
-// the shard plan is sim::ShardPlan::make_weighted by default, so
-// per-shard cost is balanced; --uniform-shards switches back to the
-// equal-count plan to measure the imbalance the weighting removes.
+// Homes are cost-weighted (device count ramps 1..4 across the city) on
+// the uniform equal-count shard plan; `cost_imbalance` reports the
+// per-shard weight skew that ramp produces.
 //
 // The pool-worker sweep re-executes this binary once per requested
 // worker count with PFDRL_POOL_WORKERS set (the pool is sized once per
 // process), collecting each child's point lines into one JSON. Twin
-// identically seeded runs per point must agree bitwise, and the final
-// parameter hash must be identical across every (mode, pool_workers)
-// combination per agent count — the engine determinism contract.
+// identically seeded runs per point must agree bitwise
+// (`deterministic`), and the final parameter hash must be identical
+// across every pool_workers count per agent count (`hash_consistent`) —
+// the engine determinism contract.
 //
 // Writes a JSON summary (default BENCH_scale.json in the CWD; the
 // committed baseline at the repo root is produced by the default flags).
 // Flags: --agents CSV, --rounds R, --params P, --shards S,
-// --pool-workers CSV, --topology NAME, --fanout N, --uniform-shards,
-// --out PATH (and --emit PATH, the internal child mode).
+// --pool-workers CSV, --topology NAME, --fanout N, --out PATH (and
+// --emit PATH, the internal child mode).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -41,8 +38,8 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/sharded_runner.hpp"
 #include "fl/exchange.hpp"
+#include "fl/round_pipeline.hpp"
 #include "net/bus.hpp"
 #include "net/shard_router.hpp"
 #include "net/topology.hpp"
@@ -63,13 +60,11 @@ struct SweepConfig {
   net::TopologyKind topology = net::TopologyKind::kHierarchical;
   std::size_t fanout = 4;
   std::uint64_t seed = 42;
-  bool weighted_shards = true;
 };
 
 struct PointResult {
   std::size_t agents = 0;
   std::size_t shards = 0;
-  core::SyncMode mode = core::SyncMode::kBsp;
   double seconds = 0.0;
   double agent_rounds_per_sec = 0.0;
   std::uint64_t links_per_round = 0;
@@ -77,7 +72,7 @@ struct PointResult {
   double imbalance = 1.0;
   /// max/mean of per-shard device weight under the plan (deterministic).
   double cost_imbalance = 1.0;
-  core::PipelineStats pipeline;  // zeroed for bsp points
+  fl::PipelineStats pipeline;
   net::ShardRouterStats router;
   std::uint64_t logical_bytes = 0;  ///< bus bytes: header + raw payload
   std::uint64_t hash = 0;
@@ -93,8 +88,8 @@ std::vector<std::size_t> home_weights(std::size_t agents) {
   return weights;
 }
 
-/// Everything one engine run needs, bundled so the bsp and pipeline
-/// paths construct byte-identical inputs.
+/// Everything one engine run needs, bundled so twin runs construct
+/// byte-identical inputs.
 struct EngineSetup {
   sim::ShardPlan plan;
   std::vector<std::size_t> weights;
@@ -113,9 +108,7 @@ struct EngineSetup {
                               .fanout = cfg.fanout,
                               .gossip_seed = cfg.seed}),
             {}),
-        router(plan.weighted()
-                   ? std::make_unique<net::ShardRouter>(agents, plan.boundaries)
-                   : std::make_unique<net::ShardRouter>(agents, plan.shards)),
+        router(std::make_unique<net::ShardRouter>(agents, plan.shards)),
         params(agents * cfg.params),
         items(agents) {
     if (plan.sharded()) bus.set_shard_router(router.get());
@@ -141,7 +134,7 @@ struct EngineSetup {
   /// Local step for agent `a` at round `r`: a pure per-agent function of
   /// (seed, round, agent), repeated once per device the home owns so
   /// step cost is proportional to the home's weight. Schedule-independent
-  /// by construction, like the pipeline's forked per-job RNGs.
+  /// by construction, like the engine's forked per-job RNGs.
   void local_step(const SweepConfig& cfg, std::size_t a, std::size_t r) {
     const std::size_t P = cfg.params;
     for (std::size_t dev = 0; dev < weights[a]; ++dev) {
@@ -168,86 +161,68 @@ struct EngineSetup {
       links += bus.topology().broadcast_links(static_cast<net::AgentId>(a));
     }
     out->links_per_round = links;
-    out->cost_imbalance = plan.weight_imbalance(weights);
+    // max/mean of per-shard total device weight under the plan.
+    double total = 0.0;
+    double heaviest = 0.0;
+    for (std::size_t s = 0; s < plan.shards; ++s) {
+      const auto [first, last] = plan.shard_range(s);
+      double sum = 0.0;
+      for (std::size_t a = first; a < last; ++a) sum += weights[a];
+      total += sum;
+      heaviest = std::max(heaviest, sum);
+    }
+    out->cost_imbalance =
+        total > 0.0 ? heaviest * static_cast<double>(plan.shards) / total
+                    : 1.0;
     out->router = router->stats();
     out->logical_bytes = bus.stats().logical_bytes;
   }
 };
 
-/// Bulk-synchronous engine: sharded_for local step, then one
-/// ParamExchange barrier round — the reference the pipeline must match
-/// bitwise.
-std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
-                      const sim::ShardPlan& plan,
-                      const std::vector<std::size_t>& weights,
-                      PointResult* out) {
-  EngineSetup setup(agents, cfg, plan, weights);
-
-  fl::ParamExchange::Options opts;
-  opts.kind = net::MessageKind::kForecastParams;
-  opts.min_group = 2;
-  opts.parallel = setup.plan.sharded();
-  fl::ParamExchange exchange(setup.bus, opts);
-
-  util::Stopwatch watch;
-  double imbalance_sum = 0.0;
-  for (std::size_t r = 0; r < cfg.rounds; ++r) {
-    const util::ShardTiming timing = util::sharded_for(
-        util::ThreadPool::global(), agents, setup.plan.shards,
-        [&](std::size_t a) { return setup.plan.shard_of(a); },
-        [&](std::size_t a) { setup.local_step(cfg, a, r); });
-    imbalance_sum += timing.max_over_mean();
-    exchange.round(setup.items, r, [](std::size_t, std::span<const double>) {});
-  }
-  const double seconds = watch.elapsed_seconds();
-
-  if (out != nullptr) {
-    setup.fill_common(cfg, seconds, out);
-    out->mode = core::SyncMode::kBsp;
-    out->imbalance =
-        cfg.rounds > 0 ? imbalance_sum / static_cast<double>(cfg.rounds) : 1.0;
-  }
-  return bench::fnv1a_params(setup.params);
-}
-
-/// Pipelined engine: the same rounds driven by StagedExchange double
-/// buffers under RoundPipeline readiness counters — no per-phase
-/// barriers, shard compute overlapping neighbor exchange.
-std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
-                           const sim::ShardPlan& plan,
-                           const std::vector<std::size_t>& weights,
-                           PointResult* out) {
-  EngineSetup setup(agents, cfg, plan, weights);
+/// The round engine: StagedExchange double buffers under RoundPipeline
+/// readiness counters — no per-phase barriers, shard compute overlapping
+/// neighbor exchange.
+std::uint64_t run_engine(std::size_t agents, const SweepConfig& cfg,
+                         PointResult* out) {
+  EngineSetup setup(agents, cfg, sim::ShardPlan::make(agents, cfg.shards),
+                    home_weights(agents));
+  const std::size_t shards = setup.plan.shards;
 
   fl::ParamExchange::Options opts;
   opts.kind = net::MessageKind::kForecastParams;
   opts.min_group = 2;
   fl::StagedExchange staged(setup.bus, opts, setup.items);
-  if (staged.num_shards() != setup.plan.shards) {
+  if (staged.num_shards() != shards) {
     std::fprintf(stderr, "FATAL: staged exchange shard count mismatch\n");
     std::exit(1);
   }
 
-  core::RoundPipeline pipe(core::shard_broadcast_graph(
-      setup.bus.topology(),
-      [&](net::AgentId a) { return setup.router->shard_of(a); },
-      setup.plan.shards));
+  fl::RoundPipeline pipe(fl::shard_broadcast_graph(
+      setup.bus.topology(), setup.plan.sharded() ? setup.router.get() : nullptr));
 
   // Per-shard compute seconds: compute(s, ·) is serialized per shard by
   // the scheduler, so each slot has a single writer.
-  std::vector<double> shard_seconds(setup.plan.shards, 0.0);
-  core::RoundPipeline::Ops ops;
+  std::vector<double> shard_seconds(shards, 0.0);
+  fl::RoundPipeline::Ops ops;
   ops.compute = [&](std::size_t s, std::uint64_t r) {
     util::Stopwatch w;
     const auto [first, last] = setup.plan.shard_range(s);
-    for (std::size_t a = first; a < last; ++a) {
+    const auto step = [&](std::size_t a) {
       setup.local_step(cfg, a, static_cast<std::size_t>(r));
+    };
+    if (shards == 1) {
+      util::ThreadPool::global().parallel_for(first, last, step);
+    } else {
+      for (std::size_t a = first; a < last; ++a) step(a);
     }
     shard_seconds[s] += w.elapsed_seconds();
   };
   ops.publish = [&](std::size_t s, std::uint64_t r) {
     staged.publish_shard(s, r);
   };
+  if (staged.has_hub()) {
+    ops.hub = [&](std::uint64_t r) { staged.hub_step(r); };
+  }
   ops.apply = [&](std::size_t s, std::uint64_t r) {
     staged.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
   };
@@ -258,31 +233,17 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
 
   if (out != nullptr) {
     setup.fill_common(cfg, seconds, out);
-    out->mode = core::SyncMode::kPipeline;
     out->pipeline = pipe.stats();
-    double max_s = 0.0;
-    double sum_s = 0.0;
-    for (const double s : shard_seconds) {
-      max_s = std::max(max_s, s);
-      sum_s += s;
-    }
-    const double mean =
-        sum_s > 0.0 ? sum_s / static_cast<double>(shard_seconds.size()) : 0.0;
-    out->imbalance = mean > 0.0 ? max_s / mean : 1.0;
+    util::ShardTiming timing{shard_seconds};
+    out->imbalance = shards > 1 ? timing.max_over_mean() : 1.0;
   }
   return bench::fnv1a_params(setup.params);
 }
 
-PointResult run_point(std::size_t agents, const SweepConfig& cfg,
-                      core::SyncMode mode) {
-  const std::vector<std::size_t> weights = home_weights(agents);
-  const sim::ShardPlan plan =
-      cfg.weighted_shards ? sim::ShardPlan::make_weighted(weights, cfg.shards)
-                          : sim::ShardPlan::make(agents, cfg.shards);
-  const auto run = mode == core::SyncMode::kPipeline ? run_pipeline : run_bsp;
+PointResult run_point(std::size_t agents, const SweepConfig& cfg) {
   PointResult result;
-  const std::uint64_t first = run(agents, cfg, plan, weights, &result);
-  const std::uint64_t twin = run(agents, cfg, plan, weights, nullptr);
+  const std::uint64_t first = run_engine(agents, cfg, &result);
+  const std::uint64_t twin = run_engine(agents, cfg, nullptr);
   result.hash = first;
   result.deterministic = first == twin;
   return result;
@@ -291,7 +252,7 @@ PointResult run_point(std::size_t agents, const SweepConfig& cfg,
 void print_point_json(std::FILE* f, const PointResult& p, bool last) {
   std::fprintf(
       f,
-      "    {\"agents\": %zu, \"shards\": %zu, \"mode\": \"%s\", "
+      "    {\"agents\": %zu, \"shards\": %zu, "
       "\"pool_workers\": %zu, "
       "\"seconds\": %.6f, \"agent_rounds_per_sec\": %.1f, "
       "\"links_per_round\": %" PRIu64 ", "
@@ -308,8 +269,7 @@ void print_point_json(std::FILE* f, const PointResult& p, bool last) {
       "\"overlap_seconds\": %.6f, "
       "\"deterministic\": %s, "
       "\"param_hash\": \"%016" PRIx64 "\"}%s\n",
-      p.agents, p.shards, core::sync_mode_name(p.mode),
-      util::ThreadPool::global().size(), p.seconds, p.agent_rounds_per_sec,
+      p.agents, p.shards, util::ThreadPool::global().size(), p.seconds, p.agent_rounds_per_sec,
       p.links_per_round, p.router.messages_batched, p.router.batched_bytes,
       p.router.batched_wire_bytes, p.router.batches_flushed,
       p.router.max_batch_depth, p.logical_bytes, p.imbalance,
@@ -338,7 +298,6 @@ std::vector<std::size_t> parse_csv_sizes(const char* s) {
 struct ParsedPoint {
   std::size_t agents = 0;
   std::size_t pool_workers = 0;
-  std::string mode;
   double rate = 0.0;
   double stall = 0.0;
   double overlap = 0.0;
@@ -362,11 +321,8 @@ bool parse_point_line(const std::string& line, ParsedPoint* out) {
   }
   out->agents = static_cast<std::size_t>(agents);
   out->pool_workers = static_cast<std::size_t>(workers);
-  const char* mode = std::strstr(line.c_str(), "\"mode\": \"");
   const char* hash = std::strstr(line.c_str(), "\"param_hash\": \"");
-  if (mode == nullptr || hash == nullptr) return false;
-  mode += std::strlen("\"mode\": \"");
-  out->mode.assign(mode, std::strcspn(mode, "\""));
+  if (hash == nullptr) return false;
   hash += std::strlen("\"param_hash\": \"");
   out->hash.assign(hash, std::strcspn(hash, "\""));
   out->deterministic =
@@ -374,8 +330,8 @@ bool parse_point_line(const std::string& line, ParsedPoint* out) {
   return true;
 }
 
-/// Child mode: run every (agents, mode) point at this process's pool
-/// size and append the JSON point lines to `emit_path`.
+/// Child mode: run every agent-count point at this process's pool size
+/// and append the JSON point lines to `emit_path`.
 int run_child(const std::vector<std::size_t>& agent_counts,
               const SweepConfig& cfg, const std::string& emit_path) {
   std::FILE* f = std::fopen(emit_path.c_str(), "w");
@@ -384,14 +340,10 @@ int run_child(const std::vector<std::size_t>& agent_counts,
     return 1;
   }
   bool all_deterministic = true;
-  for (std::size_t i = 0; i < agent_counts.size(); ++i) {
-    for (const core::SyncMode mode :
-         {core::SyncMode::kBsp, core::SyncMode::kPipeline}) {
-      if (mode == core::SyncMode::kPipeline && cfg.shards <= 1) continue;
-      const PointResult p = run_point(agent_counts[i], cfg, mode);
-      all_deterministic = all_deterministic && p.deterministic;
-      print_point_json(f, p, /*last=*/false);
-    }
+  for (const std::size_t agents : agent_counts) {
+    const PointResult p = run_point(agents, cfg);
+    all_deterministic = all_deterministic && p.deterministic;
+    print_point_json(f, p, /*last=*/false);
   }
   std::fclose(f);
   if (!all_deterministic) {
@@ -431,8 +383,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.topology = *kind;
-    } else if (std::strcmp(argv[i], "--uniform-shards") == 0) {
-      cfg.weighted_shards = false;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--emit") == 0 && i + 1 < argc) {
@@ -441,7 +391,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--agents CSV] [--rounds R] [--params P] "
                    "[--shards S] [--pool-workers CSV] [--topology NAME] "
-                   "[--fanout N] [--uniform-shards] [--out P]\n",
+                   "[--fanout N] [--out P]\n",
                    argv[0]);
       return 2;
     }
@@ -456,12 +406,12 @@ int main(int argc, char** argv) {
   }
 
   bench::print_figure_header(
-      "Sharded federation engine scale sweep (perf baseline)",
+      "Round engine scale sweep (perf baseline)",
       "city-scale DFL needs O(N*degree) broadcast and bounded threads — "
-      "the pipelined engine retires the per-phase barriers on top");
-  std::printf("topology=%s params=%zu rounds=%zu shards=%zu plan=%s\n\n",
+      "the round engine runs it without per-phase barriers");
+  std::printf("topology=%s params=%zu rounds=%zu shards=%zu\n\n",
               net::topology_name(cfg.topology), cfg.params, cfg.rounds,
-              cfg.shards, cfg.weighted_shards ? "weighted" : "uniform");
+              cfg.shards);
 
   // One child process per pool worker count: PFDRL_POOL_WORKERS is read
   // once at the pool's construction, so the sweep needs a fresh process
@@ -479,7 +429,6 @@ int main(int argc, char** argv) {
                       std::to_string(cfg.shards) + " --fanout " +
                       std::to_string(cfg.fanout) + " --topology " +
                       net::topology_name(cfg.topology);
-    if (!cfg.weighted_shards) cmd += " --uniform-shards";
     const int rc = std::system(cmd.c_str());
     if (rc != 0) {
       std::fprintf(stderr, "scale_sweep: child at %zu workers failed (%d)\n",
@@ -508,58 +457,31 @@ int main(int argc, char** argv) {
     std::remove(child_out.c_str());
   }
 
-  // The cross-engine contract: one hash per agent count, across every
-  // (mode, pool_workers) combination.
+  // The determinism contract: one hash per agent count, across every
+  // pool_workers count.
   std::map<std::size_t, std::string> hash_by_agents;
   bool hash_consistent = true;
   for (const ParsedPoint& p : parsed) {
     auto [it, inserted] = hash_by_agents.emplace(p.agents, p.hash);
     if (!inserted && it->second != p.hash) {
       std::fprintf(stderr,
-                   "FATAL: param_hash mismatch at %zu agents (%s workers=%zu: "
+                   "FATAL: param_hash mismatch at %zu agents (workers=%zu: "
                    "%s vs %s)\n",
-                   p.agents, p.mode.c_str(), p.pool_workers, p.hash.c_str(),
+                   p.agents, p.pool_workers, p.hash.c_str(),
                    it->second.c_str());
       hash_consistent = false;
     }
   }
 
-  util::TextTable table({"agents", "mode", "workers", "agent-rounds/s",
-                         "stall s", "overlap s", "deterministic"});
+  util::TextTable table({"agents", "workers", "agent-rounds/s", "stall s",
+                         "overlap s", "deterministic"});
   for (const ParsedPoint& p : parsed) {
-    table.add_row({std::to_string(p.agents), p.mode,
-                   std::to_string(p.pool_workers),
+    table.add_row({std::to_string(p.agents), std::to_string(p.pool_workers),
                    util::fmt_double(p.rate, 0), util::fmt_double(p.stall, 3),
                    util::fmt_double(p.overlap, 3),
                    p.deterministic ? "yes" : "NO"});
   }
   table.print();
-
-  // Pipeline-over-bsp speedups per (agents, workers).
-  struct Speedup {
-    std::size_t agents;
-    std::size_t workers;
-    double ratio;
-  };
-  std::vector<Speedup> speedups;
-  for (const ParsedPoint& p : parsed) {
-    if (p.mode != "pipeline") continue;
-    for (const ParsedPoint& q : parsed) {
-      if (q.mode == "bsp" && q.agents == p.agents &&
-          q.pool_workers == p.pool_workers && q.rate > 0.0) {
-        speedups.push_back({p.agents, p.pool_workers, p.rate / q.rate});
-      }
-    }
-  }
-  if (!speedups.empty()) {
-    std::printf("\npipeline over bsp (agent-rounds/s):\n");
-    util::TextTable stable({"agents", "workers", "speedup"});
-    for (const Speedup& s : speedups) {
-      stable.add_row({std::to_string(s.agents), std::to_string(s.workers),
-                      util::fmt_double(s.ratio, 2)});
-    }
-    stable.print();
-  }
 
   if (!all_deterministic || !hash_consistent) {
     std::fprintf(stderr, "FATAL: engine determinism contract violated\n");
@@ -578,13 +500,11 @@ int main(int argc, char** argv) {
                "  \"params\": %zu,\n"
                "  \"rounds\": %zu,\n"
                "  \"shards\": %zu,\n"
-               "  \"weighted_shards\": %s,\n"
                "  \"deterministic\": %s,\n"
                "  \"hash_consistent\": %s,\n"
                "  \"points\": [\n",
                net::topology_name(cfg.topology), cfg.params, cfg.rounds,
-               cfg.shards, cfg.weighted_shards ? "true" : "false",
-               all_deterministic ? "true" : "false",
+               cfg.shards, all_deterministic ? "true" : "false",
                hash_consistent ? "true" : "false");
   for (std::size_t i = 0; i < point_lines.size(); ++i) {
     std::string line = point_lines[i];
@@ -594,14 +514,6 @@ int main(int argc, char** argv) {
       if (tail != std::string::npos) line.replace(tail, 2, "}");
     }
     std::fputs(line.c_str(), f);
-  }
-  std::fprintf(f, "  ],\n  \"speedups\": [\n");
-  for (std::size_t i = 0; i < speedups.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"agents\": %zu, \"pool_workers\": %zu, "
-                 "\"pipeline_over_bsp\": %.2f}%s\n",
-                 speedups[i].agents, speedups[i].workers, speedups[i].ratio,
-                 i + 1 < speedups.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -1,7 +1,7 @@
 // One episode-rollout path for training and evaluation.
 //
 // EmsPipeline used to carry three near-identical loops — online training
-// (ems_round), greedy scoring (evaluate) and tariff scoring
+// (train_ems), greedy scoring (evaluate) and tariff scoring
 // (evaluate_savings_dollars) — each rebuilding the same EmsEnvironment
 // and, worse, recomputing the same forecast series (the expensive
 // predict_series sweep) for the same (home, device, interval) triple.

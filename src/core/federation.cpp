@@ -79,7 +79,6 @@ void DrlFederation::round(std::vector<FederatedDevice>& devices,
   if (bus_.num_agents() < 2) return;
 
   Exchange ex = make_exchange(devices);
-  ex.options.parallel = router_ != nullptr;
   fl::ParamExchange exchange(bus_, std::move(ex.options));
   const fl::ExchangeStats stats = exchange.round(
       ex.items, round_id, [&](std::size_t i, std::span<const double>) {
@@ -107,6 +106,10 @@ void DrlFederation::publish_staged(std::size_t shard, std::uint64_t round_id) {
   staged_->publish_shard(shard, round_id);
 }
 
+void DrlFederation::hub_staged(std::uint64_t round_id) {
+  staged_->hub_step(round_id);
+}
+
 void DrlFederation::apply_staged(std::size_t shard, std::uint64_t round_id) {
   staged_->apply_shard(shard, round_id,
                        [this](std::size_t i, std::span<const double>) {
@@ -127,10 +130,6 @@ void DrlFederation::end_staged_rounds() {
   staged_.reset();
   staged_devices_ = nullptr;
   staged_folded_ = {};
-}
-
-std::size_t DrlFederation::staged_shards() const {
-  return staged_.has_value() ? staged_->num_shards() : 1;
 }
 
 }  // namespace pfdrl::core

@@ -43,8 +43,8 @@ class DrlFederation {
   /// `topology_options` tunes the sparse topologies (hierarchical
   /// cluster size, gossip fanout/seed); mesh/star/ring ignore it.
   /// `shards` > 1 attaches a net::ShardRouter: cross-shard plan messages
-  /// are batched per shard pair per round and the drain/aggregate phases
-  /// run on the global pool (see docs/scaling.md).
+  /// are batched per shard pair per round and each shard aggregates its
+  /// own homes (see docs/scaling.md).
   DrlFederation(std::size_t num_homes, std::size_t share_layers,
                 net::TopologyKind topology, net::FaultPlan fault = {},
                 obs::MetricsRegistry* metrics = nullptr,
@@ -55,34 +55,33 @@ class DrlFederation {
   /// One federation round over all registered devices: broadcast each
   /// agent's shared slice, then average per device type at each home
   /// (Eq. 7) and stitch with the local personalization suffix (Eq. 8).
+  /// Devices must be sorted ascending by home when sharded.
   void round(std::vector<FederatedDevice>& devices, std::uint64_t round_id);
 
-  // --- Staged (pipelined) rounds — fl::StagedExchange ------------------
-  // The dependency-driven round pipeline (core::RoundPipeline) drives
-  // federation per shard instead of per round: begin_staged_rounds builds
-  // the exchange items and engine once for a device set, then every round
-  // is publish_staged(s, r) per shard followed by apply_staged(s, r) once
-  // the shard's in-neighbors published. fold_staged_metrics runs at
-  // segment barriers (quiesced) and end_staged_rounds tears the session
-  // down. `devices` must outlive the session and stay unmoved — commits
-  // notify through it. Caller gates eligibility (no star topology, a
-  // deterministic fault plan); the engine throws otherwise.
+  // --- Staged rounds — fl::StagedExchange ------------------------------
+  // The round engine (fl::RoundPipeline) drives federation per shard
+  // instead of per round: begin_staged_rounds builds the exchange items
+  // and engine once for a device set, then every round is
+  // publish_staged(s, r) per shard, hub_staged(r) on a star, and
+  // apply_staged(s, r) once the shard's in-neighbors published.
+  // fold_staged_metrics runs at segment barriers (quiesced) and
+  // end_staged_rounds tears the session down. `devices` must outlive the
+  // session and stay unmoved — commits notify through it.
 
   void begin_staged_rounds(std::vector<FederatedDevice>& devices);
   void publish_staged(std::size_t shard, std::uint64_t round_id);
+  void hub_staged(std::uint64_t round_id);
   void apply_staged(std::size_t shard, std::uint64_t round_id);
   /// Fold drl.* / exchange.* / fault.* metric deltas for the `rounds`
   /// staged rounds completed since the previous fold.
   void fold_staged_metrics(std::uint64_t rounds);
   void end_staged_rounds();
-  /// Shard count of the active staged session (1 when unsharded).
-  [[nodiscard]] std::size_t staged_shards() const;
 
   [[nodiscard]] net::BusStats comm_stats() const { return bus_.stats(); }
   [[nodiscard]] std::size_t share_layers() const noexcept {
     return share_layers_;
   }
-  /// The plan-exchange bus (warm-restart fault-RNG/stats restore; see
+  /// The plan-exchange bus (warm-restart stats restore; see
   /// sim/snapshot.hpp).
   [[nodiscard]] net::MessageBus& bus() noexcept { return bus_; }
   [[nodiscard]] const net::MessageBus& bus() const noexcept { return bus_; }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
-#include <chrono>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -36,20 +34,6 @@ fl::AggregationMode forecast_aggregation(EmsMethod m) noexcept {
   return fl::AggregationMode::kNone;
 }
 
-/// Prefix starts of each shard's contiguous slice of a home-major list
-/// (size shards+1; the shard map is monotone in the home id).
-std::vector<std::size_t> shard_slices(const std::vector<std::size_t>& homes,
-                                      const ShardedRunner& runner) {
-  std::vector<std::size_t> begin(runner.shards() + 1, 0);
-  std::size_t s = 0;
-  for (std::size_t i = 0; i < homes.size(); ++i) {
-    const std::size_t is = runner.shard_of_home(homes[i]);
-    while (s < is) begin[++s] = i;
-  }
-  while (s < runner.shards()) begin[++s] = homes.size();
-  return begin;
-}
-
 }  // namespace
 
 EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
@@ -63,8 +47,12 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
             return forecast_series(home, dev, begin, end);
           },
           cfg_.meter_interval_minutes, &metrics()),
-      shard_runner_(traces.size(), cfg.shards, &metrics()) {
+      shards_(std::clamp<std::size_t>(cfg.shards, 1,
+                                      std::max<std::size_t>(1, traces.size()))) {
   if (traces_.empty()) throw std::invalid_argument("EmsPipeline: no traces");
+  if (shards_ > 1) {
+    metrics().gauge("ems.shard.count").set(static_cast<double>(shards_));
+  }
 
   // Forecasting backend.
   if (cfg_.method == EmsMethod::kCloud) {
@@ -150,6 +138,11 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
                         &metrics(), cfg_.robustness, cfg_.topology_options,
                         cfg_.shards);
   }
+  rounds_.emplace(federates()
+                      ? fl::shard_broadcast_graph(federation_->bus().topology(),
+                                                  federation_->shard_router())
+                      : fl::self_only_graph(shards_),
+                  &metrics(), "ems");
 }
 
 EmsPipeline::~EmsPipeline() = default;
@@ -233,18 +226,12 @@ EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
   // Fused groups (docs/fused_training.md): one per shard, or one per pool
   // worker when unsharded. Per-agent act/remember/learn sequences do not
   // depend on the grouping, so neither do the results.
-  plan.group_begin =
-      util::job_groups(plan.job_homes, agents_.size(), shard_runner_.shards(),
-                       util::ThreadPool::global().size());
-  const std::size_t groups = plan.group_begin.size() - 1;
-  for (std::size_t g = 0; g < groups; ++g) {
-    plan.group_homes.push_back(plan.job_homes[plan.group_begin[g]]);
-  }
+  plan.slices = util::slice_jobs(plan.job_homes, agents_.size(), shards_,
+                                 util::ThreadPool::global().size());
+  const std::size_t groups = plan.slices.group_begin.size() - 1;
   while (fused_learners_.size() < groups) {
     fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
   }
-  plan.shard_job_begin = shard_slices(plan.job_homes, shard_runner_);
-  plan.shard_group_begin = shard_slices(plan.group_homes, shard_runner_);
   return plan;
 }
 
@@ -258,8 +245,8 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   // one fused learn step.
   const std::size_t stride =
       std::max<std::size_t>(1, cfg_.meter_interval_minutes);
-  const std::size_t gb = plan.group_begin[g];
-  const std::size_t n = plan.group_begin[g + 1] - gb;
+  const std::size_t gb = plan.slices.group_begin[g];
+  const std::size_t n = plan.slices.group_begin[g + 1] - gb;
   std::vector<ems::EmsEnvironment> envs;
   std::vector<rl::DqnAgent*> group_agents;
   envs.reserve(n);
@@ -332,87 +319,13 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   counters.target_cache_misses.add(learner.cache_misses() - misses_before);
 }
 
-void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
-  // Warm-restart hook: a residence whose crash window ended with the
-  // previous round re-enters this round having lost its process state;
-  // the installed hook (sim::SnapshotManager) reloads it from its last
-  // snapshot before any new experience is collected.
-  if (on_home_restart_) {
-    const net::FailureSchedule& failures = cfg_.robustness.failures;
-    if (!failures.crashes.empty() && ems_rounds_done_ > 0) {
-      for (std::size_t h = 0; h < traces_.size(); ++h) {
-        const auto id = static_cast<net::AgentId>(h);
-        if (failures.crashed(id, ems_rounds_done_ - 1) &&
-            !failures.crashed(id, ems_rounds_done_)) {
-          on_home_restart_(h);
-        }
-      }
-    }
+void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
+  const auto round_minutes =
+      static_cast<std::size_t>(cfg_.gamma_hours * 60.0);
+  if (round_minutes == 0) {
+    throw std::invalid_argument("EmsPipeline: gamma too small");
   }
-
-  obs::MetricsRegistry& reg = metrics();
-  obs::SpanTimer round_span(reg.histogram("ems.round_seconds"),
-                            &reg.series("ems.round_seconds_series"));
-  const EmsRoundCounters counters{reg.counter("ems.env_steps"),
-                                  reg.counter("ems.replay_pushes"),
-                                  reg.counter("ems.learn_calls"),
-                                  reg.counter("rl.target_cache_hits"),
-                                  reg.counter("rl.target_cache_misses")};
-  const EmsRoundPlan plan = prepare_round_plan();
-
-  // One pool task per group: a shard's group when sharded, otherwise the
-  // per-worker groups of a flat parallel_for.
-  shard_runner_.run(plan.group_homes, [&](std::size_t g) {
-    run_ems_group(plan, g, begin, end, counters);
-  });
-
-  // Mean exploration rate across agents after this round — the epsilon
-  // trajectory is the quickest convergence sanity check in a dump.
-  if (!plan.jobs.empty()) {
-    double eps_sum = 0.0;
-    for (const auto& [h, d] : plan.jobs) eps_sum += agents_[h][d]->epsilon();
-    const double eps = eps_sum / static_cast<double>(plan.jobs.size());
-    reg.gauge("ems.epsilon").set(eps);
-    reg.series("ems.epsilon_series").append(eps);
-  }
-
-  if (federation_) {
-    std::vector<FederatedDevice> devices;
-    for (std::size_t h = 0; h < agents_.size(); ++h) {
-      for (std::size_t d = 0; d < agents_[h].size(); ++d) {
-        if (!agents_[h][d]) continue;
-        devices.push_back(
-            {static_cast<net::AgentId>(h),
-             static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
-             agents_[h][d].get()});
-      }
-    }
-    federation_->round(devices, ems_rounds_done_);
-  }
-  ++ems_rounds_done_;
-  reg.counter("ems.rounds").add(1);
-  if (on_round_end_) on_round_end_(ems_rounds_done_);
-}
-
-bool EmsPipeline::pipeline_eligible() const {
-  // The pipeline needs (a) something to overlap — multiple home shards
-  // feeding one EMS federation — and (b) a round protocol with no
-  // whole-round shared state: the star hub relay/retry handshake and
-  // stochastic fault draws both consume per-round state in a
-  // schedule-dependent order, so those configurations keep the barrier
-  // engine (fl::StagedExchange enforces the same exclusions).
-  return cfg_.sync_mode == SyncMode::kPipeline && shard_runner_.sharded() &&
-         federation_.has_value() && federation_->bus().num_agents() >= 2 &&
-         federation_->bus().topology().kind() != net::TopologyKind::kStar &&
-         cfg_.fault.deterministic_delivery();
-}
-
-void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
-                                      std::size_t round_minutes) {
-  std::vector<std::pair<std::size_t, std::size_t>> windows;
-  for (std::size_t b = begin; b < end; b += round_minutes) {
-    windows.emplace_back(b, std::min(b + round_minutes, end));
-  }
+  const auto windows = fl::round_windows(begin, end, round_minutes);
   if (windows.empty()) return;
 
   obs::MetricsRegistry& reg = metrics();
@@ -421,68 +334,56 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
                                   reg.counter("ems.learn_calls"),
                                   reg.counter("rl.target_cache_hits"),
                                   reg.counter("rl.target_cache_misses")};
-  obs::Histogram& round_hist = reg.histogram("ems.round_seconds");
-  obs::Series& round_series = reg.series("ems.round_seconds_series");
-  obs::Counter& rounds_counter = reg.counter("ems.rounds");
   obs::Gauge& eps_gauge = reg.gauge("ems.epsilon");
   obs::Series& eps_series = reg.series("ems.epsilon_series");
 
   const EmsRoundPlan plan = prepare_round_plan();
-  const std::size_t shards = shard_runner_.shards();
+  util::ThreadPool& pool = util::ThreadPool::global();
 
-  // Home-major federated device list, identical to the BSP build, made
-  // once: the staged session holds spans into the live networks, which
-  // never move during training.
+  // Home-major federated device list, made once: the staged session holds
+  // spans into the live networks, which never move during training.
   std::vector<FederatedDevice> devices;
-  devices.reserve(plan.jobs.size());
-  for (const auto& [h, d] : plan.jobs) {
-    devices.push_back(
-        {static_cast<net::AgentId>(h),
-         static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
-         agents_[h][d].get()});
-  }
-  federation_->begin_staged_rounds(devices);
   struct StagedEnd {  // tear the session down even when a shard throws
-    DrlFederation* fed;
-    ~StagedEnd() { fed->end_staged_rounds(); }
-  } staged_end{&*federation_};
-  if (federation_->staged_shards() != shards) {
-    throw std::logic_error(
-        "EmsPipeline: home shards and exchange shards disagree");
+    DrlFederation* fed = nullptr;
+    ~StagedEnd() {
+      if (fed != nullptr) fed->end_staged_rounds();
+    }
+  } staged_end;
+  if (federates()) {
+    devices.reserve(plan.jobs.size());
+    for (const auto& [h, d] : plan.jobs) {
+      devices.push_back(
+          {static_cast<net::AgentId>(h),
+           static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
+           agents_[h][d].get()});
+    }
+    federation_->begin_staged_rounds(devices);
+    staged_end.fed = &*federation_;
   }
-
-  const net::ShardRouter* router = federation_->shard_router();
-  RoundPipeline pipe(shard_broadcast_graph(
-      federation_->bus().topology(),
-      [router](net::AgentId a) { return router->shard_of(a); }, shards));
-
-  // Shard slices of the full home list, for the warm-restart scan —
-  // restarts apply to every home in the shard, agents or not.
-  std::vector<std::size_t> all_homes(traces_.size());
-  for (std::size_t h = 0; h < all_homes.size(); ++h) all_homes[h] = h;
-  const std::vector<std::size_t> shard_home_begin =
-      shard_slices(all_homes, shard_runner_);
 
   const std::uint64_t r0 = ems_rounds_done_;
   std::uint64_t seg_first = r0;
   // Per-(round, job) exploration rates, flat-summed in ascending job
-  // order at round_done so the recorded mean is bitwise identical to the
-  // BSP engine's serial sum (per-shard partial sums would drift in ulps).
+  // order at round_done, so the recorded mean never depends on the shard
+  // count (per-shard partial sums would drift in ulps).
   std::vector<std::vector<double>> round_eps;
   std::mutex restart_mutex;
-  auto last_round_end = std::chrono::steady_clock::now();
 
-  RoundPipeline::Ops ops;
+  fl::RoundPipeline::Ops ops;
   ops.compute = [&](std::size_t s, std::uint64_t r) {
-    // Warm-restart hook, shard-local: the same predicate as the BSP scan
-    // but driven by the explicit round id (ems_rounds_done_ lags the
-    // shard front here). Calls are serialized; distinct homes restore
-    // independent state, so cross-shard order doesn't matter.
+    // Warm-restart hook: a residence whose crash window ended with the
+    // previous round re-enters this round having lost its process state;
+    // the installed hook (sim::SnapshotManager) reloads it from its last
+    // snapshot before any new experience is collected. Restarts apply to
+    // every home in the shard, agents or not. Calls are serialized;
+    // distinct homes restore independent state, so cross-shard order
+    // doesn't matter.
     if (on_home_restart_ && r > 0) {
       const net::FailureSchedule& failures = cfg_.robustness.failures;
+      const std::size_t homes = traces_.size();
       if (!failures.crashes.empty()) {
-        for (std::size_t h = shard_home_begin[s]; h < shard_home_begin[s + 1];
-             ++h) {
+        for (std::size_t h = util::shard_begin(s, homes, shards_);
+             h < util::shard_begin(s + 1, homes, shards_); ++h) {
           const auto id = static_cast<net::AgentId>(h);
           if (failures.crashed(id, r - 1) && !failures.crashed(id, r)) {
             std::lock_guard<std::mutex> lock(restart_mutex);
@@ -491,43 +392,45 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
         }
       }
     }
+    // A sharded run has one group per shard; one shard spreads its groups
+    // (one per pool worker) over the pool.
     const auto [wb, we] = windows[static_cast<std::size_t>(r - r0)];
-    for (std::size_t g = plan.shard_group_begin[s];
-         g < plan.shard_group_begin[s + 1]; ++g) {
-      run_ems_group(plan, g, wb, we, counters);
-    }
-    std::vector<double>& eps =
-        round_eps[static_cast<std::size_t>(r - seg_first)];
-    for (std::size_t j = plan.shard_job_begin[s];
-         j < plan.shard_job_begin[s + 1]; ++j) {
+    pool.parallel_for(plan.slices.shard_group_begin[s],
+                      plan.slices.shard_group_begin[s + 1],
+                      [&](std::size_t g) {
+                        run_ems_group(plan, g, wb, we, counters);
+                      });
+    std::vector<double>& eps = round_eps[static_cast<std::size_t>(r - seg_first)];
+    for (std::size_t j = plan.slices.shard_job_begin[s];
+         j < plan.slices.shard_job_begin[s + 1]; ++j) {
       const auto [h, d] = plan.jobs[j];
       eps[j] = agents_[h][d]->epsilon();
     }
   };
-  ops.publish = [this](std::size_t s, std::uint64_t r) {
-    federation_->publish_staged(s, r);
-  };
-  ops.apply = [this](std::size_t s, std::uint64_t r) {
-    federation_->apply_staged(s, r);
-  };
+  if (federates()) {
+    ops.publish = [this](std::size_t s, std::uint64_t r) {
+      federation_->publish_staged(s, r);
+    };
+    if (federation_->bus().topology().kind() == net::TopologyKind::kStar) {
+      ops.hub = [this](std::uint64_t r) { federation_->hub_staged(r); };
+    }
+    ops.apply = [this](std::size_t s, std::uint64_t r) {
+      federation_->apply_staged(s, r);
+    };
+  }
   ops.round_done = [&](std::uint64_t r) {
     if (!plan.jobs.empty()) {
-      const std::vector<double>& eps =
-          round_eps[static_cast<std::size_t>(r - seg_first)];
+      // Mean exploration rate across agents after this round — the
+      // epsilon trajectory is the quickest convergence sanity check.
       double eps_sum = 0.0;
-      for (const double e : eps) eps_sum += e;
+      for (const double e : round_eps[static_cast<std::size_t>(r - seg_first)]) {
+        eps_sum += e;
+      }
       const double mean = eps_sum / static_cast<double>(plan.jobs.size());
       eps_gauge.set(mean);
       eps_series.append(mean);
     }
     ems_rounds_done_ = r + 1;
-    rounds_counter.add(1);
-    const auto now = std::chrono::steady_clock::now();
-    round_hist.observe(
-        std::chrono::duration<double>(now - last_round_end).count());
-    round_series.append(
-        std::chrono::duration<double>(now - last_round_end).count());
-    last_round_end = now;
   };
 
   // Segments: the pipeline quiesces (the one remaining full barrier)
@@ -543,26 +446,10 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
     const std::size_t seg = std::min(seg_len, nrounds - done);
     seg_first = r0 + done;
     round_eps.assign(seg, std::vector<double>(plan.jobs.size(), 0.0));
-    pipe.run(util::ThreadPool::global(), r0 + done, seg, ops);
+    rounds_->run(pool, r0 + done, seg, ops);
     done += seg;
-    federation_->fold_staged_metrics(seg);
+    if (federates()) federation_->fold_staged_metrics(seg);
     if (on_round_end_) on_round_end_(ems_rounds_done_);
-  }
-  record_pipeline_stats(reg, "ems.pipeline", pipe.stats());
-}
-
-void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
-  const auto round_minutes =
-      static_cast<std::size_t>(cfg_.gamma_hours * 60.0);
-  if (round_minutes == 0) {
-    throw std::invalid_argument("EmsPipeline: gamma too small");
-  }
-  if (pipeline_eligible()) {
-    train_ems_pipelined(begin, end, round_minutes);
-    return;
-  }
-  for (std::size_t b = begin; b < end; b += round_minutes) {
-    ems_round(b, std::min(b + round_minutes, end));
   }
 }
 
@@ -570,18 +457,18 @@ void EmsPipeline::for_each_greedy_rollout(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, const ems::EmsEnvironment&,
                              const std::vector<int>&)>& visit) const {
-  std::vector<std::size_t> homes(traces_.size());
-  for (std::size_t h = 0; h < homes.size(); ++h) homes[h] = h;
-  shard_runner_.run(
-      homes,
+  const std::size_t homes = traces_.size();
+  const util::ShardTiming timing = util::sharded_for(
+      util::ThreadPool::global(), homes, shards_,
+      [&](std::size_t h) { return util::shard_of(h, homes, shards_); },
       [&](std::size_t h) {
         for (std::size_t d = 0; d < agents_[h].size(); ++d) {
           if (!agents_[h][d]) continue;
           const ems::EmsEnvironment env = runner_.environment(h, d, begin, end);
           visit(h, env, EpisodeRunner::greedy_actions(*agents_[h][d], env));
         }
-      },
-      "ems.eval_shard");
+      });
+  obs::record_shard_timing(metrics(), "ems.eval_shard", timing);
 }
 
 std::vector<ems::EpisodeResult> EmsPipeline::evaluate(std::size_t begin,

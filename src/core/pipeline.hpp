@@ -9,11 +9,10 @@
 //     the γ schedule (all layers for FRL, α base layers for PFDRL).
 //
 // The per-(home,device) work inside a γ round is embarrassingly parallel
-// and fans out on the global thread pool. Federation rounds are barriers
-// in the bulk-synchronous engine, mirroring the synchronous broadcast in
-// Algorithms 1/2; the pipelined engine (PipelineConfig::sync_mode)
-// replaces them with per-shard dependency edges and produces bitwise
-// identical results (core::RoundPipeline, docs/scaling.md).
+// and fans out on the global thread pool. Rounds run on the round engine
+// (fl::RoundPipeline, docs/scaling.md): per-shard dependency edges stand
+// in for the synchronous broadcast of Algorithms 1/2, and an unsharded
+// run is one shard.
 #pragma once
 
 #include <functional>
@@ -24,14 +23,15 @@
 #include "core/episode.hpp"
 #include "core/federation.hpp"
 #include "core/method.hpp"
-#include "core/sharded_runner.hpp"
 #include "data/tariff.hpp"
 #include "data/trace.hpp"
 #include "ems/accounting.hpp"
 #include "ems/env.hpp"
 #include "fl/baselines.hpp"
 #include "fl/dfl.hpp"
+#include "fl/round_pipeline.hpp"
 #include "rl/dqn.hpp"
+#include "util/shard.hpp"
 
 namespace pfdrl::obs {
 class Counter;
@@ -75,7 +75,7 @@ struct PipelineConfig {
 
   /// Fault plan shared by the forecast (DFL) and the DRL plan exchange
   /// buses: link model plus injected drops, delay/jitter, duplication,
-  /// reordering and partition windows. Each bus gets its own RNG stream
+  /// reordering and partition windows. Each bus gets its own fault seed
   /// derived from `seed` (bus ids 1 and 2) unless fault.seed is set.
   net::FaultPlan fault{};
   /// Deadline / quorum / crash / straggler policy applied to both
@@ -88,22 +88,15 @@ struct PipelineConfig {
 
   std::uint64_t seed = 123;
 
-  // Bulk-synchronous sharding (docs/scaling.md). > 1 partitions homes
-  // into contiguous shards: each shard's jobs train as one fused group
-  // (docs/fused_training.md) on one pool task, cross-shard parameter
-  // messages batch per shard pair per round (net::ShardRouter), and the
-  // exchange drain/aggregate phases run on the pool. 0/1 = unsharded: one
-  // fused group per pool worker and the flat exchange. On a clean fault
-  // plan, results are bitwise identical to the unsharded engine.
+  // Sharding (docs/scaling.md). > 1 partitions homes into contiguous
+  // shards: each shard's jobs train as one fused group
+  // (docs/fused_training.md), cross-shard parameter messages batch per
+  // shard pair per round (net::ShardRouter), and each shard publishes and
+  // applies on its own readiness, overlapping one shard's compute with
+  // another's exchange. 0/1 = one shard, trained as one fused group per
+  // pool worker. Results are bitwise identical at any shard count and
+  // pool size, on any fault plan.
   std::size_t shards = 0;
-  /// Round synchronization of the EMS loop (docs/scaling.md). kPipeline
-  /// overlaps one shard's compute with another's exchange using
-  /// per-(shard, round) readiness counters instead of global barriers;
-  /// param hashes stay bitwise identical to kBsp at any pool size. Runs
-  /// that are ineligible (unsharded, no EMS federation, star topology,
-  /// stochastic fault plans, < 2 homes) silently use the BSP engine, so
-  /// the default is safe for every method.
-  SyncMode sync_mode = SyncMode::kPipeline;
   /// Federation topology override for BOTH exchange paths; nullopt keeps
   /// the method defaults (DFL full mesh / FL+FRL star). The sparse kinds
   /// (kHierarchical, kGossip) cut broadcast cost to O(N·degree).
@@ -210,13 +203,12 @@ class EmsPipeline {
   void invalidate_forecast_cache() { runner_.invalidate_forecasts(); }
 
   /// Fires with the updated ems_rounds_done() — the periodic-snapshot
-  /// trigger. The BSP engine invokes the hook after every round; the
-  /// pipelined engine runs in segments of `every_rounds` rounds and
-  /// invokes the hook only at segment boundaries, where the pipeline is
-  /// fully quiesced (every shard applied, all metrics folded). Callers
+  /// trigger. The round engine runs in segments of `every_rounds` rounds
+  /// and invokes the hook only at segment boundaries, where the pipeline
+  /// is fully quiesced (every shard applied, all metrics folded). Callers
   /// that act on a cadence anyway (sim::SnapshotManager) pass it here so
   /// the pipeline only barriers where the hook would actually fire; the
-  /// default of 1 preserves per-round firing at the cost of per-round
+  /// default of 1 fires after every round at the cost of per-round
   /// quiescing.
   void set_on_round_end(std::function<void(std::uint64_t)> hook,
                         std::uint64_t every_rounds = 1) {
@@ -254,24 +246,17 @@ class EmsPipeline {
       const std::function<void(std::size_t home, const ems::EmsEnvironment& env,
                                const std::vector<int>& actions)>& visit) const;
 
-  // --- One γ-round, factored so both sync engines share its body ------
+  // --- One γ-round's work --------------------------------------------
   struct EmsJob {
     std::size_t home, dev;
   };
-  /// The round's work-list, identical for BSP and pipelined rounds: one
-  /// job per live (home, device) agent in home-major order, the fused
-  /// groups over it (util::job_groups: one per shard, or one per pool
-  /// worker when unsharded), and the shard slicing of both (size
-  /// shards+1 prefix arrays; jobs/groups are home-major and the shard map
-  /// is monotone, so slices are contiguous).
+  /// The round's work-list: one job per live (home, device) agent in
+  /// home-major order, the fused groups over it (one per shard, or one
+  /// per pool worker when unsharded) and the shard slicing of both.
   struct EmsRoundPlan {
     std::vector<EmsJob> jobs;
     std::vector<std::size_t> job_homes;
-    /// Group g covers jobs [group_begin[g], group_begin[g + 1]).
-    std::vector<std::size_t> group_begin;
-    std::vector<std::size_t> group_homes;  ///< first home of each group
-    std::vector<std::size_t> shard_job_begin;
-    std::vector<std::size_t> shard_group_begin;
+    util::JobSlices slices;
   };
   struct EmsRoundCounters {
     obs::Counter& env_steps;
@@ -291,14 +276,11 @@ class EmsPipeline {
                      std::size_t begin, std::size_t end,
                      const EmsRoundCounters& counters);
 
-  /// True when train_ems may use the dependency-driven pipeline: asked
-  /// for, sharded, federated, and free of the whole-round protocols
-  /// (star relay, stochastic fault draws) that need a global barrier.
-  [[nodiscard]] bool pipeline_eligible() const;
-  void train_ems_pipelined(std::size_t begin, std::size_t end,
-                           std::size_t round_minutes);
-
-  void ems_round(std::size_t begin, std::size_t end);
+  /// True when γ rounds exchange parameters: an EMS federation over at
+  /// least two homes.
+  [[nodiscard]] bool federates() const noexcept {
+    return federation_.has_value() && federation_->bus().num_agents() >= 2;
+  }
 
   const std::vector<data::HouseholdTrace>& traces_;
   PipelineConfig cfg_;
@@ -310,9 +292,13 @@ class EmsPipeline {
   std::optional<DrlFederation> federation_;  // FRL / PFDRL
   /// Declared after cfg_ (its ForecastFn and metrics sink read it).
   EpisodeRunner runner_;
-  /// Bulk-synchronous fan-out stage (cfg_.shards); with shards <= 1 it
-  /// runs the groups as one flat parallel_for.
-  ShardedRunner shard_runner_;
+  /// Home shards: cfg_.shards clamped to [1, homes]; homes map to shards
+  /// by util::shard_of, the same contiguous blocks as the routers.
+  std::size_t shards_;
+  /// The round engine of the γ rounds: the DRL bus's shard broadcast
+  /// graph, or a self-only graph without a federation. Its stats are
+  /// cumulative across train_ems calls (ems.pipeline.*).
+  std::optional<fl::RoundPipeline> rounds_;
   /// Per-group fused DQN learners. Group boundaries are pinned by (jobs,
   /// shards, pool size), so group g reuses the same learner's slab
   /// capacity every round.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <optional>
 #include <stdexcept>
 
@@ -51,7 +50,12 @@ DflTrainer::DflTrainer(const std::vector<data::HouseholdTrace>& traces,
       bus_(net::Topology(cfg.topology.value_or(topology_for(cfg.aggregation)),
                          std::max<std::size_t>(1, traces.size()),
                          cfg.topology_options),
-           seeded_fault(cfg.fault, cfg.seed)) {
+           seeded_fault(cfg.fault, cfg.seed)),
+      pipeline_(federates() ? shard_broadcast_graph(bus_.topology(),
+                                                    router_.get())
+                            : self_only_graph(router_ ? router_->num_shards()
+                                                      : 1),
+                cfg.metrics, "dfl") {
   if (router_) bus_.set_shard_router(router_.get());
   if (traces_.empty()) throw std::invalid_argument("DflTrainer: no traces");
   if (cfg_.secure_aggregation &&
@@ -96,25 +100,23 @@ std::size_t DflTrainer::run(std::size_t train_begin, std::size_t train_end) {
   if (round_minutes == 0) {
     throw std::invalid_argument("DflTrainer: broadcast period too small");
   }
-  std::size_t rounds = 0;
-  for (std::size_t begin = train_begin; begin < train_end;
-       begin += round_minutes) {
-    round(begin, std::min(begin + round_minutes, train_end));
-    ++rounds;
-  }
-  return rounds;
+  const auto windows = round_windows(train_begin, train_end, round_minutes);
+  run_rounds(windows);
+  return windows.size();
 }
 
 void DflTrainer::round(std::size_t begin, std::size_t end) {
-  std::optional<obs::SpanTimer> round_span;
-  if (cfg_.metrics != nullptr) {
-    round_span.emplace(cfg_.metrics->histogram("dfl.round_seconds"),
-                       &cfg_.metrics->series("dfl.round_seconds_series"));
-  }
-  // Local training step: every (agent, device) pair trains on the newly
-  // recorded minutes. Pairs are independent; they train in fused groups
-  // (docs/fused_training.md) of one shard's jobs each — an unsharded run
-  // is cut into one group per pool worker — one pool task per group.
+  run_rounds({{begin, end}});
+}
+
+void DflTrainer::run_rounds(
+    const std::vector<std::pair<std::size_t, std::size_t>>& windows) {
+  if (windows.empty()) return;
+  util::ThreadPool& pool = util::ThreadPool::global();
+
+  // One job — and one exchange item — per (home, device), home-major.
+  // Jobs train in fused groups (docs/fused_training.md): one per shard,
+  // or one per pool worker when the run is one shard.
   std::vector<std::size_t> job_homes;
   std::vector<std::size_t> job_devs;
   for (std::size_t h = 0; h < agents_.size(); ++h) {
@@ -123,40 +125,49 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
       job_devs.push_back(d);
     }
   }
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::vector<std::size_t> groups =
-      util::job_groups(job_homes, agents_.size(), cfg_.shards, pool.size());
-  // Groups that could not fuse this round. Relaxed atomic: groups only
-  // accumulate; the fold happens once below.
-  std::atomic<std::uint64_t> round_fallbacks{0};
+  const util::JobSlices slices = util::slice_jobs(
+      job_homes, agents_.size(), pipeline_.shards(), pool.size());
+  const std::vector<std::size_t>& groups = slices.group_begin;
+
   // Small-batch training (paper Table 2): federated agents train on a
   // bounded sample of each round's windows and lean on aggregation for
   // coverage; the Local baseline (kNone) uses everything it has. The
   // span/stride arithmetic is home-independent (every forecaster shares
   // cfg_.window), which is what lets a group share one config.
-  forecast::TrainConfig train =
+  const forecast::TrainConfig base =
       forecast::resolve_train_config(cfg_.method, cfg_.train);
   const std::size_t hist = data::history_needed(cfg_.window);
-  const std::size_t span = end > begin + hist ? end - begin - hist : 0;
-  if (cfg_.max_round_samples > 0 &&
-      cfg_.aggregation != AggregationMode::kNone &&
-      span / std::max<std::size_t>(1, train.stride) > cfg_.max_round_samples) {
-    train.stride =
-        (span + cfg_.max_round_samples - 1) / cfg_.max_round_samples;
-  }
+  std::vector<forecast::TrainConfig> train(windows.size(), base);
   // Per-epoch training windows of one job (the dfl.train_windows unit).
-  const std::uint64_t windows_per_job =
-      span / std::max<std::size_t>(1, train.stride);
-  const auto train_group = [&](std::size_t g) {
+  std::vector<std::uint64_t> windows_per_job(windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const auto [begin, end] = windows[w];
+    const std::size_t span = end > begin + hist ? end - begin - hist : 0;
+    if (cfg_.max_round_samples > 0 &&
+        cfg_.aggregation != AggregationMode::kNone &&
+        span / std::max<std::size_t>(1, base.stride) >
+            cfg_.max_round_samples) {
+      train[w].stride =
+          (span + cfg_.max_round_samples - 1) / cfg_.max_round_samples;
+    }
+    windows_per_job[w] = span / std::max<std::size_t>(1, train[w].stride);
+  }
+
+  // Groups that could not fuse. Relaxed atomic: groups only accumulate;
+  // the fold happens once below.
+  std::atomic<std::uint64_t> fallbacks{0};
+  const std::uint64_t r0 = rounds_done_;
+  const auto train_group = [&](std::size_t g, std::uint64_t r) {
+    const auto [begin, end] = windows[static_cast<std::size_t>(r - r0)];
     const std::size_t gb = groups[g];
     const std::size_t ge = groups[g + 1];
-    // Per-job RNGs forked deterministically: results depend neither on
-    // the thread schedule nor on how jobs are grouped.
+    // Per-job RNGs forked from (seed, round, home, dev): results depend
+    // neither on the schedule nor on how jobs are grouped.
     std::vector<util::Rng> rngs;
     rngs.reserve(ge - gb);
     for (std::size_t j = gb; j < ge; ++j) {
-      rngs.push_back(util::Rng(cfg_.seed).fork(
-          rounds_done_ * 10000 + job_homes[j] * 100 + job_devs[j]));
+      rngs.push_back(util::Rng(cfg_.seed).fork(r * 10000 + job_homes[j] * 100 +
+                                               job_devs[j]));
     }
     std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
     for (std::size_t j = gb; j < ge; ++j) {
@@ -165,85 +176,96 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
                        &rngs[j - gb], 0.0};
     }
     // A trainer per group and round: nothing it sizes outlives the round.
+    const forecast::TrainConfig& tc = train[static_cast<std::size_t>(r - r0)];
     forecast::FusedForecastTrainer trainer;
-    if (!trainer.train(fjobs, begin, end, train)) {
+    if (!trainer.train(fjobs, begin, end, tc)) {
       // Closed-form method (or mismatched shapes): per-job training with
       // the still-unconsumed forked RNGs, counted as a fused fallback.
-      round_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      fallbacks.fetch_add(1, std::memory_order_relaxed);
       for (forecast::FusedTrainJob& fj : fjobs) {
-        fj.forecaster->train(*fj.trace, begin, end, train, *fj.rng);
+        fj.forecaster->train(*fj.trace, begin, end, tc, *fj.rng);
       }
     }
   };
-  const util::ShardTiming timing = util::sharded_for(
-      pool, groups.size() - 1, cfg_.shards,
-      [&](std::size_t g) {
-        return util::shard_of(job_homes[groups[g]], agents_.size(),
-                              cfg_.shards);
-      },
-      train_group);
-  fused_fallbacks_ += round_fallbacks.load(std::memory_order_relaxed);
-  if (cfg_.metrics != nullptr) {
-    obs::record_shard_timing(*cfg_.metrics, "dfl.shard", timing);
-  }
 
-  if (cfg_.aggregation != AggregationMode::kNone && agents_.size() > 1) {
-    broadcast_and_aggregate(rounds_done_);
+  // Alg. 1's aggregation step: one exchange session for every round of
+  // this call. Forecasters expose no mutable flat span, so the averaged
+  // result arrives through the commit callback.
+  const SecureAggregator aggregator(cfg_.secure);
+  std::optional<StagedExchange> staged;
+  if (federates()) {
+    std::vector<ExchangeItem> items;
+    for (std::size_t j = 0; j < job_homes.size(); ++j) {
+      const std::size_t h = job_homes[j];
+      const std::size_t d = job_devs[j];
+      items.push_back(
+          {.agent = static_cast<net::AgentId>(h),
+           .device_type =
+               static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
+           .send = agents_[h].devices[d]->parameters(),
+           .in_place = {}});
+    }
+    ParamExchange::Options options;
+    options.kind = net::MessageKind::kForecastParams;
+    options.secure = cfg_.secure_aggregation ? &aggregator : nullptr;
+    options.metrics = cfg_.metrics;
+    options.group_size_histogram = "dfl.agg_group_size";
+    options.policy = cfg_.robustness;
+    staged.emplace(bus_, std::move(options), std::move(items));
   }
-  ++rounds_done_;
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("dfl.rounds").add(1);
+  const ParamExchange::CommitFn commit =
+      [&](std::size_t j, std::span<const double> averaged) {
+        agents_[job_homes[j]].devices[job_devs[j]]->set_parameters(averaged);
+      };
+
+  RoundPipeline::Ops ops;
+  ops.compute = [&](std::size_t s, std::uint64_t r) {
+    // A sharded run has one group per shard; one shard spreads its
+    // groups over the pool.
+    pool.parallel_for(slices.shard_group_begin[s],
+                      slices.shard_group_begin[s + 1],
+                      [&](std::size_t g) { train_group(g, r); });
+  };
+  if (staged) {
+    ops.publish = [&](std::size_t s, std::uint64_t r) {
+      // A closed-form fit may have replaced a model's parameter buffer.
+      for (std::size_t j = slices.shard_job_begin[s];
+           j < slices.shard_job_begin[s + 1]; ++j) {
+        staged->set_send(
+            j, agents_[job_homes[j]].devices[job_devs[j]]->parameters());
+      }
+      staged->publish_shard(s, r);
+    };
+    if (staged->has_hub()) {
+      ops.hub = [&](std::uint64_t r) { staged->hub_step(r); };
+    }
+    ops.apply = [&](std::size_t s, std::uint64_t r) {
+      staged->apply_shard(s, r, commit);
+    };
+  }
+  ops.round_done = [&](std::uint64_t r) {
+    rounds_done_ = r + 1;
+    if (cfg_.metrics == nullptr) return;
     cfg_.metrics->counter("dfl.devices_trained").add(job_homes.size());
     cfg_.metrics->counter("dfl.train_windows")
-        .add(job_homes.size() * windows_per_job);
-    cfg_.metrics->counter("forecast.fused_fallbacks").set(fused_fallbacks_);
-    obs::record_bus_stats(*cfg_.metrics, "bus.forecast", bus_.stats());
-    if (router_) {
-      obs::record_shard_router_stats(*cfg_.metrics, "bus.forecast",
-                                     router_->stats());
-    }
-  }
-}
-
-void DflTrainer::broadcast_and_aggregate(std::uint64_t round_id) {
-  // One exchange item per (home, device); the engine owns the whole
-  // broadcast → relay → drain → sort → shape-guard → average round
-  // (Alg. 1's aggregation step). Forecasters expose no mutable flat
-  // span, so the averaged result arrives through the commit callback.
-  struct Slot {
-    std::size_t home, dev;
+        .add(job_homes.size() * windows_per_job[static_cast<std::size_t>(r - r0)]);
   };
-  std::vector<Slot> slots;
-  std::vector<ExchangeItem> items;
-  for (std::size_t h = 0; h < agents_.size(); ++h) {
-    for (std::size_t d = 0; d < agents_[h].devices.size(); ++d) {
-      const auto type =
-          static_cast<std::uint32_t>(traces_[h].devices[d].spec.type);
-      slots.push_back({h, d});
-      items.push_back({.agent = static_cast<net::AgentId>(h),
-                       .device_type = type,
-                       .send = agents_[h].devices[d]->parameters(),
-                       .in_place = {}});
-    }
-  }
-
-  const SecureAggregator aggregator(cfg_.secure);
-  ParamExchange::Options options;
-  options.kind = net::MessageKind::kForecastParams;
-  options.secure = cfg_.secure_aggregation ? &aggregator : nullptr;
-  options.metrics = cfg_.metrics;
-  options.group_size_histogram = "dfl.agg_group_size";
-  options.policy = cfg_.robustness;
-  options.parallel = router_ != nullptr;
-  ParamExchange exchange(bus_, options);
-  const ExchangeStats stats = exchange.round(
-      items, round_id, [&](std::size_t i, std::span<const double> averaged) {
-        agents_[slots[i].home].devices[slots[i].dev]->set_parameters(averaged);
-      });
+  pipeline_.run(pool, r0, windows.size(), ops);
+  fused_fallbacks_ += fallbacks.load(std::memory_order_relaxed);
 
   if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("dfl.contributions_accepted").add(stats.accepted);
-    cfg_.metrics->counter("dfl.contributions_rejected").add(stats.rejected);
+    obs::MetricsRegistry& reg = *cfg_.metrics;
+    if (staged) {
+      const ExchangeStats stats = staged->stats();
+      reg.counter("dfl.contributions_accepted").add(stats.accepted);
+      reg.counter("dfl.contributions_rejected").add(stats.rejected);
+      staged->record_metrics(windows.size());
+    }
+    reg.counter("forecast.fused_fallbacks").set(fused_fallbacks_);
+    obs::record_bus_stats(reg, "bus.forecast", bus_.stats());
+    if (router_) {
+      obs::record_shard_router_stats(reg, "bus.forecast", router_->stats());
+    }
   }
 }
 

@@ -4,10 +4,12 @@
 // The trainer owns one forecaster per (residence, device). Simulated
 // time advances in rounds of `broadcast_period_hours` (the paper's β):
 // within a round every agent trains each of its device models on the
-// newly recorded minutes (in parallel on the thread pool); at the round
-// boundary agents broadcast the parameters of every device model over
-// the message bus and average them with the homologous models (same
-// device *type*) received from other residences.
+// newly recorded minutes; at the round boundary agents broadcast the
+// parameters of every device model over the message bus and average them
+// with the homologous models (same device *type*) received from other
+// residences. Rounds run on the round engine (fl::RoundPipeline driving
+// one fl::StagedExchange session per run() call), the same scheduler as
+// the EMS γ rounds — docs/scaling.md.
 //
 // Aggregation modes cover the paper's comparison matrix:
 //   kDecentralized — full-mesh broadcast, average at every agent (DFL);
@@ -20,11 +22,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "data/household.hpp"
 #include "data/trace.hpp"
 #include "fl/exchange.hpp"
+#include "fl/round_pipeline.hpp"
 #include "fl/secure_agg.hpp"
 #include "forecast/forecaster.hpp"
 #include "net/bus.hpp"
@@ -80,13 +84,12 @@ struct DflConfig {
   std::optional<net::TopologyKind> topology;
   /// Cluster size / gossip fanout+seed for the sparse topologies.
   net::TopologyOptions topology_options{};
-  /// Shards for the bulk-synchronous engine: > 1 trains each shard's
-  /// (home, device) jobs as one fused group on one pool task
-  /// (docs/fused_training.md), batches cross-shard parameter messages per
-  /// shard pair per round (net::ShardRouter), and parallelizes the
-  /// exchange drain/aggregate phases. 0/1 = unsharded: one fused group
-  /// per pool worker and the flat exchange (bitwise identical results
-  /// either way on a clean fault plan).
+  /// Shards of the round engine: > 1 trains each shard's (home, device)
+  /// jobs as one fused group (docs/fused_training.md), batches
+  /// cross-shard parameter messages per shard pair per round
+  /// (net::ShardRouter), and lets shards publish and apply on their own
+  /// readiness. 0/1 = one shard, trained as one fused group per pool
+  /// worker. Results are bitwise identical at any shard count.
   std::size_t shards = 0;
 };
 
@@ -131,7 +134,7 @@ class DflTrainer {
 
   // --- Warm-restart persistence surface (see sim/snapshot.hpp) --------
   /// Rounds executed so far. The per-round training RNG is forked from
-  /// (seed, rounds_done, home, dev), so restoring this counter plus the
+  /// (seed, round, home, dev), so restoring this counter plus the
   /// forecaster states is all a bitwise resume needs.
   [[nodiscard]] std::uint64_t rounds_done() const noexcept {
     return rounds_done_;
@@ -142,7 +145,7 @@ class DflTrainer {
   /// Mutable forecaster access for snapshot restore.
   [[nodiscard]] forecast::Forecaster& mutable_forecaster(std::size_t home,
                                                          std::size_t dev);
-  /// The broadcast bus (fault-RNG and stats restore).
+  /// The broadcast bus (stats restore).
   [[nodiscard]] net::MessageBus& bus() noexcept { return bus_; }
   [[nodiscard]] const net::MessageBus& bus() const noexcept { return bus_; }
   /// Attached cross-shard router; nullptr when unsharded.
@@ -157,7 +160,15 @@ class DflTrainer {
   }
 
  private:
-  void broadcast_and_aggregate(std::uint64_t round_id);
+  /// True when rounds exchange parameters (an aggregation mode and at
+  /// least two residences); otherwise they only train.
+  [[nodiscard]] bool federates() const noexcept {
+    return cfg_.aggregation != AggregationMode::kNone && traces_.size() > 1;
+  }
+  /// Run the rounds over `windows` ([begin, end) minute pairs) as one
+  /// segment of the round engine, starting at round rounds_done().
+  void run_rounds(
+      const std::vector<std::pair<std::size_t, std::size_t>>& windows);
 
   const std::vector<data::HouseholdTrace>& traces_;
   DflConfig cfg_;
@@ -165,6 +176,9 @@ class DflTrainer {
   /// Declared before bus_ — the bus holds a non-owning router pointer.
   std::unique_ptr<net::ShardRouter> router_;
   net::MessageBus bus_;
+  /// The round engine over the bus's shard broadcast graph (self-only
+  /// when the trainer does not federate); its stats are cumulative.
+  RoundPipeline pipeline_;
   std::uint64_t rounds_done_ = 0;
   std::uint64_t fused_fallbacks_ = 0;
 };

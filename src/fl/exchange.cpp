@@ -9,7 +9,6 @@
 
 #include "fl/aggregate.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfdrl::fl {
 
@@ -88,8 +87,8 @@ void keep_current(std::vector<net::Message>& raw, std::uint64_t round_id,
 }
 
 // Order-independent sums of the aggregation step: relaxed atomics, so
-// items and groups may run on the pool and the totals still match the
-// serial path.
+// shards may apply concurrently and the totals do not depend on the
+// schedule.
 struct Tally {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -133,9 +132,8 @@ struct GroupHistograms {
   }
 };
 
-// One aggregation step, shared by ParamExchange::round and
-// StagedExchange::apply_shard: the items [begin, end) against inboxes
-// already drained, filtered and sorted.
+// One aggregation step of StagedExchange::apply_shard: the items
+// [begin, end) against inboxes already drained, filtered and sorted.
 struct Aggregation {
   std::span<const ExchangeItem> items;
   std::span<const net::Payload> sent;
@@ -227,20 +225,15 @@ struct Aggregation {
   }
 
   void run(std::size_t begin, std::size_t end, Tally& tally,
-           const ParamExchange::CommitFn& commit, bool parallel) const {
+           const ParamExchange::CommitFn& commit) const {
     // Phase A: every live item's accepted contributions and quorum gate.
     // Items only read the drained inboxes and the sent payloads.
     const std::size_t n = end - begin;
     std::vector<std::vector<std::span<const double>>> contributions(n);
     std::vector<char> averages(n, 0);
-    const auto gather_one = [&](std::size_t k) {
+    for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = begin + k;
       if (live[i]) averages[k] = gather(i, contributions[k], tally) ? 1 : 0;
-    };
-    if (parallel) {
-      util::ThreadPool::global().parallel_for(0, n, gather_one);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) gather_one(k);
     }
 
     // Phase B: key the averaging items. A share group lists its members
@@ -272,10 +265,8 @@ struct Aggregation {
     });
 
     // Phase C: one average per share group, landed in every member, then
-    // each member's commit. Members write only their own targets, so
-    // groups may run on the pool.
-    const auto average_share = [&](std::size_t g) {
-      const std::vector<std::size_t>& members = shares[g];
+    // each member's commit.
+    for (const std::vector<std::size_t>& members : shares) {
       const std::vector<std::span<const double>>& contribs =
           contributions[members.front()];
       const ExchangeItem& first = items[begin + members.front()];
@@ -308,11 +299,6 @@ struct Aggregation {
         histograms.observe(contribs.size());
         if (commit) commit(begin + k, mine);
       }
-    };
-    if (parallel) {
-      util::ThreadPool::global().parallel_for(0, shares.size(), average_share);
-    } else {
-      for (std::size_t g = 0; g < shares.size(); ++g) average_share(g);
     }
   }
 };
@@ -352,147 +338,8 @@ void record_exchange_metrics(obs::MetricsRegistry& reg, const ExchangeStats& d,
 
 }  // namespace
 
-ParamExchange::ParamExchange(net::MessageBus& bus, Options options)
-    : bus_(bus), options_(std::move(options)) {}
-
-ExchangeStats ParamExchange::round(std::span<const ExchangeItem> items,
-                                   std::uint64_t round_id,
-                                   const CommitFn& commit) {
-  ExchangeStats stats;
-  const std::uint64_t allocations_before = net::Payload::allocations();
-  const net::BusStats bus_before = bus_.stats();
-  const ExchangePolicy& policy = options_.policy;
-  const auto is_crashed = [&](net::AgentId a) {
-    return policy.failures.crashed(a, round_id);
-  };
-  const Groups groups = make_groups(items);
-
-  // Phase 1: every live item broadcasts. Crashed residences skip the
-  // round (no broadcast, no drain — their inbox backlog is discarded as
-  // stale after restart).
-  std::vector<net::Payload> sent(items.size());
-  std::vector<char> live(items.size(), 1);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
-    if (is_crashed(item.agent)) {
-      live[i] = 0;
-      ++stats.crashed_items;
-      continue;
-    }
-    sent[i] = broadcast_item(bus_, options_, groups, item, round_id);
-  }
-  // Tick barrier: hand parked cross-shard traffic over to the inboxes as
-  // one batch per shard pair, in pinned (src, dst) order. No-op without
-  // an attached net::ShardRouter.
-  bus_.flush_shard_batches();
-
-  // Star topology: the hub relays leaf messages to the other leaves and
-  // keeps a copy for its own aggregation — the "cloud aggregator" tax of
-  // the centralized baselines. Relayed messages share the same payload
-  // buffer as the original and accumulate the second hop's latency. When
-  // the lossy leaf->hub link ate a contribution, the leaf retransmits
-  // with backoff (up to policy.hub_retries attempts); a crashed hub
-  // takes the whole round down — every leaf falls back to local.
-  std::vector<net::Message> hub_keep;
-  if (bus_.topology().kind() == net::TopologyKind::kStar && !is_crashed(0)) {
-    auto hub_msgs = bus_.drain(0);
-    if (policy.hub_retries > 0) {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const auto& item = items[i];
-        if (!live[i] || item.agent == 0) continue;
-        const auto hub_has = [&] {
-          return std::any_of(hub_msgs.begin(), hub_msgs.end(),
-                             [&](const net::Message& m) {
-                               return m.sender == item.agent &&
-                                      m.device_type == item.device_type;
-                             });
-        };
-        for (std::size_t attempt = 1;
-             attempt <= policy.hub_retries && !hub_has(); ++attempt) {
-          net::Message msg;
-          msg.sender = item.agent;
-          msg.kind = options_.kind;
-          msg.device_type = item.device_type;
-          msg.round = round_id;
-          msg.arrival_s = policy.failures.compute_delay(item.agent) +
-                          static_cast<double>(attempt) *
-                              policy.retry_backoff_s;
-          msg.payload = sent[i];
-          ++stats.retries;
-          bus_.send(0, msg);
-          auto retried = bus_.drain(0);
-          hub_msgs.insert(hub_msgs.end(),
-                          std::make_move_iterator(retried.begin()),
-                          std::make_move_iterator(retried.end()));
-        }
-      }
-    }
-    for (auto& m : hub_msgs) {
-      for (std::size_t h = 1; h < bus_.num_agents(); ++h) {
-        if (static_cast<net::AgentId>(h) == m.sender) continue;
-        bus_.send(static_cast<net::AgentId>(h), m);
-        ++stats.relayed;
-      }
-      // The hub already holds this copy in hand — it aggregates from it
-      // directly instead of looping it back through the (possibly
-      // faulty) network.
-      hub_keep.push_back(std::move(m));
-    }
-  }
-
-  // Phase 2: drain every live inbox, discard stale (older-round) and
-  // late (past-deadline) deliveries, and sort the survivors. Crashed
-  // agents keep their backlog for next time. Inboxes are independent,
-  // so with Options::parallel this fans out on the global pool; the
-  // counters are order-independent sums, so the result is bitwise
-  // identical either way.
-  std::atomic<std::uint64_t> stale_msgs{0};
-  std::atomic<std::uint64_t> late_msgs{0};
-  std::vector<std::vector<net::Message>> inboxes(bus_.num_agents());
-  const auto drain_inbox = [&](std::size_t h) {
-    if (is_crashed(static_cast<net::AgentId>(h))) return;
-    auto raw = bus_.drain(static_cast<net::AgentId>(h));
-    if (h == 0 && !hub_keep.empty()) {
-      raw.insert(raw.end(), std::make_move_iterator(hub_keep.begin()),
-                 std::make_move_iterator(hub_keep.end()));
-      hub_keep.clear();
-    }
-    std::uint64_t stale = 0;
-    std::uint64_t late = 0;
-    keep_current(raw, round_id, policy.round_deadline_s, inboxes[h], stale,
-                 late);
-    stale_msgs.fetch_add(stale, std::memory_order_relaxed);
-    late_msgs.fetch_add(late, std::memory_order_relaxed);
-  };
-  if (options_.parallel) {
-    util::ThreadPool::global().parallel_for(0, bus_.num_agents(), drain_inbox);
-  } else {
-    for (std::size_t h = 0; h < bus_.num_agents(); ++h) drain_inbox(h);
-  }
-  stats.stale_msgs = stale_msgs.load();
-  stats.late_msgs = late_msgs.load();
-
-  // Phase 3: participation-weighted grouped average.
-  const GroupHistograms histograms(options_);
-  Tally tally;
-  const Aggregation aggregation{items,  sent,    live,      inboxes,
-                                groups, options_, histograms};
-  aggregation.run(0, items.size(), tally, commit, options_.parallel);
-  tally.add_to(stats);
-
-  stats.payload_allocations = net::Payload::allocations() - allocations_before;
-  if (options_.metrics != nullptr) {
-    record_exchange_metrics(*options_.metrics, stats, 1, items.size(),
-                            bus_before, bus_.stats());
-  }
-  return stats;
-}
-
 // ---------------------------------------------------------------------------
-// StagedExchange — ParamExchange::round carved into per-shard stages for
-// the dependency-driven pipeline. Broadcast, inbox filtering and the
-// aggregation step are the same functions as above; only the iteration
-// boundaries and the lifetime of the sent-payload slots differ.
+// StagedExchange
 
 struct StagedExchange::Impl {
   net::MessageBus& bus;
@@ -502,6 +349,7 @@ struct StagedExchange::Impl {
   // of the item set, not of any round.
   Groups groups;
   std::size_t shards = 1;
+  bool star = false;
   // Contiguous per-shard slices (size shards + 1): items owned by shard s
   // are [item_begin[s], item_begin[s+1]), agents are
   // [agent_begin[s], agent_begin[s+1]). Contiguity holds because items
@@ -516,15 +364,19 @@ struct StagedExchange::Impl {
   // Drained inboxes, indexed by agent. Shards touch disjoint agent
   // ranges, so no locking; cleared after phase 3 to release handles.
   std::vector<std::vector<net::Message>> inboxes;
+  // The hub's own copies of the round's leaf contributions (star only),
+  // written by hub_step and consumed by the hub shard's apply.
+  std::vector<net::Message> hub_keep;
 
   GroupHistograms histograms;
 
-  // Cumulative order-independent sums — totals are bitwise identical to
-  // the per-round BSP stats added up.
+  // Cumulative order-independent sums.
   Tally tally;
   std::atomic<std::uint64_t> stale_msgs{0};
   std::atomic<std::uint64_t> late_msgs{0};
   std::atomic<std::uint64_t> crashed_items{0};
+  std::atomic<std::uint64_t> relayed{0};
+  std::atomic<std::uint64_t> retries{0};
 
   std::uint64_t allocations_at_ctor = 0;
   // record_metrics() window baselines (deltas fold per segment).
@@ -537,25 +389,16 @@ struct StagedExchange::Impl {
         options(std::move(o)),
         items(std::move(it)),
         groups(make_groups(items)),
+        star(b.topology().kind() == net::TopologyKind::kStar),
         histograms(options) {
-    if (bus.topology().kind() == net::TopologyKind::kStar) {
-      throw std::logic_error(
-          "StagedExchange: star hub relay is a whole-round protocol; use "
-          "ParamExchange");
-    }
-    if (!bus.fault_plan().deterministic_delivery()) {
-      throw std::logic_error(
-          "StagedExchange: stochastic fault plan would draw the per-bus "
-          "fault stream in schedule order; use ParamExchange");
-    }
-    for (std::size_t i = 1; i < items.size(); ++i) {
+    net::ShardRouter* router = bus.shard_router();
+    shards = router != nullptr ? router->num_shards() : 1;
+    for (std::size_t i = 1; shards > 1 && i < items.size(); ++i) {
       if (items[i].agent < items[i - 1].agent) {
         throw std::invalid_argument(
             "StagedExchange: items must be sorted ascending by agent");
       }
     }
-    net::ShardRouter* router = bus.shard_router();
-    shards = router != nullptr ? router->num_shards() : 1;
     const auto shard_of = [router](net::AgentId a) {
       return router != nullptr ? router->shard_of(a) : std::size_t{0};
     };
@@ -564,7 +407,7 @@ struct StagedExchange::Impl {
     agent_begin.assign(shards + 1, bus.num_agents());
     agent_begin[0] = 0;
     std::size_t s = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
+    for (std::size_t i = 0; shards > 1 && i < items.size(); ++i) {
       const std::size_t is = shard_of(items[i].agent);
       while (s < is) item_begin[++s] = i;
     }
@@ -597,15 +440,84 @@ struct StagedExchange::Impl {
     bus.flush_shard_batches_from(s);
   }
 
+  // The star relay — the "cloud aggregator" tax of the centralized
+  // baselines. Relayed messages share the payload buffer of the original
+  // and accumulate the second hop's latency. When the lossy leaf->hub
+  // link ate a contribution, the leaf retransmits with backoff (up to
+  // policy.hub_retries attempts, each a distinct delivery key). Each
+  // (sender, device_type) is relayed once, its earliest-arriving copy, so
+  // no two deliveries of one round share a fault key.
+  void hub_step(std::uint64_t round_id) {
+    const ExchangePolicy& policy = options.policy;
+    hub_keep.clear();
+    if (!star || policy.failures.crashed(0, round_id)) return;
+    std::size_t stale = 0;
+    hub_keep = bus.drain_round(0, round_id, &stale);
+    const auto hub_has = [&](const ExchangeItem& item) {
+      return std::any_of(hub_keep.begin(), hub_keep.end(),
+                         [&](const net::Message& m) {
+                           return m.sender == item.agent &&
+                                  m.device_type == item.device_type;
+                         });
+    };
+    std::uint64_t retried = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const auto& item = items[i];
+      if (!live[i] || item.agent == 0) continue;
+      for (std::uint32_t attempt = 1;
+           attempt <= policy.hub_retries && !hub_has(item); ++attempt) {
+        net::Message msg;
+        msg.sender = item.agent;
+        msg.kind = options.kind;
+        msg.device_type = item.device_type;
+        msg.round = round_id;
+        msg.attempt = attempt;
+        msg.arrival_s = policy.failures.compute_delay(item.agent) +
+                        static_cast<double>(attempt) * policy.retry_backoff_s;
+        msg.payload = sent[i];
+        ++retried;
+        bus.send(0, msg);
+        auto got = bus.drain_round(0, round_id, &stale);
+        hub_keep.insert(hub_keep.end(), std::make_move_iterator(got.begin()),
+                        std::make_move_iterator(got.end()));
+      }
+    }
+    std::sort(hub_keep.begin(), hub_keep.end(),
+              [](const net::Message& a, const net::Message& b) {
+                if (a.sender != b.sender) return a.sender < b.sender;
+                if (a.device_type != b.device_type) {
+                  return a.device_type < b.device_type;
+                }
+                return a.arrival_s < b.arrival_s;
+              });
+    std::uint64_t relays = 0;
+    for (std::size_t k = 0; k < hub_keep.size(); ++k) {
+      const net::Message& m = hub_keep[k];
+      if (k > 0 && hub_keep[k - 1].sender == m.sender &&
+          hub_keep[k - 1].device_type == m.device_type) {
+        continue;  // a duplicate delivery: its first copy was relayed
+      }
+      for (std::size_t h = 1; h < bus.num_agents(); ++h) {
+        if (static_cast<net::AgentId>(h) == m.sender) continue;
+        bus.send(static_cast<net::AgentId>(h), m);
+        ++relays;
+      }
+    }
+    stale_msgs.fetch_add(stale, std::memory_order_relaxed);
+    retries.fetch_add(retried, std::memory_order_relaxed);
+    relayed.fetch_add(relays, std::memory_order_relaxed);
+  }
+
   void apply_shard(std::size_t s, std::uint64_t round_id,
                    const ParamExchange::CommitFn& commit) {
     const ExchangePolicy& policy = options.policy;
 
-    // Phase 2 for this shard's agents: generational drain, then the same
-    // filter and sort as BSP. Item-less agents drain too — their inboxes
-    // must not pile up across rounds. Crashed agents keep their backlog;
-    // a later drain_round discards it as stale, the same totals as BSP's
-    // next-round drain.
+    // Phase 2 for this shard's agents: generational drain, deadline
+    // filter and sort. Item-less agents drain too — their inboxes must
+    // not pile up across rounds. Crashed agents keep their backlog; a
+    // later drain_round discards it as stale. The hub aggregates from
+    // the copies it already holds instead of looping them back through
+    // the (possibly faulty) network.
     std::size_t stale = 0;
     std::uint64_t older = 0;  // drain_round already dropped older rounds
     std::uint64_t late = 0;
@@ -613,16 +525,22 @@ struct StagedExchange::Impl {
       const auto agent = static_cast<net::AgentId>(a);
       if (policy.failures.crashed(agent, round_id)) continue;
       auto raw = bus.drain_round(agent, round_id, &stale);
+      if (a == 0 && !hub_keep.empty()) {
+        raw.insert(raw.end(), std::make_move_iterator(hub_keep.begin()),
+                   std::make_move_iterator(hub_keep.end()));
+        hub_keep.clear();
+      }
       keep_current(raw, round_id, policy.round_deadline_s, inboxes[a], older,
                    late);
     }
     stale_msgs.fetch_add(stale, std::memory_order_relaxed);
     late_msgs.fetch_add(late, std::memory_order_relaxed);
 
-    // Phase 3 for this shard's items.
+    // Phase 3: participation-weighted grouped average of this shard's
+    // items.
     const Aggregation aggregation{items,  sent,    live,      inboxes,
                                   groups, options, histograms};
-    aggregation.run(item_begin[s], item_begin[s + 1], tally, commit, false);
+    aggregation.run(item_begin[s], item_begin[s + 1], tally, commit);
 
     // Release the round's payload handles for this shard's agents.
     for (std::size_t a = agent_begin[s]; a < agent_begin[s + 1]; ++a) {
@@ -636,6 +554,8 @@ struct StagedExchange::Impl {
     out.stale_msgs = stale_msgs.load();
     out.late_msgs = late_msgs.load();
     out.crashed_items = crashed_items.load();
+    out.relayed = relayed.load();
+    out.retries = retries.load();
     out.payload_allocations = net::Payload::allocations() - allocations_at_ctor;
     return out;
   }
@@ -660,8 +580,18 @@ StagedExchange::~StagedExchange() {
   }
 }
 
+bool StagedExchange::has_hub() const noexcept { return impl_->star; }
+
+void StagedExchange::set_send(std::size_t item, std::span<const double> send) {
+  impl_->items.at(item).send = send;
+}
+
 void StagedExchange::publish_shard(std::size_t shard, std::uint64_t round_id) {
   impl_->publish_shard(shard, round_id);
+}
+
+void StagedExchange::hub_step(std::uint64_t round_id) {
+  impl_->hub_step(round_id);
 }
 
 void StagedExchange::apply_shard(std::size_t shard, std::uint64_t round_id,
@@ -676,12 +606,10 @@ void StagedExchange::record_metrics(std::uint64_t rounds_completed) {
   if (im.options.metrics == nullptr) return;
   const ExchangeStats cur = im.snapshot();
   const ExchangeStats& prev = im.reported;
-  // No star relay path in the staged engine: relays and retries stay
-  // zero, but the counters exist so BSP and pipelined runs export the
-  // same exchange.* family.
   ExchangeStats d;
   d.averages_computed = cur.averages_computed - prev.averages_computed;
   d.payload_allocations = cur.payload_allocations - prev.payload_allocations;
+  d.relayed = cur.relayed - prev.relayed;
   d.quorum_met = cur.quorum_met - prev.quorum_met;
   d.quorum_missed = cur.quorum_missed - prev.quorum_missed;
   d.local_fallbacks = cur.local_fallbacks - prev.local_fallbacks;
@@ -689,12 +617,34 @@ void StagedExchange::record_metrics(std::uint64_t rounds_completed) {
   d.late_msgs = cur.late_msgs - prev.late_msgs;
   d.duplicates = cur.duplicates - prev.duplicates;
   d.crashed_items = cur.crashed_items - prev.crashed_items;
+  d.retries = cur.retries - prev.retries;
   const net::BusStats bus_after = im.bus.stats();
   record_exchange_metrics(*im.options.metrics, d, rounds_completed,
                           im.items.size() * rounds_completed, im.bus_reported,
                           bus_after);
   im.reported = cur;
   im.bus_reported = bus_after;
+}
+
+// ---------------------------------------------------------------------------
+// ParamExchange — one round of the stages above, in order.
+
+ParamExchange::ParamExchange(net::MessageBus& bus, Options options)
+    : bus_(bus), options_(std::move(options)) {}
+
+ExchangeStats ParamExchange::round(std::span<const ExchangeItem> items,
+                                   std::uint64_t round_id,
+                                   const CommitFn& commit) {
+  StagedExchange staged(bus_, options_, {items.begin(), items.end()});
+  for (std::size_t s = 0; s < staged.num_shards(); ++s) {
+    staged.publish_shard(s, round_id);
+  }
+  staged.hub_step(round_id);
+  for (std::size_t s = 0; s < staged.num_shards(); ++s) {
+    staged.apply_shard(s, round_id, commit);
+  }
+  staged.record_metrics(1);
+  return staged.stats();
 }
 
 }  // namespace pfdrl::fl

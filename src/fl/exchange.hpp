@@ -6,10 +6,12 @@
 // parameter slice along the topology, a star hub optionally relays leaf
 // messages (the "cloud tax" of the centralized baselines), every agent
 // drains its inbox in deterministic (sender, device_type) order, guards
-// contribution shapes, and averages per device-type group. ParamExchange
-// owns that whole round; DflTrainer and DrlFederation are thin
-// configurations of it (gossip-averaging systems — DSGD, FedAvg — treat
-// the exchange round as a primitive, and so do we).
+// contribution shapes, and averages per device-type group.
+// StagedExchange owns that round, carved into per-shard stages the
+// round engine (fl::RoundPipeline) schedules; DflTrainer and
+// DrlFederation are thin configurations of it (gossip-averaging systems
+// — DSGD, FedAvg — treat the exchange round as a primitive, and so do
+// we). ParamExchange::round runs one round of those stages in order.
 //
 // Zero-copy: outgoing slices become one net::Payload allocation each; the
 // bus fans out refcounted handles, so a full-mesh broadcast is O(1)
@@ -17,9 +19,10 @@
 // the per-round allocation count as `exchange.payload_copies`.
 //
 // Determinism: inboxes are sorted by (sender, device_type) before
-// averaging and items are processed in caller order, so results are
-// bit-reproducible regardless of delivery interleaving — the property
-// the fixed-seed golden test pins down.
+// averaging, items are processed in caller order, and every fault draw
+// is a pure function of the delivery (net::MessageBus), so results are
+// bit-reproducible regardless of delivery interleaving, shard count or
+// pool size — the property the fixed-seed golden tests pin down.
 //
 // Degradation: rounds are deadline-based when ExchangePolicy asks for it.
 // Each round drains whatever arrived by the per-round deadline (in
@@ -27,8 +30,8 @@
 // duplicate deliveries, aggregates the quorum that made it with a
 // participation-weighted average (each unique arrival weighs 1/K), and
 // falls back to local-only parameters when the quorum is missed. Crashed
-// residences skip the round entirely; the star-relay hub path retries
-// missing leaf contributions with backoff. Every degradation decision is
+// residences skip the round entirely; the star hub step retries missing
+// leaf contributions with backoff. Every degradation decision is
 // observable through the exchange.* and fault.* metric families — see
 // docs/robustness.md for the exact semantics the tests pin.
 #pragma once
@@ -158,14 +161,6 @@ class ParamExchange {
     /// Deadline / quorum / retry / failure-schedule policy; the default
     /// reproduces the original always-everything round.
     ExchangePolicy policy{};
-    /// Run the drain/filter/sort and per-item aggregation phases on the
-    /// global thread pool (the sharded engine sets this when shards > 1).
-    /// Results are bitwise identical to the serial path: every inbox and
-    /// every item is independent, contributions are sorted before
-    /// averaging, and stat counters are order-independent sums. The
-    /// commit callback must then be safe to invoke concurrently for
-    /// distinct items (both in-tree consumers write to per-item targets).
-    bool parallel = false;
   };
 
   /// Invoked for every averaged item after its result landed; `averaged`
@@ -177,10 +172,11 @@ class ParamExchange {
 
   ParamExchange(net::MessageBus& bus, Options options);
 
-  /// One full round: broadcast, optional star relay, drain, sort, shape
-  /// guard, grouped average, commit. The star relay triggers off the
-  /// bus's own topology. Items must be in deterministic caller order
-  /// (ascending agent recommended); an agent may own several items.
+  /// One full round of StagedExchange's stages in order: publish every
+  /// shard, the hub step (star topologies), apply every shard. Items
+  /// must be sorted ascending by agent when the bus has a shard router;
+  /// an agent may own several items. Records exchange.* metrics for one
+  /// round and returns its stats.
   ExchangeStats round(std::span<const ExchangeItem> items,
                       std::uint64_t round_id, const CommitFn& commit);
 
@@ -189,34 +185,26 @@ class ParamExchange {
   Options options_;
 };
 
-/// The same exchange round as ParamExchange, carved into per-shard
-/// publish/apply stages so the dependency-driven round pipeline
-/// (core::RoundPipeline, docs/scaling.md) can overlap one shard's
-/// encode/route with another's compute instead of running the round
-/// behind a global barrier.
+/// The exchange round, carved into per-shard publish/apply stages plus a
+/// once-per-round hub step, so the round engine (fl::RoundPipeline,
+/// docs/scaling.md) can overlap one shard's encode/route with another's
+/// compute instead of running the round behind a global barrier.
 ///
-/// Contract: construct once per pipelined run with items sorted
-/// ascending by agent. For every round r, publish_shard(s, r) must run
-/// before apply_shard(d, r) for every shard d that s broadcasts into
-/// (readiness is the pipeline's job); within one shard the calls are
-/// sequential. Outgoing payloads are refcounted net::Payload handles, so
-/// a shard publishing round r+1 never invalidates the round-r frames a
-/// slower neighbor is still aggregating — the handles ARE the double
-/// buffer. Inboxes are drained generationally (MessageBus::drain_round):
-/// round-r messages are extracted, older rounds are discarded as stale,
-/// newer rounds stay parked.
+/// Contract: construct once per run with items sorted ascending by agent
+/// (required when the bus has a shard router). For every round r,
+/// publish_shard(s, r) must run before apply_shard(d, r) for every shard
+/// d that s broadcasts into; on a star, hub_step(r) runs after every
+/// shard published r and before any shard applies r (readiness is the
+/// pipeline's job). Within one shard the calls are sequential. Outgoing
+/// payloads are refcounted net::Payload handles, so a shard publishing
+/// round r+1 never invalidates the round-r frames a slower neighbor is
+/// still aggregating — the handles ARE the double buffer. Inboxes are
+/// drained generationally (MessageBus::drain_round): round-r messages
+/// are extracted, older rounds are discarded as stale, newer rounds stay
+/// parked.
 ///
-/// Exclusions, enforced at construction: star topologies (the hub
-/// relay/retry protocol is a whole-round barrier by nature) and fault
-/// plans with stochastic draws (FaultPlan::deterministic_delivery() —
-/// overlapped rounds would consume the shared per-bus fault stream in a
-/// schedule-dependent order). Callers fall back to ParamExchange::round
-/// for those configurations.
-///
-/// Stats accumulate across rounds (order-independent atomic sums, so
-/// totals are bitwise identical to the per-round BSP stats);
-/// record_metrics() folds exchange.*/fault.* deltas per segment instead
-/// of per round.
+/// Stats accumulate across rounds (order-independent atomic sums);
+/// record_metrics() folds exchange.*/fault.* deltas per segment.
 class StagedExchange {
  public:
   StagedExchange(net::MessageBus& bus, ParamExchange::Options options,
@@ -228,15 +216,30 @@ class StagedExchange {
 
   /// Shard count, derived from the bus's attached router (1 when flat).
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_; }
+  /// True on a star topology: every round needs hub_step().
+  [[nodiscard]] bool has_hub() const noexcept;
+
+  /// Re-point item `item`'s outgoing slice (a model whose parameter
+  /// buffer moved since construction). Only the item's own shard may
+  /// call this, between its apply and its next publish.
+  void set_send(std::size_t item, std::span<const double> send);
 
   /// Phase 1 for `shard` at `round_id`: broadcast every live owned item
   /// and hand the shard's cross-shard pair batches over (flush_src).
   void publish_shard(std::size_t shard, std::uint64_t round_id);
 
+  /// Star topologies only (a no-op otherwise): the hub (agent 0) drains
+  /// its round-`round_id` inbox, retries missing leaf contributions with
+  /// backoff, relays each (sender, device_type) once to the other leaves
+  /// and keeps its copies for its own apply. A crashed hub does nothing,
+  /// which takes the round down. Every shard must have published
+  /// `round_id` first.
+  void hub_step(std::uint64_t round_id);
+
   /// Phases 2+3 for `shard` at `round_id`: generational drain of the
   /// shard's inboxes, deadline filter, pinned (sender, device_type)
   /// sort, grouped average, commit. Every in-neighbor shard must have
-  /// published `round_id` first.
+  /// published `round_id` first, and the hub step must have run.
   void apply_shard(std::size_t shard, std::uint64_t round_id,
                    const ParamExchange::CommitFn& commit);
 
@@ -245,8 +248,7 @@ class StagedExchange {
 
   /// Fold exchange.* / fault.* metric deltas accumulated since the last
   /// call (or construction); `rounds_completed` is the number of staged
-  /// rounds in the window. BSP records per round, the staged engine per
-  /// segment — the counter totals agree.
+  /// rounds in the window.
   void record_metrics(std::uint64_t rounds_completed);
 
  private:

@@ -6,17 +6,46 @@
 namespace pfdrl::net {
 
 namespace {
-// Legacy constant fault stream, used when FaultPlan::seed is 0 so that
+// Legacy constant fault seed, used when FaultPlan::seed is 0 so that
 // directly constructed buses (tests, micro-benches) stay reproducible
 // without an experiment seed. Experiment-owned buses derive a per-bus
-// stream with derive_fault_seed() instead.
+// seed with derive_fault_seed() instead.
 constexpr std::uint64_t kLegacyFaultSeed = 0xD20BULL;
+
+// One salt per fault decision, so a delivery's drop, jitter, duplicate
+// and reorder draws are independent hashes of the same key.
+constexpr std::uint64_t kDropSalt = 0x8CB92BA72F3D8DD7ULL;
+constexpr std::uint64_t kJitterSalt = 0xC13FA9A902A6328FULL;
+constexpr std::uint64_t kDuplicateSalt = 0x91E10DA5C79E7B1DULL;
+constexpr std::uint64_t kReorderSalt = 0xD6E8FEB86659FD93ULL;
+
+// The delivery's fault key: (bus seed, round, sender, receiver, device
+// type, attempt), chained through the splitmix finalizer. Within one
+// round of a bus no two deliveries share a key — the exchange sends
+// each (sender, device type) once per receiver and attempt, and the
+// star hub relays each (sender, device type) once.
+std::uint64_t delivery_key(std::uint64_t seed, const Message& msg,
+                           AgentId to) noexcept {
+  std::uint64_t h = detail::mix64(seed ^ msg.round);
+  h = detail::mix64(h ^ ((std::uint64_t{msg.sender} << 32) | to));
+  return detail::mix64(h ^ ((std::uint64_t{msg.device_type} << 32) |
+                            msg.attempt));
+}
+
+std::uint64_t draw(std::uint64_t key, std::uint64_t salt) noexcept {
+  return detail::mix64(key ^ salt);
+}
+
+// 53 hashed bits -> uniform in [0, 1), the same mapping as util::Rng.
+double unit(std::uint64_t bits) noexcept {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
 }  // namespace
 
 MessageBus::MessageBus(Topology topology, FaultPlan fault)
     : topology_(std::move(topology)),
       fault_(std::move(fault)),
-      fault_rng_(fault_.seed != 0 ? fault_.seed : kLegacyFaultSeed) {
+      fault_seed_(fault_.seed != 0 ? fault_.seed : kLegacyFaultSeed) {
   inboxes_.reserve(topology_.num_agents());
   for (std::size_t i = 0; i < topology_.num_agents(); ++i) {
     inboxes_.push_back(std::make_unique<Inbox>());
@@ -41,31 +70,24 @@ void MessageBus::deliver(AgentId to, Message msg) {
   const std::size_t bytes = msg.wire_bytes();
   const LinkModel& link = fault_.link;
 
-  // All fault decisions for this delivery come from the per-bus stream,
-  // drawn in a fixed order (drop, jitter, duplicate, reorder position)
-  // so the stream state depends only on the delivery sequence.
-  bool dropped = false;
-  bool partitioned = false;
+  // Every fault decision is a pure function of the delivery, so its
+  // fate is the same whatever order the bus sees deliveries in.
+  const std::uint64_t key = delivery_key(fault_seed_, msg, to);
+  const bool partitioned = fault_.severed(msg.sender, to, msg.round);
+  const bool dropped =
+      !partitioned && link.drop_probability > 0.0 &&
+      unit(draw(key, kDropSalt)) < link.drop_probability;
   bool duplicated = false;
   double extra_delay = 0.0;
   std::uint64_t reorder_draw = 0;
-  {
-    std::lock_guard lock(fault_mutex_);
-    if (fault_.severed(msg.sender, to, msg.round)) {
-      partitioned = true;
-    } else if (link.drop_probability > 0.0 &&
-               fault_rng_.bernoulli(link.drop_probability)) {
-      dropped = true;
-    } else {
-      extra_delay = fault_.delay_s;
-      if (fault_.jitter_s > 0.0) {
-        extra_delay += fault_rng_.uniform(0.0, fault_.jitter_s);
-      }
-      if (fault_.duplicate_probability > 0.0) {
-        duplicated = fault_rng_.bernoulli(fault_.duplicate_probability);
-      }
-      if (fault_.reorder) reorder_draw = fault_rng_.next();
+  if (!partitioned && !dropped) {
+    extra_delay = fault_.delay_s;
+    if (fault_.jitter_s > 0.0) {
+      extra_delay += fault_.jitter_s * unit(draw(key, kJitterSalt));
     }
+    duplicated = fault_.duplicate_probability > 0.0 &&
+                 unit(draw(key, kDuplicateSalt)) < fault_.duplicate_probability;
+    if (fault_.reorder) reorder_draw = draw(key, kReorderSalt);
   }
   if (partitioned || dropped) {
     std::lock_guard slock(stats_mutex_);
@@ -113,12 +135,6 @@ std::size_t MessageBus::broadcast(const Message& msg) {
     }
   });
   return links;
-}
-
-std::size_t MessageBus::flush_shard_batches() {
-  if (router_ == nullptr) return 0;
-  return router_->flush(
-      [this](AgentId to, Message&& msg) { deliver(to, std::move(msg)); });
 }
 
 std::size_t MessageBus::flush_shard_batches_from(std::size_t src_shard) {
@@ -208,16 +224,6 @@ void MessageBus::reset_stats() {
 void MessageBus::restore_stats(const BusStats& stats) {
   std::lock_guard lock(stats_mutex_);
   stats_ = stats;
-}
-
-util::RngState MessageBus::fault_rng_state() const {
-  std::lock_guard lock(fault_mutex_);
-  return fault_rng_.state();
-}
-
-void MessageBus::restore_fault_rng(const util::RngState& state) {
-  std::lock_guard lock(fault_mutex_);
-  fault_rng_.restore(state);
 }
 
 }  // namespace pfdrl::net

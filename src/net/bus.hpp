@@ -7,11 +7,14 @@
 // Link faults are injected here, per delivery, from a net::FaultPlan:
 // silent drops, fixed+jitter delay (stamped into Message::arrival_s for
 // the deadline-based exchange rounds), duplication, reordering, and
-// scheduled partitions keyed on the message's round. All fault
-// randomness comes from one per-bus RNG stream (FaultPlan::seed), so
-// runs are bitwise reproducible per seed and distinct buses never share
-// a drop mask. Node-level failures (crashes, stragglers) live one layer
-// up, in fl::ParamExchange — see docs/robustness.md.
+// scheduled partitions keyed on the message's round. Every fault
+// decision is a pure function of the delivery: a stateless hash of (bus
+// seed, round, sender, receiver, device type, attempt), so a delivery's
+// fate does not depend on which deliveries came before it. Runs are
+// bitwise reproducible per seed whatever the delivery order, and
+// distinct buses never share a drop mask. Node-level failures (crashes,
+// stragglers) live one layer up, in fl::StagedExchange — see
+// docs/robustness.md.
 #pragma once
 
 #include <condition_variable>
@@ -26,7 +29,6 @@
 #include "net/message.hpp"
 #include "net/shard_router.hpp"
 #include "net/topology.hpp"
-#include "util/rng.hpp"
 
 namespace pfdrl::net {
 
@@ -69,37 +71,33 @@ class MessageBus {
   /// Attach a cross-shard batching router (non-owning; may be nullptr to
   /// detach). With a router attached, broadcast() delivers same-shard
   /// targets immediately and parks cross-shard deliveries in the
-  /// router's pair batches; flush_shard_batches() completes them. The
-  /// router must outlive the bus or be detached first.
+  /// router's pair batches; flush_shard_batches_from() completes them.
+  /// The router must outlive the bus or be detached first.
   void set_shard_router(ShardRouter* router) noexcept { router_ = router; }
   [[nodiscard]] ShardRouter* shard_router() const noexcept { return router_; }
 
-  /// Drain the attached router's pair batches (pinned ascending
-  /// (src shard, dst shard) order) into the inboxes, applying the same
-  /// per-delivery fault/accounting path as direct delivery. Returns the
-  /// number of messages handed over; 0 with no router attached.
-  std::size_t flush_shard_batches();
-
-  /// Pipelined variant: drain only the batches originating from shard
-  /// `src_shard` (one row of the router's pair grid). Concurrent calls
-  /// with distinct source shards are safe; this is how a shard publishes
-  /// its round without waiting for the global barrier. Returns 0 with no
-  /// router attached.
+  /// Drain the batches originating from shard `src_shard` (one row of
+  /// the router's pair grid, pinned ascending dst order) into the
+  /// inboxes, applying the same per-delivery fault/accounting path as
+  /// direct delivery. Concurrent calls with distinct source shards are
+  /// safe; this is how a shard publishes its round. Returns the number of
+  /// messages handed over; 0 with no router attached.
   std::size_t flush_shard_batches_from(std::size_t src_shard);
 
   /// Broadcast along the topology from msg.sender. Returns the number of
   /// links traversed (cross-shard deliveries may still be parked in the
-  /// shard router until flush_shard_batches()).
+  /// shard router until flush_shard_batches_from()).
   std::size_t broadcast(const Message& msg);
 
-  /// Point-to-point send (used by the star hub to relay).
+  /// Point-to-point send, never routed (the star hub's relays and
+  /// retries).
   void send(AgentId to, Message msg);
 
   /// Non-blocking receive for `agent`.
   std::optional<Message> try_receive(AgentId agent);
   /// Drain everything currently queued for `agent`.
   std::vector<Message> drain(AgentId agent);
-  /// Generational drain for the pipelined engine: extract exactly the
+  /// Generational drain for the round engine: extract exactly the
   /// messages tagged `round`, discard older generations as stale
   /// (counted into `*stale_discarded` when non-null), and leave newer
   /// rounds parked — a fast neighbor may already have published round
@@ -112,17 +110,11 @@ class MessageBus {
   [[nodiscard]] std::size_t inbox_size(AgentId agent) const;
   [[nodiscard]] BusStats stats() const;
   void reset_stats();
-  /// Restore accounting wholesale (warm-restart persistence).
+  /// Restore accounting wholesale (warm-restart persistence). Fault
+  /// draws carry no state, and in-flight inbox contents are
+  /// intentionally NOT part of a snapshot — the exchange layer already
+  /// treats unread backlog as stale and discards it (docs/robustness.md).
   void restore_stats(const BusStats& stats);
-
-  /// Fault-RNG snapshot/restore for warm restarts: the per-bus fault
-  /// stream must continue where it left off or a resumed chaos run draws
-  /// a different drop/delay mask than the uninterrupted one. In-flight
-  /// inbox contents are intentionally NOT part of a snapshot — the
-  /// exchange layer already treats unread backlog as stale and discards
-  /// it (docs/robustness.md).
-  [[nodiscard]] util::RngState fault_rng_state() const;
-  void restore_fault_rng(const util::RngState& state);
 
  private:
   struct Inbox {
@@ -136,9 +128,9 @@ class MessageBus {
 
   Topology topology_;
   FaultPlan fault_;
+  /// FaultPlan::seed, or the legacy constant when the plan has none.
+  std::uint64_t fault_seed_;
   ShardRouter* router_ = nullptr;
-  util::Rng fault_rng_;
-  mutable std::mutex fault_mutex_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   mutable std::mutex stats_mutex_;
   BusStats stats_;

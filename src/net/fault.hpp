@@ -6,15 +6,17 @@
 // delivery (loss, fixed+jitter delay, duplication, reordering, scheduled
 // partitions); a FailureSchedule describes what the *nodes* do (crash /
 // restart windows and slow-node compute stragglers) and is consumed one
-// layer up, by the fl::ParamExchange round (see docs/robustness.md for
+// layer up, by the fl::StagedExchange round (see docs/robustness.md for
 // the full layering picture).
 //
-// Determinism: all fault randomness is drawn from one per-bus RNG stream
-// seeded by FaultPlan::seed. Callers that own an experiment seed derive
-// the per-bus stream with derive_fault_seed(experiment_seed, bus_id), so
-// the forecast bus and the DRL plan-exchange bus never replay the same
-// drop mask (the old shared-constant-seed bug) while the whole run stays
-// bitwise reproducible per seed.
+// Determinism: every fault decision is a stateless hash of the delivery
+// (bus seed, round, sender, receiver, device type, attempt), keyed by
+// FaultPlan::seed. Callers that own an experiment seed derive the
+// per-bus seed with derive_fault_seed(experiment_seed, bus_id), so the
+// forecast bus and the DRL plan-exchange bus never replay the same drop
+// mask (the old shared-constant-seed bug) while the whole run stays
+// bitwise reproducible per seed — under any delivery order, shard count
+// or pool size.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +78,8 @@ struct FaultPlan {
   bool reorder = false;
   /// Scheduled split-brain windows, keyed by the message's round stamp.
   std::vector<PartitionWindow> partitions;
-  /// Seed of this bus's private fault stream. 0 selects the legacy
-  /// constant stream; derive_fault_seed() gives each bus its own.
+  /// Seed of this bus's fault hash. 0 selects the legacy constant seed;
+  /// derive_fault_seed() gives each bus its own.
   std::uint64_t seed = 0;
 
   FaultPlan() = default;
@@ -94,22 +96,9 @@ struct FaultPlan {
   /// True if any partition window cuts a<->b during `round`.
   [[nodiscard]] bool severed(AgentId a, AgentId b,
                              std::uint64_t round) const noexcept;
-
-  /// True when delivery consumes no randomness: no loss, no jitter, no
-  /// duplication, no reordering. Partitions and fixed delay are pure
-  /// functions of (sender, receiver, round) and stay deterministic under
-  /// any delivery order. This is the pipelined engine's eligibility
-  /// gate — with stochastic draws, overlapping rounds would consume the
-  /// shared per-bus fault stream in a schedule-dependent order and break
-  /// bitwise reproducibility, so such plans fall back to the barrier
-  /// engine (docs/scaling.md).
-  [[nodiscard]] bool deterministic_delivery() const noexcept {
-    return link.drop_probability <= 0.0 && jitter_s <= 0.0 &&
-           duplicate_probability <= 0.0 && !reorder;
-  }
 };
 
-/// Per-bus fault stream: hashes (experiment seed, bus id) so distinct
+/// Per-bus fault seed: hashes (experiment seed, bus id) so distinct
 /// buses of one experiment draw independent drop/jitter masks while the
 /// run stays deterministic per seed. Never returns 0 (the "unset"
 /// sentinel).
@@ -134,7 +123,7 @@ struct StragglerSpec {
   double compute_delay_s = 0.0;
 };
 
-/// Per-residence failure schedule, consumed by fl::ParamExchange.
+/// Per-residence failure schedule, consumed by fl::StagedExchange.
 struct FailureSchedule {
   std::vector<CrashWindow> crashes;
   std::vector<StragglerSpec> stragglers;

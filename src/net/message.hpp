@@ -82,6 +82,11 @@ struct Message {
   /// exchange rounds discard contributions whose arrival_s exceeds the
   /// round deadline. Simulation metadata — not billed as wire bytes.
   double arrival_s = 0.0;
+  /// Transmission attempt: 0 for the first send, 1..hub_retries for the
+  /// star hub's leaf retransmissions. Part of the delivery's fault key
+  /// (MessageBus::deliver), so a retry draws a fresh fate. Simulation
+  /// metadata like arrival_s — not billed as wire bytes.
+  std::uint32_t attempt = 0;
   Payload payload;
 
   /// Serialized size in bytes on the simulated wire: header plus the raw

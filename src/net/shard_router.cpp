@@ -17,32 +17,7 @@ ShardRouter::ShardRouter(std::size_t num_agents, std::size_t num_shards)
   }
 }
 
-ShardRouter::ShardRouter(std::size_t num_agents,
-                         std::vector<std::size_t> boundaries)
-    : n_(num_agents),
-      shards_(boundaries.size() >= 2 ? boundaries.size() - 1 : 0),
-      boundaries_(std::move(boundaries)) {
-  if (num_agents == 0) throw std::invalid_argument("ShardRouter: zero agents");
-  if (boundaries_.size() < 2 || boundaries_.front() != 0 ||
-      boundaries_.back() != n_ ||
-      !std::is_sorted(boundaries_.begin(), boundaries_.end()) ||
-      std::adjacent_find(boundaries_.begin(), boundaries_.end()) !=
-          boundaries_.end()) {
-    throw std::invalid_argument("ShardRouter: malformed shard boundaries");
-  }
-  pairs_.reserve(shards_ * shards_);
-  for (std::size_t i = 0; i < shards_ * shards_; ++i) {
-    pairs_.push_back(std::make_unique<PairBatch>());
-  }
-}
-
 std::size_t ShardRouter::shard_of(AgentId agent) const noexcept {
-  if (!boundaries_.empty()) {
-    return static_cast<std::size_t>(
-        std::upper_bound(boundaries_.begin(), boundaries_.end(),
-                         static_cast<std::size_t>(agent)) -
-        boundaries_.begin() - 1);
-  }
   return util::shard_of(agent, n_, shards_);
 }
 
@@ -68,8 +43,9 @@ void ShardRouter::enqueue(AgentId to, Message msg) {
   ++stats_.messages_batched;
 }
 
-std::size_t ShardRouter::drain_row(
+std::size_t ShardRouter::flush_src(
     std::size_t src, const std::function<void(AgentId, Message&&)>& deliver) {
+  if (src >= shards_) throw std::out_of_range("ShardRouter: bad src shard");
   // Slab framing of one flushed pair batch: a real deployment ships the
   // whole batch as one transfer — a slab header (magic + shard pair +
   // round + message count), then per message a subheader (recipient,
@@ -102,31 +78,11 @@ std::size_t ShardRouter::drain_row(
     }
   }
   std::lock_guard slock(stats_mutex_);
+  ++stats_.flushes;
   stats_.batches_flushed += batches;
   stats_.batched_bytes += bytes;
   stats_.batched_wire_bytes += wire;
   if (max_depth > stats_.max_batch_depth) stats_.max_batch_depth = max_depth;
-  return handed_over;
-}
-
-std::size_t ShardRouter::flush(
-    const std::function<void(AgentId, Message&&)>& deliver) {
-  std::size_t handed_over = 0;
-  // Pinned ascending (src, dst) drain order — pairs_ is row-major in src.
-  for (std::size_t src = 0; src < shards_; ++src) {
-    handed_over += drain_row(src, deliver);
-  }
-  std::lock_guard slock(stats_mutex_);
-  ++stats_.flushes;
-  return handed_over;
-}
-
-std::size_t ShardRouter::flush_src(
-    std::size_t src, const std::function<void(AgentId, Message&&)>& deliver) {
-  if (src >= shards_) throw std::out_of_range("ShardRouter: bad src shard");
-  const std::size_t handed_over = drain_row(src, deliver);
-  std::lock_guard slock(stats_mutex_);
-  ++stats_.flushes;
   return handed_over;
 }
 

@@ -1,7 +1,6 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 
 #include "util/shard.hpp"
@@ -16,67 +15,9 @@ ShardPlan ShardPlan::make(std::size_t num_homes, std::size_t requested) {
   return plan;
 }
 
-ShardPlan ShardPlan::make_weighted(const std::vector<std::size_t>& weights,
-                                   std::size_t requested) {
-  ShardPlan plan = make(weights.size(), requested);
-  if (plan.shards <= 1) return plan;
-  std::vector<std::uint64_t> prefix(plan.num_homes + 1, 0);
-  for (std::size_t i = 0; i < plan.num_homes; ++i) {
-    prefix[i + 1] = prefix[i] + weights[i];
-  }
-  const std::uint64_t total = prefix.back();
-  if (total == 0) return plan;  // all-zero weights: keep the uniform plan
-  const auto shards = static_cast<std::uint64_t>(plan.shards);
-  plan.boundaries.assign(plan.shards + 1, 0);
-  plan.boundaries[plan.shards] = plan.num_homes;
-  for (std::size_t k = 1; k < plan.shards; ++k) {
-    // Largest cut with prefix[cut] * S <= total * k — floor semantics in
-    // weight space, which reduces to the uniform k*N/S boundary under
-    // equal weights. Clamped so every shard keeps at least one home.
-    const std::uint64_t scaled = total * static_cast<std::uint64_t>(k);
-    const std::size_t cut = static_cast<std::size_t>(
-        std::partition_point(prefix.begin(), prefix.end(),
-                             [&](std::uint64_t p) { return p * shards <= scaled; }) -
-        prefix.begin() - 1);
-    plan.boundaries[k] =
-        std::clamp(cut, plan.boundaries[k - 1] + 1,
-                   plan.num_homes - (plan.shards - k));
-  }
-  return plan;
-}
-
-double ShardPlan::weight_imbalance(
-    const std::vector<std::size_t>& weights) const {
-  if (weights.size() != num_homes) {
-    throw std::invalid_argument(
-        "ShardPlan::weight_imbalance: weight/home-count mismatch");
-  }
-  if (shards <= 1 || num_homes == 0) return 1.0;
-  std::uint64_t total = 0;
-  std::uint64_t max_shard = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto [first, last] = shard_range(s);
-    std::uint64_t sum = 0;
-    for (std::size_t i = first; i < last; ++i) sum += weights[i];
-    total += sum;
-    max_shard = std::max(max_shard, sum);
-  }
-  if (total == 0) return 1.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(shards);
-  return static_cast<double>(max_shard) / mean;
-}
-
 std::size_t ShardPlan::shard_of(std::size_t home) const {
   if (home >= num_homes) {
     throw std::out_of_range("ShardPlan::shard_of: home out of range");
-  }
-  if (weighted()) {
-    // Boundaries are strictly increasing, so the owning shard is the one
-    // whose right edge is the first boundary past `home`.
-    return static_cast<std::size_t>(
-        std::upper_bound(boundaries.begin(), boundaries.end(), home) -
-        boundaries.begin() - 1);
   }
   return util::shard_of(home, num_homes, shards);
 }
@@ -86,7 +27,6 @@ std::pair<std::size_t, std::size_t> ShardPlan::shard_range(
   if (shard >= shards) {
     throw std::out_of_range("ShardPlan::shard_range: shard out of range");
   }
-  if (weighted()) return {boundaries[shard], boundaries[shard + 1]};
   return {util::shard_begin(shard, num_homes, shards),
           util::shard_begin(shard + 1, num_homes, shards)};
 }
@@ -105,13 +45,7 @@ std::string ShardPlan::describe() const {
   std::string s = std::to_string(num_homes) + " homes / " +
                   std::to_string(shards) + " shard" +
                   (shards == 1 ? "" : "s");
-  if (weighted()) {
-    std::size_t max_size = 0;
-    for (std::size_t k = 0; k < shards; ++k) {
-      max_size = std::max(max_size, shard_size(k));
-    }
-    s += " (cost-weighted, " + std::to_string(max_size) + " max each)";
-  } else if (shards > 1) {
+  if (shards > 1) {
     s += " (" + std::to_string(aligned_cluster_size()) + " max each)";
   }
   return s;

@@ -21,7 +21,7 @@ namespace {
 /// covers what the payloads mean). A snapshot resumes under the build
 /// that wrote it: the reader accepts exactly this version and rejects
 /// every other one (docs/persistence.md).
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 // --- Little-endian payload encoding -----------------------------------
 // All multi-byte fields are little-endian. The reader bounds-checks
@@ -142,7 +142,6 @@ class ByteReader {
 
 void write_bus(ByteWriter& w, const BusSnapshot& bus) {
   w.u8(bus.present ? 1 : 0);
-  w.rng(bus.fault_rng);
   w.u64(bus.stats.messages_sent);
   w.u64(bus.stats.messages_delivered);
   w.u64(bus.stats.messages_dropped);
@@ -158,7 +157,6 @@ void write_bus(ByteWriter& w, const BusSnapshot& bus) {
 BusSnapshot read_bus(ByteReader& r) {
   BusSnapshot bus;
   bus.present = r.u8() != 0;
-  bus.fault_rng = r.rng();
   bus.stats.messages_sent = r.u64();
   bus.stats.messages_delivered = r.u64();
   bus.stats.messages_dropped = r.u64();
@@ -262,7 +260,6 @@ RunSnapshot capture_run(const core::EmsPipeline& pipeline,
   snap.num_homes = pipeline.num_homes();
   snap.ems_rounds_done = pipeline.ems_rounds_done();
   snap.train_cursor_minutes = train_cursor_minutes;
-  snap.sync_mode = static_cast<std::uint32_t>(cfg.sync_mode);
 
   for (std::size_t h = 0; h < pipeline.num_homes(); ++h) {
     for (std::size_t d = 0; d < pipeline.num_devices(h); ++d) {
@@ -295,13 +292,11 @@ RunSnapshot capture_run(const core::EmsPipeline& pipeline,
       }
     }
     snap.forecast_bus.present = true;
-    snap.forecast_bus.fault_rng = dfl->bus().fault_rng_state();
     snap.forecast_bus.stats = dfl->bus().stats();
   }
 
   if (const core::DrlFederation* fed = pipeline.drl_federation()) {
     snap.drl_bus.present = true;
-    snap.drl_bus.fault_rng = fed->bus().fault_rng_state();
     snap.drl_bus.stats = fed->bus().stats();
   }
 
@@ -379,14 +374,12 @@ void restore_run(core::EmsPipeline& pipeline, const RunSnapshot& snap) {
           f);
     }
     if (snap.forecast_bus.present) {
-      dfl->bus().restore_fault_rng(snap.forecast_bus.fault_rng);
       dfl->bus().restore_stats(snap.forecast_bus.stats);
     }
   }
 
   if (core::DrlFederation* fed = pipeline.drl_federation();
       fed && snap.drl_bus.present) {
-    fed->bus().restore_fault_rng(snap.drl_bus.fault_rng);
     fed->bus().restore_stats(snap.drl_bus.stats);
   }
 
@@ -435,7 +428,6 @@ std::vector<std::uint8_t> serialize_snapshot(const RunSnapshot& snap) {
     w.u64(snap.forecasters.size());
     w.u64(snap.shard_index);
     w.u64(snap.shard_count);
-    w.u32(snap.sync_mode);
     writer.append(w.take());
   }
   {  // Record 1: metrics.
@@ -502,7 +494,6 @@ RunSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
     if (snap.shard_count == 0 || snap.shard_index >= snap.shard_count) {
       throw std::runtime_error("snapshot: invalid shard identity");
     }
-    snap.sync_mode = r.u32();
     r.expect_done();
   }
   {
@@ -570,7 +561,6 @@ void copy_header_scalars(RunSnapshot& dst, const RunSnapshot& src) {
   dst.forecast_rounds_done = src.forecast_rounds_done;
   dst.train_cursor_minutes = src.train_cursor_minutes;
   dst.cloud_backend = src.cloud_backend;
-  dst.sync_mode = src.sync_mode;
 }
 
 }  // namespace
@@ -713,9 +703,10 @@ SnapshotManager::SnapshotManager(core::EmsPipeline& pipeline, Options options)
     : pipeline_(pipeline),
       options_(std::move(options)),
       baseline_rounds_(pipeline.ems_rounds_done()) {
-  // The cadence is passed through so the pipelined engine only quiesces
-  // at rounds where this hook would actually save (the hook's own gate
-  // stays — the BSP engine still calls it every round).
+  // The cadence is passed through so the round engine only quiesces at
+  // rounds where this hook would actually save. The hook keeps its own
+  // gate: segments count from the train_ems cursor, not from the
+  // manager's baseline.
   pipeline_.set_on_round_end(
       [this](std::uint64_t rounds_done) {
         if (options_.every_rounds == 0) return;

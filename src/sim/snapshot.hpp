@@ -3,9 +3,9 @@
 // A RunSnapshot captures the full federation state of an EmsPipeline at
 // an EMS-round boundary: every home's forecaster parameters + optimizer
 // moments, every DQN agent's networks / Adam state / replay ring /
-// exploration RNG / step counters, both message buses' fault-RNG streams
-// and accounting, the deterministic metrics instruments, and the round
-// counters the per-round RNG forks derive from. Restoring a snapshot
+// exploration RNG / step counters, both message buses' accounting, the
+// deterministic metrics instruments, and the round counters the
+// per-round RNG forks derive from. Restoring a snapshot
 // into a freshly constructed pipeline (same traces, same config)
 // continues the run bitwise — the crash-resume golden test in
 // tests/sim_snapshot_test.cpp pins this.
@@ -29,7 +29,6 @@
 #include "obs/metrics.hpp"
 #include "rl/dqn.hpp"
 #include "sim/shard.hpp"
-#include "util/rng.hpp"
 
 namespace pfdrl::sim {
 
@@ -51,14 +50,13 @@ struct ForecasterSnapshot {
   std::vector<double> train_state;
 };
 
-/// A message bus's resumable state: the fault-RNG stream (so a resumed
-/// chaos run draws the identical drop/delay mask) and the cumulative
-/// accounting. In-flight inbox backlogs are intentionally NOT captured —
-/// the exchange layer discards unread backlog as stale anyway
-/// (docs/robustness.md).
+/// A message bus's resumable state: its cumulative accounting. Fault
+/// draws are stateless hashes of each delivery, so a resumed chaos run
+/// draws the identical drop/delay mask with nothing restored. In-flight
+/// inbox backlogs are intentionally NOT captured — the exchange layer
+/// discards unread backlog as stale anyway (docs/robustness.md).
 struct BusSnapshot {
   bool present = false;
-  util::RngState fault_rng;
   net::BusStats stats;
 };
 
@@ -82,11 +80,6 @@ struct RunSnapshot {
   /// rides shard 0.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  /// Round-synchronization engine the writing run used (core::SyncMode).
-  /// Provenance only — the pipelined and BSP engines are bitwise
-  /// interchangeable, so restore never enforces a match; a bsp-written
-  /// file resumes under pipeline and vice versa.
-  std::uint32_t sync_mode = 0;
   BusSnapshot forecast_bus;
   BusSnapshot drl_bus;
   obs::MetricsSnapshot metrics;

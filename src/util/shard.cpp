@@ -34,6 +34,31 @@ std::vector<std::size_t> job_groups(std::span<const std::size_t> job_homes,
   return starts;
 }
 
+JobSlices slice_jobs(std::span<const std::size_t> job_homes,
+                     std::size_t num_homes, std::size_t shards,
+                     std::size_t chunks) {
+  const std::size_t count = shards == 0 ? 1 : shards;
+  // Prefix starts of each shard's slice of n home-major entries.
+  const auto slices = [&](std::size_t n, const auto& home_of) {
+    std::vector<std::size_t> begin(count + 1, 0);
+    std::size_t s = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t is = shard_of(home_of(i), num_homes, count);
+      while (s < is) begin[++s] = i;
+    }
+    while (s < count) begin[++s] = n;
+    return begin;
+  };
+  JobSlices out;
+  out.group_begin = job_groups(job_homes, num_homes, shards, chunks);
+  out.shard_job_begin =
+      slices(job_homes.size(), [&](std::size_t j) { return job_homes[j]; });
+  out.shard_group_begin =
+      slices(out.group_begin.size() - 1,
+             [&](std::size_t g) { return job_homes[out.group_begin[g]]; });
+  return out;
+}
+
 double ShardTiming::max_over_mean() const noexcept {
   if (shard_seconds.empty()) return 1.0;
   double sum = 0.0;

@@ -1,5 +1,5 @@
 // Shard assignment and sharded parallel dispatch primitives for the
-// bulk-synchronous engine (docs/scaling.md). Homes are partitioned into
+// round engine and evaluation (docs/scaling.md). Homes are partitioned into
 // contiguous balanced blocks — shard s of S over N items covers
 // [s*N/S, (s+1)*N/S) — so assignment is pinned by (N, S) alone and twin
 // runs agree without any stored mapping. The low-level pieces live here
@@ -35,8 +35,27 @@ class ThreadPool;
     std::span<const std::size_t> job_homes, std::size_t num_homes,
     std::size_t shards, std::size_t chunks);
 
-/// Wall-clock seconds each shard spent in its serial slice of a
-/// sharded_for dispatch; empty when the dispatch ran unsharded.
+/// A home-major job list cut for the round engine: the fused groups of
+/// job_groups() and each shard's contiguous slice of the jobs and of the
+/// groups (contiguous because shard_of is monotone in the home id).
+struct JobSlices {
+  /// Group g covers jobs [group_begin[g], group_begin[g + 1]).
+  std::vector<std::size_t> group_begin;
+  /// Shard s owns jobs [shard_job_begin[s], shard_job_begin[s + 1]).
+  std::vector<std::size_t> shard_job_begin;
+  /// Shard s owns groups [shard_group_begin[s], shard_group_begin[s + 1]).
+  std::vector<std::size_t> shard_group_begin;
+};
+
+/// job_groups() plus the shard slicing of jobs and groups; `shards`
+/// <= 1 is one shard.
+[[nodiscard]] JobSlices slice_jobs(std::span<const std::size_t> job_homes,
+                                   std::size_t num_homes, std::size_t shards,
+                                   std::size_t chunks);
+
+/// Wall-clock seconds each shard spent in its serial slice of a sharded
+/// dispatch (sharded_for, or one round of the round engine); empty when
+/// the dispatch ran unsharded.
 struct ShardTiming {
   std::vector<double> shard_seconds;
 

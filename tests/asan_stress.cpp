@@ -1,5 +1,5 @@
 // Memory-error stress for the messaging and exchange layers: the bus,
-// the zero-copy Payload, the ParamExchange engine and the thread pool
+// the zero-copy Payload, the exchange engine and the thread pool
 // under concurrent broadcast/drain. Built with
 // -fsanitize=address,undefined (see tests/CMakeLists.txt); the
 // sanitizers exit non-zero on any heap misuse or UB, so a clean exit 0
@@ -62,8 +62,9 @@ int main() {
   }
 
   // Phase 2: exchange rounds hammered from pool workers, each worker
-  // with its own bus + engine (the engine is a per-round object; this
-  // stresses allocation/teardown and the secure-masking path).
+  // with its own bus + one-round driver (each round builds and tears
+  // down a StagedExchange session; this stresses allocation/teardown,
+  // the star hub step and the secure-masking path).
   {
     util::ThreadPool pool(4);
     obs::MetricsRegistry reg;

@@ -165,9 +165,10 @@ TEST(ChaosStress, SoakIsBitwiseDeterministicPerSeed) {
 // pushed through the full serialize -> deserialize codec, restored into
 // a fresh pipeline and run to completion. The resumed run's learned
 // state (parameter digests) and evaluation results must match the
-// uninterrupted run exactly: the fault-RNG streams restore bitwise and
-// uncaptured inbox backlogs are invisible (the exchange discards stale
-// backlog either way, docs/robustness.md).
+// uninterrupted run exactly: fault draws are stateless hashes of each
+// delivery, so no fault stream is restored, and uncaptured inbox
+// backlogs are invisible (the exchange discards stale backlog either
+// way, docs/robustness.md).
 TEST(ChaosStress, SnapshotResumeUnderChaosMatchesUninterrupted) {
   sim::ScenarioConfig sc;
   sc.neighborhood.num_households = 4;
@@ -266,14 +267,12 @@ TEST(ChaosStress, SnapshotResumeUnderChaosMatchesUninterrupted) {
   }
 }
 
-// Crash-mid-pipeline resume: the same interrupt-and-restore drill with
-// the dependency-driven round pipeline engaged (sharded run, default
-// --sync-mode pipeline). The fault plan keeps delivery deterministic —
-// scheduled crash windows only, one spanning the snapshot boundary — so
-// the run stays pipeline-eligible, and the resumed run must match the
-// uninterrupted one bitwise: the snapshot is taken at a segment
-// boundary, where the pipeline has fully quiesced, so no in-flight
-// round state can leak past the cut.
+// Crash-mid-pipeline resume: the same interrupt-and-restore drill on a
+// sharded run, with scheduled crash windows only, one spanning the
+// snapshot boundary. The resumed run must match the uninterrupted one
+// bitwise: the snapshot is taken at a segment boundary, where the
+// pipeline has fully quiesced, so no in-flight round state can leak past
+// the cut.
 TEST(ChaosStress, PipelineCrashResumeMatchesUninterrupted) {
   sim::ScenarioConfig sc;
   sc.neighborhood.num_households = 4;
@@ -294,7 +293,6 @@ TEST(ChaosStress, PipelineCrashResumeMatchesUninterrupted) {
     cfg.beta_hours = 6.0;
     cfg.gamma_hours = 3.0;  // 8 DRL rounds over the training day
     cfg.shards = 2;
-    cfg.sync_mode = core::SyncMode::kPipeline;
     cfg.robustness.failures.crashes.push_back(
         {.agent = 2, .from_round = 0, .until_round = 2});
     // Spans the round-4 snapshot boundary: home 1 is down both when the
@@ -314,7 +312,7 @@ TEST(ChaosStress, PipelineCrashResumeMatchesUninterrupted) {
   a.train_forecasters(0, day);
   a.train_ems(day, 2 * day);
   EXPECT_GT(reg_a.counter("ems.pipeline.rounds").value(), 0u)
-      << "pipelined engine did not engage";
+      << "round engine did not engage";
 
   // Interrupted run, snapshotted through the wire format at the cut.
   std::vector<std::uint8_t> wire;
@@ -332,7 +330,7 @@ TEST(ChaosStress, PipelineCrashResumeMatchesUninterrupted) {
   sim::restore_run(c, sim::deserialize_snapshot(wire));
   c.train_ems(cut, 2 * day);
   EXPECT_GT(reg_c.counter("ems.pipeline.rounds").value(), 0u)
-      << "resumed run fell back to the barrier engine";
+      << "resumed run did not take the round engine";
 
   const sim::RunSnapshot final_a = sim::capture_run(a);
   const sim::RunSnapshot final_c = sim::capture_run(c);

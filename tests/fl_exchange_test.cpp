@@ -5,17 +5,21 @@
 // summed in ascending sender order).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "fl/aggregate.hpp"
 #include "fl/exchange.hpp"
+#include "fl/round_pipeline.hpp"
 #include "fl/secure_agg.hpp"
 #include "net/bus.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pfdrl::fl {
 namespace {
@@ -153,6 +157,38 @@ TEST(ParamExchange, StarHubRelaysLeafContributions) {
     ASSERT_EQ(committed[a].size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_DOUBLE_EQ(committed[a][i], 100.0 + static_cast<double>(i));
+    }
+  }
+}
+
+// Every leaf->hub delivery arrives twice (dup = 1.0). The hub still
+// relays each (sender, device type) once — its earliest copy — so no two
+// relays of one round share a fault key, and every agent averages the
+// full contribution set exactly once per sender.
+TEST(ParamExchange, StarHubRelaysEachContributionOnceUnderDuplication) {
+  const std::size_t n = 5;
+  auto params = make_params(n, 4);
+  net::FaultPlan plan;
+  plan.duplicate_probability = 1.0;
+  net::MessageBus bus(net::Topology(net::TopologyKind::kStar, n), plan);
+  ParamExchange exchange(bus, {});
+  auto items = make_items(params);
+
+  std::vector<std::vector<double>> committed(n);
+  const auto stats = exchange.round(
+      items, 0, [&](std::size_t i, std::span<const double> averaged) {
+        committed[i].assign(averaged.begin(), averaged.end());
+      });
+
+  // n - 1 leaf contributions, each relayed to the n - 2 other leaves.
+  EXPECT_EQ(stats.relayed, (n - 1) * (n - 2));
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_GT(stats.duplicates, 0u);
+  EXPECT_EQ(stats.accepted, n * (n - 1));
+  for (std::size_t a = 0; a < n; ++a) {
+    ASSERT_EQ(committed[a].size(), 4u) << "agent " << a;
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_DOUBLE_EQ(committed[a][i], 200.0 + static_cast<double>(i));
     }
   }
 }
@@ -400,6 +436,37 @@ TEST(ParamExchange, AveragedBitsIndependentOfReceiverId) {
     own_first_differs |= !same_bits(sorted_average(params, own_first), want);
   }
   EXPECT_TRUE(own_first_differs);
+}
+
+// An uneven sharded segment: shard 0 computes slowly, and on an
+// all-to-all graph every other shard waits for its publish each round.
+// stall_seconds is the mean over shards of each shard's summed wait, and
+// one shard's waits never overlap, so it stays within the wall time even
+// though the waits summed over shards exceed it.
+TEST(RoundPipeline, StallAndOverlapAreBoundedByWallTime) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kRounds = 6;
+  util::ThreadPool pool(kShards);
+  std::vector<std::vector<std::uint32_t>> all_to_all(kShards);
+  for (auto& row : all_to_all) {
+    for (std::uint32_t d = 0; d < kShards; ++d) row.push_back(d);
+  }
+  RoundPipeline pipe(all_to_all);
+  RoundPipeline::Ops ops;
+  ops.compute = [](std::size_t s, std::uint64_t) {
+    if (s == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  ops.publish = [](std::size_t, std::uint64_t) {};
+  ops.apply = [](std::size_t, std::uint64_t) {};
+  pipe.run(pool, 0, kRounds, ops);
+
+  const PipelineStats& stats = pipe.stats();
+  EXPECT_EQ(stats.rounds, kRounds);
+  EXPECT_EQ(stats.shard_rounds, kRounds * kShards);
+  EXPECT_GE(stats.wall_seconds, 0.02 * kRounds);
+  EXPECT_GE(stats.stall_seconds, 0.0);
+  EXPECT_LE(stats.stall_seconds, stats.wall_seconds);
+  EXPECT_LE(stats.overlap_seconds, stats.wall_seconds);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace pfdrl::net {
 namespace {
@@ -145,6 +149,54 @@ TEST(Bus, StarTopologyDelivery) {
   EXPECT_EQ(bus.inbox_size(1), 1u);
   EXPECT_EQ(bus.inbox_size(2), 1u);
   EXPECT_EQ(bus.inbox_size(3), 1u);
+}
+
+// A delivery's fate is a pure function of the delivery: one round's
+// deliveries sent in two different orders are dropped, delayed and
+// duplicated identically, delivery by delivery.
+TEST(Bus, FaultFateIndependentOfDeliveryOrder) {
+  constexpr std::size_t kAgents = 6;
+  FaultPlan plan;
+  plan.link.drop_probability = 0.3;
+  plan.jitter_s = 0.01;
+  plan.duplicate_probability = 0.3;
+  plan.reorder = true;
+  plan.seed = 9;
+  // (sender, receiver) -> sorted arrival times of the copies received.
+  using Fates = std::map<std::pair<AgentId, AgentId>, std::vector<double>>;
+  const auto run = [&](bool reversed) {
+    MessageBus bus(Topology(TopologyKind::kFullMesh, kAgents), plan);
+    for (std::size_t k = 0; k < kAgents; ++k) {
+      const auto sender =
+          static_cast<AgentId>(reversed ? kAgents - 1 - k : k);
+      Message msg = make_msg(sender, /*type=*/3);
+      msg.round = 7;
+      bus.broadcast(msg);
+    }
+    Fates fates;
+    for (AgentId to = 0; to < kAgents; ++to) {
+      for (const Message& m : bus.drain(to)) {
+        fates[{m.sender, to}].push_back(m.arrival_s);
+      }
+    }
+    for (auto& [link, arrivals] : fates) {
+      std::sort(arrivals.begin(), arrivals.end());
+    }
+    return std::make_pair(fates, bus.stats());
+  };
+  const auto [forward, forward_stats] = run(false);
+  const auto [backward, backward_stats] = run(true);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(forward_stats.messages_dropped, backward_stats.messages_dropped);
+  EXPECT_EQ(forward_stats.messages_duplicated,
+            backward_stats.messages_duplicated);
+  // Summed in delivery order, so equal up to rounding.
+  EXPECT_DOUBLE_EQ(forward_stats.simulated_fault_delay_seconds,
+                   backward_stats.simulated_fault_delay_seconds);
+  // The plan engaged every fault kind at least once.
+  EXPECT_GT(forward_stats.messages_dropped, 0u);
+  EXPECT_GT(forward_stats.messages_duplicated, 0u);
+  EXPECT_LT(forward.size(), kAgents * (kAgents - 1));
 }
 
 }  // namespace

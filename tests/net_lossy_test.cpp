@@ -21,7 +21,12 @@ TEST(LossyBus, DropRateApproximatelyRespected) {
   msg.sender = 0;
   msg.payload.assign(4, 1.0);
   const int n = 5000;
-  for (int i = 0; i < n; ++i) bus.broadcast(msg);
+  // Fault draws are a pure function of the delivery: stamp distinct
+  // rounds so these are 5000 distinct deliveries, not one repeated.
+  for (int i = 0; i < n; ++i) {
+    msg.round = static_cast<std::uint64_t>(i);
+    bus.broadcast(msg);
+  }
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_delivered + stats.messages_dropped,
             static_cast<std::uint64_t>(n));

@@ -1,8 +1,8 @@
 // Shard assignment arithmetic, the cross-shard batching router, and the
 // engine-level equivalence contracts the sharded refactor rests on:
 // attaching a router must not change what a clean-plan bus delivers or
-// bills, and the parallel exchange path must be bitwise identical to the
-// serial one.
+// bills, and an exchange over a routed 4-shard bus must be bitwise
+// identical to one over a flat bus.
 #include "net/shard_router.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "fl/exchange.hpp"
 #include "net/bus.hpp"
 #include "net/topology.hpp"
-#include "sim/shard.hpp"
 #include "util/shard.hpp"
 #include "util/thread_pool.hpp"
 
@@ -106,10 +105,13 @@ TEST(ShardRouter, FlushOrderIsPinnedRowMajor) {
 
   std::vector<double> tags;
   std::vector<net::AgentId> targets;
-  const std::size_t n = router.flush([&](net::AgentId to, net::Message&& m) {
-    targets.push_back(to);
-    tags.push_back(m.payload[0]);
-  });
+  std::size_t n = 0;
+  for (std::size_t src = 0; src < 3; ++src) {
+    n += router.flush_src(src, [&](net::AgentId to, net::Message&& m) {
+      targets.push_back(to);
+      tags.push_back(m.payload[0]);
+    });
+  }
   EXPECT_EQ(n, 4u);
   EXPECT_EQ(router.pending(), 0u);
   // Ascending (src shard, dst shard): (0,1), (0,2), then (2,0) in FIFO.
@@ -119,7 +121,7 @@ TEST(ShardRouter, FlushOrderIsPinnedRowMajor) {
   const auto stats = router.stats();
   EXPECT_EQ(stats.messages_batched, 4u);
   EXPECT_EQ(stats.batches_flushed, 3u);  // three non-empty pairs
-  EXPECT_EQ(stats.flushes, 1u);
+  EXPECT_EQ(stats.flushes, 3u);  // one per source row
   EXPECT_EQ(stats.max_batch_depth, 2u);
   EXPECT_GT(stats.batched_bytes, 0u);
 }
@@ -146,7 +148,9 @@ TEST(ShardedBus, CleanPlanDeliveryAndBillingUnchanged) {
               sharded.broadcast(make_msg(a, static_cast<double>(a))));
   }
   EXPECT_GT(router.pending(), 0u);
-  sharded.flush_shard_batches();
+  for (std::size_t s = 0; s < router.num_shards(); ++s) {
+    sharded.flush_shard_batches_from(s);
+  }
 
   // Every inbox drains the same multiset of senders; wire billing is
   // per delivery, so the stats lines agree exactly.
@@ -169,17 +173,17 @@ TEST(ShardedBus, CleanPlanDeliveryAndBillingUnchanged) {
   EXPECT_EQ(fs.simulated_transfer_seconds, ss.simulated_transfer_seconds);
 }
 
-// --- Parallel exchange is bitwise identical to serial -----------------
+// --- A routed exchange is bitwise identical to a flat one --------------
 
-TEST(ShardedExchange, ParallelMatchesSerialBitwise) {
+TEST(ShardedExchange, RoutedMatchesFlatBitwise) {
   constexpr std::size_t kAgents = 8;
   constexpr std::size_t kParams = 12;
 
-  const auto run = [&](bool parallel) {
+  const auto run = [&](bool routed) {
     net::MessageBus bus(
         net::Topology(net::TopologyKind::kFullMesh, kAgents), {});
     net::ShardRouter router(kAgents, 4);
-    if (parallel) bus.set_shard_router(&router);
+    if (routed) bus.set_shard_router(&router);
 
     std::vector<double> params(kAgents * kParams);
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -193,116 +197,19 @@ TEST(ShardedExchange, ParallelMatchesSerialBitwise) {
                   .send = slice,
                   .in_place = slice};
     }
-    fl::ParamExchange::Options opts;
-    opts.parallel = parallel;
-    fl::ParamExchange exchange(bus, opts);
+    fl::ParamExchange exchange(bus, {});
     for (std::uint64_t r = 0; r < 3; ++r) {
       exchange.round(items, r, [](std::size_t, std::span<const double>) {});
     }
     return params;
   };
 
-  const std::vector<double> serial = run(false);
-  const std::vector<double> parallel = run(true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "param " << i;  // bitwise
+  const std::vector<double> flat = run(false);
+  const std::vector<double> routed = run(true);
+  ASSERT_EQ(flat.size(), routed.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flat[i], routed[i]) << "param " << i;  // bitwise
   }
-}
-
-// --- sim::ShardPlan cost-weighted assignment --------------------------
-
-TEST(WeightedShardPlan, EqualWeightsReproduceUniformBoundaries) {
-  for (std::size_t n : {7u, 10u, 100u, 1000u}) {
-    for (std::size_t shards : {2u, 3u, 8u}) {
-      const std::vector<std::size_t> weights(n, 5);
-      const auto uniform = sim::ShardPlan::make(n, shards);
-      const auto weighted = sim::ShardPlan::make_weighted(weights, shards);
-      ASSERT_TRUE(weighted.weighted());
-      ASSERT_EQ(weighted.shards, uniform.shards);  // same clamping
-      for (std::size_t s = 0; s < weighted.shards; ++s) {
-        EXPECT_EQ(weighted.shard_range(s), uniform.shard_range(s))
-            << n << " homes, " << shards << " shards, shard " << s;
-      }
-    }
-  }
-}
-
-TEST(WeightedShardPlan, ShardOfInvertsRangesAndStaysMonotone) {
-  // Device count ramps across the city — the pattern that skews the
-  // uniform equal-count plan hardest.
-  const std::size_t n = 10000;
-  std::vector<std::size_t> weights(n);
-  for (std::size_t a = 0; a < n; ++a) weights[a] = 1 + (3 * a) / n;
-  const auto plan = sim::ShardPlan::make_weighted(weights, 8);
-  ASSERT_EQ(plan.shards, 8u);
-  std::size_t covered = 0;
-  std::size_t prev_shard = 0;
-  for (std::size_t s = 0; s < plan.shards; ++s) {
-    const auto [first, last] = plan.shard_range(s);
-    EXPECT_EQ(first, covered);  // contiguous, no gaps
-    EXPECT_LT(first, last);     // non-empty
-    for (std::size_t home = first; home < last; ++home) {
-      ASSERT_EQ(plan.shard_of(home), s);
-      ASSERT_GE(s, prev_shard);  // monotone in the home id
-      prev_shard = s;
-    }
-    covered = last;
-  }
-  EXPECT_EQ(covered, n);
-}
-
-TEST(WeightedShardPlan, RampWeightsCutCostImbalance) {
-  const std::size_t n = 10000;
-  std::vector<std::size_t> weights(n);
-  for (std::size_t a = 0; a < n; ++a) weights[a] = 1 + (3 * a) / n;
-  const auto uniform = sim::ShardPlan::make(n, 8);
-  const auto weighted = sim::ShardPlan::make_weighted(weights, 8);
-  // Equal-count shards put all the heavy homes in the last shard...
-  EXPECT_GT(uniform.weight_imbalance(weights), 1.5);
-  // ...while weight-balanced boundaries even the cost out.
-  EXPECT_LT(weighted.weight_imbalance(weights), 1.05);
-  EXPECT_LT(weighted.weight_imbalance(weights),
-            uniform.weight_imbalance(weights));
-}
-
-TEST(WeightedShardPlan, DegenerateInputsFallBackToUniform) {
-  // One shard, or all-zero weights: no boundaries, uniform arithmetic.
-  EXPECT_FALSE(
-      sim::ShardPlan::make_weighted(std::vector<std::size_t>(10, 3), 1)
-          .weighted());
-  EXPECT_FALSE(
-      sim::ShardPlan::make_weighted(std::vector<std::size_t>(10, 0), 4)
-          .weighted());
-  // Fewer homes than shards clamps like make() does.
-  const auto plan =
-      sim::ShardPlan::make_weighted(std::vector<std::size_t>(3, 1), 8);
-  EXPECT_EQ(plan.shards, 3u);
-}
-
-TEST(ShardRouter, WeightedBoundariesAgreeWithPlan) {
-  const std::size_t n = 1000;
-  std::vector<std::size_t> weights(n);
-  for (std::size_t a = 0; a < n; ++a) weights[a] = 1 + (3 * a) / n;
-  const auto plan = sim::ShardPlan::make_weighted(weights, 6);
-  net::ShardRouter router(n, plan.boundaries);
-  EXPECT_EQ(router.num_shards(), plan.shards);
-  for (std::size_t a = 0; a < n; ++a) {
-    ASSERT_EQ(router.shard_of(static_cast<net::AgentId>(a)),
-              plan.shard_of(a));
-  }
-}
-
-TEST(ShardRouter, MalformedBoundariesThrow) {
-  using Bounds = std::vector<std::size_t>;
-  EXPECT_THROW(net::ShardRouter(10, Bounds{0}), std::invalid_argument);
-  EXPECT_THROW(net::ShardRouter(10, Bounds{1, 10}), std::invalid_argument);
-  EXPECT_THROW(net::ShardRouter(10, Bounds{0, 9}), std::invalid_argument);
-  EXPECT_THROW(net::ShardRouter(10, Bounds{0, 5, 5, 10}),
-               std::invalid_argument);
-  EXPECT_THROW(net::ShardRouter(10, Bounds{0, 7, 3, 10}),
-               std::invalid_argument);
-  EXPECT_NO_THROW(net::ShardRouter(10, Bounds{0, 3, 7, 10}));
 }
 
 }  // namespace

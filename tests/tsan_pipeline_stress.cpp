@@ -1,19 +1,21 @@
-// Data-race stress for the dependency-driven round pipeline: repeated
-// core::RoundPipeline segments driving fl::StagedExchange double buffers
-// on a 4-worker pool, so the per-(shard, round) readiness counters, the
-// continuation handoff, and the frozen-inbox/live-compute buffer split
-// all run under maximum scheduler pressure. Built with -fsanitize=thread
-// (see tests/CMakeLists.txt); a clean exit 0 is the pass signal. Every
-// pipelined repetition must reproduce the bulk-synchronous reference
-// hash bitwise, so the checks double as a lost-update / double-apply
+// Data-race stress for the round engine: repeated fl::RoundPipeline
+// segments driving fl::StagedExchange double buffers on a 4-worker pool,
+// so the per-(shard, round) readiness counters, the continuation
+// handoff, the star hub step and the frozen-inbox/live-compute buffer
+// split all run under maximum scheduler pressure — on clean and on lossy
+// (drop, duplication, jitter) plans. Built with -fsanitize=thread (see
+// tests/CMakeLists.txt); a clean exit 0 is the pass signal. Every
+// pipelined repetition must reproduce the hash of the sequential
+// one-round driver (fl::ParamExchange::round) bitwise, so the checks
+// double as a lost-update / double-apply / schedule-dependent-fate
 // detector when the binary is run without TSan.
 #include <cstdint>
 #include <cstdio>
 #include <span>
 #include <vector>
 
-#include "core/sharded_runner.hpp"
 #include "fl/exchange.hpp"
+#include "fl/round_pipeline.hpp"
 #include "net/bus.hpp"
 #include "net/shard_router.hpp"
 #include "net/topology.hpp"
@@ -40,15 +42,15 @@ std::uint64_t fnv1a(const std::vector<double>& params) {
 }
 
 /// One engine instance: bus + router + parameter arena, identical for
-/// the bsp reference and every pipelined repetition.
+/// the sequential reference and every pipelined repetition.
 struct Setup {
   net::MessageBus bus;
   net::ShardRouter router;
   std::vector<double> params;
   std::vector<fl::ExchangeItem> items;
 
-  explicit Setup(const net::Topology& topology)
-      : bus(topology, {}),
+  Setup(const net::Topology& topology, const net::FaultPlan& fault)
+      : bus(topology, fault),
         router(kAgents, kShards),
         params(kAgents * kParams),
         items(kAgents) {
@@ -81,16 +83,17 @@ fl::ParamExchange::Options exchange_options() {
   fl::ParamExchange::Options opts;
   opts.kind = net::MessageKind::kForecastParams;
   opts.min_group = 2;
+  // With a deadline, injected jitter decides which contributions count.
+  opts.policy.round_deadline_s = 0.006;
   return opts;
 }
 
-/// Bulk-synchronous reference: the oracle hash every pipelined rep must
-/// reproduce bitwise.
-std::uint64_t run_bsp(const net::Topology& topology) {
-  Setup setup(topology);
-  auto opts = exchange_options();
-  opts.parallel = true;
-  fl::ParamExchange exchange(setup.bus, opts);
+/// Sequential reference: one ParamExchange::round per round, stages in
+/// order — the oracle hash every pipelined rep must reproduce bitwise.
+std::uint64_t run_sequential(const net::Topology& topology,
+                             const net::FaultPlan& fault) {
+  Setup setup(topology, fault);
+  fl::ParamExchange exchange(setup.bus, exchange_options());
   for (std::uint64_t r = 0; r < kRounds; ++r) {
     for (std::size_t a = 0; a < kAgents; ++a) setup.local_step(a, r);
     exchange.round(setup.items, r, [](std::size_t, std::span<const double>) {});
@@ -98,18 +101,17 @@ std::uint64_t run_bsp(const net::Topology& topology) {
   return fnv1a(setup.params);
 }
 
-std::uint64_t run_pipeline(const net::Topology& topology) {
-  Setup setup(topology);
+std::uint64_t run_pipeline(const net::Topology& topology,
+                           const net::FaultPlan& fault) {
+  Setup setup(topology, fault);
   fl::StagedExchange staged(setup.bus, exchange_options(), setup.items);
   if (staged.num_shards() != kShards) {
     std::fprintf(stderr, "FATAL: staged shard count %zu != %zu\n",
                  staged.num_shards(), kShards);
     std::exit(1);
   }
-  core::RoundPipeline pipe(core::shard_broadcast_graph(
-      topology, [&](net::AgentId a) { return setup.router.shard_of(a); },
-      kShards));
-  core::RoundPipeline::Ops ops;
+  fl::RoundPipeline pipe(fl::shard_broadcast_graph(topology, &setup.router));
+  fl::RoundPipeline::Ops ops;
   ops.compute = [&](std::size_t s, std::uint64_t r) {
     for (std::size_t a = s * (kAgents / kShards);
          a < (s + 1) * (kAgents / kShards); ++a) {
@@ -119,6 +121,9 @@ std::uint64_t run_pipeline(const net::Topology& topology) {
   ops.publish = [&](std::size_t s, std::uint64_t r) {
     staged.publish_shard(s, r);
   };
+  if (staged.has_hub()) {
+    ops.hub = [&](std::uint64_t r) { staged.hub_step(r); };
+  }
   ops.apply = [&](std::size_t s, std::uint64_t r) {
     staged.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
   };
@@ -142,30 +147,44 @@ int main() {
   util::ThreadPool::set_global_workers(4);
 
   // Hierarchical (sparse shard graph — real overlap, partial readiness
-  // targets) and full mesh (all-to-all readiness, maximum contention on
-  // every counter).
+  // targets), full mesh (all-to-all readiness, maximum contention on
+  // every counter) and star (the once-per-round hub step).
   const net::Topology topologies[] = {
       net::Topology(net::TopologyKind::kHierarchical, kAgents,
                     net::TopologyOptions{.cluster_size = kAgents / kShards,
                                          .fanout = 3,
                                          .gossip_seed = kSeed}),
       net::Topology(net::TopologyKind::kFullMesh, kAgents),
+      net::Topology(net::TopologyKind::kStar, kAgents),
   };
+  net::FaultPlan lossy;
+  lossy.link.drop_probability = 0.2;
+  lossy.duplicate_probability = 0.1;
+  lossy.jitter_s = 0.003;
+  lossy.seed = kSeed;
+  const net::FaultPlan plans[] = {net::FaultPlan{}, lossy};
+  int checked = 0;
   for (const net::Topology& topology : topologies) {
-    const std::uint64_t oracle = run_bsp(topology);
-    for (int rep = 0; rep < kReps; ++rep) {
-      const std::uint64_t got = run_pipeline(topology);
-      if (got != oracle) {
-        std::fprintf(stderr,
-                     "FATAL: rep %d hash %016llx != bsp oracle %016llx\n", rep,
-                     static_cast<unsigned long long>(got),
-                     static_cast<unsigned long long>(oracle));
-        return 1;
+    for (const net::FaultPlan& fault : plans) {
+      const std::uint64_t oracle = run_sequential(topology, fault);
+      for (int rep = 0; rep < kReps; ++rep) {
+        const std::uint64_t got = run_pipeline(topology, fault);
+        if (got != oracle) {
+          std::fprintf(stderr,
+                       "FATAL: %s%s rep %d hash %016llx != sequential oracle "
+                       "%016llx\n",
+                       net::topology_name(topology.kind()),
+                       fault.reliable() ? "" : " lossy", rep,
+                       static_cast<unsigned long long>(got),
+                       static_cast<unsigned long long>(oracle));
+          return 1;
+        }
+        ++checked;
       }
     }
   }
-  std::printf("tsan_pipeline_stress: %d pipelined reps x 2 topologies "
-              "matched the bsp oracle — OK\n",
-              kReps);
+  std::printf("tsan_pipeline_stress: %d pipelined reps (3 topologies x "
+              "clean/lossy) matched the sequential oracle — OK\n",
+              checked);
   return 0;
 }

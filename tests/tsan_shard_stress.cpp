@@ -1,4 +1,4 @@
-// Data-race stress for the sharded bulk-synchronous engine: concurrent
+// Data-race stress for the sharded message layer: concurrent
 // broadcasts parking cross-shard messages in the net::ShardRouter's pair
 // batches, a racing flusher handing them over to the bus inboxes, racing
 // drainers, and util::sharded_for dispatches recording shard timings into
@@ -64,8 +64,10 @@ int main() {
     threads.emplace_back([&] {  // flusher
       while (producing.load(std::memory_order_acquire) ||
              router.pending() > 0) {
-        flushed.fetch_add(bus.flush_shard_batches(),
-                          std::memory_order_relaxed);
+        for (std::size_t s = 0; s < kShards; ++s) {
+          flushed.fetch_add(bus.flush_shard_batches_from(s),
+                            std::memory_order_relaxed);
+        }
         (void)router.stats();
       }
     });
@@ -84,7 +86,10 @@ int main() {
     producing.store(false, std::memory_order_release);
     for (std::size_t i = kShards; i < threads.size(); ++i) threads[i].join();
   }
-  flushed.fetch_add(bus.flush_shard_batches(), std::memory_order_relaxed);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    flushed.fetch_add(bus.flush_shard_batches_from(s),
+                      std::memory_order_relaxed);
+  }
   for (std::size_t a = 0; a < kAgents; ++a) {
     drained.fetch_add(bus.drain(static_cast<net::AgentId>(a)).size(),
                       std::memory_order_relaxed);

@@ -6,7 +6,9 @@
 #
 # Also exercises the pfdrl_cli snapshot/resume path end-to-end: one run
 # writing periodic snapshots, then a second run resuming from the file —
-# the two runs' evaluation lines must agree exactly.
+# the two runs' evaluation lines must agree exactly — and a chaos leg: a
+# lossy run with a crash window must print the same result lines at any
+# shard count and pool size.
 #
 # Expected -D inputs: MICRO_KERNELS, DFL_THROUGHPUT, SCALE_SWEEP,
 # PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
@@ -53,12 +55,12 @@ if(NOT dfl_rc EQUAL 0)
 endif()
 
 # --- scale_sweep: small agent counts, explicitly sharded so the
-# ShardRouter batching + parallel exchange path runs. The emitter's twin
-# run is the engine's end-to-end determinism check (bitwise-identical
-# final parameters per point regardless of the thread schedule), and the
-# --pool-workers sweep runs every point in both sync modes at 1 and 4
-# workers — param_hash must be identical across all four combinations
-# per agent count (the bsp ≡ pipeline contract from docs/scaling.md).
+# ShardRouter batching and per-shard exchange path runs. The emitter's
+# twin run is the engine's end-to-end determinism check
+# (bitwise-identical final parameters per point regardless of the thread
+# schedule), and the --pool-workers sweep runs every point at 1 and 4
+# workers — param_hash must be identical across both per agent count
+# (the determinism contract from docs/scaling.md).
 set(scale_json "${WORK_DIR}/BENCH_scale.json")
 execute_process(
   COMMAND "${SCALE_SWEEP}" --agents 20,50 --rounds 2 --shards 4
@@ -96,7 +98,7 @@ check_keys("${dfl_json}" bench lstm_windows lstm_windows_per_sec
   gru_windows gru_windows_per_sec deterministic fused_bitwise_match
   fused_points pool_hash_consistent pool_sweep)
 check_keys("${scale_json}" bench topology params rounds deterministic
-  hash_consistent points speedups)
+  hash_consistent points)
 
 # Twin sharded engine runs must agree bitwise (the scaling determinism
 # contract from docs/scaling.md, re-checked end-to-end).
@@ -106,11 +108,11 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   if(NOT scale_det STREQUAL "ON" AND NOT scale_det STREQUAL "true")
     message(FATAL_ERROR "scale_sweep: twin runs diverged (deterministic = ${scale_det})")
   endif()
-  # One param_hash per agent count across every (sync mode, pool worker
-  # count) combination — bsp ≡ pipeline, single- ≡ multi-threaded.
+  # One param_hash per agent count across every pool worker count —
+  # single- ≡ multi-threaded.
   string(JSON scale_hash GET "${doc}" hash_consistent)
   if(NOT scale_hash STREQUAL "ON" AND NOT scale_hash STREQUAL "true")
-    message(FATAL_ERROR "scale_sweep: param_hash varies across sync mode / pool workers (hash_consistent = ${scale_hash})")
+    message(FATAL_ERROR "scale_sweep: param_hash varies across pool workers (hash_consistent = ${scale_hash})")
   endif()
 endif()
 
@@ -256,3 +258,38 @@ foreach(line_re "forecast accuracy [^\n]*" "traffic: [^\n]*")
   endif()
 endforeach()
 message(STATUS "bench_smoke: CLI output identical on 1 and 4 pool workers")
+
+# --- chaos through the shipped CLI: every fault draw is a pure function
+# of its delivery (docs/robustness.md), so a lossy run with duplication,
+# jitter, reordering, a deadline, a quorum gate and a crash window must
+# print the same result lines at --shards 0 and 2 and on 1 and 4 pool
+# workers. Only the header's shard line may differ.
+set(chaos_flags --method pfdrl --homes 4 --days 4 --gamma 6 --seed 7
+  --fault-plan drop=0.2,jitter=0.004,dup=0.05,reorder=1
+  --deadline 0.006 --quorum 0.5 --crash 2:0:2)
+foreach(leg "shards0;--shards;0" "shards2;--shards;2"
+            "pool1;--shards;2;--pool-workers;1"
+            "pool4;--shards;2;--pool-workers;4")
+  list(POP_FRONT leg name)
+  execute_process(
+    COMMAND "${PFDRL_CLI}" ${chaos_flags} ${leg}
+    RESULT_VARIABLE chaos_rc
+    OUTPUT_VARIABLE chaos_out
+    ERROR_VARIABLE chaos_err)
+  if(NOT chaos_rc EQUAL 0)
+    message(FATAL_ERROR "pfdrl_cli chaos run ${name} failed (${chaos_rc}):\n${chaos_out}\n${chaos_err}")
+  endif()
+  string(REGEX REPLACE "shards: [^\n]*\n" "" chaos_${name} "${chaos_out}")
+endforeach()
+if(NOT chaos_shards0 MATCHES "forecast accuracy")
+  message(FATAL_ERROR "pfdrl_cli chaos run printed no results:\n${chaos_shards0}")
+endif()
+foreach(pair "shards0;shards2" "pool1;pool4")
+  list(GET pair 0 a)
+  list(GET pair 1 b)
+  if(NOT chaos_${a} STREQUAL chaos_${b})
+    message(FATAL_ERROR
+      "pfdrl_cli chaos results depend on the schedule:\n--- ${a}:\n${chaos_${a}}\n--- ${b}:\n${chaos_${b}}")
+  endif()
+endforeach()
+message(STATUS "bench_smoke: chaos results identical across shards and pool sizes")
