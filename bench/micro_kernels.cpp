@@ -1,8 +1,9 @@
 // Micro-benchmarks of the computational kernels underlying the system:
-// matmul, dense forward/backward, LSTM steps, the Adam step, replay
+// dense forward/backward, MLP and LSTM train batches (one-member fused
+// groups, the way a home trains alone), LSTM steps, the Adam step, replay
 // sampling, message bus broadcast, federated averaging and the exchange
-// round. Inference, backward and optimizer kernels run beside a per-row
-// or scalar twin (arg ref=1), which they are bitwise equal to.
+// round. Inference and optimizer kernels run beside a per-row or scalar
+// twin (arg ref=1), which they are bitwise equal to.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,23 +31,6 @@
 namespace {
 
 using namespace pfdrl;
-
-void BM_Matmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(1);
-  nn::Matrix a(n, n);
-  nn::Matrix b(n, n);
-  for (double& x : a.data()) x = rng.normal();
-  for (double& x : b.data()) x = rng.normal();
-  nn::Matrix out(n, n);
-  for (auto _ : state) {
-    nn::matmul(a, b, out);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * n));
-}
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_DenseForward(benchmark::State& state) {
   const std::size_t batch = 32, in = 100, out_dim = 100;
@@ -207,22 +191,26 @@ void BM_MlpTrainBatch(benchmark::State& state) {
   nn::Matrix y(32, 3);
   for (double& v : x.data()) v = rng.normal();
   for (double& v : y.data()) v = rng.normal();
+  nn::FusedMlp fused;
+  nn::Mlp* const nets[] = {&net};
+  const nn::FusedSlice slices[] = {{0, 32}};
+  nn::Optimizer* const opts[] = {&opt};
+  double loss = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net.train_batch(x, y, nn::LossKind::kHuber, opt));
+    fused.train_batch(nets, slices, x, y, nn::LossKind::kHuber, opts,
+                      {&loss, 1});
+    benchmark::DoNotOptimize(loss);
   }
-  state.SetLabel("paper 8x100 DQN net, batch 32");
+  state.SetLabel("paper 8x100 DQN net, batch 32, group of one");
 }
 BENCHMARK(BM_MlpTrainBatch);
 
 // The backward pass of a 32-row batch (a DQN learn minibatch, a BP
-// forecaster batch): the slab kernels through nn::FusedMlp (one member)
-// against the per-row outer_acc/dot loops of Mlp::backward, which
-// produce the same gradients bit for bit. net 0 is the BP forecaster
-// 18-64-32-1, net 1 the EMS DQN 5-32x4-3.
+// forecaster batch) through nn::FusedMlp (one member) on the slab
+// kernels. net 0 is the BP forecaster 18-64-32-1, net 1 the EMS DQN
+// 5-32x4-3.
 void BM_DenseBackward(benchmark::State& state) {
   const bool dqn = state.range(0) != 0;
-  const bool ref = state.range(1) != 0;
   const std::vector<std::size_t> dims =
       dqn ? std::vector<std::size_t>{5, 32, 32, 32, 32, 3}
           : std::vector<std::size_t>{18, 64, 32, 1};
@@ -237,36 +225,22 @@ void BM_DenseBackward(benchmark::State& state) {
   nn::FusedMlp fused;
   nn::Mlp* const nets[] = {&net};
   const nn::FusedSlice slices[] = {{0, rows}};
-  if (ref) {
-    net.forward(x);
-  } else {
-    fused.forward(nets, slices, x);
-  }
+  fused.forward(nets, slices, x);
   std::size_t macs = 0;
   for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
     macs += dims[l] * dims[l + 1] * (l > 0 ? 2 : 1);  // dW, and dX above l 0
   }
   for (auto _ : state) {
     net.zero_grad();
-    if (ref) {
-      net.backward(grad);
-    } else {
-      fused.backward(nets, slices, grad);
-    }
+    fused.backward(nets, slices, grad);
     benchmark::DoNotOptimize(net.gradients().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * macs));
   state.SetLabel(std::string(dqn ? "DQN 5-32x4-3" : "BP 18-64-32-1") +
-                 (ref ? ", per-row loops" : ", slab tiles") +
-                 "; items = MACs");
+                 ", slab tiles; items = MACs");
 }
-BENCHMARK(BM_DenseBackward)
-    ->ArgNames({"dqn", "ref"})
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1});
+BENCHMARK(BM_DenseBackward)->ArgName("dqn")->Arg(0)->Arg(1);
 
 void BM_LstmTrainBatch(benchmark::State& state) {
   util::Rng rng(4);
@@ -278,10 +252,19 @@ void BM_LstmTrainBatch(benchmark::State& state) {
     for (double& v : m.data()) v = rng.normal();
   }
   for (double& v : y.data()) v = rng.normal();
+  nn::FusedLstm fused;
+  nn::LstmRegressor* const nets[] = {&net};
+  const nn::FusedSlice slices[] = {{0, 32}};
+  std::vector<const nn::Matrix*> steps;
+  for (const nn::Matrix& m : xs) steps.push_back(&m);
+  nn::Optimizer* const opts[] = {&opt};
+  double loss = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.train_batch(xs, y, nn::LossKind::kMae, opt));
+    fused.train_batch(nets, slices, steps, y, nn::LossKind::kMae, opts,
+                      {&loss, 1});
+    benchmark::DoNotOptimize(loss);
   }
-  state.SetLabel("window 16, hidden 32, batch 32");
+  state.SetLabel("window 16, hidden 32, batch 32, group of one");
 }
 BENCHMARK(BM_LstmTrainBatch);
 

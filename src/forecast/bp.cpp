@@ -1,8 +1,7 @@
 #include "forecast/bp.hpp"
 
-#include <numeric>
-
 #include "forecast/adam_codec.hpp"
+#include "forecast/fused.hpp"
 
 namespace pfdrl::forecast {
 
@@ -32,37 +31,7 @@ BpForecaster::BpForecaster(const data::WindowConfig& window,
 double BpForecaster::train(const data::DeviceTrace& trace, std::size_t begin,
                            std::size_t end, const TrainConfig& cfg,
                            util::Rng& rng) {
-  const TrainConfig tcfg = resolve_train_config(Method::kBp, cfg);
-  data::WindowConfig wc = window_;
-  wc.stride = tcfg.stride;
-  const auto set = data::make_supervised(trace, wc, begin, end);
-  if (set.size() == 0) return 0.0;
-  opt_.set_learning_rate(tcfg.learning_rate);
-
-  order_.resize(set.size());
-  std::iota(order_.begin(), order_.end(), 0);
-
-  double last_epoch_loss = 0.0;
-  for (std::size_t epoch = 0; epoch < tcfg.epochs; ++epoch) {
-    rng.shuffle(order_);
-    double loss_sum = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t ofs = 0; ofs < order_.size(); ofs += tcfg.batch_size) {
-      const std::size_t bs = std::min(tcfg.batch_size, order_.size() - ofs);
-      xb_.reshape(bs, set.x.cols());
-      yb_.reshape(bs, 1);
-      for (std::size_t i = 0; i < bs; ++i) {
-        const std::size_t src = order_[ofs + i];
-        auto row = set.x.row(src);
-        std::copy(row.begin(), row.end(), xb_.row(i).begin());
-        yb_(i, 0) = set.y(src, 0);
-      }
-      loss_sum += net_.train_batch(xb_, yb_, nn::LossKind::kMae, opt_);
-      ++batches;
-    }
-    last_epoch_loss = batches ? loss_sum / static_cast<double>(batches) : 0.0;
-  }
-  return last_epoch_loss;
+  return train_group_of_one(*this, trace, begin, end, cfg, rng);
 }
 
 std::vector<double> BpForecaster::predict_series(const data::DeviceTrace& trace,

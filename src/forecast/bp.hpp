@@ -30,18 +30,14 @@ class BpForecaster final : public Forecaster {
   [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
  private:
-  // Fused cross-home training (forecast/fused.hpp) replays this class's
-  // train loop against shared slabs; it needs net_ and opt_ only.
+  // train() runs through FusedForecastTrainer (forecast/fused.hpp) as a
+  // group of one; the trainer needs net_ and opt_ only.
   friend struct FusedAccess;
 
   BpForecaster(const BpForecaster&) = default;
 
   nn::Mlp net_;
   nn::Adam opt_;
-  // Minibatch gather buffers, reshaped in place per batch (see
-  // LstmForecaster). Contents fully overwritten before each use.
-  nn::Matrix xb_, yb_;
-  std::vector<std::size_t> order_;
 };
 
 }  // namespace pfdrl::forecast

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "data/dataset.hpp"
 #include "forecast/bp.hpp"
@@ -13,9 +14,9 @@
 
 namespace pfdrl::forecast {
 
-// The fused trainer replays each forecaster's private train loop against
-// shared slabs; it needs the same private state the loop touches (the
-// network and its Adam optimizer — nothing else).
+// The fused trainer is each minibatch forecaster's train loop; of the
+// forecaster's private state it needs the network and its Adam
+// optimizer — nothing else.
 struct FusedAccess {
   static nn::LstmRegressor& net(LstmForecaster& f) { return f.net_; }
   static nn::Adam& opt(LstmForecaster& f) { return f.opt_; }
@@ -223,6 +224,18 @@ void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
                          : 0.0;
     }
   }
+}
+
+double train_group_of_one(Forecaster& forecaster,
+                          const data::DeviceTrace& trace, std::size_t begin,
+                          std::size_t end, const TrainConfig& cfg,
+                          util::Rng& rng) {
+  FusedTrainJob job{&forecaster, &trace, &rng};
+  FusedForecastTrainer trainer;
+  if (!trainer.train({&job, 1}, begin, end, cfg)) {
+    throw std::logic_error("train_group_of_one: method has no minibatch loop");
+  }
+  return job.loss;
 }
 
 std::size_t FusedForecastTrainer::retained_bytes() const noexcept {

@@ -14,16 +14,18 @@
 // what the trainer keeps between calls is sized by the group and the
 // batch size, never by the round's length.
 //
-// Determinism contract: PRESERVED. Per job, the observable sequence is
-// exactly the per-home Forecaster::train() loop — the empty-dataset
-// early-out fires before any RNG use, each epoch shuffles the job's own
-// index order with the job's own RNG (util::Rng::shuffle consumes the
-// stream as a function of the vector size alone, so trainer-owned order
-// vectors are stream-identical to the forecaster-owned ones), batches
-// are visited in the same offsets, and each slice's forward/BPTT/Adam
-// step is bitwise the solo train_batch (nn/fused.hpp). Jobs whose
-// dataset runs out of batches early simply drop out of later fused
-// batches; their epoch-loss bookkeeping is untouched by the others.
+// This is the only minibatch training loop: the BP, LSTM and GRU
+// forecasters' own train() runs one job through train_group_of_one().
+//
+// Determinism contract: a group of one is the per-home path. Per job,
+// the empty-dataset early-out fires before any RNG use, each epoch
+// shuffles the job's own index order with the job's own RNG, batches are
+// visited at the same offsets whatever the group, and each slice's
+// forward/BPTT/Adam step is bitwise its one-member batch (nn/fused.hpp).
+// Jobs whose dataset runs out of batches early simply drop out of later
+// fused batches; their epoch-loss bookkeeping is untouched by the
+// others. So a group of N equals N groups of one, pinned by
+// FusedForecastTrainer.MatchesPerJobTrainBitwise (fl_trainer_test).
 #pragma once
 
 #include <cstddef>
@@ -55,6 +57,14 @@ struct FusedTrainJob {
   double loss = 0.0;
 };
 
+/// Forecaster::train() of the minibatch methods (BP, LSTM, GRU): runs
+/// `forecaster` through a one-job FusedForecastTrainer and returns the
+/// job's loss (the final epoch's mean batch loss).
+double train_group_of_one(Forecaster& forecaster,
+                          const data::DeviceTrace& trace, std::size_t begin,
+                          std::size_t end, const TrainConfig& cfg,
+                          util::Rng& rng);
+
 /// Fused multi-home forecaster trainer. One train() call performs one
 /// Forecaster::train(trace, begin, end, cfg, rng) per job, bitwise
 /// identical to running the jobs one by one.
@@ -64,7 +74,8 @@ class FusedForecastTrainer {
   /// Returns false — with no job state touched — when the group is not
   /// fusable (closed-form LR/SVR or mixed methods, mismatched network or
   /// window shapes); the caller must fall back to per-job
-  /// Forecaster::train().
+  /// Forecaster::train(), which runs a minibatch method as a group of
+  /// one.
   bool train(std::span<FusedTrainJob> jobs, std::size_t begin,
              std::size_t end, const TrainConfig& cfg);
 

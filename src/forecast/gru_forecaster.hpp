@@ -32,19 +32,14 @@ class GruForecaster final : public Forecaster {
   [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
  private:
-  // Fused cross-home training (forecast/fused.hpp) replays this class's
-  // train loop against shared slabs; it needs net_ and opt_ only.
+  // train() runs through FusedForecastTrainer (forecast/fused.hpp) as a
+  // group of one; the trainer needs net_ and opt_ only.
   friend struct FusedAccess;
 
   GruForecaster(const GruForecaster&) = default;
 
   nn::GruRegressor net_;
   nn::Adam opt_;
-  // Minibatch gather buffers, reshaped in place per batch (see
-  // LstmForecaster). Contents fully overwritten before each use.
-  std::vector<nn::Matrix> xb_;
-  nn::Matrix yb_;
-  std::vector<std::size_t> order_;
 };
 
 }  // namespace pfdrl::forecast

@@ -32,20 +32,14 @@ class LstmForecaster final : public Forecaster {
   [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
  private:
-  // Fused cross-home training (forecast/fused.hpp) replays this class's
-  // train loop against shared slabs; it needs net_ and opt_ only.
+  // train() runs through FusedForecastTrainer (forecast/fused.hpp) as a
+  // group of one; the trainer needs net_ and opt_ only.
   friend struct FusedAccess;
 
   LstmForecaster(const LstmForecaster&) = default;
 
   nn::LstmRegressor net_;
   nn::Adam opt_;
-  // Gather buffers for minibatch assembly, reshaped in place per batch so
-  // the train loop stops re-allocating steps-many matrices every batch of
-  // every epoch. Contents are fully overwritten before each use.
-  std::vector<nn::Matrix> xb_;
-  nn::Matrix yb_;
-  std::vector<std::size_t> order_;
 };
 
 }  // namespace pfdrl::forecast

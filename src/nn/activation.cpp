@@ -34,8 +34,8 @@ void scale_elems(std::span<const double> ys, std::span<double> gs, G&& g) {
 }
 }  // namespace
 
-// Both kernels dispatch on the activation kind once per matrix and hand
-// Matrix::apply / scale_elems a concrete lambda — same math as the
+// The matrix kernels dispatch on the activation kind once per call and
+// hand Matrix::apply / scale_elems a concrete lambda — same math as the
 // per-element activate()/activate_grad_from_output() switches, minus the
 // per-element branch.
 void activate_inplace(Activation a, Matrix& m) {
@@ -49,24 +49,6 @@ void activate_inplace(Activation a, Matrix& m) {
       return;
     case Activation::kTanh:
       m.apply([](double x) noexcept { return std::tanh(x); });
-      return;
-  }
-}
-
-void scale_by_activation_grad(Activation a, const Matrix& y, Matrix& grad) {
-  assert(y.rows() == grad.rows() && y.cols() == grad.cols());
-  auto ys = y.data();
-  auto gs = grad.data();
-  switch (a) {
-    case Activation::kIdentity: return;
-    case Activation::kRelu:
-      scale_elems(ys, gs, [](double v) noexcept { return v > 0.0 ? 1.0 : 0.0; });
-      return;
-    case Activation::kSigmoid:
-      scale_elems(ys, gs, [](double v) noexcept { return v * (1.0 - v); });
-      return;
-    case Activation::kTanh:
-      scale_elems(ys, gs, [](double v) noexcept { return 1.0 - v * v; });
       return;
   }
 }

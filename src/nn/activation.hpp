@@ -16,12 +16,11 @@ double activate_grad_from_output(Activation a, double y) noexcept;
 
 /// In-place matrix activation.
 void activate_inplace(Activation a, Matrix& m);
-/// grad_in(i) *= f'(y(i)) where y is the cached forward output.
-void scale_by_activation_grad(Activation a, const Matrix& y, Matrix& grad);
 
-/// Row-range variants for fused slabs (nn/fused.hpp): the same
-/// element-independent math applied to rows [row_begin, row_begin+rows)
-/// only, so per-member application over disjoint slices is bitwise the
+/// Row-range forms for fused slabs (nn/fused.hpp), applied to rows
+/// [row_begin, row_begin + rows) only: the element-independent
+/// activation, and grad(i) *= f'(y(i)) where y is the cached forward
+/// output. Per-member application over disjoint slices is bitwise the
 /// slab-wide call.
 void activate_rows(Activation a, Matrix& m, std::size_t row_begin,
                    std::size_t rows);

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "nn/fused.hpp"
-#include "nn/kernels.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -90,41 +89,6 @@ void dense_forward(std::span<const double> params, std::size_t in,
   activate_inplace(act, y);
 }
 
-void dense_backward(std::span<const double> params, std::size_t in,
-                    std::size_t out, const Matrix& x, const Matrix& y,
-                    Activation act, Matrix& grad_y,
-                    std::span<double> grad_params, Matrix* grad_x) {
-  assert(params.size() == dense_param_count(in, out));
-  assert(grad_params.size() == dense_param_count(in, out));
-  assert(x.cols() == in && y.cols() == out);
-  assert(grad_y.rows() == y.rows() && grad_y.cols() == out);
-  const std::size_t batch = x.rows();
-
-  // grad_y <- pre-activation delta.
-  scale_by_activation_grad(act, y, grad_y);
-
-  double* gw = grad_params.data();
-  double* gb = grad_params.data() + in * out;
-  for (std::size_t r = 0; r < batch; ++r) {
-    const double* xr = x.row(r).data();
-    const double* dr = grad_y.row(r).data();
-    for (std::size_t j = 0; j < out; ++j) gb[j] += dr[j];
-    kernels::outer_acc(xr, in, dr, out, gw);
-  }
-
-  if (grad_x != nullptr) {
-    grad_x->reshape(batch, in);  // fully overwritten below
-    const double* w = params.data();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const double* dr = grad_y.row(r).data();
-      double* gxr = grad_x->row(r).data();
-      for (std::size_t k = 0; k < in; ++k) {
-        gxr[k] = kernels::dot(dr, w + k * out, out);
-      }
-    }
-  }
-}
-
 void dense_init(std::span<double> params, std::size_t in, std::size_t out,
                 InitScheme scheme, util::Rng& rng) {
   assert(params.size() == dense_param_count(in, out));
@@ -133,33 +97,6 @@ void dense_init(std::span<double> params, std::size_t in, std::size_t out,
   auto ws = w.data();
   for (std::size_t i = 0; i < ws.size(); ++i) params[i] = ws[i];
   for (std::size_t j = 0; j < out; ++j) params[in * out + j] = 0.0;
-}
-
-DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
-                       InitScheme scheme, util::Rng& rng)
-    : in_(in),
-      out_(out),
-      act_(act),
-      params_(dense_param_count(in, out), 0.0),
-      grads_(dense_param_count(in, out), 0.0) {
-  dense_init(params_, in, out, scheme, rng);
-}
-
-const Matrix& DenseLayer::forward(const Matrix& x) {
-  input_ = x;
-  dense_forward(params_, in_, out_, input_, act_, output_);
-  return output_;
-}
-
-Matrix DenseLayer::backward(Matrix grad_y) {
-  Matrix grad_x;
-  dense_backward(params_, in_, out_, input_, output_, act_, grad_y, grads_,
-                 &grad_x);
-  return grad_x;
-}
-
-void DenseLayer::zero_grad() noexcept {
-  for (double& g : grads_) g = 0.0;
 }
 
 }  // namespace pfdrl::nn

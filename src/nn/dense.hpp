@@ -1,4 +1,4 @@
-// Span-based dense-layer kernels plus a small self-contained DenseLayer.
+// Span-based dense-layer kernels.
 //
 // The MLP (mlp.hpp) stores all parameters of all layers in one flat
 // buffer and calls these kernels with per-layer slices; that layout is
@@ -46,49 +46,8 @@ void matvec1(std::span<const double> w, std::span<const double> b,
              std::span<const double> x, std::size_t in, std::size_t out,
              std::span<double> y) noexcept;
 
-/// Backward pass. `y` is the cached forward output, `grad_y` the incoming
-/// gradient dL/dy (modified in place into the pre-activation delta).
-/// Writes dL/d[W|b] into `grad_params` (accumulating: +=) and dL/dx into
-/// `grad_x` (overwritten; pass nullptr to skip for the first layer).
-void dense_backward(std::span<const double> params, std::size_t in,
-                    std::size_t out, const Matrix& x, const Matrix& y,
-                    Activation act, Matrix& grad_y,
-                    std::span<double> grad_params, Matrix* grad_x);
-
 /// Initialize a packed [W|b] slice: weights per `scheme`, bias zero.
 void dense_init(std::span<double> params, std::size_t in, std::size_t out,
                 InitScheme scheme, util::Rng& rng);
-
-/// A standalone dense layer owning its parameters. Used by unit tests and
-/// by small models that do not need federated slicing.
-class DenseLayer {
- public:
-  DenseLayer(std::size_t in, std::size_t out, Activation act,
-             InitScheme scheme, util::Rng& rng);
-
-  [[nodiscard]] std::size_t in_dim() const noexcept { return in_; }
-  [[nodiscard]] std::size_t out_dim() const noexcept { return out_; }
-  [[nodiscard]] Activation activation() const noexcept { return act_; }
-
-  /// Forward with caching for a subsequent backward().
-  const Matrix& forward(const Matrix& x);
-  /// Backward; returns dL/dx. Must follow a forward() with the same batch.
-  Matrix backward(Matrix grad_y);
-
-  [[nodiscard]] std::span<double> parameters() noexcept { return params_; }
-  [[nodiscard]] std::span<const double> parameters() const noexcept {
-    return params_;
-  }
-  [[nodiscard]] std::span<double> gradients() noexcept { return grads_; }
-  void zero_grad() noexcept;
-
- private:
-  std::size_t in_, out_;
-  Activation act_;
-  std::vector<double> params_;
-  std::vector<double> grads_;
-  Matrix input_;   // cached forward input
-  Matrix output_;  // cached forward output
-};
 
 }  // namespace pfdrl::nn

@@ -32,8 +32,7 @@ void block_rows_const(const M& m, std::size_t r,
 
 /// Head backward for one slice: bias/outer accumulation into the member's
 /// head gradients and dh[r][k] = dot(grad_out[r], W_head row k), on the
-/// slab kernels — bitwise the per-row loop of the recurrent models' head
-/// backward.
+/// slab kernels (bitwise their per-row sequence, see kernels.hpp).
 void head_backward_slice(const double* w, std::size_t h, std::size_t o,
                          const Matrix& grad_out, const Matrix& h_last,
                          Matrix& dh, double* gw_head, double* gb_head,
@@ -44,8 +43,8 @@ void head_backward_slice(const double* w, std::size_t h, std::size_t o,
   kernels::slab_dot(go, o, o, s.rows, w, o, h, dh.row(s.row_begin).data(), h);
 }
 
-/// Member's fused-vs-per-home uniformity is the caller's contract; the
-/// slices must tile [0, rows) of the slab in order.
+/// Member shape uniformity is checked by each trainer; the slices must
+/// tile [0, rows) of the slab in order.
 void check_slices(std::span<const FusedSlice> slices, std::size_t rows) {
   std::size_t at = 0;
   for (const FusedSlice& s : slices) {
@@ -76,11 +75,13 @@ LstmOffsets lstm_offsets(std::size_t f, std::size_t h, std::size_t o) {
   return ofs;
 }
 
-/// LSTM backward Phase-1 elementwise deltas for one row — the exact
-/// per-element op sequence of LstmRegressor::backward. kHasCPrev lifts
-/// the t == 0 check out of the loop: the body is branch-free either way
-/// (cp folds to 0.0 at t == 0, preserving the signed-zero products of
-/// the scalar code), so the compiler can vectorize the j loop.
+/// LSTM backward Phase-1 elementwise deltas for one row: back through
+/// h = o * tanh(c) into dc, then the gate preactivation deltas (sigmoid
+/// and tanh derivatives from the cached gate outputs), then dc carried
+/// to step t-1 through the forget gate. kHasCPrev lifts the t == 0 check
+/// out of the loop: the body is branch-free either way (cp folds to 0.0
+/// at t == 0, keeping the signed-zero products), so the compiler can
+/// vectorize the j loop.
 template <bool kHasCPrev>
 void lstm_phase1_row(const double* __restrict zg, const double* __restrict tc,
                      const double* __restrict cpr, double* __restrict dhr,
@@ -231,7 +232,8 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
       kernels::sigmoid_inplace(zr[i], 2 * h);
     }
     // Candidate pre-activation gets (r ⊙ h): the coefficient product is
-    // the same single rounding the per-home axpy computes inline.
+    // the same single rounding the leftover-row axpy below computes
+    // inline.
     double* cf[kRB];
     double* zc[kRB];
     const double* cf_const[kRB];
@@ -366,9 +368,10 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
   // own bank. Members share the activation/delta slabs but write
   // disjoint row ranges and never share an accumulator, so fanning the
   // members out across the pool cannot change any member's arithmetic —
-  // the fused result stays bitwise the per-home one at every thread
-  // count. Member-major order also keeps each bank hot in cache for the
-  // whole sequence instead of re-streaming every bank per timestep.
+  // each member's result stays bitwise its group-of-one result at every
+  // thread count. Member-major order also keeps each bank hot in cache
+  // for the whole sequence instead of re-streaming every bank per
+  // timestep.
   grads_.assign(members * ofs.total, 0.0);
   dc.zero();
   const auto member_task = [&](std::size_t i) {
@@ -436,7 +439,7 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
                         dh.row(s.row_begin).data(), h);
     }
 
-    // ---- Clip + Adam step (same sequence as train_batch). ----
+    // ---- Clip + optimizer step. ----
     std::span<double> gspan(g, ofs.total);
     if (clip_norm > 0.0) {
       const double sq = kernels::dot(gspan.data(), gspan.data(), gspan.size());
@@ -540,9 +543,9 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
       const std::size_t r_end = s.row_begin + s.rows;
       // Phase 1 — elementwise deltas, then the recurrent dots over the
       // whole slice into the member's rows of `scratch`, then their
-      // elementwise uses. Per element this is GruRegressor::backward's
-      // sequence: the candidate dots read only dz[2h, 3h), written above
-      // them, and all of them land before the z/r dots read dz[0, 2h).
+      // elementwise uses: the candidate dots read only dz[2h, 3h),
+      // written above them, and all of them land before the z/r dots
+      // read dz[0, 2h).
       for (std::size_t r = s.row_begin; r < r_end; ++r) {
         const double* zg = gates.row(r).data();
         const double* hp = h_prev.row(r).data();
@@ -686,6 +689,8 @@ void FusedMlp::forward_member(const Mlp& net, const FusedSlice& s) {
 // rows into its own Mlp::gradients() buffer.
 void FusedMlp::backward_member(Mlp& net, const FusedSlice& s,
                                Matrix& grad_out) {
+  assert(net.gradients().size() == net.parameter_count() &&
+         "zero_grad() before backward()");
   const auto& dims = net.dims();
   const std::size_t layers = net.num_layers();
   Matrix* g = &grad_out;

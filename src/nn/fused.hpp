@@ -23,13 +23,19 @@
 // arithmetic untouched, so results are bitwise identical at any thread
 // count.
 //
-// Determinism contract: PRESERVED, not re-blessed. Every fused kernel
-// keeps each output element a single accumulator walked in the exact
-// term order of the per-home path (see kernels.hpp), every nonlinearity
-// is invoked with the identical per-row slice the per-home path uses,
-// and per-home loss/clip/Adam steps run in the same per-home sequence.
-// Fused and per-home training are bitwise interchangeable; the
-// equivalence is pinned by nn_fused_test across LSTM/GRU/MLP/DQN.
+// This is the only training path: a home that trains alone (a
+// Forecaster::train call, a one-agent DQN learner) is a group of one.
+//
+// Determinism contract: a group of one is the per-home path. Every fused
+// kernel keeps each output element a single accumulator walked in
+// ascending term order whatever rows share its tile (see kernels.hpp),
+// every nonlinearity runs over the member's own rows, and each member's
+// loss/clip/optimizer step runs on its own slice, gradient bank and
+// optimizer. So a member's bits never depend on the rest of its group:
+// an N-member batch equals N one-member batches bitwise (pinned by
+// nn_fused_test for LSTM/GRU/MLP and rl_dqn_test for the DQN), and the
+// gradient math itself is pinned by finite-difference checks on groups
+// of one (nn_lstm_test, nn_gru_test, nn_dense_mlp_test).
 //
 // All scratch lives in nn::Workspace slots (and capacity-reusing member
 // buffers), so steady-state fused batches of a stable shape perform no
@@ -62,9 +68,9 @@ struct FusedSlice {
 
 // ---- Per-layer step functions ----------------------------------------
 // One forward implementation per layer type. The fused trainers run them
-// over each member's slice; Mlp/DenseLayer (through dense_forward) and
-// LstmRegressor/GruRegressor forward()/predict() run them over all rows
-// of their batch. Rows go through kernels::fused_gates_rows in blocks of
+// over each member's slice; inference (Mlp::predict through
+// dense_forward, LstmRegressor/GruRegressor::predict) runs them over all
+// rows of its batch. Rows go through kernels::fused_gates_rows in blocks of
 // kernels::kRowBlock; leftover rows take the per-row path. Both keep each
 // output element one accumulator in the same term order, so a row's
 // result never depends on its position in the batch.
@@ -103,9 +109,9 @@ void note_fused_batch(std::size_t members, std::size_t rows) noexcept;
 [[nodiscard]] std::uint64_t max_fused_members() noexcept;
 
 /// Fused multi-home LSTM trainer. One train_batch call runs forward +
-/// per-slice loss + BPTT + per-home clip/Adam for every member over the
-/// shared slab — bitwise identical to calling nets[i]->train_batch on
-/// slice i's rows alone.
+/// per-slice loss + BPTT + per-member clip and optimizer step for every
+/// member over the shared slab — bitwise identical, per member, to a
+/// one-member train_batch on slice i's rows alone.
 class FusedLstm {
  public:
   /// xs[t] is the step-t slab and y the target slab; the batch covers
@@ -161,9 +167,9 @@ class FusedGru {
 /// Fused multi-home MLP: shared activation slabs, per-home weight banks.
 /// forward() caches slab activations for backward(); backward()
 /// accumulates each member's gradients into that member's own
-/// Mlp::gradients() buffer (callers zero_grad and step per member, the
-/// same sequence the per-home path runs). All nets must share
-/// architecture (Mlp::same_architecture).
+/// Mlp::gradients() buffer (callers zero_grad before and step after, per
+/// member, as train_batch does). All nets must share architecture
+/// (Mlp::same_architecture).
 class FusedMlp {
  public:
   /// As with the recurrent trainers, src_row0 offsets the rows read from

@@ -1,7 +1,8 @@
 // Single-layer GRU regressor with a dense head — the lighter recurrent
 // alternative to the LSTM (extension beyond the paper; compared in
-// bench/ablation_design). Same flat-parameter contract as the LSTM so it
-// can participate in federated averaging:
+// bench/ablation_design). Inference lives here; training runs through
+// nn::FusedGru (nn/fused.hpp). Same flat-parameter contract as the LSTM
+// so it can participate in federated averaging:
 //   [ Wx (F x 3H) | Wh (H x 3H) | b (3H) | W_head (H x O) | b_head (O) ]
 // Gate order inside the 3H dimension: update (z), reset (r), candidate.
 #pragma once
@@ -10,9 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "nn/loss.hpp"
 #include "nn/matrix.hpp"
-#include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
@@ -36,51 +35,25 @@ class GruRegressor {
   }
   void set_parameters(std::span<const double> values);
 
-  /// Forward over a sequence (xs[t]: batch x F); caches for backward.
-  /// The step inputs are held by reference: `xs` must outlive the
-  /// matching backward().
-  const Matrix& forward(const std::vector<Matrix>& xs);
-  /// Stateless inference (allocates a scratch workspace per call).
+  /// Inference over a sequence (xs[t]: batch x F); allocates a scratch
+  /// workspace per call.
   [[nodiscard]] Matrix predict(const std::vector<Matrix>& xs) const;
   /// Allocation-free inference via workspace step scratch; the returned
   /// reference points into `ws`.
   const Matrix& predict(const std::vector<Matrix>& xs, Workspace& ws) const;
 
-  /// Forward + loss + BPTT + optimizer step; returns batch loss.
-  double train_batch(const std::vector<Matrix>& xs, const Matrix& y,
-                     LossKind loss, Optimizer& opt, double clip_norm = 5.0);
-
  private:
-  struct StepCache {
-    const Matrix* x = nullptr;       // B x F step input (view into xs)
-    Matrix gates;                    // B x 3H post-nonlinearity (z, r, cand)
-    const Matrix* h_prev = nullptr;  // B x H hidden entering the step
-    Matrix h;                        // B x H hidden after the step
-  };
-
   /// One recurrent step into caller-provided scratch (outputs reshaped in
-  /// place, fully overwritten) through nn::gru_step_slice; `coeff` is
-  /// kernels::kRowBlock x H (r ⊙ h) scratch. Shared by forward() and the
-  /// workspace predict.
+  /// place, fully overwritten) through nn::gru_step_slice, the step
+  /// FusedGru trains with; `coeff` is kernels::kRowBlock x H (r ⊙ h)
+  /// scratch.
   void step_compute(const Matrix& x, const Matrix& h_prev, Matrix& gates,
                     Matrix& h, Matrix& coeff) const;
   /// Dense head: out = h_last * W_head + b_head (out reshaped in place).
   void head_into(const Matrix& h_last, Matrix& out) const;
-  void backward(const Matrix& grad_out, std::span<double> grads);
 
   std::size_t f_, h_, o_;
   std::vector<double> params_;
-  // steps_ is resized (not cleared) per forward so step scratch keeps its
-  // buffers; h0_ is the zeroed initial hidden the first step points at.
-  std::vector<StepCache> steps_;
-  Matrix h0_;
-  Matrix coeff_;  // (r ⊙ h) row-block scratch of forward()
-  Matrix output_;
-  // Persistent training scratch (see LstmRegressor): reused in place each
-  // train_batch so steady-state batches allocate nothing.
-  std::vector<double> grads_scratch_;
-  Matrix grad_out_scratch_;
-  Matrix dh_, dz_;
 };
 
 }  // namespace pfdrl::nn

@@ -91,10 +91,11 @@ inline constexpr std::size_t kRowBlock = 4;
 /// j in [0, n), with each (r, j) element a SINGLE accumulator initialized
 /// from the stored z value and advanced in ascending k. That is exactly
 /// the rounding sequence of running axpy(x[r][k], w + k * w_stride,
-/// z[r], n) over k for each row separately — so the fused training path
-/// is bitwise identical to the per-home path (docs/fused_training.md) —
-/// while the weight row is streamed once per 4 rows and z is touched
-/// twice per tile instead of once per k-term.
+/// z[r], n) over k for each row separately — so a row's result does not
+/// depend on the rows sharing its tile, and an N-member fused batch is
+/// bitwise N groups of one (docs/fused_training.md) — while the weight
+/// row is streamed once per 4 rows and z is touched twice per tile
+/// instead of once per k-term.
 /// `w_stride` >= n lets callers accumulate into a column window of a
 /// wider gate matrix (the GRU candidate block). x rows, w and z rows must
 /// not overlap.
@@ -397,12 +398,13 @@ void tanh_inplace(double* x, std::size_t n) noexcept;
 /// translation unit so it tests the flags the kernels were built with.
 [[nodiscard]] bool fp_contraction_active() noexcept;
 
-/// Process-wide count of train_batch invocations through the kernel
-/// layer (LSTM/GRU BPTT and MLP batches). Exported by the obs layer as
-/// `nn.kernel_train_batches`; one relaxed atomic add per batch, so the
-/// telemetry costs nothing the inner loops can feel.
+/// Process-wide count of member train steps of the fused trainers
+/// (FusedLstm/FusedGru/FusedMlp::train_batch, one per member per batch).
+/// Exported by the obs layer as `nn.kernel_train_batches`; one relaxed
+/// atomic add per member step, so the telemetry costs nothing the inner
+/// loops can feel.
 [[nodiscard]] std::uint64_t total_train_batches() noexcept;
-/// Bump the train-batch counter (called once per train_batch).
+/// Bump the train-batch counter (once per member per fused batch).
 void note_train_batch() noexcept;
 
 }  // namespace pfdrl::nn::kernels

@@ -1,12 +1,9 @@
 #include "nn/matrix.hpp"
 
 #include <cassert>
-#include <functional>
 #include <stdexcept>
-#include <utility>
 
 #include "nn/kernels.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfdrl::nn {
 
@@ -66,143 +63,8 @@ void Matrix::axpy(double alpha, const Matrix& other) {
   }
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  }
-  return out;
-}
-
 double Matrix::squared_norm() const noexcept {
   return kernels::dot(data_.data(), data_.data(), data_.size());
-}
-
-namespace {
-
-// Row-range matmul kernel in ikj order: out_row accumulates one
-// kernels::axpy per k, so the j sweep is branch-free and vectorizes
-// (broadcast a[i][k], contiguous loads from b's row k). Each output
-// element is still a single accumulator walked in ascending-k order —
-// only the *loop structure* changed; dropping the old `aik == 0.0` skip
-// adds exact +0.0 terms. Bitwise identical across thread counts: rows
-// are sharded, never the k reduction.
-void matmul_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                 std::size_t row_begin, std::size_t row_end) {
-  const std::size_t n = b.cols();
-  const std::size_t k_dim = a.cols();
-  const double* b0 = b.rows() ? b.row(0).data() : nullptr;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* a_row = a.row(i).data();
-    double* out_row = out.row(i).data();
-    for (std::size_t j = 0; j < n; ++j) out_row[j] = 0.0;
-    for (std::size_t k = 0; k < k_dim; ++k) {
-      kernels::axpy(a_row[k], b0 + k * n, out_row, n);
-    }
-  }
-}
-
-// True when the two buffers share any bytes (std::less gives the total
-// pointer order the comparison needs to stay defined across objects).
-bool buffers_overlap(std::span<const double> x,
-                     std::span<const double> y) noexcept {
-  if (x.empty() || y.empty()) return false;
-  const std::less<const double*> lt;
-  return lt(x.data(), y.data() + y.size()) &&
-         lt(y.data(), x.data() + x.size());
-}
-
-}  // namespace
-
-void matmul(const Matrix& a, const Matrix& b, Matrix& out, bool threaded) {
-  assert(a.cols() == b.rows());
-  // Writing the product over an operand that is still being read would
-  // corrupt it silently; detour through a temporary instead.
-  if (buffers_overlap(out.data(), a.data()) ||
-      buffers_overlap(out.data(), b.data())) {
-    Matrix tmp;
-    matmul(a, b, tmp, threaded);
-    out = std::move(tmp);
-    return;
-  }
-  if (out.rows() != a.rows() || out.cols() != b.cols()) {
-    out = Matrix(a.rows(), b.cols());
-  }
-  // Threading pays off only for enough work per row; below the cutoff the
-  // pool dispatch overhead dominates.
-  constexpr std::size_t kFlopCutoff = 1u << 16;
-  const std::size_t flops = a.rows() * a.cols() * b.cols();
-  if (threaded && flops >= kFlopCutoff && a.rows() > 1) {
-    util::ThreadPool::global().parallel_for_chunked(
-        0, a.rows(),
-        [&](std::size_t lo, std::size_t hi) { matmul_rows(a, b, out, lo, hi); });
-  } else {
-    matmul_rows(a, b, out, 0, a.rows());
-  }
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b, bool threaded) {
-  Matrix out(a.rows(), b.cols());
-  matmul(a, b, out, threaded);
-  return out;
-}
-
-void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.rows() == b.rows());
-  if (out.rows() != a.cols() || out.cols() != b.cols()) {
-    out = Matrix(a.cols(), b.cols());
-  } else {
-    out.zero();
-  }
-  const std::size_t m = a.cols();
-  const std::size_t n = b.cols();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* a_row = a.row(r).data();
-    const double* b_row = b.row(r).data();
-    for (std::size_t i = 0; i < m; ++i) {
-      kernels::axpy(a_row[i], b_row, out.row(i).data(), n);
-    }
-  }
-}
-
-void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols() == b.cols());
-  if (out.rows() != a.rows() || out.cols() != b.rows()) {
-    out = Matrix(a.rows(), b.rows());
-  }
-  const std::size_t k_dim = a.cols();
-  const std::size_t n = b.rows();
-  // Both operand rows are contiguous over k, so each output is one
-  // strip-mined kernels::dot (4-lane reduction, fixed combine order).
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* a_row = a.row(i).data();
-    double* out_row = out.row(i).data();
-    for (std::size_t j = 0; j < n; ++j) {
-      out_row[j] = kernels::dot(a_row, b.row(j).data(), k_dim);
-    }
-  }
-}
-
-void add_row_vector(Matrix& m, const Matrix& bias) {
-  assert(bias.rows() == 1 && bias.cols() == m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    double* row = m.row(r).data();
-    const double* b = bias.row(0).data();
-    for (std::size_t c = 0; c < m.cols(); ++c) row[c] += b[c];
-  }
-}
-
-void sum_rows(const Matrix& m, Matrix& out) {
-  if (out.rows() != 1 || out.cols() != m.cols()) {
-    out = Matrix(1, m.cols());
-  } else {
-    out.zero();
-  }
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.row(r).data();
-    double* o = out.row(0).data();
-    for (std::size_t c = 0; c < m.cols(); ++c) o[c] += row[c];
-  }
 }
 
 }  // namespace pfdrl::nn

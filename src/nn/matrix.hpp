@@ -1,6 +1,7 @@
-// Dense row-major matrix with the small set of BLAS-like kernels the
-// library needs: blocked (and optionally thread-pooled) matmul, transposed
-// variants for backprop, axpy-style updates, and elementwise maps.
+// Dense row-major matrix: the storage every nn slab, batch and workspace
+// slot uses, with axpy-style updates and elementwise maps. The products
+// live in the row-tiled kernels (nn/kernels.hpp) that nn/fused.hpp and
+// nn/dense.hpp drive.
 //
 // Double precision throughout: the federated averaging math (Eq. 2/7 in
 // the paper) is sensitive to accumulation order, and doubles keep the
@@ -79,8 +80,6 @@ class Matrix {
     for (double& x : data_) x = f(x);
   }
 
-  [[nodiscard]] Matrix transposed() const;
-
   /// Frobenius norm squared.
   [[nodiscard]] double squared_norm() const noexcept;
 
@@ -91,30 +90,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// out = a * b. ikj loop order through the branch-free nn::kernels::axpy
-/// (broadcast a[i][k] against b's contiguous row k); when `threaded` and
-/// the output is large enough, rows are sharded across the global thread
-/// pool. Results are bitwise identical either way: each output element is
-/// produced by exactly one thread as a single accumulator walked in
-/// ascending-k order — the invariant the golden tests pin.
-/// If `out` aliases `a` or `b` the product is computed into a temporary
-/// first (silent corruption otherwise), at the cost of one allocation.
-void matmul(const Matrix& a, const Matrix& b, Matrix& out,
-            bool threaded = false);
-[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b,
-                            bool threaded = false);
-
-/// out = a^T * b without materializing the transpose.
-void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out);
-/// out = a * b^T without materializing the transpose. Each output element
-/// is one strip-mined nn::kernels::dot (4-lane reduction, fixed combine
-/// order — deterministic run-to-run, see kernels.hpp).
-void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out(r, :) += bias for every row r (bias is 1 x cols).
-void add_row_vector(Matrix& m, const Matrix& bias);
-/// Column-wise sum of m into out (1 x cols).
-void sum_rows(const Matrix& m, Matrix& out);
 
 }  // namespace pfdrl::nn

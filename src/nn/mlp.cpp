@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "nn/kernels.hpp"
 #include "nn/workspace.hpp"
 
 namespace pfdrl::nn {
@@ -23,11 +22,9 @@ Mlp::Mlp(std::vector<std::size_t> dims, Activation hidden_act,
     offsets_[i + 1] = offsets_[i] + dense_param_count(dims_[i], dims_[i + 1]);
   }
   params_.assign(offsets_.back(), 0.0);
-  grads_.assign(offsets_.back(), 0.0);
   for (std::size_t i = 0; i < num_layers(); ++i) {
     dense_init(layer_parameters(i), dims_[i], dims_[i + 1], scheme, rng);
   }
-  acts_.resize(num_layers() + 1);
 }
 
 void Mlp::set_parameters(std::span<const double> values) {
@@ -35,16 +32,6 @@ void Mlp::set_parameters(std::span<const double> values) {
     throw std::invalid_argument("Mlp::set_parameters: size mismatch");
   }
   std::copy(values.begin(), values.end(), params_.begin());
-}
-
-const Matrix& Mlp::forward(const Matrix& x) {
-  assert(x.cols() == input_dim());
-  input_ = &x;  // view, not copy — x must outlive the matching backward()
-  for (std::size_t i = 0; i < num_layers(); ++i) {
-    dense_forward(layer_parameters(i), dims_[i], dims_[i + 1], layer_input(i),
-                  layer_act(i), acts_[i + 1]);
-  }
-  return acts_.back();
 }
 
 Matrix Mlp::predict(const Matrix& x) const {
@@ -64,35 +51,7 @@ const Matrix& Mlp::predict(const Matrix& x, Workspace& ws) const {
   return *cur;
 }
 
-void Mlp::zero_grad() noexcept {
-  for (double& g : grads_) g = 0.0;
-}
-
-void Mlp::backward(Matrix& grad_out) {
-  assert(input_ != nullptr && "backward() requires a preceding forward()");
-  assert(grad_out.rows() == acts_.back().rows());
-  assert(grad_out.cols() == output_dim());
-  for (std::size_t i = num_layers(); i-- > 0;) {
-    auto grad_slice =
-        std::span(grads_).subspan(offsets_[i], layer_param_count(i));
-    dense_backward(layer_parameters(i), dims_[i], dims_[i + 1],
-                   layer_input(i), acts_[i + 1], layer_act(i), grad_out,
-                   grad_slice, i > 0 ? &grad_scratch_ : nullptr);
-    if (i > 0) std::swap(grad_out, grad_scratch_);
-  }
-}
-
-double Mlp::train_batch(const Matrix& x, const Matrix& y, LossKind loss,
-                        Optimizer& opt, double huber_delta) {
-  const Matrix& pred = forward(x);
-  const double value = loss_value(loss, pred, y, huber_delta);
-  loss_grad(loss, pred, y, loss_grad_scratch_, huber_delta);
-  zero_grad();
-  backward(loss_grad_scratch_);
-  opt.step(params_, grads_);
-  kernels::note_train_batch();
-  return value;
-}
+void Mlp::zero_grad() { grads_.assign(params_.size(), 0.0); }
 
 bool Mlp::same_architecture(const Mlp& other) const noexcept {
   return dims_ == other.dims_ && hidden_act_ == other.hidden_act_ &&

@@ -5,6 +5,11 @@
 // (paper §3.3.2, Eq. 7/8) treats layers [0, alpha) as federated "base"
 // layers and the rest as local "personalization" layers; with this layout
 // that is exactly the flat prefix [0, layer_offset(alpha)).
+//
+// The class owns parameters and a gradient buffer and runs inference;
+// training (forward caches, backward into gradients(), the optimizer
+// step) runs through nn::FusedMlp, a lone network being a group of one
+// (nn/fused.hpp).
 #pragma once
 
 #include <cstddef>
@@ -13,9 +18,7 @@
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
-#include "nn/loss.hpp"
 #include "nn/matrix.hpp"
-#include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
@@ -52,6 +55,9 @@ class Mlp {
   [[nodiscard]] std::span<const double> parameters() const noexcept {
     return params_;
   }
+  /// The gradient buffer FusedMlp::backward accumulates into: empty
+  /// until the first zero_grad(), so a network that only runs inference
+  /// (a DQN target network) never allocates it.
   [[nodiscard]] std::span<double> gradients() noexcept { return grads_; }
   [[nodiscard]] std::span<const double> gradients() const noexcept {
     return grads_;
@@ -76,12 +82,8 @@ class Mlp {
   /// Replace all parameters. Size must equal parameter_count().
   void set_parameters(std::span<const double> values);
 
-  /// Forward pass with activation caching (required before backward()).
-  /// The input is held by reference, not copied: `x` must stay alive and
-  /// unmodified until the matching backward() completes.
-  const Matrix& forward(const Matrix& x);
-  /// Stateless inference (does not disturb the training caches).
-  /// Allocates per call; the hot path is the workspace overload below.
+  /// Inference. Allocates per call; the hot path is the workspace
+  /// overload below.
   [[nodiscard]] Matrix predict(const Matrix& x) const;
   /// Allocation-free inference: every per-layer activation lives in a
   /// workspace slot (one take() per layer, exact shapes, so steady-state
@@ -90,18 +92,8 @@ class Mlp {
   /// cycle; it survives further take() calls within the same cycle.
   const Matrix& predict(const Matrix& x, Workspace& ws) const;
 
-  void zero_grad() noexcept;
-  /// Accumulate gradients for dL/d(output) = grad_out. Must follow
-  /// forward() with the same batch. `grad_out` is consumed as scratch:
-  /// its contents are unspecified on return (the layer sweep ping-pongs
-  /// it against an internal buffer), but its heap allocation is preserved
-  /// — callers that pass a pooled matrix keep their capacity.
-  void backward(Matrix& grad_out);
-
-  /// Convenience: forward + loss + backward + optimizer step over one
-  /// mini-batch. Returns the batch loss.
-  double train_batch(const Matrix& x, const Matrix& y, LossKind loss,
-                     Optimizer& opt, double huber_delta = 1.0);
+  /// Size gradients() to parameter_count() and zero it.
+  void zero_grad();
 
   /// Structural equality of shapes (same dims/activations) — a
   /// precondition for federated parameter exchange.
@@ -114,20 +106,6 @@ class Mlp {
   std::vector<std::size_t> offsets_;  // per-layer flat offsets, + total
   std::vector<double> params_;
   std::vector<double> grads_;
-  // Forward caches: acts_[i] is layer i's output (1-based; the input is
-  // *viewed* through input_, never deep-copied — see forward()).
-  std::vector<Matrix> acts_;
-  const Matrix* input_ = nullptr;
-  // Backward ping-pong scratch, kept to preserve capacity across batches.
-  Matrix grad_scratch_;
-  // Loss-gradient buffer for train_batch, reused across batches.
-  Matrix loss_grad_scratch_;
-
-  /// Layer i's input: the forward() argument for i == 0, else the cached
-  /// activation of the previous layer.
-  [[nodiscard]] const Matrix& layer_input(std::size_t i) const noexcept {
-    return i == 0 ? *input_ : acts_[i];
-  }
 
   [[nodiscard]] Activation layer_act(std::size_t i) const noexcept {
     return i + 1 == num_layers() ? output_act_ : hidden_act_;

@@ -16,15 +16,6 @@ void Sgd::step(std::span<double> params, std::span<const double> grads) {
   }
 }
 
-void Momentum::step(std::span<double> params, std::span<const double> grads) {
-  assert(params.size() == grads.size());
-  if (velocity_.size() != params.size()) velocity_.assign(params.size(), 0.0);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    velocity_[i] = beta_ * velocity_[i] + grads[i];
-    params[i] -= lr_ * velocity_[i];
-  }
-}
-
 void Adam::step(std::span<double> params, std::span<const double> grads) {
   assert(params.size() == grads.size());
   if (m_.size() != params.size()) {

@@ -47,22 +47,6 @@ class Sgd final : public Optimizer {
   }
 };
 
-/// SGD with classical momentum.
-class Momentum final : public Optimizer {
- public:
-  Momentum(double lr, double beta = 0.9) noexcept : Optimizer(lr), beta_(beta) {}
-  void step(std::span<double> params, std::span<const double> grads) override;
-  void reset() override { velocity_.clear(); }
-  [[nodiscard]] std::string name() const override { return "momentum"; }
-  [[nodiscard]] std::unique_ptr<Optimizer> clone() const override {
-    return std::make_unique<Momentum>(lr_, beta_);
-  }
-
- private:
-  double beta_;
-  std::vector<double> velocity_;
-};
-
 /// Serializable Adam moment state (see Adam::capture_state). `m` and `v`
 /// are empty before the first step; afterwards both match the parameter
 /// count.

@@ -5,18 +5,17 @@
 // These are the single-accumulator, ascending-k, zero-skipping loops the
 // library shipped before the multi-accumulator rewrite (the semantics the
 // pre-re-bless golden constants were recorded under). They are *not*
-// called from production code: tests/nn_kernels_test.cpp sweeps a shape
-// grid (including the LSTM/GRU gate shapes) and bounds the production
-// kernels against these at 1e-12 relative error — axpy-family results
-// must match bitwise, dot-family results differ only by reassociation
-// rounding. Keep them dumb and obviously correct; never "optimize" them.
+// called from production code: they are the kernel oracle.
+// tests/nn_kernels_test.cpp sweeps a shape grid (including the LSTM/GRU
+// gate shapes) and bounds the production row, slab and dense kernels
+// against these — axpy-family results must match bitwise, dot-family
+// results differ only by reassociation rounding (1e-12 relative). Keep
+// them dumb and obviously correct; never "optimize" them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-
-#include "nn/matrix.hpp"
 
 namespace pfdrl::nn::ref {
 
@@ -28,16 +27,6 @@ namespace pfdrl::nn::ref {
 /// equivalent to the branch-free production axpy: skipped terms
 /// contribute exactly +0.0).
 void axpy(double a, const double* x, double* y, std::size_t n) noexcept;
-
-/// out = a * b, one accumulator per output element, ascending k, zero
-/// a-terms skipped. `out` is resized to a.rows() x b.cols().
-void matmul(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = aᵀ * b without materializing the transpose.
-void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = a * bᵀ without materializing the transpose.
-void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// One Adam step in the scalar order nn::Adam::step's vector lanes must
 /// reproduce: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "nn/loss.hpp"
-
 namespace pfdrl::rl {
 
 namespace {
@@ -95,73 +93,6 @@ void DqnAgent::remember(Transition t) {
   } else {
     boot_version_[slot] = 0;
   }
-}
-
-double DqnAgent::learn() {
-  if (replay_.size() < cfg_.batch_size) return 0.0;
-  replay_.sample_into(cfg_.batch_size, rng_, batch_);
-  const auto& batch = batch_;
-  const std::size_t bs = batch.size();
-
-  states_.reshape(bs, cfg_.state_dim);       // fully overwritten below
-  next_states_.reshape(bs, cfg_.state_dim);  // fully overwritten below
-  for (std::size_t i = 0; i < bs; ++i) {
-    std::copy(batch[i]->state.begin(), batch[i]->state.end(),
-              states_.row(i).begin());
-    std::copy(batch[i]->next_state.begin(), batch[i]->next_state.end(),
-              next_states_.row(i).begin());
-  }
-
-  // TD targets from the frozen target network. With double DQN the
-  // bootstrap action comes from the online network instead. Both predicts
-  // run through the workspace; the slots don't collide because takes only
-  // advance within a reset cycle.
-  ws_.reset();
-  const nn::Matrix& q_next = target_.predict(next_states_, ws_);
-  const nn::Matrix* q_next_online_p =
-      cfg_.double_dqn ? &net_.predict(next_states_, ws_) : nullptr;
-  const nn::Matrix& q_pred = net_.forward(states_);
-
-  // Loss only on the taken action's Q-value: the gradient matrix is zero
-  // everywhere else. Huber TD error, as in Algorithm 2. The gradient
-  // lives in a workspace slot (taken after both predicts, so their slots
-  // stay valid within this reset cycle) — steady-state learn() calls
-  // reuse it without allocating.
-  nn::Matrix& grad = ws_.take(bs, cfg_.num_actions);
-  grad.zero();
-  double loss = 0.0;
-  const double inv_bs = 1.0 / static_cast<double>(bs);
-  for (std::size_t i = 0; i < bs; ++i) {
-    double max_next;
-    if (cfg_.double_dqn) {
-      const nn::Matrix& q_online = *q_next_online_p;
-      std::size_t best = 0;
-      for (std::size_t a = 1; a < cfg_.num_actions; ++a) {
-        if (q_online(i, a) > q_online(i, best)) best = a;
-      }
-      max_next = q_next(i, best);
-    } else {
-      max_next = q_next(i, 0);
-      for (std::size_t a = 1; a < cfg_.num_actions; ++a) {
-        max_next = std::max(max_next, q_next(i, a));
-      }
-    }
-    const double target =
-        batch[i]->reward +
-        (batch[i]->terminal ? 0.0 : cfg_.discount * max_next);
-    const auto action = static_cast<std::size_t>(batch[i]->action);
-    const double td_error = q_pred(i, action) - target;
-    loss += nn::huber(td_error) * inv_bs;
-    grad(i, action) = nn::huber_grad(td_error) * inv_bs;
-  }
-
-  net_.zero_grad();
-  net_.backward(grad);
-  opt_.step(net_.parameters(), net_.gradients());
-
-  ++learn_steps_;
-  if (learn_steps_ % cfg_.target_replace_every == 0) sync_target();
-  return loss;
 }
 
 void DqnAgent::set_network_parameters(std::span<const double> values) {

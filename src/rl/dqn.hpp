@@ -6,6 +6,9 @@
 //
 // The network is an nn::Mlp, so its flat parameter buffer and per-layer
 // offsets are directly usable by the PFDRL base/personalization split.
+// The agent acts and remembers; its learning step (Algorithm 2's replay
+// minibatch, Huber TD loss, Adam, target refresh) runs through
+// rl::FusedDqnLearner, one agent or a whole group at a time.
 #pragma once
 
 #include <cstdint>
@@ -93,12 +96,6 @@ class DqnAgent {
   void remember(Transition t);
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
 
-  /// One DQN learning step on a replay minibatch (no-op until the buffer
-  /// holds at least one batch). Returns the Huber TD loss, or 0 if
-  /// skipped. Always runs the target network over the whole minibatch:
-  /// it is the uncached oracle FusedDqnLearner is tested against.
-  double learn();
-
   /// Current exploration rate.
   [[nodiscard]] double epsilon() const noexcept;
   [[nodiscard]] std::uint64_t learn_steps() const noexcept {
@@ -129,13 +126,13 @@ class DqnAgent {
   void restore_state(const DqnAgentState& state);
 
  private:
-  // The fused cross-home learner (rl/fused.hpp) replays this agent's
-  // learn() sequence against shared slabs; it needs the same private
-  // state learn() touches.
+  // Learning runs through rl::FusedDqnLearner (rl/fused.hpp); an agent
+  // that learns alone is a group of one. The learner owns the learning
+  // step, so it reads and writes the private state below.
   friend class FusedDqnLearner;
 
   /// Single-state forward through the workspace; returns the Q-row, which
-  /// lives in ws_ until the next q_row()/learn() call.
+  /// lives in ws_ until the next q_row() call.
   [[nodiscard]] std::span<const double> q_row(
       std::span<const double> state) const;
 
@@ -147,13 +144,11 @@ class DqnAgent {
   ReplayBuffer replay_;
   std::uint64_t act_steps_ = 0;
   std::uint64_t learn_steps_ = 0;
-  // Inference scratch. The workspace (and the learn() buffers below) keep
-  // their heap blocks across calls, so the steady-state act/learn paths
-  // stop allocating once warm. Mutable: taking scratch does not change
-  // the agent's observable state.
+  // Inference scratch. The workspace keeps its heap blocks across calls,
+  // so the steady-state act path stops allocating once warm. Mutable:
+  // taking scratch does not change the agent's observable state.
   mutable nn::Workspace ws_;
-  nn::Matrix states_;
-  nn::Matrix next_states_;
+  // The learner's sampled minibatch (capacity reused across steps).
   std::vector<const Transition*> batch_;
   // Target bootstrap cache, read and written by FusedDqnLearner only.
   // Per replay slot: the target network's Q row for the slot's

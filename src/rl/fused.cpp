@@ -26,7 +26,7 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
     }
   }
 
-  // Warm-up gate before any RNG use, exactly as DqnAgent::learn().
+  // Warm-up gate before any RNG use.
   active_.clear();
   for (std::size_t i = 0; i < agents.size(); ++i) {
     if (agents[i]->replay_.size() >= agents[i]->cfg_.batch_size) {
@@ -93,9 +93,9 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
 
   // Target bootstrap over the stale rows only. A row's forward never
   // depends on its position in the slab (dense_forward_slice), so each
-  // result is bitwise the row learn() computes over the full batch;
-  // it lands in q_next_ and in the agent's cache under the current
-  // target version.
+  // result is bitwise the row a pass over the agent's full batch would
+  // compute; it lands in q_next_ and in the agent's cache under the
+  // current target version.
   if (misses > 0) {
     const nn::Matrix& q_miss =
         target_fwd_.forward(target_nets_, miss_slices_, miss_states_);

@@ -9,14 +9,20 @@
 // parameter bank, then scatters per-agent TD gradients back into each
 // agent's own Adam state.
 //
-// Determinism contract: PRESERVED. Per agent, the operation sequence is
-// exactly DqnAgent::learn() — the replay-not-full gate fires before any
-// RNG use, sample_into consumes the agent's own RNG identically, every
-// matmul slice is bitwise the per-home kernel result (nn/fused.hpp), the
-// TD target/Huber-gradient arithmetic is per-row, and clip-free
-// zero_grad/backward/step/target-sync run per agent in group order.
-// Fused and per-agent learning are bitwise interchangeable (pinned by
-// rl_dqn_test's fused equivalence cases).
+// This is the only DQN learning step: an agent that learns alone is a
+// group of one.
+//
+// Determinism contract: a group of one is the per-home path. Per agent,
+// the replay-not-full gate fires before any RNG use, sample_into
+// consumes the agent's own RNG, every slab slice is bitwise the agent's
+// rows alone (nn/fused.hpp), the TD target/Huber-gradient arithmetic is
+// per-row, and clip-free zero_grad/backward/step/target-sync run per
+// agent in group order. A target Q row comes from the agent's bootstrap
+// cache when it was scored under the current target version, else from
+// the target pass; both give the same bits. rl_dqn_test pins a cached
+// group against an uncached twin learned in groups of one (each twin
+// agent round-trips capture_state()/restore_state() before every step,
+// which empties its cache).
 #pragma once
 
 #include <cstddef>
@@ -30,20 +36,20 @@
 
 namespace pfdrl::rl {
 
-/// Fused multi-agent DQN learner. One learn() call performs one
-/// DqnAgent::learn() step for every agent in the group, bitwise
-/// identical to calling agents[i]->learn() in order.
+/// Fused multi-agent DQN learner. One learn() call performs one DQN
+/// learning step for every agent in the group, bitwise identical to
+/// learning each agent in a group of one, in group order.
 class FusedDqnLearner {
  public:
   /// Runs one fused learn step. `losses` is parallel to `agents` and
   /// receives each agent's TD loss (0.0 for agents whose replay buffer
-  /// is still warming up — those agents are skipped without touching
-  /// their RNG, matching the per-agent early return).
+  /// still holds less than one batch — those agents are skipped without
+  /// touching their RNG or their learn-step count).
   ///
   /// Returns false — with no agent state touched — when the group is not
   /// fusable (mismatched state/action dims, batch sizes, double-DQN
-  /// settings, or network architectures); the caller must fall back to
-  /// per-agent learn().
+  /// settings, or network architectures); the caller must split it into
+  /// fusable groups (a group of one always fuses).
   bool learn(std::span<DqnAgent* const> agents, std::span<double> losses);
 
   /// Sampled rows whose target Q row came from an agent's bootstrap

@@ -1,5 +1,5 @@
-// Work-stealing thread pool used to fan out per-device forecaster
-// training, per-agent DRL steps, and blocked matmul tiles.
+// Work-stealing thread pool used to fan out fused training groups and
+// their members, round-engine shard tasks, and evaluation.
 //
 // Design notes (HPC-parallel idioms):
 //  * One bounded deque per worker; owners push/pop at the back, thieves

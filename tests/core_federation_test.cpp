@@ -4,6 +4,7 @@
 
 #include "core/layer_split.hpp"
 #include "obs/metrics.hpp"
+#include "rl/fused.hpp"
 
 namespace pfdrl::core {
 namespace {
@@ -33,7 +34,10 @@ void jiggle(rl::DqnAgent& agent, std::uint64_t seed) {
     t.terminal = true;
     agent.remember(std::move(t));
   }
-  for (int i = 0; i < 10; ++i) agent.learn();
+  rl::FusedDqnLearner learner;
+  rl::DqnAgent* alone[] = {&agent};
+  double loss = 0.0;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(learner.learn(alone, {&loss, 1}));
 }
 
 TEST(Federation, PrefixAveragedSuffixLocal) {

@@ -369,9 +369,10 @@ std::vector<std::unique_ptr<forecast::Forecaster>> make_models(
 
 }  // namespace
 
-// The forecast-layer oracle: one fused group over traces of unequal
-// length (so some jobs run out of batches early) trains every model and
-// reports every loss bitwise as the solo Forecaster::train loop would.
+// Group of N against groups of one at the forecast layer: one fused
+// group over traces of unequal length (so some jobs run out of batches
+// early) trains every model and reports every loss bitwise as the solo
+// Forecaster::train — a one-job group — does.
 TEST(FusedForecastTrainer, MatchesPerJobTrainBitwise) {
   auto traces = small_traces(2, 1);
   const auto longer = small_traces(2, 2, /*seed=*/9);

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "nn/dense.hpp"
+#include "nn/fused.hpp"
+#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/ref.hpp"
@@ -33,73 +35,6 @@ TEST(Dense, ForwardReluClamps) {
   Matrix y;
   dense_forward(params, 1, 1, x, Activation::kRelu, y);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
-}
-
-TEST(Dense, GradientCheck) {
-  util::Rng rng(3);
-  const std::size_t in = 4;
-  const std::size_t out = 3;
-  std::vector<double> params(dense_param_count(in, out));
-  dense_init(params, in, out, InitScheme::kXavierUniform, rng);
-
-  Matrix x(2, in);
-  for (double& v : x.data()) v = rng.normal();
-
-  // Loss = sum(y); dL/dy = 1.
-  const auto loss = [&](std::span<const double> p) {
-    Matrix y;
-    dense_forward(p, in, out, x, Activation::kTanh, y);
-    double s = 0.0;
-    for (double v : y.data()) s += v;
-    return s;
-  };
-
-  Matrix y;
-  dense_forward(params, in, out, x, Activation::kTanh, y);
-  Matrix grad_y(2, out, 1.0);
-  std::vector<double> grads(params.size(), 0.0);
-  Matrix grad_x;
-  dense_backward(params, in, out, x, y, Activation::kTanh, grad_y, grads,
-                 &grad_x);
-
-  const double eps = 1e-6;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto plus = params;
-    auto minus = params;
-    plus[i] += eps;
-    minus[i] -= eps;
-    const double numeric = (loss(plus) - loss(minus)) / (2 * eps);
-    ASSERT_NEAR(grads[i], numeric, 1e-5) << "param " << i;
-  }
-
-  // Input gradient check.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    Matrix xp = x;
-    Matrix xm = x;
-    xp.data()[i] += eps;
-    xm.data()[i] -= eps;
-    Matrix yp, ym;
-    dense_forward(params, in, out, xp, Activation::kTanh, yp);
-    dense_forward(params, in, out, xm, Activation::kTanh, ym);
-    double sp = 0.0, sm = 0.0;
-    for (double v : yp.data()) sp += v;
-    for (double v : ym.data()) sm += v;
-    ASSERT_NEAR(grad_x.data()[i], (sp - sm) / (2 * eps), 1e-5) << "x " << i;
-  }
-}
-
-TEST(DenseLayer, ForwardBackwardRoundTrip) {
-  util::Rng rng(4);
-  DenseLayer layer(3, 2, Activation::kRelu, InitScheme::kHeNormal, rng);
-  Matrix x{{0.5, -0.2, 1.0}, {1.0, 1.0, 1.0}};
-  const Matrix& y = layer.forward(x);
-  EXPECT_EQ(y.rows(), 2u);
-  EXPECT_EQ(y.cols(), 2u);
-  layer.zero_grad();
-  Matrix grad_y(2, 2, 1.0);
-  const Matrix grad_x = layer.backward(std::move(grad_y));
-  EXPECT_EQ(grad_x.rows(), 2u);
-  EXPECT_EQ(grad_x.cols(), 3u);
 }
 
 TEST(Mlp, ConstructionValidation) {
@@ -158,17 +93,10 @@ TEST(Mlp, SetParametersRoundTrip) {
                std::invalid_argument);
 }
 
-TEST(Mlp, PredictMatchesForward) {
-  util::Rng rng(9);
-  Mlp net({3, 6, 4, 2}, Activation::kRelu, Activation::kIdentity,
-          InitScheme::kHeNormal, rng);
-  Matrix x(5, 3);
-  for (double& v : x.data()) v = rng.normal();
-  const Matrix a = net.predict(x);
-  const Matrix& b = net.forward(x);
-  EXPECT_EQ(a, b);
-}
-
+// Finite-difference check of the MLP backward: the gradients a
+// one-member FusedMlp::forward/backward accumulates into
+// Mlp::gradients(). Three layers, so the dL/dx each layer hands the one
+// below is checked through the first two layers' parameter gradients.
 TEST(Mlp, GradientCheckSmallNet) {
   util::Rng rng(10);
   Mlp net({2, 4, 3, 1}, Activation::kTanh, Activation::kIdentity,
@@ -184,11 +112,14 @@ TEST(Mlp, GradientCheckSmallNet) {
     return loss_value(LossKind::kMse, pred, target);
   };
 
-  const Matrix& pred = net.forward(x);
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  const Matrix& pred = engine.forward(nets, slices, x);
   Matrix grad;
   loss_grad(LossKind::kMse, pred, target, grad);
   net.zero_grad();
-  net.backward(grad);
+  engine.backward(nets, slices, grad);
 
   const auto params = net.parameters();
   const auto grads = net.gradients();
@@ -218,9 +149,18 @@ TEST(Mlp, TrainBatchLearnsToyRegression) {
     x(i, 1) = data_rng.uniform(-1, 1);
     y(i, 0) = 2 * x(i, 0) - x(i, 1);
   }
-  const double first = net.train_batch(x, y, LossKind::kMse, opt);
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  Optimizer* opts[] = {&opt};
+  const auto step = [&] {
+    double loss = 0.0;
+    engine.train_batch(nets, slices, x, y, LossKind::kMse, opts, {&loss, 1});
+    return loss;
+  };
+  const double first = step();
   double last = first;
-  for (int e = 0; e < 300; ++e) last = net.train_batch(x, y, LossKind::kMse, opt);
+  for (int e = 0; e < 300; ++e) last = step();
   EXPECT_LT(last, first * 0.05);
   EXPECT_LT(last, 0.01);
 }
@@ -298,15 +238,18 @@ TEST(Dense, Batch1MatchesBatchedBitwise) {
   }
 }
 
-// predict() (workspace inference path) and forward() (training path)
+// predict() (inference) and a one-member FusedMlp::forward (training)
 // share the same dense kernels, so their outputs must be bitwise equal.
-TEST(Mlp, PredictMatchesForwardBitwise) {
+TEST(Mlp, PredictMatchesFusedForwardBitwise) {
   util::Rng rng(32);
   Mlp net({5, 9, 7, 3}, Activation::kRelu, Activation::kIdentity,
           InitScheme::kHeNormal, rng);
   Matrix x(4, 5);
   for (double& v : x.data()) v = rng.normal();
-  const Matrix& fwd = net.forward(x);
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  const Matrix& fwd = engine.forward(nets, slices, x);
   const Matrix pred = net.predict(x);
   ASSERT_EQ(pred.rows(), fwd.rows());
   ASSERT_EQ(pred.cols(), fwd.cols());

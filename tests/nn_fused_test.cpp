@@ -1,8 +1,11 @@
-// Bitwise equivalence of the fused cross-home training path against the
-// per-home reference, plus the steady-state zero-alloc pin for the fused
-// assembly (docs/fused_training.md). These tests are the determinism
-// contract: fused and per-home training must be interchangeable down to
-// the last bit, so every EXPECT below compares doubles with EXPECT_EQ.
+// Group-of-N against groups of one for the fused training engines, plus
+// the steady-state zero-alloc pin for the fused assembly
+// (docs/fused_training.md). These tests are the determinism contract: a
+// home trained alone is a group of one, and an N-member batch must give
+// every member the bits of its own one-member batch, so members never
+// mix — every EXPECT below compares doubles with EXPECT_EQ. (The
+// gradient math of a group of one is pinned by the finite-difference
+// checks in nn_lstm_test, nn_gru_test and nn_dense_mlp_test.)
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -73,8 +76,29 @@ constexpr std::size_t kH = 10;    // hidden width (exercises j-tile tails)
 constexpr std::size_t kT = 5;     // sequence length
 constexpr std::size_t kRounds = 4;
 // Mixed batch sizes: multiples of the row block, remainders, and a
-// batch-1 member (the per-home matvec1 dispatch case for the MLP).
+// batch-1 member (the matvec1 leftover-row case for the MLP).
 const std::vector<std::size_t> kBatches = {5, 8, 1, 4, 7};
+
+/// Step pointers for a recurrent engine's train_batch.
+std::vector<const Matrix*> step_ptrs(const std::vector<Matrix>& xs) {
+  std::vector<const Matrix*> ptrs;
+  for (const Matrix& m : xs) ptrs.push_back(&m);
+  return ptrs;
+}
+
+/// One-member batch of a recurrent engine (FusedLstm / FusedGru) over all
+/// rows of (xs, y); returns the member's loss.
+template <class Engine, class Net>
+double train_alone(Engine& engine, Net& net, const std::vector<Matrix>& xs,
+                   const Matrix& y, LossKind loss,
+                   pfdrl::nn::Optimizer& opt) {
+  Net* nets[] = {&net};
+  const FusedSlice slices[] = {{0, y.rows()}};
+  pfdrl::nn::Optimizer* opts[] = {&opt};
+  double value = 0.0;
+  engine.train_batch(nets, slices, step_ptrs(xs), y, loss, opts, {&value, 1});
+  return value;
+}
 
 TEST(NnFused, LstmBitwiseMatchesPerHome) {
   Rng rng(1234);
@@ -85,10 +109,11 @@ TEST(NnFused, LstmBitwiseMatchesPerHome) {
     Rng init = rng.fork(100 + i);
     base.emplace_back(kF, kH, 1, init);
   }
-  std::vector<LstmRegressor> solo = base;  // per-home reference copies
+  std::vector<LstmRegressor> solo = base;  // trained in groups of one
 
   const Slab slab = make_slices(kBatches);
   FusedLstm fused;
+  FusedLstm solo_engine;
   std::vector<Adam> fused_opts(members, Adam(3e-3));
   std::vector<Adam> solo_opts(members, Adam(3e-3));
 
@@ -113,18 +138,17 @@ TEST(NnFused, LstmBitwiseMatchesPerHome) {
 
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
-      solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kMae, solo_opts[i]);
+      solo_losses[i] = train_alone(solo_engine, solo[i], xs[i], ys[i],
+                                   LossKind::kMae, solo_opts[i]);
     }
 
     std::vector<LstmRegressor*> nets;
     std::vector<pfdrl::nn::Optimizer*> opts;
-    std::vector<const Matrix*> xs_ptrs;
     for (std::size_t i = 0; i < members; ++i) {
       nets.push_back(&base[i]);
       opts.push_back(&fused_opts[i]);
     }
-    for (const Matrix& m : slab_xs) xs_ptrs.push_back(&m);
+    const auto xs_ptrs = step_ptrs(slab_xs);
     std::vector<double> fused_losses(members);
     fused.train_batch(nets, slab.slices, xs_ptrs, slab_y, LossKind::kMae,
                       opts, fused_losses);
@@ -146,10 +170,11 @@ TEST(NnFused, GruBitwiseMatchesPerHome) {
     Rng init = rng.fork(200 + i);
     base.emplace_back(kF, kH, 1, init);
   }
-  std::vector<GruRegressor> solo = base;
+  std::vector<GruRegressor> solo = base;  // trained in groups of one
 
   const Slab slab = make_slices(kBatches);
   FusedGru fused;
+  FusedGru solo_engine;
   std::vector<Adam> fused_opts(members, Adam(3e-3));
   std::vector<Adam> solo_opts(members, Adam(3e-3));
 
@@ -173,18 +198,17 @@ TEST(NnFused, GruBitwiseMatchesPerHome) {
 
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
-      solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kMae, solo_opts[i]);
+      solo_losses[i] = train_alone(solo_engine, solo[i], xs[i], ys[i],
+                                   LossKind::kMae, solo_opts[i]);
     }
 
     std::vector<GruRegressor*> nets;
     std::vector<pfdrl::nn::Optimizer*> opts;
-    std::vector<const Matrix*> xs_ptrs;
     for (std::size_t i = 0; i < members; ++i) {
       nets.push_back(&base[i]);
       opts.push_back(&fused_opts[i]);
     }
-    for (const Matrix& m : slab_xs) xs_ptrs.push_back(&m);
+    const auto xs_ptrs = step_ptrs(slab_xs);
     std::vector<double> fused_losses(members);
     fused.train_batch(nets, slab.slices, xs_ptrs, slab_y, LossKind::kMae,
                       opts, fused_losses);
@@ -208,10 +232,11 @@ TEST(NnFused, MlpBitwiseMatchesPerHome) {
     base.emplace_back(dims, Activation::kRelu, Activation::kIdentity,
                       InitScheme::kHeNormal, init);
   }
-  std::vector<Mlp> solo = base;
+  std::vector<Mlp> solo = base;  // trained in groups of one
 
   const Slab slab = make_slices(kBatches);
   FusedMlp fused;
+  FusedMlp solo_engine;
   std::vector<Adam> fused_opts(members, Adam(1e-3));
   std::vector<Adam> solo_opts(members, Adam(1e-3));
 
@@ -230,8 +255,11 @@ TEST(NnFused, MlpBitwiseMatchesPerHome) {
 
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
-      solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kHuber, solo_opts[i]);
+      Mlp* one[] = {&solo[i]};
+      const FusedSlice all_rows[] = {{0, kBatches[i]}};
+      pfdrl::nn::Optimizer* one_opt[] = {&solo_opts[i]};
+      solo_engine.train_batch(one, all_rows, xs[i], ys[i], LossKind::kHuber,
+                              one_opt, {&solo_losses[i], 1});
     }
 
     std::vector<Mlp*> nets;
@@ -305,12 +333,11 @@ TEST(NnFused, SteadyStateFusedBatchesAllocateNothing) {
 
   std::vector<LstmRegressor*> nets;
   std::vector<pfdrl::nn::Optimizer*> opts;
-  std::vector<const Matrix*> xs_ptrs;
   for (std::size_t i = 0; i < members; ++i) {
     nets.push_back(&nets_store[i]);
     opts.push_back(&opts_store[i]);
   }
-  for (const Matrix& m : slab_xs) xs_ptrs.push_back(&m);
+  const auto xs_ptrs = step_ptrs(slab_xs);
   std::vector<double> losses(members);
 
   FusedLstm fused;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "nn/fused.hpp"
+#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
@@ -17,6 +19,22 @@ std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
     for (double& v : x.data()) v = rng.normal(0.0, 0.5);
   }
   return xs;
+}
+
+/// One training step of `net` alone: a one-member FusedGru batch over
+/// all rows of (xs, y). Returns the batch loss.
+double train_alone(FusedGru& engine, GruRegressor& net,
+                   const std::vector<Matrix>& xs, const Matrix& y,
+                   LossKind loss, Optimizer& opt, double clip_norm = 5.0) {
+  GruRegressor* nets[] = {&net};
+  const FusedSlice slices[] = {{0, y.rows()}};
+  std::vector<const Matrix*> steps;
+  for (const Matrix& x : xs) steps.push_back(&x);
+  Optimizer* opts[] = {&opt};
+  double value = 0.0;
+  engine.train_batch(nets, slices, steps, y, loss, opts, {&value, 1},
+                     clip_norm);
+  return value;
 }
 
 TEST(Gru, ConstructionValidation) {
@@ -33,28 +51,20 @@ TEST(Gru, ParameterCount) {
   EXPECT_EQ(net.parameter_count(), f * 3 * h + h * 3 * h + 3 * h + h * o + o);
 }
 
-TEST(Gru, ForwardShape) {
+TEST(Gru, PredictShape) {
   util::Rng rng(3);
   GruRegressor net(2, 4, 1, rng);
   util::Rng data_rng(4);
   const auto xs = random_sequence(6, 3, 2, data_rng);
-  const Matrix& y = net.forward(xs);
+  const Matrix y = net.predict(xs);
   EXPECT_EQ(y.rows(), 3u);
   EXPECT_EQ(y.cols(), 1u);
-}
-
-TEST(Gru, PredictMatchesForward) {
-  util::Rng rng(5);
-  GruRegressor net(3, 5, 1, rng);
-  util::Rng data_rng(6);
-  const auto xs = random_sequence(5, 4, 3, data_rng);
-  EXPECT_EQ(net.predict(xs), net.forward(xs));
 }
 
 TEST(Gru, EmptySequenceThrows) {
   util::Rng rng(7);
   GruRegressor net(2, 4, 1, rng);
-  EXPECT_THROW(net.forward({}), std::invalid_argument);
+  EXPECT_THROW((void)net.predict({}), std::invalid_argument);
 }
 
 TEST(Gru, SetParametersRoundTrip) {
@@ -71,6 +81,8 @@ TEST(Gru, SetParametersRoundTrip) {
                std::invalid_argument);
 }
 
+// Finite-difference check of the GRU BPTT: the update of a plain-SGD,
+// unclipped one-member FusedGru batch against the numeric gradient.
 TEST(Gru, GradientCheckViaSgdStep) {
   util::Rng rng(9);
   GruRegressor net(2, 3, 1, rng);
@@ -92,7 +104,8 @@ TEST(Gru, GradientCheckViaSgdStep) {
   const double lr = 1e-3;
   Sgd opt(lr);
   GruRegressor trained = net;
-  trained.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  FusedGru engine;
+  train_alone(engine, trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   const double eps = 1e-6;
@@ -114,6 +127,7 @@ TEST(Gru, LearnsSequenceMean) {
   util::Rng rng(11);
   GruRegressor net(1, 8, 1, rng);
   Adam opt(0.01);
+  FusedGru engine;
   util::Rng data_rng(12);
   double first_loss = -1.0;
   double last_loss = 0.0;
@@ -129,7 +143,7 @@ TEST(Gru, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = net.train_batch(xs, y, LossKind::kMse, opt);
+    last_loss = train_alone(engine, net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);

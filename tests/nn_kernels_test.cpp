@@ -6,7 +6,6 @@
 //     1e-12 relative error across a shape grid that includes the LSTM/GRU
 //     gate widths (4H = 128, 3H = 96, and ragged sizes for the tail path);
 //   * the lane combine order is pinned (a permutation-sensitivity probe);
-//   * threaded matmul must be bitwise identical to single-threaded;
 //   * the slab backward kernels must match their per-row sequence
 //     BITWISE, signed zeros, strides and column windows included;
 //   * FP contraction must be off in the flags this binary was built with.
@@ -130,74 +129,6 @@ TEST(NnKernels, OuterAccBitwiseMatchesRowwiseReference) {
     ref::axpy(x[k], d.data(), g_want.data() + k * n, n);
   }
   EXPECT_EQ(g_got, g_want);
-}
-
-TEST(NnKernels, MatmulBitwiseMatchesReference) {
-  // The production matmul reordered its loops (ijk -> ikj through axpy)
-  // but each output element is still one ascending-k accumulator, so it
-  // must stay BITWISE equal to the scalar reference — the invariant that
-  // let the golden constants survive the act-path kernels unchanged.
-  util::Rng rng(11);
-  const struct {
-    std::size_t m, k, n;
-  } shapes[] = {{1, 3, 1}, {2, 16, 3}, {5, 7, 9}, {32, 28, 128}, {8, 32, 96}};
-  for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng, 0.3);
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    Matrix got, want;
-    matmul(a, b, got);
-    ref::matmul(a, b, want);
-    EXPECT_EQ(got, want) << s.m << "x" << s.k << "x" << s.n;
-  }
-}
-
-TEST(NnKernels, MatmulAtBBitwiseMatchesReference) {
-  util::Rng rng(12);
-  const Matrix a = random_matrix(17, 28, rng, 0.3);
-  const Matrix b = random_matrix(17, 96, rng);
-  Matrix got, want;
-  matmul_at_b(a, b, got);
-  ref::matmul_at_b(a, b, want);
-  EXPECT_EQ(got, want);
-}
-
-TEST(NnKernels, MatmulABtMatchesReferenceWithinTolerance) {
-  // a * b^T now runs through the strip-mined dot, so it reassociates the
-  // reduction: tolerance-bounded against the reference, not bitwise.
-  util::Rng rng(13);
-  const struct {
-    std::size_t m, k, n;
-  } shapes[] = {{3, 7, 5}, {16, 128, 32}, {8, 96, 24}};
-  for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.n, s.k, rng);
-    Matrix got, want;
-    matmul_a_bt(a, b, got);
-    ref::matmul_a_bt(a, b, want);
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_LE(rel_err(got.data()[i], want.data()[i]), 1e-12);
-    }
-  }
-}
-
-TEST(NnKernels, ThreadedMatmulBitwiseEqualsSingleThreaded) {
-  // 64x64x64 = 262144 flops — past the threading cutoff with rows > 1,
-  // so the threaded call actually shards across the pool. Row sharding
-  // must never change results: each output element is produced by
-  // exactly one thread in the same ascending-k order.
-  util::Rng rng(14);
-  const Matrix a = random_matrix(64, 64, rng);
-  const Matrix b = random_matrix(64, 64, rng);
-  Matrix serial, threaded;
-  matmul(a, b, serial, /*threaded=*/false);
-  matmul(a, b, threaded, /*threaded=*/true);
-  EXPECT_EQ(serial, threaded);
-  // And repeat runs of the threaded path are self-consistent.
-  Matrix again;
-  matmul(a, b, again, /*threaded=*/true);
-  EXPECT_EQ(threaded, again);
 }
 
 TEST(NnKernels, SquaredNormMatchesDotOfSelf) {

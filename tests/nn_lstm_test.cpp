@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/fused.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
@@ -20,6 +21,22 @@ std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
   return xs;
 }
 
+/// One training step of `net` alone: a one-member FusedLstm batch over
+/// all rows of (xs, y). Returns the batch loss.
+double train_alone(FusedLstm& engine, LstmRegressor& net,
+                   const std::vector<Matrix>& xs, const Matrix& y,
+                   LossKind loss, Optimizer& opt, double clip_norm = 5.0) {
+  LstmRegressor* nets[] = {&net};
+  const FusedSlice slices[] = {{0, y.rows()}};
+  std::vector<const Matrix*> steps;
+  for (const Matrix& x : xs) steps.push_back(&x);
+  Optimizer* opts[] = {&opt};
+  double value = 0.0;
+  engine.train_batch(nets, slices, steps, y, loss, opts, {&value, 1},
+                     clip_norm);
+  return value;
+}
+
 TEST(Lstm, ConstructionValidation) {
   util::Rng rng(1);
   EXPECT_THROW(LstmRegressor(0, 4, 1, rng), std::invalid_argument);
@@ -35,14 +52,14 @@ TEST(Lstm, ParameterCount) {
             f * 4 * h + h * 4 * h + 4 * h + h * o + o);
 }
 
-TEST(Lstm, ForwardShape) {
+TEST(Lstm, PredictShape) {
   util::Rng rng(3);
   LstmRegressor net(2, 4, 1, rng);
   const auto xs = [&] {
     util::Rng r(4);
     return random_sequence(6, 3, 2, r);
   }();
-  const Matrix& y = net.forward(xs);
+  const Matrix y = net.predict(xs);
   EXPECT_EQ(y.rows(), 3u);
   EXPECT_EQ(y.cols(), 1u);
 }
@@ -50,17 +67,7 @@ TEST(Lstm, ForwardShape) {
 TEST(Lstm, EmptySequenceThrows) {
   util::Rng rng(5);
   LstmRegressor net(2, 4, 1, rng);
-  EXPECT_THROW(net.forward({}), std::invalid_argument);
-}
-
-TEST(Lstm, PredictMatchesForward) {
-  util::Rng rng(6);
-  LstmRegressor net(3, 5, 1, rng);
-  util::Rng data_rng(7);
-  const auto xs = random_sequence(5, 4, 3, data_rng);
-  const Matrix a = net.predict(xs);
-  const Matrix& b = net.forward(xs);
-  EXPECT_EQ(a, b);
+  EXPECT_THROW((void)net.predict({}), std::invalid_argument);
 }
 
 // Rows of a batch go through 4-row register tiles or the per-row path
@@ -112,8 +119,8 @@ TEST(Lstm, SetParametersRoundTrip) {
 
 TEST(Lstm, GradientCheckViaTraining) {
   // Finite-difference check of the full BPTT path: compare the parameter
-  // update direction of a plain-SGD train_batch against the numeric
-  // gradient of the loss.
+  // update direction of a plain-SGD, unclipped one-member FusedLstm
+  // batch against the numeric gradient of the loss.
   util::Rng rng(11);
   LstmRegressor net(2, 3, 1, rng);
   util::Rng data_rng(12);
@@ -134,7 +141,8 @@ TEST(Lstm, GradientCheckViaTraining) {
   const double lr = 1e-3;
   Sgd opt(lr);
   LstmRegressor trained = net;
-  trained.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  FusedLstm engine;
+  train_alone(engine, trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   // Implied gradient from the SGD step: g = (before - after) / lr.
@@ -158,6 +166,7 @@ TEST(Lstm, LearnsSequenceMean) {
   util::Rng rng(13);
   LstmRegressor net(1, 8, 1, rng);
   Adam opt(0.01);
+  FusedLstm engine;
   util::Rng data_rng(14);
 
   double first_loss = -1.0;
@@ -174,7 +183,7 @@ TEST(Lstm, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = net.train_batch(xs, y, LossKind::kMse, opt);
+    last_loss = train_alone(engine, net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);
@@ -190,7 +199,8 @@ TEST(Lstm, ClipNormBoundsUpdate) {
 
   Sgd opt(1.0);
   LstmRegressor clipped = net;
-  clipped.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
+  FusedLstm engine;
+  train_alone(engine, clipped, xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
   double update_sq = 0.0;
   for (std::size_t i = 0; i < net.parameter_count(); ++i) {
     const double d = clipped.parameters()[i] - net.parameters()[i];

@@ -172,22 +172,5 @@ TEST(Workspace, GruPredictMatchesAllocatingPredict) {
   EXPECT_EQ(Workspace::total_allocations(), allocs);
 }
 
-// predict() after forward() must not disturb the training caches: the
-// workspace inference path is const and shares no state with backward.
-TEST(Workspace, PredictDoesNotDisturbTrainingState) {
-  util::Rng rng(45);
-  Mlp net({3, 6, 2}, Activation::kRelu, Activation::kIdentity,
-          InitScheme::kHeNormal, rng);
-  Matrix x(2, 3);
-  for (double& v : x.data()) v = rng.normal();
-  const Matrix& fwd = net.forward(x);
-  const Matrix before = fwd;
-  Workspace ws;
-  Matrix probe(1, 3);
-  probe.fill(0.5);
-  (void)net.predict(probe, ws);
-  EXPECT_EQ(fwd, before);
-}
-
 }  // namespace
 }  // namespace pfdrl::nn

@@ -28,6 +28,15 @@ DqnConfig small_config() {
   return cfg;
 }
 
+/// One learning step of `agent` alone: a group of one through `learner`.
+/// Returns the TD loss (0.0 while the replay holds less than a batch).
+double learn_alone(FusedDqnLearner& learner, DqnAgent& agent) {
+  DqnAgent* group[] = {&agent};
+  double loss = -1.0;
+  EXPECT_TRUE(learner.learn(group, {&loss, 1}));
+  return loss;
+}
+
 TEST(Dqn, QValuesShape) {
   DqnAgent agent(small_config());
   const auto q = agent.q_values(std::vector<double>{0.1, 0.2, 0.3});
@@ -60,7 +69,8 @@ TEST(Dqn, EpsilonSchedule) {
 
 TEST(Dqn, LearnNoOpUntilBatchAvailable) {
   DqnAgent agent(small_config());
-  EXPECT_EQ(agent.learn(), 0.0);
+  FusedDqnLearner learner;
+  EXPECT_EQ(learn_alone(learner, agent), 0.0);
   EXPECT_EQ(agent.learn_steps(), 0u);
 }
 
@@ -76,7 +86,8 @@ TEST(Dqn, TargetSyncSchedule) {
     t.next_state = {0.2, 0.3, 0.4};
     agent.remember(t);
   }
-  for (int i = 0; i < 7; ++i) agent.learn();
+  FusedDqnLearner learner;
+  for (int i = 0; i < 7; ++i) learn_alone(learner, agent);
   EXPECT_EQ(agent.learn_steps(), 7u);
 }
 
@@ -118,6 +129,7 @@ TEST(Dqn, LearnsContextualBandit) {
   cfg.epsilon_end = 0.05;
   cfg.learning_rate = 3e-3;
   DqnAgent agent(cfg);
+  FusedDqnLearner learner;
   util::Rng rng(3);
 
   for (int step = 0; step < 1500; ++step) {
@@ -133,7 +145,7 @@ TEST(Dqn, LearnsContextualBandit) {
     t.next_state = state;
     t.terminal = true;
     agent.remember(std::move(t));
-    agent.learn();
+    learn_alone(learner, agent);
   }
 
   int correct = 0;
@@ -156,6 +168,7 @@ TEST(Dqn, DoubleDqnLearnsBanditToo) {
   cfg.epsilon_end = 0.05;
   cfg.learning_rate = 3e-3;
   DqnAgent agent(cfg);
+  FusedDqnLearner learner;
   util::Rng rng(4);
   for (int step = 0; step < 1500; ++step) {
     std::vector<double> state(3);
@@ -170,7 +183,7 @@ TEST(Dqn, DoubleDqnLearnsBanditToo) {
     t.next_state = state;
     t.terminal = true;
     agent.remember(std::move(t));
-    agent.learn();
+    learn_alone(learner, agent);
   }
   int correct = 0;
   for (int i = 0; i < 300; ++i) {
@@ -199,9 +212,10 @@ TEST(Dqn, DoubleDqnChangesLearningTrajectory) {
     a.remember(t);
     b.remember(t);
   }
+  FusedDqnLearner learner;
   for (int i = 0; i < 30; ++i) {
-    a.learn();
-    b.learn();
+    learn_alone(learner, a);
+    learn_alone(learner, b);
   }
   // Non-terminal transitions bootstrap differently under double DQN.
   const auto pa = a.network().parameters();
@@ -275,12 +289,12 @@ TEST(Dqn, ActPathAllocationFreePaperNet) {
 }
 
 // The learn path gets the same pin: once the replay is full and a few
-// warm-up steps have sized the gradient slot (the slot buffer and the
-// Mlp ping-pong scratch trade places across backward(), so capacities
-// converge over the first couple of calls), further learn() calls must
-// not grow any workspace arena.
+// warm-up steps of a one-agent learner have sized its slabs (the first
+// step scores every row, so the target pass's slab is as large as it
+// gets), further learn steps must not grow any workspace arena.
 TEST(Dqn, LearnPathAllocationFreeSteadyState) {
   DqnAgent agent(small_config());
+  FusedDqnLearner learner;
   util::Rng rng(77);
   for (int i = 0; i < 64; ++i) {
     Transition t;
@@ -290,9 +304,9 @@ TEST(Dqn, LearnPathAllocationFreeSteadyState) {
     t.next_state = {rng.normal(), rng.normal(), rng.normal()};
     agent.remember(t);
   }
-  for (int i = 0; i < 4; ++i) agent.learn();  // warm the slots
+  for (int i = 0; i < 4; ++i) learn_alone(learner, agent);  // warm the slots
   const std::uint64_t allocs = nn::Workspace::total_allocations();
-  for (int i = 0; i < 200; ++i) agent.learn();
+  for (int i = 0; i < 200; ++i) learn_alone(learner, agent);
   EXPECT_EQ(nn::Workspace::total_allocations(), allocs);
 }
 
@@ -301,7 +315,9 @@ TEST(Dqn, LearnPathAllocationFreeSteadyState) {
 namespace {
 /// Drive `agent` through n interleaved act/remember/learn steps with its
 /// own trajectory RNG, so exploration, replay sampling and Adam all move.
+/// The agent learns alone, through a one-agent learner.
 void drive(DqnAgent& agent, util::Rng& rng, int steps) {
+  FusedDqnLearner learner;
   for (int i = 0; i < steps; ++i) {
     std::vector<double> state = {rng.uniform(), rng.uniform(), rng.uniform()};
     const int action = agent.act(state);
@@ -311,7 +327,7 @@ void drive(DqnAgent& agent, util::Rng& rng, int steps) {
     t.reward = rng.uniform(-1, 1);
     t.next_state = {rng.uniform(), rng.uniform(), rng.uniform()};
     agent.remember(std::move(t));
-    agent.learn();
+    learn_alone(learner, agent);
   }
 }
 }  // namespace
@@ -329,7 +345,10 @@ TEST(Dqn, CaptureRestoreContinuesBitwise) {
   DqnAgent restored(small_config());
   restored.restore_state(state);
 
-  // Same trajectory stream for both from here on.
+  // Same trajectory stream for both from here on. The original's
+  // bootstrap cache is warm, the restored agent's empty: the losses must
+  // agree anyway.
+  FusedDqnLearner learner;
   util::Rng traj_a(902), traj_b(902);
   for (int i = 0; i < 60; ++i) {
     std::vector<double> s = {traj_a.uniform(), traj_a.uniform(),
@@ -345,7 +364,8 @@ TEST(Dqn, CaptureRestoreContinuesBitwise) {
     Transition tb = ta;
     original.remember(std::move(ta));
     restored.remember(std::move(tb));
-    ASSERT_EQ(original.learn(), restored.learn()) << "step " << i;
+    ASSERT_EQ(learn_alone(learner, original), learn_alone(learner, restored))
+        << "step " << i;
   }
   EXPECT_EQ(original.epsilon(), restored.epsilon());
   EXPECT_EQ(original.learn_steps(), restored.learn_steps());
@@ -395,8 +415,9 @@ TEST(Dqn, RestoreKeepsTargetAndAdamUnlikeSetNetworkParameters) {
     warm.remember(std::move(t));
     cold.remember(std::move(t2));
   }
-  warm.learn();
-  cold.learn();
+  FusedDqnLearner learner;
+  learn_alone(learner, warm);
+  learn_alone(learner, cold);
   const auto aw = warm.network().parameters();
   const auto ac = cold.network().parameters();
   bool diverged = false;
@@ -460,27 +481,46 @@ std::vector<DqnAgent*> pointers(
   return ptrs;
 }
 
+/// The uncached twin of one learn step: `agent` learns alone after a
+/// capture_state()/restore_state() round trip, which advances its target
+/// version and clears its bootstrap cache and changes nothing else — so
+/// the target network scores every sampled row. Checks that every row
+/// missed and returns the TD loss.
+double learn_uncached(FusedDqnLearner& learner, DqnAgent& agent) {
+  agent.restore_state(agent.capture_state());
+  const std::uint64_t hits = learner.cache_hits();
+  const std::uint64_t misses = learner.cache_misses();
+  const double loss = learn_alone(learner, agent);
+  const std::size_t batch = agent.config().batch_size;
+  const std::uint64_t rows = agent.replay().size() >= batch ? batch : 0;
+  EXPECT_EQ(learner.cache_hits(), hits);
+  EXPECT_EQ(learner.cache_misses() - misses, rows);
+  return loss;
+}
+
 }  // namespace
 
-// The fused-learning contract: one FusedDqnLearner::learn() call is
-// bitwise one DqnAgent::learn() per agent — identical losses every step
-// and identical parameters after many steps (replay sampling, Adam
-// moments and target syncs all included). learn() never caches, so it
-// is also the oracle for the fused learner's bootstrap cache, exercised
-// here across every event that must invalidate it: target syncs, pushes
-// that wrap the ring (capacity 40, batch 32), restore_state() rewinding
-// the agents mid-run, and set_network_parameters().
+// The fused-learning contract: one FusedDqnLearner::learn() call over a
+// group is bitwise one learn step per agent in groups of one — identical
+// losses every step and identical parameters after many steps (replay
+// sampling, Adam moments and target syncs all included). The twin group
+// learns uncached (learn_uncached), so it is also the oracle for the
+// fused learner's bootstrap cache, exercised here across every event
+// that must invalidate it: target syncs, pushes that wrap the ring
+// (capacity 40, batch 32), restore_state() rewinding the agents mid-run,
+// and set_network_parameters().
 TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
   constexpr std::size_t kAgents = 4;
   constexpr std::size_t kBatch = 32;
   constexpr int kSteps = 40;
   for (const bool double_dqn : {false, true}) {
     auto fused_group = make_group(kAgents, double_dqn, 36, 40, kBatch);
-    auto legacy_group = make_group(kAgents, double_dqn, 36, 40, kBatch);
+    auto twin_group = make_group(kAgents, double_dqn, 36, 40, kBatch);
     const auto ptrs = pointers(fused_group);
     FusedDqnLearner learner;
+    FusedDqnLearner twin_learner;
     std::vector<double> losses(ptrs.size(), -1.0);
-    std::vector<DqnAgentState> fused_saved, legacy_saved;
+    std::vector<DqnAgentState> fused_saved, twin_saved;
     util::Rng push_rng(17);
     const std::vector<double> reset_params(
         fused_group[0]->network().parameters().size(), 0.01);
@@ -498,29 +538,29 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
         for (std::size_t i = 0; i < kAgents; ++i) {
           const Transition tr = random_transition(push_rng);
           fused_group[i]->remember(tr);
-          legacy_group[i]->remember(tr);
+          twin_group[i]->remember(tr);
         }
       }
       if (step == 12) {
         for (std::size_t i = 0; i < kAgents; ++i) {
           fused_saved.push_back(fused_group[i]->capture_state());
-          legacy_saved.push_back(legacy_group[i]->capture_state());
+          twin_saved.push_back(twin_group[i]->capture_state());
         }
       }
       if (step == 22) {  // rewind: replay, target and counters go back
         for (std::size_t i = 0; i < kAgents; ++i) {
           fused_group[i]->restore_state(fused_saved[i]);
-          legacy_group[i]->restore_state(legacy_saved[i]);
+          twin_group[i]->restore_state(twin_saved[i]);
         }
         all_stale = true;
       }
       if (step == 32) {
         fused_group[0]->set_network_parameters(reset_params);
-        legacy_group[0]->set_network_parameters(reset_params);
+        twin_group[0]->set_network_parameters(reset_params);
       }
       ASSERT_TRUE(learner.learn(ptrs, losses));
-      for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-        ASSERT_EQ(losses[i], legacy_group[i]->learn())
+      for (std::size_t i = 0; i < twin_group.size(); ++i) {
+        ASSERT_EQ(losses[i], learn_uncached(twin_learner, *twin_group[i]))
             << "double_dqn=" << double_dqn << " step " << step << " agent "
             << i;
       }
@@ -544,12 +584,13 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
       }
     }
     EXPECT_GT(learner.cache_hits(), learner.cache_misses());
-    for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-      EXPECT_EQ(fused_group[i]->learn_steps(), legacy_group[i]->learn_steps());
+    EXPECT_EQ(twin_learner.cache_hits(), 0u);
+    for (std::size_t i = 0; i < twin_group.size(); ++i) {
+      EXPECT_EQ(fused_group[i]->learn_steps(), twin_group[i]->learn_steps());
       EXPECT_EQ(fused_group[i]->replay().total_pushed(),
-                legacy_group[i]->replay().total_pushed());
+                twin_group[i]->replay().total_pushed());
       const auto pf = fused_group[i]->network().parameters();
-      const auto pl = legacy_group[i]->network().parameters();
+      const auto pl = twin_group[i]->network().parameters();
       ASSERT_EQ(pf.size(), pl.size());
       for (std::size_t k = 0; k < pf.size(); ++k) {
         ASSERT_EQ(pf[k], pl[k])
@@ -559,26 +600,27 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
   }
 }
 
-// Agents whose replay is still below one batch are skipped exactly like
-// the per-agent early return: loss 0.0, no learn step, no RNG use — so
-// the cold agent trains identically once it does warm up.
+// Agents whose replay is still below one batch are skipped: loss 0.0, no
+// learn step, no RNG use — so the cold agent trains identically to its
+// uncached twin, learned in groups of one, once it does warm up.
 TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
   auto fused_group = make_group(3, false, 64);
-  auto legacy_group = make_group(3, false, 64);
+  auto twin_group = make_group(3, false, 64);
   // Rebuild agent 1 with an under-filled replay in both groups.
   auto cfg = small_config();
   cfg.seed = 51;
   fused_group[1] = std::make_unique<DqnAgent>(cfg);
-  legacy_group[1] = std::make_unique<DqnAgent>(cfg);
+  twin_group[1] = std::make_unique<DqnAgent>(cfg);
   const auto ptrs = pointers(fused_group);
   FusedDqnLearner learner;
+  FusedDqnLearner twin_learner;
   std::vector<double> losses(ptrs.size(), -1.0);
   ASSERT_TRUE(learner.learn(ptrs, losses));
   EXPECT_EQ(losses[1], 0.0);
   EXPECT_EQ(fused_group[1]->learn_steps(), 0u);
   EXPECT_NE(losses[0], 0.0);
   // Warm the cold agent up and keep fusing: it must still track its
-  // per-agent twin bitwise (its sampling RNG was never touched early).
+  // twin bitwise (its sampling RNG was never touched early).
   util::Rng fill(999);
   for (int t = 0; t < 32; ++t) {
     Transition tr;
@@ -588,23 +630,25 @@ TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
     tr.next_state = {fill.normal(), fill.normal(), fill.normal()};
     Transition tr2 = tr;
     fused_group[1]->remember(std::move(tr));
-    legacy_group[1]->remember(std::move(tr2));
+    twin_group[1]->remember(std::move(tr2));
   }
-  legacy_group[0]->learn();  // catch the twins up to the fused step above
-  legacy_group[2]->learn();
+  // Catch the twins up to the fused step above.
+  learn_uncached(twin_learner, *twin_group[0]);
+  learn_uncached(twin_learner, *twin_group[2]);
   for (int step = 0; step < 6; ++step) {
     ASSERT_TRUE(learner.learn(ptrs, losses));
-    for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-      ASSERT_EQ(losses[i], legacy_group[i]->learn()) << "step " << step;
+    for (std::size_t i = 0; i < twin_group.size(); ++i) {
+      ASSERT_EQ(losses[i], learn_uncached(twin_learner, *twin_group[i]))
+          << "step " << step;
     }
   }
   const auto pf = fused_group[1]->network().parameters();
-  const auto pl = legacy_group[1]->network().parameters();
+  const auto pl = twin_group[1]->network().parameters();
   for (std::size_t k = 0; k < pf.size(); ++k) ASSERT_EQ(pf[k], pl[k]);
 }
 
 // Non-fusable groups must be refused with no agent state touched, so the
-// caller's per-agent fallback starts from a clean slate.
+// caller can split them into fusable groups from a clean slate.
 TEST(FusedDqn, RejectsMixedGroupsUntouched) {
   auto group = make_group(2, false, 64);
   auto cfg = small_config();

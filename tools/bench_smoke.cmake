@@ -10,19 +10,17 @@
 # lossy run with a crash window must print the same result lines at any
 # shard count and pool size.
 #
-# Expected -D inputs: MICRO_KERNELS, DFL_THROUGHPUT, SCALE_SWEEP,
-# PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
+# Expected -D inputs: MICRO_KERNELS, SCALE_SWEEP, PFDRL_CLI (executable
+# paths), WORK_DIR (scratch directory).
 
-if(NOT DEFINED MICRO_KERNELS OR NOT DEFINED DFL_THROUGHPUT
-   OR NOT DEFINED SCALE_SWEEP
+if(NOT DEFINED MICRO_KERNELS OR NOT DEFINED SCALE_SWEEP
    OR NOT DEFINED PFDRL_CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
-    "bench_smoke: MICRO_KERNELS, DFL_THROUGHPUT, SCALE_SWEEP, PFDRL_CLI and WORK_DIR must be set")
+    "bench_smoke: MICRO_KERNELS, SCALE_SWEEP, PFDRL_CLI and WORK_DIR must be set")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(kernels_json "${WORK_DIR}/BENCH_kernels.json")
-set(dfl_json "${WORK_DIR}/BENCH_dfl.json")
 
 # --- micro_kernels: google-benchmark JSON emitter, minimal time budget,
 # restricted to the batch-1 act-path benchmarks to keep the smoke fast.
@@ -37,21 +35,6 @@ execute_process(
   ERROR_VARIABLE kernels_err)
 if(NOT kernels_rc EQUAL 0)
   message(FATAL_ERROR "micro_kernels failed (${kernels_rc}):\n${kernels_out}\n${kernels_err}")
-endif()
-
-# --- dfl_throughput: one tiny federated round per recurrent method. The
-# emitter's built-in twin run doubles as an end-to-end determinism check
-# (bitwise-identical parameters across two identically seeded rounds),
-# and the --pool-workers sweep re-runs the rounds at 1 and 4 pool
-# workers and fails hard unless the final parameter hashes agree.
-execute_process(
-  COMMAND "${DFL_THROUGHPUT}" --days 1 --rounds 1 --round-minutes 120
-    --pool-workers 1,4 --out "${dfl_json}"
-  RESULT_VARIABLE dfl_rc
-  OUTPUT_VARIABLE dfl_out
-  ERROR_VARIABLE dfl_err)
-if(NOT dfl_rc EQUAL 0)
-  message(FATAL_ERROR "dfl_throughput failed (${dfl_rc}):\n${dfl_out}\n${dfl_err}")
 endif()
 
 # --- scale_sweep: small agent counts, explicitly sharded so the
@@ -94,9 +77,6 @@ function(check_keys path)
 endfunction()
 
 check_keys("${kernels_json}" context benchmarks)
-check_keys("${dfl_json}" bench lstm_windows lstm_windows_per_sec
-  gru_windows gru_windows_per_sec deterministic fused_bitwise_match
-  fused_points pool_hash_consistent pool_sweep)
 check_keys("${scale_json}" bench topology params rounds deterministic
   hash_consistent points)
 
@@ -113,27 +93,6 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   string(JSON scale_hash GET "${doc}" hash_consistent)
   if(NOT scale_hash STREQUAL "ON" AND NOT scale_hash STREQUAL "true")
     message(FATAL_ERROR "scale_sweep: param_hash varies across pool workers (hash_consistent = ${scale_hash})")
-  endif()
-endif()
-
-# Train rounds must be bitwise reproducible (the kernel determinism
-# contract, re-checked end-to-end by the emitter's twin run), and the
-# fused sweep's per-home vs fused parameter comparison must have agreed
-# bitwise (the fused-training contract from docs/fused_training.md).
-file(READ "${dfl_json}" doc)
-if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
-  string(JSON dfl_det GET "${doc}" deterministic)
-  if(NOT dfl_det STREQUAL "ON" AND NOT dfl_det STREQUAL "true")
-    message(FATAL_ERROR "dfl_throughput: twin rounds diverged (deterministic = ${dfl_det})")
-  endif()
-  string(JSON fused_det GET "${doc}" fused_bitwise_match)
-  if(NOT fused_det STREQUAL "ON" AND NOT fused_det STREQUAL "true")
-    message(FATAL_ERROR "dfl_throughput: fused vs per-home training diverged (fused_bitwise_match = ${fused_det})")
-  endif()
-  # Final parameter hashes must be identical at every pool worker count.
-  string(JSON dfl_pool GET "${doc}" pool_hash_consistent)
-  if(NOT dfl_pool STREQUAL "ON" AND NOT dfl_pool STREQUAL "true")
-    message(FATAL_ERROR "dfl_throughput: param_hash varies across pool workers (pool_hash_consistent = ${dfl_pool})")
   endif()
 endif()
 
