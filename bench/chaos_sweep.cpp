@@ -50,7 +50,6 @@ std::vector<ChaosProfile> profiles() {
   chaos.name = "full-chaos";
   chaos.fault = jittery.fault;
   chaos.fault.duplicate_probability = 0.05;
-  chaos.fault.reorder = true;
   chaos.fault.partitions.push_back(
       {.from_round = 2, .until_round = 4, .group = {0, 1}});
   chaos.robustness = quorum.robustness;

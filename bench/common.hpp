@@ -7,11 +7,14 @@
 // *shape* (ordering, optima, crossovers) is the reproduction target.
 #pragma once
 
+#include <sched.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -51,6 +54,47 @@ inline std::uint64_t fnv1a_params(std::span<const double> params) {
     h = (h ^ bytes[i]) * 1099511628211ULL;
   }
   return h;
+}
+
+// Build facts bench/CMakeLists.txt bakes into the BENCH_*.json
+// emitters; other includers see "unknown".
+#ifndef PFDRL_BENCH_GIT_SHA
+#define PFDRL_BENCH_GIT_SHA "unknown"
+#endif
+#ifndef PFDRL_BENCH_BUILD_TYPE
+#define PFDRL_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef PFDRL_BENCH_MARCH
+#define PFDRL_BENCH_MARCH "unknown"
+#endif
+#ifndef PFDRL_BENCH_FP_CONTRACT
+#define PFDRL_BENCH_FP_CONTRACT "unknown"
+#endif
+
+/// The manifest of a BENCH_*.json, as a JSON object: where and how it
+/// was measured — the tree's git describe and the build type (baked in
+/// at configure time, bench/CMakeLists.txt), the compiler, `-march` and
+/// FP contraction of this build, the CPUs this process may run on
+/// (`nproc`) and the pool worker counts measured.
+inline std::string manifest_json(std::span<const std::size_t> pool_workers) {
+  cpu_set_t cpus;
+  const unsigned nproc = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                             ? static_cast<unsigned>(CPU_COUNT(&cpus))
+                             : std::thread::hardware_concurrency();
+  std::string workers;
+  for (const std::size_t w : pool_workers) {
+    workers += (workers.empty() ? "" : ", ") + std::to_string(w);
+  }
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"git_sha\": \"%s\", \"build_type\": \"%s\", "
+                "\"compiler\": \"%s\", \"march\": \"%s\", "
+                "\"fp_contract\": \"%s\", \"nproc\": %u, "
+                "\"pool_workers\": [%s]}",
+                PFDRL_BENCH_GIT_SHA, PFDRL_BENCH_BUILD_TYPE, __VERSION__,
+                PFDRL_BENCH_MARCH, PFDRL_BENCH_FP_CONTRACT, nproc,
+                workers.c_str());
+  return buf;
 }
 
 /// Metrics sidecar hook: when PFDRL_METRICS_DIR is set, fold the runtime

@@ -379,23 +379,6 @@ void BM_ReplaySample(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplaySample);
 
-void BM_BusBroadcast(benchmark::State& state) {
-  const auto homes = static_cast<std::size_t>(state.range(0));
-  net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, homes));
-  net::Message msg;
-  msg.sender = 0;
-  msg.payload.assign(10000, 1.0);
-  for (auto _ : state) {
-    bus.broadcast(msg);
-    for (std::size_t h = 1; h < homes; ++h) {
-      auto drained = bus.drain(static_cast<net::AgentId>(h));
-      benchmark::DoNotOptimize(drained.data());
-    }
-  }
-  state.SetLabel("10k-double payload");
-}
-BENCHMARK(BM_BusBroadcast)->Arg(5)->Arg(20);
-
 void BM_FedAvg(benchmark::State& state) {
   const auto clients = static_cast<std::size_t>(state.range(0));
   util::Rng rng(6);
@@ -415,10 +398,12 @@ void BM_FedAvg(benchmark::State& state) {
 BENCHMARK(BM_FedAvg)->Arg(5)->Arg(100);
 
 // One clean full-mesh exchange round at the paper's Fig. 8 client counts,
-// one 2,400-parameter item per agent. bus_only=1 runs the same
-// broadcasts and drains without aggregating: the bus moves K^2 payload
-// handles either way, so the difference between the two rows is the
-// aggregation's share of the round.
+// one 2,400-parameter item per agent, in one exchange session (the way
+// DflTrainer and DrlFederation drive it): each iteration publishes and
+// applies the next round. bus_only=1 runs the same publish and fate reads
+// with a min_group no item can reach, so nothing is averaged: the
+// difference between the two rows is the aggregation's share of the
+// round.
 void BM_ExchangeRound(benchmark::State& state) {
   const auto agents = static_cast<std::size_t>(state.range(0));
   const bool bus_only = state.range(1) != 0;
@@ -436,27 +421,18 @@ void BM_ExchangeRound(benchmark::State& state) {
                      .send = params[a],
                      .in_place = params[a]});
   }
-  fl::ParamExchange exchange(bus, fl::ParamExchange::Options{});
+  fl::ParamExchange::Options options;
+  if (bus_only) options.min_group = agents + 1;
+  fl::StagedExchange session(bus, options, items);
   std::uint64_t round = 0;
   for (auto _ : state) {
-    if (bus_only) {
-      for (const auto& item : items) {
-        net::Message msg;
-        msg.sender = item.agent;
-        msg.round = round;
-        msg.payload = std::vector<double>(item.send.begin(), item.send.end());
-        bus.broadcast(msg);
-      }
-      for (std::size_t a = 0; a < agents; ++a) {
-        auto drained = bus.drain(static_cast<net::AgentId>(a));
-        benchmark::DoNotOptimize(drained.data());
-      }
-    } else {
-      exchange.round(items, round, {});
-    }
+    session.publish_shard(0, round);
+    session.apply_shard(0, round, {});
+    benchmark::DoNotOptimize(params.front().data());
+    benchmark::ClobberMemory();
     ++round;
   }
-  state.SetLabel(bus_only ? "broadcast + drain only" : "full round");
+  state.SetLabel(bus_only ? "publish + fate reads only" : "full round");
 }
 BENCHMARK(BM_ExchangeRound)
     ->ArgNames({"agents", "bus_only"})

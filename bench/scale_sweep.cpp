@@ -496,6 +496,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"scale_sweep\",\n"
+               "  \"manifest\": %s,\n"
                "  \"topology\": \"%s\",\n"
                "  \"params\": %zu,\n"
                "  \"rounds\": %zu,\n"
@@ -503,6 +504,7 @@ int main(int argc, char** argv) {
                "  \"deterministic\": %s,\n"
                "  \"hash_consistent\": %s,\n"
                "  \"points\": [\n",
+               bench::manifest_json(worker_counts).c_str(),
                net::topology_name(cfg.topology), cfg.params, cfg.rounds,
                cfg.shards, all_deterministic ? "true" : "false",
                hash_consistent ? "true" : "false");

@@ -17,8 +17,8 @@
 //   --secure            pairwise-masked (secure) DFL aggregation
 //   --drop P            link drop probability in [0,1) (default 0)
 //   --fault-plan SPEC   comma-separated fault spec, e.g.
-//                       drop=0.2,delay=0.01,jitter=0.005,dup=0.02,reorder=1
-//                       (keys: drop delay jitter dup reorder bw latency seed)
+//                       drop=0.2,delay=0.01,jitter=0.005,dup=0.02
+//                       (keys: drop delay jitter dup bw latency seed)
 //   --deadline S        per-round exchange deadline, simulated seconds
 //   --quorum F          quorum fraction of the nominal group in (0,1]
 //   --crash A:FROM:TO   crash agent A for federation rounds [FROM,TO)

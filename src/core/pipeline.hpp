@@ -74,8 +74,8 @@ struct PipelineConfig {
   std::size_t meter_interval_minutes = ems::EmsEnvironment::kDefaultMeterInterval;
 
   /// Fault plan shared by the forecast (DFL) and the DRL plan exchange
-  /// buses: link model plus injected drops, delay/jitter, duplication,
-  /// reordering and partition windows. Each bus gets its own fault seed
+  /// buses: link model plus injected drops, delay/jitter, duplication
+  /// and partition windows. Each bus gets its own fault seed
   /// derived from `seed` (bus ids 1 and 2) unless fault.seed is set.
   net::FaultPlan fault{};
   /// Deadline / quorum / crash / straggler policy applied to both

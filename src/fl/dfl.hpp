@@ -64,7 +64,7 @@ struct DflConfig {
   bool secure_aggregation = false;
   SecureAggConfig secure{};
   /// Link behaviour: bandwidth/latency/loss plus injected delay, jitter,
-  /// duplication, reordering and partition windows. With a faulty plan,
+  /// duplication and partition windows. With a faulty plan,
   /// aggregation simply averages the contributions that made it through
   /// (secure_aggregation requires FaultPlan::reliable() — masks only
   /// cancel under full participation). When fault.seed is 0 the trainer

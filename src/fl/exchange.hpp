@@ -5,35 +5,43 @@
 // are the same communication pattern: every agent broadcasts a flat
 // parameter slice along the topology, a star hub optionally relays leaf
 // messages (the "cloud tax" of the centralized baselines), every agent
-// drains its inbox in deterministic (sender, device_type) order, guards
-// contribution shapes, and averages per device-type group.
+// reads its in-neighbours' contributions in deterministic (sender,
+// device_type) order, guards contribution shapes, and averages per
+// device-type group.
 // StagedExchange owns that round, carved into per-shard stages the
 // round engine (fl::RoundPipeline) schedules; DflTrainer and
 // DrlFederation are thin configurations of it (gossip-averaging systems
 // — DSGD, FedAvg — treat the exchange round as a primitive, and so do
 // we). ParamExchange::round runs one round of those stages in order.
 //
-// Zero-copy: outgoing slices become one net::Payload allocation each; the
-// bus fans out refcounted handles, so a full-mesh broadcast is O(1)
-// payload allocations regardless of receiver count. The engine reports
-// the per-round allocation count as `exchange.payload_copies`.
+// The round's board: nothing is queued per receiver. Publishing writes
+// each live item's slice to the round's board as one net::Payload
+// allocation, whatever the receiver count; a receiver reads its
+// in-neighbours' entries and evaluates each delivery's fate (drop,
+// partition, arrival, duplicate — net::MessageBus::fate) once, when it
+// reads it. A full-mesh round is O(items) payload writes plus one fate
+// per delivery. The engine reports the per-round allocation count as
+// `exchange.payload_copies`.
 //
-// Determinism: inboxes are sorted by (sender, device_type) before
-// averaging, items are processed in caller order, and every fault draw
-// is a pure function of the delivery (net::MessageBus), so results are
-// bit-reproducible regardless of delivery interleaving, shard count or
+// Determinism: contributions are read in ascending (sender, device_type)
+// order, and every fault draw is a pure function of the delivery, so
+// results are bit-reproducible regardless of schedule, shard count or
 // pool size — the property the fixed-seed golden tests pin down.
+// Receivers whose accepted contributions are equal share one average
+// per round, across shards: identical inputs summed in identical order
+// give identical bits.
 //
 // Degradation: rounds are deadline-based when ExchangePolicy asks for it.
-// Each round drains whatever arrived by the per-round deadline (in
-// simulated time), discards stale leftovers from earlier rounds and
-// duplicate deliveries, aggregates the quorum that made it with a
-// participation-weighted average (each unique arrival weighs 1/K), and
-// falls back to local-only parameters when the quorum is missed. Crashed
-// residences skip the round entirely; the star hub step retries missing
-// leaf contributions with backoff. Every degradation decision is
-// observable through the exchange.* and fault.* metric families — see
-// docs/robustness.md for the exact semantics the tests pin.
+// Each round keeps whatever arrived by the per-round deadline (in
+// simulated time), discards a restarted residence's crash backlog as
+// stale and collapses duplicate deliveries, aggregates the quorum that
+// made it with a participation-weighted average (each unique arrival
+// weighs 1/K), and falls back to local-only parameters when the quorum
+// is missed. Crashed residences skip the round entirely; the star hub
+// step retries missing leaf contributions with backoff. Every
+// degradation decision is observable through the exchange.* and fault.*
+// metric families — see docs/robustness.md for the exact semantics the
+// tests pin.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +83,8 @@ struct ExchangeItem {
 /// The default policy reproduces the original always-everything round.
 struct ExchangePolicy {
   /// Per-round deadline in simulated seconds; contributions whose
-  /// Message::arrival_s exceeds it are discarded as late. 0 = no
-  /// deadline (drain everything from the current round).
+  /// arrival exceeds it are discarded as late. 0 = no deadline (keep
+  /// everything from the current round).
   double round_deadline_s = 0.0;
   /// Minimum fraction of an item's nominal aggregation group (own
   /// contribution included) that must arrive for averaging; below it the
@@ -109,19 +117,20 @@ struct ExchangeStats {
   /// Items whose group reached min_group and quorum and were averaged.
   std::uint64_t items_averaged = 0;
   /// Distinct averages computed: items with identical accepted
-  /// contributions share one (docs/robustness.md), so this is at most
-  /// items_averaged.
+  /// contributions share one per round, across shards
+  /// (docs/robustness.md), so this is at most items_averaged — one per
+  /// device type per round on a clean mesh.
   std::uint64_t averages_computed = 0;
   /// Parameters overwritten by averaging, summed over items.
   std::uint64_t params_averaged = 0;
   /// Payload buffer allocations during the round (zero-copy accounting:
-  /// one per broadcast item, never per receiver).
+  /// one per published item, never per receiver).
   std::uint64_t payload_allocations = 0;
   /// Duplicate deliveries collapsed by the (sender, device_type) dedupe
   /// — aggregation is idempotent under the bus's duplication fault.
   std::uint64_t duplicates = 0;
-  /// Messages from older rounds discarded at drain (a restarted
-  /// residence's crash backlog).
+  /// Deliveries from a residence's crash window discarded on its first
+  /// live round (its crash backlog, net::MessageBus::take_backlog).
   std::uint64_t stale_msgs = 0;
   /// Current-round messages discarded for arriving past the deadline.
   std::uint64_t late_msgs = 0;
@@ -191,17 +200,15 @@ class ParamExchange {
 /// compute instead of running the round behind a global barrier.
 ///
 /// Contract: construct once per run with items sorted ascending by agent
-/// (required when the bus has a shard router). For every round r,
-/// publish_shard(s, r) must run before apply_shard(d, r) for every shard
-/// d that s broadcasts into; on a star, hub_step(r) runs after every
-/// shard published r and before any shard applies r (readiness is the
-/// pipeline's job). Within one shard the calls are sequential. Outgoing
-/// payloads are refcounted net::Payload handles, so a shard publishing
-/// round r+1 never invalidates the round-r frames a slower neighbor is
-/// still aggregating — the handles ARE the double buffer. Inboxes are
-/// drained generationally (MessageBus::drain_round): round-r messages
-/// are extracted, older rounds are discarded as stale, newer rounds stay
-/// parked.
+/// (required when the bus has a shard router), at most one item per
+/// (agent, device type). For every round r, publish_shard(s, r) must run
+/// before apply_shard(d, r) for every shard d that s broadcasts into; on
+/// a star, hub_step(r) runs after every shard published r and before any
+/// shard applies r (readiness is the pipeline's job). Within one shard
+/// the calls are sequential. Every round has its own board, which lives
+/// until every shard has applied that round: on a directed graph a shard
+/// may publish several rounds ahead of a slow reader, and its round-r
+/// entries stay readable until the last round-r apply.
 ///
 /// Stats accumulate across rounds (order-independent atomic sums);
 /// record_metrics() folds exchange.*/fault.* deltas per segment.
@@ -224,21 +231,24 @@ class StagedExchange {
   /// call this, between its apply and its next publish.
   void set_send(std::size_t item, std::span<const double> send);
 
-  /// Phase 1 for `shard` at `round_id`: broadcast every live owned item
-  /// and hand the shard's cross-shard pair batches over (flush_src).
+  /// Phase 1 for `shard` at `round_id`: write every live owned item to
+  /// the round's board and bill the shard's sends (and, sharded, its
+  /// cross-shard pair slabs).
   void publish_shard(std::size_t shard, std::uint64_t round_id);
 
-  /// Star topologies only (a no-op otherwise): the hub (agent 0) drains
-  /// its round-`round_id` inbox, retries missing leaf contributions with
+  /// Star topologies only (a no-op otherwise): the hub (agent 0) reads
+  /// the leaves' board entries, retries missing leaf contributions with
   /// backoff, relays each (sender, device_type) once to the other leaves
-  /// and keeps its copies for its own apply. A crashed hub does nothing,
-  /// which takes the round down. Every shard must have published
-  /// `round_id` first.
+  /// through the board and keeps its copies for its own apply. A crashed
+  /// hub only banks its backlog, which takes the round down. Every shard
+  /// must have published `round_id` first.
   void hub_step(std::uint64_t round_id);
 
-  /// Phases 2+3 for `shard` at `round_id`: generational drain of the
-  /// shard's inboxes, deadline filter, pinned (sender, device_type)
-  /// sort, grouped average, commit. Every in-neighbor shard must have
+  /// Phases 2+3 for `shard` at `round_id`: every agent of the shard
+  /// reads its deliveries from the board (fate, deadline filter, dedupe,
+  /// shape guard, in ascending (sender, device_type) order), then every
+  /// live item passes the quorum gate and lands its share of the round's
+  /// averages, and is committed. Every in-neighbor shard must have
   /// published `round_id` first, and the hub step must have run.
   void apply_shard(std::size_t shard, std::uint64_t round_id,
                    const ParamExchange::CommitFn& commit);

@@ -119,8 +119,6 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       plan.duplicate_probability = parse_double(key, value);
       if (plan.duplicate_probability < 0.0 || plan.duplicate_probability > 1.0)
         throw std::invalid_argument("fault spec: dup must be in [0,1]");
-    } else if (key == "reorder") {
-      plan.reorder = parse_u64(key, value) != 0;
     } else if (key == "bw") {
       plan.link.bytes_per_second = parse_double(key, value);
     } else if (key == "latency") {

@@ -1,17 +1,17 @@
 // Composable fault-injection model for the simulated residential network.
 //
 // PFDRL is cloud-free: parameter exchange rides home links that drop,
-// delay, reorder and duplicate traffic, and residences go dark or lag
-// behind. A FaultPlan describes what the *links* of one bus do to every
-// delivery (loss, fixed+jitter delay, duplication, reordering, scheduled
-// partitions); a FailureSchedule describes what the *nodes* do (crash /
+// delay and duplicate traffic, and residences go dark or lag behind. A
+// FaultPlan describes what the *links* of one bus do to every delivery
+// (loss, fixed+jitter delay, duplication, scheduled partitions); a
+// FailureSchedule describes what the *nodes* do (crash /
 // restart windows and slow-node compute stragglers) and is consumed one
 // layer up, by the fl::StagedExchange round (see docs/robustness.md for
 // the full layering picture).
 //
 // Determinism: every fault decision is a stateless hash of the delivery
 // (bus seed, round, sender, receiver, device type, attempt), keyed by
-// FaultPlan::seed. Callers that own an experiment seed derive the
+// FaultPlan::seed (net::MessageBus::fate). Callers that own an experiment seed derive the
 // per-bus seed with derive_fault_seed(experiment_seed, bus_id), so the
 // forecast bus and the DRL plan-exchange bus never replay the same drop
 // mask (the old shared-constant-seed bug) while the whole run stays
@@ -61,8 +61,8 @@ struct PartitionWindow {
 };
 
 /// Everything one bus's links do to traffic. Extends the plain LinkModel
-/// (bandwidth / latency / loss) with delay+jitter, duplication,
-/// reordering and scheduled partitions. Implicitly constructible from a
+/// (bandwidth / latency / loss) with delay+jitter, duplication and
+/// scheduled partitions. Implicitly constructible from a
 /// LinkModel so existing "just set a drop rate" call sites keep working.
 struct FaultPlan {
   LinkModel link{};
@@ -71,11 +71,9 @@ struct FaultPlan {
   double delay_s = 0.0;
   /// Uniform extra delay in [0, jitter_s) per delivery.
   double jitter_s = 0.0;
-  /// Probability that a delivered message is enqueued twice (the second
+  /// Probability that a delivered message arrives twice (the second
   /// copy is billed and arrives one transfer later — a retransmission).
   double duplicate_probability = 0.0;
-  /// Insert deliveries at a random inbox position instead of the tail.
-  bool reorder = false;
   /// Scheduled split-brain windows, keyed by the message's round stamp.
   std::vector<PartitionWindow> partitions;
   /// Seed of this bus's fault hash. 0 selects the legacy constant seed;
@@ -106,8 +104,8 @@ struct FaultPlan {
                                               std::uint64_t bus_id) noexcept;
 
 /// One residence going dark for a window of exchange rounds: while
-/// crashed the agent neither broadcasts nor drains its inbox (messages
-/// pile up and are discarded as stale after restart). Local training is
+/// crashed the agent neither broadcasts nor aggregates (what reaches it
+/// piles up as its crash backlog, discarded as stale after restart). Local training is
 /// unaffected — the home lost its uplink, not its compute.
 struct CrashWindow {
   AgentId agent = 0;
@@ -136,8 +134,8 @@ struct FailureSchedule {
 };
 
 /// Parse "key=value,..." fault specs, e.g.
-///   "drop=0.2,delay=0.01,jitter=0.005,dup=0.02,reorder=1".
-/// Keys: drop, delay, jitter, dup, reorder, bw (bytes/s), latency.
+///   "drop=0.2,delay=0.01,jitter=0.005,dup=0.02".
+/// Keys: drop, delay, jitter, dup, bw (bytes/s), latency, seed.
 /// Throws std::invalid_argument on unknown keys or malformed values.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& spec);
 

@@ -9,7 +9,8 @@ std::atomic<std::uint64_t> g_payload_allocations{0};
 }  // namespace
 
 Payload::Payload(std::vector<double> values)
-    : buf_(std::make_shared<const std::vector<double>>(std::move(values))) {
+    : buf_(std::make_shared<const std::vector<double>>(std::move(values))),
+      view_(*buf_) {
   g_payload_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -24,15 +25,6 @@ const char* message_kind_name(MessageKind k) noexcept {
     case MessageKind::kDrlFullParams: return "drl_full_params";
   }
   return "?";
-}
-
-namespace {
-// 4 (sender) + 1 (kind) + 4 (device_type) + 8 (round) + 8 (len)
-constexpr std::size_t kHeader = 25;
-}  // namespace
-
-std::size_t Message::wire_bytes() const noexcept {
-  return kHeader + payload.size() * sizeof(double);
 }
 
 }  // namespace pfdrl::net

@@ -13,27 +13,23 @@ namespace pfdrl::net {
 using AgentId = std::uint32_t;
 
 /// Immutable, refcounted parameter buffer. Copying a Payload (and hence a
-/// Message) copies a shared handle, never the doubles — a full-mesh
-/// broadcast enqueues N handles to one allocation instead of N deep
-/// copies. The simulated wire still bills every *delivery* for the full
-/// logical byte count (see MessageBus::deliver); only the in-process
-/// memory traffic is collapsed.
+/// Message) copies a shared handle, never the doubles — a broadcast is
+/// one allocation on the exchange board that every receiver reads. The
+/// simulated wire still bills every *delivery* for the full logical byte
+/// count (see MessageBus::fate); only the in-process memory traffic is
+/// collapsed.
 class Payload {
  public:
   Payload() = default;
   /// Takes ownership of `values` (one buffer allocation, counted).
   Payload(std::vector<double> values);  // NOLINT(google-explicit-constructor)
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return buf_ ? buf_->size() : 0;
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-  [[nodiscard]] std::span<const double> span() const noexcept {
-    return buf_ ? std::span<const double>(*buf_) : std::span<const double>();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return view_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return view_.empty(); }
+  [[nodiscard]] std::span<const double> span() const noexcept { return view_; }
   // NOLINTNEXTLINE(google-explicit-constructor) — payloads read as spans.
   operator std::span<const double>() const noexcept { return span(); }
-  double operator[](std::size_t i) const noexcept { return (*buf_)[i]; }
+  double operator[](std::size_t i) const noexcept { return view_[i]; }
 
   void assign(std::size_t count, double value) {
     *this = Payload(std::vector<double>(count, value));
@@ -55,6 +51,9 @@ class Payload {
 
  private:
   std::shared_ptr<const std::vector<double>> buf_;
+  /// The buffer's doubles, cached beside the handle so that reading a
+  /// payload's size or span never chases the shared pointer.
+  std::span<const double> view_;
 };
 
 enum class MessageKind : std::uint8_t {
@@ -67,6 +66,10 @@ enum class MessageKind : std::uint8_t {
 };
 
 const char* message_kind_name(MessageKind k) noexcept;
+
+/// Wire header of one message: 4 (sender) + 1 (kind) + 4 (device_type) +
+/// 8 (round) + 8 (payload length).
+inline constexpr std::size_t kMessageHeaderBytes = 25;
 
 struct Message {
   AgentId sender = 0;
@@ -84,14 +87,16 @@ struct Message {
   double arrival_s = 0.0;
   /// Transmission attempt: 0 for the first send, 1..hub_retries for the
   /// star hub's leaf retransmissions. Part of the delivery's fault key
-  /// (MessageBus::deliver), so a retry draws a fresh fate. Simulation
+  /// (MessageBus::fate), so a retry draws a fresh fate. Simulation
   /// metadata like arrival_s — not billed as wire bytes.
   std::uint32_t attempt = 0;
   Payload payload;
 
   /// Serialized size in bytes on the simulated wire: header plus the raw
   /// fp64 payload. This is what links bill transfer time and bytes for.
-  [[nodiscard]] std::size_t wire_bytes() const noexcept;
+  [[nodiscard]] std::size_t wire_bytes() const noexcept {
+    return kMessageHeaderBytes + payload.size() * sizeof(double);
+  }
 };
 
 }  // namespace pfdrl::net

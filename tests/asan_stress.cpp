@@ -1,15 +1,15 @@
 // Memory-error stress for the messaging and exchange layers: the bus,
-// the zero-copy Payload, the exchange engine and the thread pool
-// under concurrent broadcast/drain. Built with
+// the zero-copy Payload on the exchange board, the exchange engine and
+// the thread pool under the round engine. Built with
 // -fsanitize=address,undefined (see tests/CMakeLists.txt); the
 // sanitizers exit non-zero on any heap misuse or UB, so a clean exit 0
 // is the pass signal. The value checks at the end double as a logic
 // smoke test when the binary is run without sanitizers.
 #include <cstdio>
 #include <span>
-#include <thread>
 #include <vector>
 
+#include "exchange_stress.hpp"
 #include "fl/exchange.hpp"
 #include "fl/secure_agg.hpp"
 #include "net/bus.hpp"
@@ -22,43 +22,17 @@
 int main() {
   using namespace pfdrl;
 
-  // Phase 1: concurrent broadcast/drain on one bus. Senders re-broadcast
-  // a shared payload (refcount churn across threads) while receivers
-  // drain and read the spans — lifetime bugs in the shared buffer are
-  // exactly what ASan would catch here.
+  // Phase 1: the per-round board and the shared-average memo under the
+  // round engine at 4 workers and 8 shards (tests/exchange_stress.hpp):
+  // payload handles written by one shard's publish, read by every other
+  // shard's apply and released by the round's last apply — lifetime bugs
+  // in the shared buffers are exactly what ASan would catch here.
   {
-    constexpr std::size_t kHomes = 8;
-    net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, kHomes));
-    constexpr int kRounds = 200;
-    std::vector<std::thread> senders;
-    for (std::size_t s = 0; s < 3; ++s) {
-      senders.emplace_back([&bus, s] {
-        net::Message msg;
-        msg.sender = static_cast<net::AgentId>(s);
-        msg.payload = std::vector<double>(256, static_cast<double>(s));
-        for (int i = 0; i < kRounds; ++i) bus.broadcast(msg);
-      });
-    }
-    std::vector<double> sums(kHomes, 0.0);  // one slot per receiver thread
-    std::vector<std::thread> receivers;
-    for (std::size_t r = 3; r < kHomes; ++r) {
-      receivers.emplace_back([&bus, &sums, r] {
-        double local = 0.0;
-        for (int i = 0; i < kRounds; ++i) {
-          for (auto& m : bus.drain(static_cast<net::AgentId>(r))) {
-            const std::span<const double> p = m.payload;
-            if (!p.empty()) local += p.front() + p.back();
-          }
-        }
-        sums[r] = local;
-      });
-    }
-    for (auto& t : senders) t.join();
-    for (auto& t : receivers) t.join();
-    // Drain the rest so inbox teardown also runs.
-    for (std::size_t h = 0; h < kHomes; ++h) {
-      bus.drain(static_cast<net::AgentId>(h));
-    }
+    util::ThreadPool pool(4);
+    const std::vector<stress::Case> cases = stress::board_cases();
+    const int checked = stress::check_cases(pool, cases, /*reps=*/4);
+    std::printf("asan stress: %d pipelined reps matched the oracle\n",
+                checked);
   }
 
   // Phase 2: exchange rounds hammered from pool workers, each worker

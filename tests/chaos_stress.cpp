@@ -1,6 +1,6 @@
 // Chaos soak (CTest label: stress). Hammers the exchange engine and both
 // federation paths with every fault at once — drops, delay+jitter,
-// duplication, reordering, rolling partitions, rolling crashes,
+// duplication, rolling partitions, rolling crashes,
 // stragglers, deadlines and quorum gates — over many rounds and seeds.
 // The assertions are liveness and invariants, not trajectories: every
 // round terminates, every live item either averages or falls back,
@@ -32,7 +32,6 @@ net::FaultPlan everything_plan(std::uint64_t seed) {
   plan.delay_s = 0.001;
   plan.jitter_s = 0.003;
   plan.duplicate_probability = 0.1;
-  plan.reorder = true;
   plan.seed = seed;
   // Rolling split-brain windows: every 10 rounds, agents {0,1,2} lose
   // the rest of the mesh for 3 rounds.
@@ -159,16 +158,16 @@ TEST(ChaosStress, SoakIsBitwiseDeterministicPerSeed) {
 }
 
 // Snapshot-under-chaos soak: a full PFDRL pipeline under every fault at
-// once (drops, delay+jitter, duplication, reordering, a partition
+// once (drops, delay+jitter, duplication, a partition
 // window, crash windows — one spanning the snapshot boundary — a
 // straggler, a deadline and a quorum gate) is snapshotted mid-run,
 // pushed through the full serialize -> deserialize codec, restored into
 // a fresh pipeline and run to completion. The resumed run's learned
 // state (parameter digests) and evaluation results must match the
 // uninterrupted run exactly: fault draws are stateless hashes of each
-// delivery, so no fault stream is restored, and uncaptured inbox
-// backlogs are invisible (the exchange discards stale backlog either
-// way, docs/robustness.md).
+// delivery, so no fault stream is restored, and an uncaptured crash
+// backlog is invisible (the exchange discards stale backlog either way,
+// docs/robustness.md).
 TEST(ChaosStress, SnapshotResumeUnderChaosMatchesUninterrupted) {
   sim::ScenarioConfig sc;
   sc.neighborhood.num_households = 4;
@@ -192,7 +191,6 @@ TEST(ChaosStress, SnapshotResumeUnderChaosMatchesUninterrupted) {
     cfg.fault.delay_s = 0.002;
     cfg.fault.jitter_s = 0.004;
     cfg.fault.duplicate_probability = 0.05;
-    cfg.fault.reorder = true;
     cfg.fault.partitions.push_back(
         {.from_round = 1, .until_round = 3, .group = {0, 1}});
     cfg.robustness.round_deadline_s = 0.006;

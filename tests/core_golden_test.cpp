@@ -134,7 +134,7 @@ TEST(GoldenPfdrl, FlatAndShardedRoundEngineMatchGoldenBitwise) {
 }
 
 // Chaos determinism: a fully loaded fault plan (drops, delay+jitter,
-// duplication, reordering, a partition window, a crashed residence, a
+// duplication, a partition window, a crashed residence, a
 // straggler, a deadline and a quorum gate) must still be bitwise
 // reproducible per seed — every fault draw is a stateless hash of its
 // delivery, keyed by per-bus seeds. Comparisons between runs rather than
@@ -173,7 +173,6 @@ ChaosOutcome run_chaos(std::uint64_t seed, std::size_t shards = 0) {
   cfg.fault.delay_s = 0.002;
   cfg.fault.jitter_s = 0.004;
   cfg.fault.duplicate_probability = 0.05;
-  cfg.fault.reorder = true;
   cfg.fault.partitions.push_back({.from_round = 1,
                                   .until_round = 3,
                                   .group = {0, 1}});

@@ -144,22 +144,23 @@ TEST(QuorumRounds, CrashBacklogDiscardedAsStaleAfterRestart) {
   ParamExchange exchange(bus, with_policy(policy));
   auto items = make_items(params);
 
-  // Round 0: agent 1 is down. Agent 0's broadcast piles up in the dark
-  // inbox; agent 0 itself hears nothing and falls back to local.
+  // Round 0: agent 1 is down. Agent 0's broadcast piles up as agent 1's
+  // crash backlog; agent 0 itself hears nothing and falls back to local.
   const auto r0 = exchange.round(items, 0, {});
   EXPECT_EQ(r0.crashed_items, 1u);
   EXPECT_EQ(r0.local_fallbacks, 1u);
   EXPECT_EQ(r0.items_averaged, 0u);
-  EXPECT_EQ(bus.inbox_size(1), 1u);  // the backlog survives the round
+  EXPECT_EQ(bus.backlog(1), 1u);  // the backlog survives the round
 
-  // Round 1: agent 1 restarts, drains the backlog, and discards the
-  // round-0 leftover as stale; the fresh round-1 traffic averages fine.
+  // Round 1: agent 1 restarts and discards the round-0 backlog as stale;
+  // the fresh round-1 traffic averages fine.
   items = make_items(params);
   const auto r1 = exchange.round(items, 1, {});
   EXPECT_EQ(r1.crashed_items, 0u);
   EXPECT_EQ(r1.stale_msgs, 1u);
   EXPECT_EQ(r1.items_averaged, 2u);
   EXPECT_EQ(r1.accepted, 2u);
+  EXPECT_EQ(bus.backlog(1), 0u);
 }
 
 TEST(QuorumRounds, DeadlineDiscardsStragglerContributions) {

@@ -1,16 +1,20 @@
+// net::MessageBus: a delivery's fate is a pure function of the delivery,
+// billed per delivered copy into the bus ledger.
 #include "net/bus.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bus_fates.hpp"
+
 namespace pfdrl::net {
 namespace {
+
+using testing::broadcast;
 
 Message make_msg(AgentId sender, std::uint32_t type = 0,
                  std::size_t payload = 4) {
@@ -21,59 +25,36 @@ Message make_msg(AgentId sender, std::uint32_t type = 0,
   return m;
 }
 
+std::vector<AgentId> receivers(
+    const std::vector<std::pair<AgentId, Fate>>& fates) {
+  std::vector<AgentId> out;
+  for (const auto& [to, fate] : fates) {
+    if (fate.copies > 0) out.push_back(to);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(Bus, BroadcastReachesAllOthers) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 4));
-  EXPECT_EQ(bus.broadcast(make_msg(1)), 3u);
-  EXPECT_EQ(bus.inbox_size(0), 1u);
-  EXPECT_EQ(bus.inbox_size(1), 0u);  // not delivered to self
-  EXPECT_EQ(bus.inbox_size(2), 1u);
-  EXPECT_EQ(bus.inbox_size(3), 1u);
-}
-
-TEST(Bus, TryReceiveEmpty) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  EXPECT_EQ(bus.try_receive(0), std::nullopt);
-}
-
-TEST(Bus, FifoOrder) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    Message m = make_msg(1, i);
-    bus.broadcast(m);
-  }
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    const auto m = bus.try_receive(0);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->device_type, i);
-  }
-}
-
-TEST(Bus, DrainEmptiesInbox) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 3));
-  bus.broadcast(make_msg(0));
-  bus.broadcast(make_msg(2));
-  const auto msgs = bus.drain(1);
-  EXPECT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(bus.inbox_size(1), 0u);
-}
-
-TEST(Bus, SendPointToPoint) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 3));
-  bus.send(2, make_msg(0));
-  EXPECT_EQ(bus.inbox_size(2), 1u);
-  EXPECT_EQ(bus.inbox_size(1), 0u);
+  const auto fates = broadcast(bus, make_msg(1));
+  EXPECT_EQ(fates.size(), 3u);
+  // Not delivered to self; once to everyone else.
+  EXPECT_EQ(receivers(fates), (std::vector<AgentId>{0, 2, 3}));
+  for (const auto& [to, fate] : fates) EXPECT_EQ(fate.copies, 1u);
 }
 
 TEST(Bus, BadAgentIdThrows) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  EXPECT_THROW(bus.send(5, make_msg(0)), std::out_of_range);
-  EXPECT_THROW(bus.inbox_size(9), std::out_of_range);
+  EXPECT_THROW((void)bus.fate(make_msg(0), 5), std::out_of_range);
+  EXPECT_THROW((void)bus.backlog(9), std::out_of_range);
+  EXPECT_THROW(bus.add_backlog(2, 1), std::out_of_range);
 }
 
 TEST(Bus, StatsAccounting) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 3));
   const Message m = make_msg(0, 0, 10);
-  bus.broadcast(m);
+  broadcast(bus, m);
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_sent, 1u);
   EXPECT_EQ(stats.messages_delivered, 2u);
@@ -83,31 +64,11 @@ TEST(Bus, StatsAccounting) {
 
 TEST(Bus, ResetStats) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  bus.broadcast(make_msg(0));
+  broadcast(bus, make_msg(0));
   bus.reset_stats();
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_sent, 0u);
   EXPECT_EQ(stats.bytes_on_wire, 0u);
-}
-
-TEST(Bus, ReceiveForTimesOut) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(bus.receive_for(0, 0.05), std::nullopt);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.04);
-}
-
-TEST(Bus, ReceiveForWakesOnDelivery) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 2));
-  std::thread producer([&bus] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    bus.send(0, make_msg(1, 42));
-  });
-  const auto m = bus.receive_for(0, 2.0);
-  producer.join();
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->device_type, 42u);
 }
 
 TEST(Bus, LinkModelTransferTime) {
@@ -115,44 +76,37 @@ TEST(Bus, LinkModelTransferTime) {
   link.bytes_per_second = 1000.0;
   link.base_latency_s = 0.5;
   EXPECT_DOUBLE_EQ(link.transfer_seconds(2000), 0.5 + 2.0);
-}
-
-TEST(Bus, ConcurrentProducersAllDelivered) {
-  MessageBus bus(Topology(TopologyKind::kFullMesh, 4));
-  constexpr int kPerProducer = 200;
-  std::vector<std::thread> producers;
-  for (AgentId sender = 1; sender < 4; ++sender) {
-    producers.emplace_back([&bus, sender] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        bus.send(0, make_msg(sender, static_cast<std::uint32_t>(i)));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(bus.inbox_size(0), 3u * kPerProducer);
-  const auto msgs = bus.drain(0);
-  EXPECT_EQ(msgs.size(), 3u * kPerProducer);
-  // Per-sender FIFO: each sender's messages arrive in order.
-  std::array<std::uint32_t, 4> next{0, 0, 0, 0};
-  for (const auto& m : msgs) {
-    EXPECT_EQ(m.device_type, next[m.sender]);
-    ++next[m.sender];
-  }
+  // A clean delivery arrives one transfer after the sender's stamp.
+  MessageBus bus(Topology(TopologyKind::kFullMesh, 2), link);
+  const Message m = make_msg(0, 0, 250);  // 2,025 bytes on the wire
+  const Fate fate = bus.fate(m, 1);
+  EXPECT_EQ(fate.copies, 1u);
+  EXPECT_DOUBLE_EQ(fate.transfer_s, link.transfer_seconds(m.wire_bytes()));
+  EXPECT_DOUBLE_EQ(fate.arrival_s, 0.5 + 2.025);
 }
 
 TEST(Bus, StarTopologyDelivery) {
   MessageBus bus(Topology(TopologyKind::kStar, 4));
-  bus.broadcast(make_msg(2));  // leaf -> hub only
-  EXPECT_EQ(bus.inbox_size(0), 1u);
-  EXPECT_EQ(bus.inbox_size(1), 0u);
-  bus.broadcast(make_msg(0));  // hub -> all leaves
-  EXPECT_EQ(bus.inbox_size(1), 1u);
-  EXPECT_EQ(bus.inbox_size(2), 1u);
-  EXPECT_EQ(bus.inbox_size(3), 1u);
+  // Leaf -> hub only.
+  EXPECT_EQ(receivers(broadcast(bus, make_msg(2))), (std::vector<AgentId>{0}));
+  // Hub -> all leaves.
+  EXPECT_EQ(receivers(broadcast(bus, make_msg(0))),
+            (std::vector<AgentId>{1, 2, 3}));
+}
+
+TEST(Bus, CrashBacklogAccumulatesUntilTaken) {
+  MessageBus bus(Topology(TopologyKind::kFullMesh, 3));
+  EXPECT_EQ(bus.backlog(1), 0u);
+  bus.add_backlog(1, 2);
+  bus.add_backlog(1, 1);
+  EXPECT_EQ(bus.backlog(1), 3u);
+  EXPECT_EQ(bus.backlog(2), 0u);
+  EXPECT_EQ(bus.take_backlog(1), 3u);
+  EXPECT_EQ(bus.backlog(1), 0u);
 }
 
 // A delivery's fate is a pure function of the delivery: one round's
-// deliveries sent in two different orders are dropped, delayed and
+// deliveries evaluated in two different orders are dropped, delayed and
 // duplicated identically, delivery by delivery.
 TEST(Bus, FaultFateIndependentOfDeliveryOrder) {
   constexpr std::size_t kAgents = 6;
@@ -160,23 +114,21 @@ TEST(Bus, FaultFateIndependentOfDeliveryOrder) {
   plan.link.drop_probability = 0.3;
   plan.jitter_s = 0.01;
   plan.duplicate_probability = 0.3;
-  plan.reorder = true;
   plan.seed = 9;
   // (sender, receiver) -> sorted arrival times of the copies received.
   using Fates = std::map<std::pair<AgentId, AgentId>, std::vector<double>>;
   const auto run = [&](bool reversed) {
     MessageBus bus(Topology(TopologyKind::kFullMesh, kAgents), plan);
+    Fates fates;
     for (std::size_t k = 0; k < kAgents; ++k) {
       const auto sender =
           static_cast<AgentId>(reversed ? kAgents - 1 - k : k);
       Message msg = make_msg(sender, /*type=*/3);
       msg.round = 7;
-      bus.broadcast(msg);
-    }
-    Fates fates;
-    for (AgentId to = 0; to < kAgents; ++to) {
-      for (const Message& m : bus.drain(to)) {
-        fates[{m.sender, to}].push_back(m.arrival_s);
+      for (const auto& [to, fate] : broadcast(bus, msg)) {
+        for (std::uint32_t c = 0; c < fate.copies; ++c) {
+          fates[{sender, to}].push_back(fate.arrival(c));
+        }
       }
     }
     for (auto& [link, arrivals] : fates) {

@@ -1,12 +1,13 @@
 // net::FaultPlan unit tests: spec parsers, per-bus seed derivation and
-// stream decorrelation, duplicate billing, injected-delay arrival math,
-// partition windows and reordering determinism.
+// stream decorrelation, duplicate billing, injected-delay arrival math
+// and partition windows, read through net::MessageBus::fate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 #include <vector>
 
+#include "bus_fates.hpp"
 #include "net/bus.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
@@ -14,15 +15,17 @@
 namespace pfdrl::net {
 namespace {
 
+using testing::broadcast;
+using testing::fate_at;
+
 TEST(FaultPlanParse, FullSpecRoundTrips) {
   const auto plan = parse_fault_plan(
-      "drop=0.2,delay=0.01,jitter=0.005,dup=0.02,reorder=1,bw=1e6,"
+      "drop=0.2,delay=0.01,jitter=0.005,dup=0.02,bw=1e6,"
       "latency=0.003,seed=99");
   EXPECT_DOUBLE_EQ(plan.link.drop_probability, 0.2);
   EXPECT_DOUBLE_EQ(plan.delay_s, 0.01);
   EXPECT_DOUBLE_EQ(plan.jitter_s, 0.005);
   EXPECT_DOUBLE_EQ(plan.duplicate_probability, 0.02);
-  EXPECT_TRUE(plan.reorder);
   EXPECT_DOUBLE_EQ(plan.link.bytes_per_second, 1e6);
   EXPECT_DOUBLE_EQ(plan.link.base_latency_s, 0.003);
   EXPECT_EQ(plan.seed, 99u);
@@ -43,6 +46,8 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_plan("drop=1.0"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("dup=1.5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("delay=0.1x"), std::invalid_argument);
+  // Nothing is queued, so there is no delivery order to permute.
+  EXPECT_THROW(parse_fault_plan("reorder=1"), std::invalid_argument);
 }
 
 TEST(FaultPlanParse, WindowSpecs) {
@@ -78,14 +83,13 @@ TEST(FaultSeed, DerivationIsDeterministicAndDecorrelated) {
 // of indices that survived the drop lottery at agent 1.
 std::vector<int> delivered_mask(FaultPlan plan, int n) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 2), std::move(plan));
+  std::vector<int> out;
   for (int i = 0; i < n; ++i) {
     Message msg;
     msg.sender = 0;
     msg.round = static_cast<std::uint64_t>(i);
-    bus.broadcast(msg);
+    if (fate_at(broadcast(bus, msg), 1).copies > 0) out.push_back(i);
   }
-  std::vector<int> out;
-  for (const auto& m : bus.drain(1)) out.push_back(static_cast<int>(m.round));
   return out;
 }
 
@@ -101,7 +105,7 @@ TEST(FaultSeed, DistinctBusStreamsProduceDistinctDropMasks) {
   EXPECT_NE(delivered_mask(dfl, 64), delivered_mask(drl, 64));
 }
 
-TEST(FaultBus, DuplicateDeliveriesBilledAndEnqueued) {
+TEST(FaultBus, DuplicateDeliveriesBilledAndArriveTwice) {
   FaultPlan plan;
   plan.duplicate_probability = 1.0;
   MessageBus bus(Topology(TopologyKind::kFullMesh, 2), plan);
@@ -109,19 +113,17 @@ TEST(FaultBus, DuplicateDeliveriesBilledAndEnqueued) {
   msg.sender = 0;
   msg.payload.assign(16, 1.0);
   const std::size_t bytes = msg.wire_bytes();
-  bus.broadcast(msg);
+  const Fate fate = fate_at(broadcast(bus, msg), 1);
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_sent, 1u);
   EXPECT_EQ(stats.messages_delivered, 2u);
   EXPECT_EQ(stats.messages_duplicated, 1u);
   EXPECT_EQ(stats.bytes_on_wire, 2 * bytes);  // the retransmission is billed
-  EXPECT_EQ(bus.inbox_size(1), 2u);
-  // The copy is a retransmission: one extra transfer later, same payload.
-  const auto msgs = bus.drain(1);
-  ASSERT_EQ(msgs.size(), 2u);
+  ASSERT_EQ(fate.copies, 2u);
+  // The copy is a retransmission: one extra transfer later.
   const double transfer = bus.fault_plan().link.transfer_seconds(bytes);
-  EXPECT_DOUBLE_EQ(msgs[0].arrival_s, transfer);
-  EXPECT_DOUBLE_EQ(msgs[1].arrival_s, 2 * transfer);
+  EXPECT_DOUBLE_EQ(fate.arrival(0), transfer);
+  EXPECT_DOUBLE_EQ(fate.arrival(1), 2 * transfer);
 }
 
 TEST(FaultBus, InjectedDelayAccumulatesIntoArrival) {
@@ -133,10 +135,9 @@ TEST(FaultBus, InjectedDelayAccumulatesIntoArrival) {
   msg.arrival_s = 0.25;  // sender-side compute delay (straggler model)
   msg.payload.assign(4, 1.0);
   const double transfer = plan.link.transfer_seconds(msg.wire_bytes());
-  bus.broadcast(msg);
-  const auto msgs = bus.drain(1);
-  ASSERT_EQ(msgs.size(), 1u);
-  EXPECT_DOUBLE_EQ(msgs[0].arrival_s, 0.25 + transfer + 0.5);
+  const Fate fate = fate_at(broadcast(bus, msg), 1);
+  ASSERT_EQ(fate.copies, 1u);
+  EXPECT_DOUBLE_EQ(fate.arrival_s, 0.25 + transfer + 0.5);
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_delayed, 1u);
   EXPECT_DOUBLE_EQ(stats.simulated_fault_delay_seconds, 0.5);
@@ -150,10 +151,10 @@ TEST(FaultBus, JitterStaysWithinBound) {
   Message msg;
   msg.sender = 0;
   const double transfer = plan.link.transfer_seconds(msg.wire_bytes());
-  for (int i = 0; i < 50; ++i) bus.broadcast(msg);
-  for (const auto& m : bus.drain(1)) {
-    EXPECT_GE(m.arrival_s, transfer);
-    EXPECT_LT(m.arrival_s, transfer + 0.1);
+  for (int i = 0; i < 50; ++i) {
+    const Fate fate = fate_at(broadcast(bus, msg), 1);
+    EXPECT_GE(fate.arrival_s, transfer);
+    EXPECT_LT(fate.arrival_s, transfer + 0.1);
   }
   EXPECT_EQ(bus.stats().messages_delayed, 50u);
 }
@@ -168,14 +169,15 @@ TEST(FaultBus, PartitionWindowCutsCrossGroupTraffic) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 2), plan);
   Message msg;
   msg.sender = 0;
+  std::vector<std::uint64_t> delivered;
   for (std::uint64_t round : {0, 2, 3, 4}) {
     msg.round = round;
-    bus.broadcast(msg);
+    const Fate fate = fate_at(broadcast(bus, msg), 1);
+    if (fate.copies > 0) delivered.push_back(round);
+    EXPECT_EQ(fate.partitioned, fate.copies == 0);
   }
-  const auto delivered = bus.drain(1);
-  ASSERT_EQ(delivered.size(), 2u);  // rounds 0 and 4 pass; 2 and 3 are cut
-  EXPECT_EQ(delivered[0].round, 0u);
-  EXPECT_EQ(delivered[1].round, 4u);
+  // Rounds 0 and 4 pass; 2 and 3 are cut.
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 4}));
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_dropped, 2u);
   EXPECT_EQ(stats.messages_partition_dropped, 2u);
@@ -191,34 +193,10 @@ TEST(FaultBus, PartitionLeavesIntraGroupTraffic) {
   MessageBus bus(Topology(TopologyKind::kFullMesh, 3), plan);
   Message msg;
   msg.sender = 0;
-  bus.broadcast(msg);
-  EXPECT_EQ(bus.inbox_size(1), 1u);  // same side of the split
-  EXPECT_EQ(bus.inbox_size(2), 0u);  // severed
+  const auto fates = broadcast(bus, msg);
+  EXPECT_EQ(fate_at(fates, 1).copies, 1u);  // same side of the split
+  EXPECT_EQ(fate_at(fates, 2).copies, 0u);  // severed
   EXPECT_EQ(bus.stats().messages_partition_dropped, 1u);
-}
-
-TEST(FaultBus, ReorderPermutesDeterministically) {
-  FaultPlan plan;
-  plan.reorder = true;
-  plan.seed = 11;
-  const auto run = [&plan] {
-    MessageBus bus(Topology(TopologyKind::kFullMesh, 2), plan);
-    Message msg;
-    msg.sender = 0;
-    for (std::uint64_t i = 0; i < 20; ++i) {
-      msg.round = i;
-      bus.broadcast(msg);
-    }
-    std::vector<std::uint64_t> order;
-    for (const auto& m : bus.drain(1)) order.push_back(m.round);
-    return order;
-  };
-  auto first = run();
-  const auto second = run();
-  EXPECT_EQ(first, second);  // same seed, same permutation
-  ASSERT_EQ(first.size(), 20u);
-  std::sort(first.begin(), first.end());
-  for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(first[i], i);  // no loss
 }
 
 }  // namespace

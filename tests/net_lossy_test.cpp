@@ -3,6 +3,7 @@
 // arrives) — while secure aggregation correctly refuses lossy links.
 #include <gtest/gtest.h>
 
+#include "bus_fates.hpp"
 #include "core/pipeline.hpp"
 #include "fl/dfl.hpp"
 #include "net/bus.hpp"
@@ -25,7 +26,7 @@ TEST(LossyBus, DropRateApproximatelyRespected) {
   // rounds so these are 5000 distinct deliveries, not one repeated.
   for (int i = 0; i < n; ++i) {
     msg.round = static_cast<std::uint64_t>(i);
-    bus.broadcast(msg);
+    net::testing::broadcast(bus, msg);
   }
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_delivered + stats.messages_dropped,
@@ -37,7 +38,7 @@ TEST(LossyBus, ReliableLinkDropsNothing) {
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 3));
   net::Message msg;
   msg.sender = 0;
-  for (int i = 0; i < 100; ++i) bus.broadcast(msg);
+  for (int i = 0; i < 100; ++i) net::testing::broadcast(bus, msg);
   EXPECT_EQ(bus.stats().messages_dropped, 0u);
   EXPECT_EQ(bus.stats().messages_delivered, 200u);
 }
@@ -49,11 +50,11 @@ TEST(LossyBus, DroppedMessagesNotBilled) {
   net::Message msg;
   msg.sender = 0;
   msg.payload.assign(100, 1.0);
-  bus.broadcast(msg);
+  const auto fates = net::testing::broadcast(bus, msg);
   const auto stats = bus.stats();
   EXPECT_EQ(stats.messages_delivered, 0u);
   EXPECT_EQ(stats.bytes_on_wire, 0u);
-  EXPECT_EQ(bus.inbox_size(1), 0u);
+  EXPECT_EQ(net::testing::fate_at(fates, 1).copies, 0u);
 }
 
 std::vector<data::HouseholdTrace> small_traces() {

@@ -1,16 +1,19 @@
-// Zero-copy payload accounting: broadcasts fan out refcounted handles to
-// one buffer, while the simulated wire still bills every delivery for
-// the full logical byte count — including under a lossy LinkModel.
+// Zero-copy payload accounting: a broadcast is one buffer that every
+// receiver reads, while the simulated wire still bills every delivery
+// for the full logical byte count — including under a lossy LinkModel.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "bus_fates.hpp"
 #include "net/bus.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 
 namespace pfdrl::net {
 namespace {
+
+using testing::broadcast;
 
 TEST(Payload, ConstructionCountsOneAllocation) {
   const auto before = Payload::allocations();
@@ -45,25 +48,21 @@ TEST(Payload, AssignReplacesTheBuffer) {
 }
 
 TEST(Payload, BroadcastAllocatesNothingPerReceiver) {
-  // Full mesh with many receivers: enqueueing N-1 copies of the message
-  // must not allocate any payload buffer — only the sender's original
-  // construction counts.
+  // Full mesh with many receivers: deciding the N-1 deliveries must not
+  // allocate any payload buffer — only the sender's original
+  // construction counts — nor take a handle: every receiver reads the
+  // sender's one buffer.
   const std::size_t homes = 16;
   MessageBus bus(Topology(TopologyKind::kFullMesh, homes));
   Message msg;
   msg.sender = 0;
   msg.payload = std::vector<double>(1000, 1.0);
   const auto before = Payload::allocations();
-  const std::size_t delivered = bus.broadcast(msg);
-  EXPECT_EQ(delivered, homes - 1);
+  const auto fates = broadcast(bus, msg);
+  EXPECT_EQ(fates.size(), homes - 1);
+  for (const auto& [to, fate] : fates) EXPECT_EQ(fate.copies, 1u);
   EXPECT_EQ(Payload::allocations(), before);
-  // Every queued copy shares the sender's buffer.
-  EXPECT_EQ(msg.payload.use_count(), static_cast<long>(homes));
-  for (std::size_t h = 1; h < homes; ++h) {
-    auto got = bus.drain(static_cast<AgentId>(h));
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0].payload.span().data(), msg.payload.span().data());
-  }
+  EXPECT_EQ(msg.payload.use_count(), 1);
 }
 
 TEST(Payload, WireBillsEveryDeliveryDespiteSharing) {
@@ -72,7 +71,7 @@ TEST(Payload, WireBillsEveryDeliveryDespiteSharing) {
   Message msg;
   msg.sender = 0;
   msg.payload = std::vector<double>(500, 0.25);
-  bus.broadcast(msg);
+  broadcast(bus, msg);
   const auto stats = bus.stats();
   // bytes_on_wire counts logical per-delivery bytes: each of the N-1
   // receivers is billed the full serialized message.
@@ -101,7 +100,7 @@ TEST(Payload, LossyLinkDropAndBillingUnchangedBySharing) {
     Message msg;
     msg.sender = static_cast<AgentId>(i % homes);
     msg.payload = std::vector<double>(64, static_cast<double>(i));
-    fresh.broadcast(msg);
+    broadcast(fresh, msg);
   }
 
   MessageBus shared(Topology(TopologyKind::kFullMesh, homes), link);
@@ -109,7 +108,7 @@ TEST(Payload, LossyLinkDropAndBillingUnchangedBySharing) {
   reused.payload = std::vector<double>(64, 7.0);
   for (int i = 0; i < rounds; ++i) {
     reused.sender = static_cast<AgentId>(i % homes);
-    shared.broadcast(reused);
+    broadcast(shared, reused);
   }
 
   const auto a = fresh.stats();

@@ -1,13 +1,14 @@
-// Shard assignment arithmetic, the cross-shard batching router, and the
-// engine-level equivalence contracts the sharded refactor rests on:
-// attaching a router must not change what a clean-plan bus delivers or
-// bills, and an exchange over a routed 4-shard bus must be bitwise
+// Shard assignment arithmetic, the router's cross-shard slab billing, and
+// the engine-level equivalence contracts the sharded refactor rests on:
+// attaching a router must not change what a clean-plan exchange delivers
+// or bills, and an exchange over a routed 4-shard bus must be bitwise
 // identical to one over a flat bus.
 #include "net/shard_router.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "fl/exchange.hpp"
@@ -86,91 +87,72 @@ TEST(ShardRouter, CrossShardMatchesAssignment) {
   EXPECT_EQ(router.shard_of(5), 1u);
 }
 
-net::Message make_msg(net::AgentId sender, double tag) {
-  net::Message m;
-  m.sender = sender;
-  m.payload = std::vector<double>{tag};
-  return m;
-}
-
-TEST(ShardRouter, FlushOrderIsPinnedRowMajor) {
+// One publish's pair loads become one slab per non-empty pair, billed
+// under slab framing: a 16-byte slab header, then per message a 17-byte
+// subheader and the raw payload.
+TEST(ShardRouter, BillsOneSlabPerNonEmptyPair) {
   net::ShardRouter router(9, 3);  // shards {0,1,2} {3,4,5} {6,7,8}
-  // Enqueue in scrambled pair order; two messages on the (2,0) pair to
-  // check in-pair FIFO.
-  router.enqueue(0, make_msg(7, 1.0));   // pair (2,0)
-  router.enqueue(6, make_msg(0, 2.0));   // pair (0,2)
-  router.enqueue(1, make_msg(8, 3.0));   // pair (2,0) again
-  router.enqueue(3, make_msg(2, 4.0));   // pair (0,1)
-  EXPECT_EQ(router.pending(), 4u);
-
-  std::vector<double> tags;
-  std::vector<net::AgentId> targets;
-  std::size_t n = 0;
-  for (std::size_t src = 0; src < 3; ++src) {
-    n += router.flush_src(src, [&](net::AgentId to, net::Message&& m) {
-      targets.push_back(to);
-      tags.push_back(m.payload[0]);
-    });
-  }
-  EXPECT_EQ(n, 4u);
-  EXPECT_EQ(router.pending(), 0u);
-  // Ascending (src shard, dst shard): (0,1), (0,2), then (2,0) in FIFO.
-  EXPECT_EQ(tags, (std::vector<double>{4.0, 2.0, 1.0, 3.0}));
-  EXPECT_EQ(targets, (std::vector<net::AgentId>{3, 6, 0, 1}));
-
+  const net::PairLoad row0[] = {{0, 0}, {1, 8}, {2, 16}};
+  const net::PairLoad row2[] = {{3, 24}, {0, 0}, {0, 0}};
+  router.bill_publish(row0);
+  router.bill_publish(row2);
+  router.bill_publish(std::span<const net::PairLoad>{});  // nothing live
   const auto stats = router.stats();
-  EXPECT_EQ(stats.messages_batched, 4u);
+  EXPECT_EQ(stats.messages_batched, 6u);
   EXPECT_EQ(stats.batches_flushed, 3u);  // three non-empty pairs
-  EXPECT_EQ(stats.flushes, 3u);  // one per source row
-  EXPECT_EQ(stats.max_batch_depth, 2u);
-  EXPECT_GT(stats.batched_bytes, 0u);
+  EXPECT_EQ(stats.flushes, 3u);          // one per publish
+  EXPECT_EQ(stats.max_batch_depth, 3u);
+  EXPECT_EQ(stats.batched_bytes, 6 * net::kMessageHeaderBytes + 48);
+  EXPECT_EQ(stats.batched_wire_bytes, 3 * 16 + 6 * 17 + 48u);
+  router.reset_stats();
+  EXPECT_EQ(router.stats().messages_batched, 0u);
 }
 
-TEST(ShardRouter, EnqueueOutOfRangeThrows) {
-  net::ShardRouter router(4, 2);
-  EXPECT_THROW(router.enqueue(4, make_msg(0, 0.0)), std::out_of_range);
-  EXPECT_THROW(router.enqueue(0, make_msg(9, 0.0)), std::out_of_range);
-}
+// --- Exchange billing with and without a router -----------------------
 
-// --- Bus equivalence with and without a router ------------------------
-
+// Attaching a router must not change what a clean-plan exchange delivers
+// or bills on the bus; the router bills every cross-shard delivery once.
 TEST(ShardedBus, CleanPlanDeliveryAndBillingUnchanged) {
   constexpr std::size_t kAgents = 6;
+  constexpr std::size_t kParams = 5;
+  std::vector<std::vector<double>> params(kAgents,
+                                          std::vector<double>(kParams, 1.0));
+  std::vector<fl::ExchangeItem> items;
+  for (std::size_t a = 0; a < kAgents; ++a) {
+    items.push_back({.agent = static_cast<net::AgentId>(a),
+                     .device_type = 0,
+                     .send = params[a],
+                     .in_place = {}});
+  }
   net::MessageBus flat(net::Topology(net::TopologyKind::kFullMesh, kAgents),
                        {});
   net::MessageBus sharded(
       net::Topology(net::TopologyKind::kFullMesh, kAgents), {});
   net::ShardRouter router(kAgents, 2);
   sharded.set_shard_router(&router);
+  const auto flat_stats = fl::ParamExchange(flat, {}).round(items, 0, {});
+  const auto sharded_stats = fl::ParamExchange(sharded, {}).round(items, 0, {});
+  EXPECT_EQ(flat_stats.accepted, sharded_stats.accepted);
 
-  for (net::AgentId a = 0; a < kAgents; ++a) {
-    EXPECT_EQ(flat.broadcast(make_msg(a, static_cast<double>(a))),
-              sharded.broadcast(make_msg(a, static_cast<double>(a))));
-  }
-  EXPECT_GT(router.pending(), 0u);
-  for (std::size_t s = 0; s < router.num_shards(); ++s) {
-    sharded.flush_shard_batches_from(s);
-  }
-
-  // Every inbox drains the same multiset of senders; wire billing is
-  // per delivery, so the stats lines agree exactly.
-  for (net::AgentId a = 0; a < kAgents; ++a) {
-    auto lhs = flat.drain(a);
-    auto rhs = sharded.drain(a);
-    ASSERT_EQ(lhs.size(), rhs.size()) << "agent " << a;
-    std::vector<net::AgentId> ls, rs;
-    for (const auto& m : lhs) ls.push_back(m.sender);
-    for (const auto& m : rhs) rs.push_back(m.sender);
-    std::sort(ls.begin(), ls.end());
-    std::sort(rs.begin(), rs.end());
-    EXPECT_EQ(ls, rs) << "agent " << a;
-  }
+  // Wire billing is per delivery, so the stats lines agree.
   const auto fs = flat.stats();
   const auto ss = sharded.stats();
   EXPECT_EQ(fs.messages_sent, ss.messages_sent);
   EXPECT_EQ(fs.messages_delivered, ss.messages_delivered);
+  EXPECT_EQ(fs.messages_delivered, kAgents * (kAgents - 1));
   EXPECT_EQ(fs.bytes_on_wire, ss.bytes_on_wire);
-  EXPECT_EQ(fs.simulated_transfer_seconds, ss.simulated_transfer_seconds);
+  // Summed per shard, so equal up to rounding.
+  EXPECT_DOUBLE_EQ(fs.simulated_transfer_seconds, ss.simulated_transfer_seconds);
+
+  // Three agents per shard, each delivering to the other shard's three.
+  const std::uint64_t payload = kParams * sizeof(double);
+  const auto rs = router.stats();
+  EXPECT_EQ(rs.messages_batched, 18u);
+  EXPECT_EQ(rs.batches_flushed, 2u);
+  EXPECT_EQ(rs.flushes, 2u);
+  EXPECT_EQ(rs.max_batch_depth, 9u);
+  EXPECT_EQ(rs.batched_bytes, 18 * (net::kMessageHeaderBytes + payload));
+  EXPECT_EQ(rs.batched_wire_bytes, 2 * 16 + 18 * (17 + payload));
 }
 
 // --- A routed exchange is bitwise identical to a flat one --------------

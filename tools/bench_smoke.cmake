@@ -77,8 +77,8 @@ function(check_keys path)
 endfunction()
 
 check_keys("${kernels_json}" context benchmarks)
-check_keys("${scale_json}" bench topology params rounds deterministic
-  hash_consistent points)
+check_keys("${scale_json}" bench manifest topology params rounds
+  deterministic hash_consistent points)
 
 # Twin sharded engine runs must agree bitwise (the scaling determinism
 # contract from docs/scaling.md, re-checked end-to-end).
@@ -220,11 +220,11 @@ message(STATUS "bench_smoke: CLI output identical on 1 and 4 pool workers")
 
 # --- chaos through the shipped CLI: every fault draw is a pure function
 # of its delivery (docs/robustness.md), so a lossy run with duplication,
-# jitter, reordering, a deadline, a quorum gate and a crash window must
+# jitter, a deadline, a quorum gate and a crash window must
 # print the same result lines at --shards 0 and 2 and on 1 and 4 pool
 # workers. Only the header's shard line may differ.
 set(chaos_flags --method pfdrl --homes 4 --days 4 --gamma 6 --seed 7
-  --fault-plan drop=0.2,jitter=0.004,dup=0.05,reorder=1
+  --fault-plan drop=0.2,jitter=0.004,dup=0.05
   --deadline 0.006 --quorum 0.5 --crash 2:0:2)
 foreach(leg "shards0;--shards;0" "shards2;--shards;2"
             "pool1;--shards;2;--pool-workers;1"
