@@ -1,6 +1,7 @@
 // Micro-benchmarks of the computational kernels underlying the system:
 // dense forward/backward, MLP and LSTM train batches (one-member fused
-// groups, the way a home trains alone), LSTM steps, the Adam step, replay
+// groups, the way a home trains alone), LSTM steps, a day of forecast
+// feature rows (flat and sequence builders), the Adam step, replay
 // sampling, message bus broadcast, federated averaging and the exchange
 // round. Inference and optimizer kernels run beside a per-row or scalar
 // twin (arg ref=1), which they are bitwise equal to.
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "data/dataset.hpp"
+#include "data/trace.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/exchange.hpp"
 #include "net/bus.hpp"
@@ -330,6 +333,59 @@ void BM_LstmPredict1440(benchmark::State& state) {
   state.SetLabel(ref ? "nn::ref per-row step" : "4-row register tiles");
 }
 BENCHMARK(BM_LstmPredict1440)->ArgName("ref")->Arg(0)->Arg(1);
+
+// A day of forecast feature rows (1,440 targets, W = T = 16, the default
+// horizon, calendar and log scale on) built from a trace: the flat set
+// BP/LR/SVR train and predict on, and the LSTM/GRU sequence set.
+data::DeviceTrace bench_trace() {
+  data::DeviceTrace trace;
+  trace.spec.type = data::DeviceType::kTv;
+  trace.spec.standby_watts = 5.0;
+  trace.spec.on_watts = 120.0;
+  const std::size_t minutes = 2 * data::kMinutesPerDay;
+  trace.watts.resize(minutes);
+  trace.modes.assign(minutes, data::DeviceMode::kStandby);
+  util::Rng rng(19);
+  for (double& w : trace.watts) w = rng.uniform(0.0, 150.0);
+  return trace;
+}
+
+data::WindowConfig day_window() {
+  data::WindowConfig wc;
+  wc.window = 16;
+  wc.stride = 1;
+  return wc;
+}
+
+void BM_MakeSupervised1440(benchmark::State& state) {
+  const data::DeviceTrace trace = bench_trace();
+  const data::WindowConfig wc = day_window();
+  const std::size_t begin = data::kMinutesPerDay;
+  for (auto _ : state) {
+    const auto set =
+        data::make_supervised(trace, wc, begin, begin + data::kMinutesPerDay);
+    benchmark::DoNotOptimize(set.x.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          1440);
+}
+BENCHMARK(BM_MakeSupervised1440)->Unit(benchmark::kMicrosecond);
+
+void BM_MakeSequences1440(benchmark::State& state) {
+  const data::DeviceTrace trace = bench_trace();
+  const data::WindowConfig wc = day_window();
+  const std::size_t begin = data::kMinutesPerDay;
+  for (auto _ : state) {
+    const auto set =
+        data::make_sequences(trace, wc, begin, begin + data::kMinutesPerDay);
+    benchmark::DoNotOptimize(set.xs.front().data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          1440);
+}
+BENCHMARK(BM_MakeSequences1440)->Unit(benchmark::kMicrosecond);
 
 // One Adam step at the BP forecaster (3,329), paper LSTM (4,641) and paper
 // DQN (71,603) parameter counts: 4-lane vector step vs nn::ref::adam_step.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "forecast/metrics.hpp"
@@ -87,8 +89,10 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
   // HVAC, water heater — autonomous duty cyclers) are metered and
   // forecast but never actuated, so they get no agent (nullptr slot).
   // Weight seed is shared across residences per device type (homologous
-  // networks must start identical for averaging to be meaningful);
-  // exploration seeds differ per home.
+  // networks must start identical for averaging to be meaningful), so
+  // each seed's network is drawn once and later agents copy the first
+  // agent's; exploration seeds differ per home.
+  std::unordered_map<std::uint64_t, const nn::Mlp*> initial;  // by seed
   agents_.resize(traces_.size());
   for (std::size_t h = 0; h < traces_.size(); ++h) {
     agents_[h].reserve(traces_[h].devices.size());
@@ -104,7 +108,12 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
           static_cast<std::uint64_t>(traces_[h].devices[d].spec.type);
       qc.seed = cfg_.seed * 7919 + type;
       qc.exploration_seed = cfg_.seed * 104729 + h * 257 + type + 1;
-      agents_[h].push_back(std::make_unique<rl::DqnAgent>(qc));
+      if (const auto it = initial.find(qc.seed); it != initial.end()) {
+        agents_[h].push_back(std::make_unique<rl::DqnAgent>(qc, *it->second));
+      } else {
+        agents_[h].push_back(std::make_unique<rl::DqnAgent>(qc));
+        initial.emplace(qc.seed, &agents_[h].back()->network());
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -13,24 +14,17 @@ double normalization_scale(const DeviceSpec& spec) noexcept {
 }
 
 double encode_watts(double watts, double scale, bool log_scale) noexcept {
-  watts = std::max(0.0, watts);
-  if (!log_scale) return watts / scale;
-  return std::log1p(watts) / std::log1p(scale);
+  return WattCodec(scale, log_scale).encode(watts);
 }
 
 double decode_watts(double value, double scale, bool log_scale) noexcept {
-  if (!log_scale) return std::max(0.0, value * scale);
-  return std::max(0.0, std::expm1(value * std::log1p(scale)));
+  return WattCodec(scale, log_scale).decode(value);
 }
 
 namespace {
 
-struct CalendarFeature {
-  double sin_h;
-  double cos_h;
-};
-
-CalendarFeature calendar(std::size_t minute) noexcept {
+/// The hour-of-day formula; only the table's fill evaluates it.
+HourFeatures calendar(std::size_t minute) noexcept {
   const double hour_frac =
       static_cast<double>(minute % kMinutesPerDay) /
       static_cast<double>(kMinutesPerDay);
@@ -38,7 +32,21 @@ CalendarFeature calendar(std::size_t minute) noexcept {
   return {std::sin(angle), std::cos(angle)};
 }
 
+/// The hour-of-day pairs of minutes 0..1439, filled at first use.
+const HourFeatures* hour_table() noexcept {
+  static const std::array<HourFeatures, kMinutesPerDay> table = [] {
+    std::array<HourFeatures, kMinutesPerDay> t{};
+    for (std::size_t m = 0; m < kMinutesPerDay; ++m) t[m] = calendar(m);
+    return t;
+  }();
+  return table.data();
+}
+
 }  // namespace
+
+const HourFeatures& hour_features(std::size_t minute) noexcept {
+  return hour_table()[minute % kMinutesPerDay];
+}
 
 std::size_t sample_count(const DeviceTrace& trace, const WindowConfig& cfg,
                          std::size_t begin_minute, std::size_t end_minute) {
@@ -50,26 +58,20 @@ std::size_t sample_count(const DeviceTrace& trace, const WindowConfig& cfg,
   return (end - first + stride - 1) / stride;
 }
 
-void encode_step(const DeviceTrace& trace, const WindowConfig& cfg,
-                 double scale, std::size_t minute, double* out) noexcept {
-  out[0] = encode_watts(trace.watts[minute], scale, cfg.log_scale);
-  if (cfg.calendar_features) {
-    const auto cal = calendar(minute);
-    out[1] = cal.sin_h;
-    out[2] = cal.cos_h;
-  }
-}
-
-void encode_flat_row(const DeviceTrace& trace, const WindowConfig& cfg,
-                     double scale, std::size_t t, double* out) noexcept {
-  const std::size_t w0 = window_start(cfg, t);
-  for (std::size_t k = 0; k < cfg.window; ++k) {
-    out[k] = encode_watts(trace.watts[w0 + k], scale, cfg.log_scale);
-  }
-  if (cfg.calendar_features) {
-    const auto cal = calendar(t);
-    out[cfg.window] = cal.sin_h;
-    out[cfg.window + 1] = cal.cos_h;
+EncodedSpan::EncodedSpan(const DeviceTrace& trace, const WindowConfig& cfg,
+                         std::size_t first_target, std::size_t n)
+    : cfg_(cfg),
+      scale_(normalization_scale(trace.spec)),
+      hours_(hour_table()) {
+  if (n == 0) return;
+  const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
+  lo_ = window_start(cfg, first_target);
+  const std::size_t hi = first_target + (n - 1) * stride;
+  assert(hi < trace.minutes());
+  const WattCodec codec(scale_, cfg.log_scale);
+  values_.resize(hi - lo_ + 1);
+  for (std::size_t m = lo_; m <= hi; ++m) {
+    values_[m - lo_] = codec.encode(trace.watts[m]);
   }
 }
 
@@ -80,17 +82,18 @@ SupervisedSet make_supervised(const DeviceTrace& trace,
   assert(cfg.window >= 1);
   const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
   const std::size_t n = sample_count(trace, cfg, begin_minute, end_minute);
+  const std::size_t first = first_feasible_target(cfg, begin_minute);
+  const EncodedSpan span(trace, cfg, first, n);
 
   SupervisedSet set;
-  set.scale = normalization_scale(trace.spec);
+  set.scale = span.scale();
   set.x = nn::Matrix(n, flat_features(cfg));
   set.y = nn::Matrix(n, 1);
   set.target_minute.reserve(n);
-  const std::size_t first = first_feasible_target(cfg, begin_minute);
   for (std::size_t row = 0; row < n; ++row) {
     const std::size_t t = first + row * stride;
-    encode_flat_row(trace, cfg, set.scale, t, set.x.row(row).data());
-    set.y(row, 0) = encode_watts(trace.watts[t], set.scale, cfg.log_scale);
+    span.flat_row(t, set.x.row(row).data());
+    set.y(row, 0) = span.at(t);
     set.target_minute.push_back(t);
   }
   return set;
@@ -101,20 +104,21 @@ SequenceSet make_sequences(const DeviceTrace& trace, const WindowConfig& cfg,
   assert(cfg.window >= 1);
   const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
   const std::size_t n = sample_count(trace, cfg, begin_minute, end_minute);
+  const std::size_t first = first_feasible_target(cfg, begin_minute);
+  const EncodedSpan span(trace, cfg, first, n);
 
   SequenceSet set;
-  set.scale = normalization_scale(trace.spec);
+  set.scale = span.scale();
   set.xs.assign(cfg.window, nn::Matrix(n, step_features(cfg)));
   set.y = nn::Matrix(n, 1);
   set.target_minute.reserve(n);
-  const std::size_t first = first_feasible_target(cfg, begin_minute);
   for (std::size_t row = 0; row < n; ++row) {
     const std::size_t t = first + row * stride;
     const std::size_t w0 = window_start(cfg, t);
     for (std::size_t k = 0; k < cfg.window; ++k) {
-      encode_step(trace, cfg, set.scale, w0 + k, set.xs[k].row(row).data());
+      span.step(w0 + k, set.xs[k].row(row).data());
     }
-    set.y(row, 0) = encode_watts(trace.watts[t], set.scale, cfg.log_scale);
+    set.y(row, 0) = span.at(t);
     set.target_minute.push_back(t);
   }
   return set;

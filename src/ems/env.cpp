@@ -1,11 +1,7 @@
 #include "ems/env.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
-
-#include "data/dataset.hpp"
 
 namespace pfdrl::ems {
 
@@ -26,7 +22,7 @@ EmsEnvironment::EmsEnvironment(
       begin_(begin),
       meter_interval_(std::max<std::size_t>(1, meter_interval)),
       bands_(bands_for(trace.spec)),
-      scale_(data::normalization_scale(trace.spec)) {
+      codec_(data::normalization_scale(trace.spec), /*log_scale=*/true) {
   if (!forecast_) {
     throw std::invalid_argument("EmsEnvironment: null forecast series");
   }
@@ -56,19 +52,16 @@ void EmsEnvironment::state_into(std::size_t idx, std::span<double> out) const {
   const std::size_t minute = begin_ + idx;
   // Log-compressed encoding: off/standby/on land on well-separated
   // levels (~0 / ~0.3 / ~0.9) instead of 0 / 0.01 / 0.7.
-  s[0] = data::encode_watts((*forecast_)[idx], scale_, /*log_scale=*/true);
+  s[0] = codec_.encode((*forecast_)[idx]);
   // Causal meter history: the two most recent *reported* readings.
   const std::size_t report = last_report_minute(minute);
   const std::size_t prev_report =
       report >= meter_interval_ ? report - meter_interval_ : 0;
-  s[1] = data::encode_watts(trace_->watts[report], scale_, /*log_scale=*/true);
-  s[2] = data::encode_watts(trace_->watts[prev_report], scale_,
-                            /*log_scale=*/true);
-  const double hour_frac =
-      static_cast<double>(minute % data::kMinutesPerDay) /
-      static_cast<double>(data::kMinutesPerDay);
-  s[3] = std::sin(2.0 * std::numbers::pi * hour_frac);
-  s[4] = std::cos(2.0 * std::numbers::pi * hour_frac);
+  s[1] = codec_.encode(trace_->watts[report]);
+  s[2] = codec_.encode(trace_->watts[prev_report]);
+  const data::HourFeatures& hour = data::hour_features(minute);
+  s[3] = hour.sin_h;
+  s[4] = hour.cos_h;
 }
 
 data::DeviceMode EmsEnvironment::observed_mode(std::size_t idx) const {

@@ -39,6 +39,7 @@
 #include <span>
 #include <vector>
 
+#include "data/dataset.hpp"
 #include "data/device.hpp"
 #include "data/trace.hpp"
 #include "ems/mode.hpp"
@@ -112,7 +113,7 @@ class EmsEnvironment {
   std::size_t begin_;
   std::size_t meter_interval_;
   ModeBands bands_;
-  double scale_;
+  data::WattCodec codec_;  // log scale, the trace's normalization scale
 };
 
 }  // namespace pfdrl::ems

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "fl/exchange.hpp"
 #include "forecast/fused.hpp"
@@ -79,15 +81,24 @@ DflTrainer::DflTrainer(const std::vector<data::HouseholdTrace>& traces,
     }
   }
   agents_.resize(traces_.size());
+  // Same (method, window, seed) everywhere: the paper requires all
+  // residences to start from the same default model per device type,
+  // otherwise averaging mixes incompatible coordinate systems. Each seed's
+  // model is drawn once; later forecasters clone the first.
+  std::unordered_map<std::uint64_t, const forecast::Forecaster*> initial;
   for (std::size_t h = 0; h < traces_.size(); ++h) {
     for (std::size_t d = 0; d < traces_[h].devices.size(); ++d) {
-      // Same (method, window, seed) everywhere: the paper requires all
-      // residences to start from the same default model per device type,
-      // otherwise averaging mixes incompatible coordinate systems.
       const auto type =
           static_cast<std::uint64_t>(traces_[h].devices[d].spec.type);
-      agents_[h].devices.push_back(forecast::make_forecaster(
-          cfg_.method, cfg_.window, cfg_.seed * 1000 + type));
+      const std::uint64_t seed = cfg_.seed * 1000 + type;
+      auto& devices = agents_[h].devices;
+      if (const auto it = initial.find(seed); it != initial.end()) {
+        devices.push_back(it->second->clone());
+      } else {
+        devices.push_back(
+            forecast::make_forecaster(cfg_.method, cfg_.window, seed));
+        initial.emplace(seed, devices.back().get());
+      }
     }
   }
 }

@@ -41,10 +41,11 @@ std::vector<double> BpForecaster::predict_series(const data::DeviceTrace& trace,
   wc.stride = 1;
   const auto set = data::make_supervised(trace, wc, begin, end);
   const nn::Matrix pred = net_.predict(set.x);
+  const data::WattCodec codec(set.scale, wc.log_scale);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    out.push_back(data::decode_watts(pred(r, 0), set.scale, wc.log_scale));
+    out.push_back(codec.decode(pred(r, 0)));
   }
   return out;
 }

@@ -126,14 +126,15 @@ void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
                                       std::size_t begin, std::size_t end,
                                       const TrainConfig& tcfg, bool sequence,
                                       const std::function<void()>& step) {
-  // Per-job state of this call only — the shuffle orders are the one
-  // thing sized by the round's length, and they die with the call.
+  // Per-job state of this call only — the shuffle orders and encoded
+  // spans are the only things sized by the round's length, and they die
+  // with the call.
   struct Member {
     data::WindowConfig wc;
-    double scale = 1.0;
     std::size_t samples = 0;
     std::size_t first_target = 0;
     std::vector<std::size_t> order;
+    data::EncodedSpan span;  // every minute the job's rows read, encoded
     double loss_sum = 0.0;
     std::size_t batches = 0;
   };
@@ -144,7 +145,6 @@ void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
     Member& m = members[j];
     m.wc = jobs[j].forecaster->window_config();
     m.wc.stride = stride;
-    m.scale = data::normalization_scale(jobs[j].trace->spec);
     m.samples = data::sample_count(*jobs[j].trace, m.wc, begin, end);
     m.first_target = data::first_feasible_target(m.wc, begin);
     jobs[j].loss = 0.0;
@@ -153,6 +153,8 @@ void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
     adams_[j]->set_learning_rate(tcfg.learning_rate);
     m.order.resize(m.samples);
     std::iota(m.order.begin(), m.order.end(), 0);
+    m.span = data::EncodedSpan(*jobs[j].trace, m.wc, m.first_target,
+                               m.samples);
     max_samples = std::max(max_samples, m.samples);
   }
 
@@ -188,25 +190,21 @@ void FusedForecastTrainer::run_epochs(std::span<FusedTrainJob> jobs,
       }
       for (nn::Matrix& slab : slab_xs_) slab.reshape(rows, feat);
       slab_y_.reshape(rows, 1);
-      // Gather each participant's shuffled samples from its trace.
+      // Gather each participant's shuffled samples from its span.
       for (std::size_t p = 0; p < part_.size(); ++p) {
         const Member& m = members[part_[p]];
-        const data::DeviceTrace& trace = *jobs[part_[p]].trace;
         for (std::size_t i = 0; i < slices_[p].rows; ++i) {
           const std::size_t r = slices_[p].row_begin + i;
           const std::size_t t = m.first_target + m.order[ofs + i] * stride;
           if (sequence) {
             const std::size_t w0 = data::window_start(m.wc, t);
             for (std::size_t k = 0; k < steps; ++k) {
-              data::encode_step(trace, m.wc, m.scale, w0 + k,
-                                slab_xs_[k].row(r).data());
+              m.span.step(w0 + k, slab_xs_[k].row(r).data());
             }
           } else {
-            data::encode_flat_row(trace, m.wc, m.scale, t,
-                                  slab_xs_.front().row(r).data());
+            m.span.flat_row(t, slab_xs_.front().row(r).data());
           }
-          slab_y_(r, 0) =
-              data::encode_watts(trace.watts[t], m.scale, m.wc.log_scale);
+          slab_y_(r, 0) = m.span.at(t);
         }
       }
       batch_losses_.resize(part_.size());

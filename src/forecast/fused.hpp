@@ -4,15 +4,16 @@
 // newly recorded minutes — thousands of tiny minibatches through
 // identical architectures. The fused trainer takes a group of such jobs
 // (same method, same window shape, one train config) and runs the
-// group's epochs in lockstep: for each (epoch, batch offset) it gathers
-// every participating job's rows straight from that job's DeviceTrace
-// into one reused home-major batch slab — with make_sequences' /
-// make_supervised's own per-sample arithmetic (data::encode_step /
-// encode_flat_row), so a gathered row is bitwise the materialized one —
-// and trains the slab through the nn::Fused* engines against each job's
-// own parameter bank and Adam state. No per-job dataset is ever built:
-// what the trainer keeps between calls is sized by the group and the
-// batch size, never by the round's length.
+// group's epochs in lockstep. Each call first encodes, per job, every
+// trace minute the job's rows can read, once (data::EncodedSpan — the
+// span make_sequences / make_supervised copy their rows from). For each
+// (epoch, batch offset) it then copies every participating job's rows
+// out of that span into one reused home-major batch slab, so a gathered
+// row is bitwise the materialized one, and trains the slab through the
+// nn::Fused* engines against each job's own parameter bank and Adam
+// state. No per-job dataset is ever built: the spans and shuffle orders
+// live for one call, and what the trainer keeps between calls is sized
+// by the group and the batch size, never by the round's length.
 //
 // This is the only minibatch training loop: the BP, LSTM and GRU
 // forecasters' own train() runs one job through train_group_of_one().

@@ -28,10 +28,11 @@ std::vector<double> GruForecaster::predict_series(
   const auto set = data::make_sequences(trace, wc, begin, end);
   if (set.size() == 0) return {};
   const nn::Matrix pred = net_.predict(set.xs);
+  const data::WattCodec codec(set.scale, wc.log_scale);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    out.push_back(data::decode_watts(pred(r, 0), set.scale, wc.log_scale));
+    out.push_back(codec.decode(pred(r, 0)));
   }
   return out;
 }

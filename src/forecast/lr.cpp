@@ -107,13 +107,14 @@ std::vector<double> LrForecaster::predict_series(const data::DeviceTrace& trace,
   wc.stride = 1;
   const auto set = data::make_supervised(trace, wc, begin, end);
   const std::size_t f = feature_count();
+  const data::WattCodec codec(set.scale, wc.log_scale);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
     const double* xr = set.x.row(r).data();
     double pred = weights_[f];
     for (std::size_t i = 0; i < f; ++i) pred += weights_[i] * xr[i];
-    out.push_back(data::decode_watts(pred, set.scale, wc.log_scale));
+    out.push_back(codec.decode(pred));
   }
   return out;
 }

@@ -71,10 +71,11 @@ std::vector<double> SvrForecaster::predict_series(
   data::WindowConfig wc = window_;
   wc.stride = 1;
   const auto set = data::make_supervised(trace, wc, begin, end);
+  const data::WattCodec codec(set.scale, wc.log_scale);
   std::vector<double> out;
   out.reserve(set.size());
   for (std::size_t r = 0; r < set.size(); ++r) {
-    out.push_back(data::decode_watts(raw_predict(set.x.row(r).data()), set.scale, wc.log_scale));
+    out.push_back(codec.decode(raw_predict(set.x.row(r).data())));
   }
   return out;
 }

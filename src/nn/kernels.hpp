@@ -4,15 +4,16 @@
 //
 //   dot(x, y, n)        — reduction over n products;
 //   axpy(a, x, y, n)    — y[j] += a * x[j] (no reduction);
-//   outer_acc(x, d, g)  — g[k][j] += x[k] * d[j] (rows of axpy).
+//   outer products      — g[k][j] += x[k] * d[j] (rows of axpy, summed
+//                         over a slice's rows by slab_outer_acc).
 //
 // The old kernels guarded each k-term with `if (x[k] == 0.0) continue;`
 // (profitable for sparse ReLU activations, fatal for auto-vectorization:
 // the branch makes every lane control-dependent). These kernels drop the
-// branch — a zero term contributes exactly +0.0, so for axpy/outer_acc
-// the results are bitwise unchanged — and strip-mine the *reduction*
-// kernel into kLanes = 4 independent lane accumulators that a compiler
-// maps onto one 256-bit vector register.
+// branch — a zero term contributes exactly +0.0, so for axpy and the
+// outer products the results are bitwise unchanged — and strip-mine the
+// *reduction* kernel into kLanes = 4 independent lane accumulators that a
+// compiler maps onto one 256-bit vector register.
 //
 // Determinism contract (what the golden tests re-pinned against):
 //   * dot combines its lanes in the fixed order ((l0+l1)+(l2+l3)) + tail,
@@ -20,8 +21,9 @@
 //     (n mod 4 trailing terms) is summed sequentially after the lanes.
 //     The result depends only on (x, y, n) — never on threading, call
 //     site, or repetition — so runs are bitwise reproducible.
-//   * axpy/outer_acc perform per-element independent updates in ascending
-//     j; they are bitwise identical to the scalar reference.
+//   * axpy and the outer products perform per-element independent
+//     updates in ascending j; they are bitwise identical to the scalar
+//     reference.
 //   * Builds pin -ffp-contract=off (see the top-level CMakeLists): FMA
 //     contraction would re-round differently per compiler and silently
 //     break cross-toolchain reproducibility. fp_contraction_active()
@@ -68,14 +70,6 @@ inline constexpr std::size_t kLanes = 4;
 inline void axpy(double a, const double* __restrict x, double* __restrict y,
                  std::size_t n) noexcept {
   for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
-}
-
-/// Outer-product accumulate: g[k * n + j] += x[k] * d[j] for k in [0, m),
-/// j in [0, n). g must not overlap x or d.
-inline void outer_acc(const double* __restrict x, std::size_t m,
-                      const double* __restrict d, std::size_t n,
-                      double* __restrict g) noexcept {
-  for (std::size_t k = 0; k < m; ++k) axpy(x[k], d, g + k * n, n);
 }
 
 /// Row block width of the fused cross-home kernels below. Four rows share
@@ -349,8 +343,8 @@ inline void fused_gates_rows(const double* b, const double* const* x,
 /// k < m, j < n and r = 0 .. rows-1, and, when b is non-null,
 /// b[j] += d[r * d_stride + j]. Each element is one accumulator that
 /// adds its rows in ascending r, each term one rounding — bitwise the
-/// per-row sequence outer_acc(x_r, m, d_r, n, g) (plus the bias loop)
-/// for r = 0, 1, .... The AVX2 path keeps a 4 (k) x 8 (j) tile in
+/// per-row sequence nn::ref::outer_acc(x_r, m, d_r, n, g) (plus the bias
+/// loop) for r = 0, 1, .... The AVX2 path keeps a 4 (k) x 8 (j) tile in
 /// registers across all rows (columns past the last 8-block ride a
 /// 4 (k) x 1..7 (j) tile whose lanes run along k), so g is loaded and
 /// stored once per slice instead of once per row. g must not overlap x,

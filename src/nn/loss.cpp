@@ -45,36 +45,6 @@ double loss_value(LossKind kind, const Matrix& pred, const Matrix& target,
   return 0.0;
 }
 
-void loss_grad(LossKind kind, const Matrix& pred, const Matrix& target,
-               Matrix& grad, double huber_delta) {
-  assert(pred.rows() == target.rows() && pred.cols() == target.cols());
-  if (grad.rows() != pred.rows() || grad.cols() != pred.cols()) {
-    grad = Matrix(pred.rows(), pred.cols());
-  }
-  const auto ps = pred.data();
-  const auto ts = target.data();
-  auto gs = grad.data();
-  const double inv_n = ps.empty() ? 0.0 : 1.0 / static_cast<double>(ps.size());
-  switch (kind) {
-    case LossKind::kMse:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        gs[i] = 2.0 * (ps[i] - ts[i]) * inv_n;
-      }
-      break;
-    case LossKind::kMae:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        const double e = ps[i] - ts[i];
-        gs[i] = (e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0)) * inv_n;
-      }
-      break;
-    case LossKind::kHuber:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        gs[i] = huber_grad(ps[i] - ts[i], huber_delta) * inv_n;
-      }
-      break;
-  }
-}
-
 double loss_value_rows(LossKind kind, const Matrix& pred,
                        const Matrix& target, std::size_t row_begin,
                        std::size_t rows, double huber_delta) {

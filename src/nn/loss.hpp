@@ -14,10 +14,6 @@ enum class LossKind { kMse, kMae, kHuber };
 double loss_value(LossKind kind, const Matrix& pred, const Matrix& target,
                   double huber_delta = 1.0);
 
-/// d(mean loss)/d(pred) into `grad` (resized to pred's shape).
-void loss_grad(LossKind kind, const Matrix& pred, const Matrix& target,
-               Matrix& grad, double huber_delta = 1.0);
-
 /// Mean loss over the row range [row_begin, row_begin + rows) only — the
 /// fused cross-home path normalizes each home's slab slice by its own
 /// element count, so the value is bitwise identical to loss_value over
@@ -27,9 +23,10 @@ double loss_value_rows(LossKind kind, const Matrix& pred,
                        const Matrix& target, std::size_t row_begin,
                        std::size_t rows, double huber_delta = 1.0);
 
-/// loss_grad over the row range [row_begin, row_begin + rows): writes
-/// d(mean slice loss)/d(pred) into the same rows of `grad` (which must
-/// already have pred's shape) and leaves the other rows untouched.
+/// Over the row range [row_begin, row_begin + rows): writes d(mean slice
+/// loss)/d(pred) into the same rows of `grad` (which must already have
+/// pred's shape) and leaves the other rows untouched. Over all rows it is
+/// bitwise the whole-matrix oracle nn::ref::loss_grad.
 void loss_grad_rows(LossKind kind, const Matrix& pred, const Matrix& target,
                     std::size_t row_begin, std::size_t rows, Matrix& grad,
                     double huber_delta = 1.0);

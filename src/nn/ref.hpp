@@ -1,6 +1,8 @@
 // Scalar reference kernels — the pre-vectorization implementations,
 // preserved verbatim so the strip-mined nn::kernels layer stays testable
-// against the math it replaced.
+// against the math it replaced — and the whole-matrix forms the
+// row-range production paths are checked against (outer_acc for the slab
+// backward kernels, loss_grad for loss_grad_rows).
 //
 // These are the single-accumulator, ascending-k, zero-skipping loops the
 // library shipped before the multi-accumulator rewrite (the semantics the
@@ -17,6 +19,9 @@
 #include <cstdint>
 #include <span>
 
+#include "nn/loss.hpp"
+#include "nn/matrix.hpp"
+
 namespace pfdrl::nn::ref {
 
 /// Single-accumulator dot product, ascending k.
@@ -27,6 +32,18 @@ namespace pfdrl::nn::ref {
 /// equivalent to the branch-free production axpy: skipped terms
 /// contribute exactly +0.0).
 void axpy(double a, const double* x, double* y, std::size_t n) noexcept;
+
+/// Outer-product accumulate: g[k * n + j] += x[k] * d[j] for k in [0, m),
+/// j in [0, n), k-row by k-row in ascending j. No zero skip: bitwise the
+/// per-row kernels::axpy sequence, signed zeros included — the order
+/// kernels::slab_outer_acc keeps per row.
+void outer_acc(const double* x, std::size_t m, const double* d,
+               std::size_t n, double* g) noexcept;
+
+/// d(mean loss)/d(pred) over all of pred into `grad` (resized to pred's
+/// shape); loss_grad_rows over the full row range is bitwise this.
+void loss_grad(LossKind kind, const Matrix& pred, const Matrix& target,
+               Matrix& grad, double huber_delta = 1.0);
 
 /// One Adam step in the scalar order nn::Adam::step's vector lanes must
 /// reproduce: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,

@@ -15,20 +15,28 @@ std::vector<std::size_t> make_dims(const DqnConfig& cfg) {
   return dims;
 }
 
-nn::Mlp make_net(const DqnConfig& cfg, std::uint64_t salt) {
-  util::Rng rng(cfg.seed + salt);
+nn::Mlp initial_network(const DqnConfig& cfg) {
+  util::Rng rng(cfg.seed);
   return nn::Mlp(make_dims(cfg), nn::Activation::kRelu,
                  nn::Activation::kIdentity, nn::InitScheme::kHeNormal, rng);
 }
 }  // namespace
 
 DqnAgent::DqnAgent(const DqnConfig& cfg)
+    : DqnAgent(cfg, initial_network(cfg)) {}
+
+DqnAgent::DqnAgent(const DqnConfig& cfg, const nn::Mlp& initial)
     : cfg_(cfg),
       rng_(cfg.exploration_seed != 0 ? cfg.exploration_seed : cfg.seed),
-      net_(make_net(cfg, 0)),
-      target_(make_net(cfg, 0)),  // same seed: target starts equal
+      net_(initial),
+      target_(initial),  // the target starts as a copy of the online net
       opt_(cfg.learning_rate),
-      replay_(cfg.replay_capacity) {}
+      replay_(cfg.replay_capacity) {
+  if (initial.dims() != make_dims(cfg)) {
+    throw std::invalid_argument(
+        "DqnAgent: initial network does not match the config's dims");
+  }
+}
 
 double DqnAgent::epsilon() const noexcept {
   if (act_steps_ >= cfg_.epsilon_decay_steps) return cfg_.epsilon_end;

@@ -66,7 +66,15 @@ struct DqnAgentState {
 
 class DqnAgent {
  public:
+  /// An agent whose online network is drawn from cfg.seed (He-normal
+  /// ReLU layers, identity head); the target starts as its copy.
   explicit DqnAgent(const DqnConfig& cfg);
+  /// An agent whose online and target networks start as copies of
+  /// `initial`. Given the network() of an untrained agent with the same
+  /// cfg.seed it is bitwise DqnAgent(cfg), so homologous agents share
+  /// one draw. Throws std::invalid_argument unless `initial` has cfg's
+  /// dims.
+  DqnAgent(const DqnConfig& cfg, const nn::Mlp& initial);
 
   [[nodiscard]] const DqnConfig& config() const noexcept { return cfg_; }
 

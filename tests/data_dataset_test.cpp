@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
+#include <vector>
 
 namespace pfdrl::data {
 namespace {
@@ -205,6 +210,142 @@ TEST(NormalizationScale, HasHeadroom) {
   EXPECT_DOUBLE_EQ(normalization_scale(spec), 150.0);
   spec.on_watts = 0.1;
   EXPECT_GE(normalization_scale(spec), 1.0);
+}
+
+// --- One encoder: the builders against a per-sample reference ----------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The hour-of-day formula, evaluated directly in its own order.
+HourFeatures hour_formula(std::size_t minute) {
+  const double hour_frac = static_cast<double>(minute % kMinutesPerDay) /
+                           static_cast<double>(kMinutesPerDay);
+  return {std::sin(2.0 * std::numbers::pi * hour_frac),
+          std::cos(2.0 * std::numbers::pi * hour_frac)};
+}
+
+TEST(HourFeatures, TableEntryIsTheFormulaBitwise) {
+  for (std::size_t m = 0; m < 3 * kMinutesPerDay; ++m) {
+    const HourFeatures want = hour_formula(m);
+    const HourFeatures& got = hour_features(m);
+    ASSERT_TRUE(same_bits(got.sin_h, want.sin_h)) << "minute " << m;
+    ASSERT_TRUE(same_bits(got.cos_h, want.cos_h)) << "minute " << m;
+  }
+}
+
+/// Readings spanning off, standby and on, with a few negatives (clamped by
+/// the encoder), over two days and a bit.
+DeviceTrace varied_trace(std::size_t minutes) {
+  DeviceTrace trace = ramp_trace(minutes);
+  for (std::size_t m = 0; m < minutes; ++m) {
+    trace.watts[m] = static_cast<double>((m * 7919) % 211) * 0.75 - 3.0;
+  }
+  return trace;
+}
+
+/// The targets a set over [begin, end) holds, from the definition: every
+/// stride-th minute from the first with a full window and horizon behind
+/// it, up to the end of the range or of the trace.
+std::vector<std::size_t> reference_targets(const WindowConfig& cfg,
+                                           std::size_t minutes,
+                                           std::size_t begin,
+                                           std::size_t end) {
+  std::vector<std::size_t> out;
+  const std::size_t stride = std::max<std::size_t>(1, cfg.stride);
+  const std::size_t first =
+      std::max(begin, cfg.window + cfg.horizon - 1);
+  for (std::size_t t = first; t < std::min(end, minutes); t += stride) {
+    out.push_back(t);
+  }
+  return out;
+}
+
+/// Checks both builders over [begin, end) against a per-sample reference
+/// that calls encode_watts per value and the hour formula per minute.
+void expect_builders_match_reference(const DeviceTrace& trace,
+                                     const WindowConfig& cfg,
+                                     std::size_t begin, std::size_t end) {
+  const auto targets = reference_targets(cfg, trace.minutes(), begin, end);
+  const std::size_t n = targets.size();
+  const double scale = normalization_scale(trace.spec);
+  const auto enc = [&](std::size_t m) {
+    return encode_watts(trace.watts[m], scale, cfg.log_scale);
+  };
+  const auto sup = make_supervised(trace, cfg, begin, end);
+  const auto seq = make_sequences(trace, cfg, begin, end);
+  ASSERT_EQ(sup.target_minute, targets);
+  ASSERT_EQ(seq.target_minute, targets);
+  ASSERT_EQ(sup.x.rows(), n);
+  ASSERT_EQ(sup.x.cols(), cfg.window + (cfg.calendar_features ? 2 : 0));
+  ASSERT_EQ(sup.y.rows(), n);
+  ASSERT_EQ(seq.xs.size(), cfg.window);
+  ASSERT_EQ(seq.y.rows(), n);
+  EXPECT_EQ(sup.scale, scale);
+  EXPECT_EQ(seq.scale, scale);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t t = targets[i];
+    const std::size_t w0 = t - cfg.horizon - cfg.window + 1;
+    ASSERT_TRUE(same_bits(sup.y(i, 0), enc(t))) << "target " << t;
+    ASSERT_TRUE(same_bits(seq.y(i, 0), enc(t))) << "target " << t;
+    for (std::size_t k = 0; k < cfg.window; ++k) {
+      ASSERT_TRUE(same_bits(sup.x(i, k), enc(w0 + k)))
+          << "target " << t << " k " << k;
+      ASSERT_EQ(seq.xs[k].cols(), cfg.calendar_features ? 3u : 1u);
+      ASSERT_TRUE(same_bits(seq.xs[k](i, 0), enc(w0 + k)))
+          << "target " << t << " step " << k;
+      if (cfg.calendar_features) {
+        const HourFeatures h = hour_formula(w0 + k);
+        ASSERT_TRUE(same_bits(seq.xs[k](i, 1), h.sin_h));
+        ASSERT_TRUE(same_bits(seq.xs[k](i, 2), h.cos_h));
+      }
+    }
+    if (cfg.calendar_features) {
+      const HourFeatures h = hour_formula(t);
+      ASSERT_TRUE(same_bits(sup.x(i, cfg.window), h.sin_h)) << "target " << t;
+      ASSERT_TRUE(same_bits(sup.x(i, cfg.window + 1), h.cos_h));
+    }
+  }
+}
+
+TEST(OneEncoder, BuildersMatchPerSampleReferenceBitwise) {
+  const std::size_t minutes = 2 * kMinutesPerDay + 200;
+  const auto trace = varied_trace(minutes);
+  std::size_t sets = 0, empty = 0;
+  for (const std::size_t window : {1u, 8u, 16u}) {
+    for (const std::size_t horizon : {1u, 3u}) {
+      for (const std::size_t stride : {1u, 6u, 25u}) {
+        for (const bool calendar : {false, true}) {
+          for (const bool log_scale : {false, true}) {
+            for (const std::size_t begin : {0u, 37u, 1440u}) {
+              WindowConfig cfg;
+              cfg.window = window;
+              cfg.horizon = horizon;
+              cfg.stride = stride;
+              cfg.calendar_features = calendar;
+              cfg.log_scale = log_scale;
+              SCOPED_TRACE(::testing::Message()
+                           << "window " << window << " horizon " << horizon
+                           << " stride " << stride << " calendar "
+                           << calendar << " log " << log_scale << " begin "
+                           << begin);
+              // Past the trace's end, and a short range (empty unless
+              // begin already has a full history behind it).
+              for (const std::size_t end : {minutes + 50, begin + 5}) {
+                expect_builders_match_reference(trace, cfg, begin, end);
+                if (HasFatalFailure()) return;
+                ++sets;
+                if (sample_count(trace, cfg, begin, end) == 0) ++empty;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sets, 432u);
+  EXPECT_GT(empty, 0u);  // the empty set is part of the grid
 }
 
 class EncodeDecodeSweep

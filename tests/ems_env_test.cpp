@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
 
 #include "data/dataset.hpp"
 
@@ -160,6 +164,45 @@ TEST(Env, StateIntoMatchesStateAt) {
     env.state_into(idx, buf);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(buf[i], expected[i]) << "idx " << idx << " dim " << i;
+    }
+  }
+}
+
+// Every state of a day, bitwise the formula the environment is specified
+// by: log-encoded forecast and meter reports, then sin/cos of the
+// hour-of-day angle evaluated directly (the table must not move a bit).
+TEST(Env, StateOverADayMatchesFormulaBitwise) {
+  const std::size_t begin = 50, minutes = data::kMinutesPerDay + 100;
+  auto trace = crafted_trace(minutes);
+  std::vector<double> forecast(data::kMinutesPerDay);
+  for (std::size_t m = 0; m < minutes; ++m) {
+    trace.watts[m] = static_cast<double>((m * 37) % 151) * 0.9 - 2.0;
+  }
+  for (std::size_t i = 0; i < forecast.size(); ++i) {
+    forecast[i] = static_cast<double>((i * 53) % 149) * 1.1 - 1.0;
+  }
+  const std::size_t meter = 5;
+  const double scale = data::normalization_scale(trace.spec);
+  EmsEnvironment env(trace, forecast, begin, meter);
+  std::array<double, EmsEnvironment::kStateDim> got{};
+  for (std::size_t idx = 0; idx < env.length(); ++idx) {
+    const std::size_t minute = begin + idx;
+    const std::size_t report = ((minute - 1) / meter) * meter;
+    const std::size_t prev = report >= meter ? report - meter : 0;
+    const double hour_frac =
+        static_cast<double>(minute % data::kMinutesPerDay) /
+        static_cast<double>(data::kMinutesPerDay);
+    const std::array<double, EmsEnvironment::kStateDim> want = {
+        data::encode_watts(forecast[idx], scale, true),
+        data::encode_watts(trace.watts[report], scale, true),
+        data::encode_watts(trace.watts[prev], scale, true),
+        std::sin(2.0 * std::numbers::pi * hour_frac),
+        std::cos(2.0 * std::numbers::pi * hour_frac)};
+    env.state_into(idx, got);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "idx " << idx << " dim " << i;
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include "nn/activation.hpp"
 #include "nn/loss.hpp"
+#include "nn/ref.hpp"
 
 namespace pfdrl::nn {
 namespace {
@@ -119,7 +120,7 @@ TEST_P(LossGradCheck, MatchesFiniteDifference) {
   Matrix pred{{0.3, -1.7, 2.2}};
   const Matrix target{{0.0, 0.5, 2.0}};
   Matrix grad;
-  loss_grad(kind, pred, target, grad);
+  ref::loss_grad(kind, pred, target, grad);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     Matrix plus = pred;
@@ -130,6 +131,33 @@ TEST_P(LossGradCheck, MatchesFiniteDifference) {
                             loss_value(kind, minus, target)) /
                            (2 * eps);
     EXPECT_NEAR(grad.data()[i], numeric, 1e-5) << loss_name(kind);
+  }
+}
+
+// The production row-range gradient over all rows is bitwise the
+// whole-matrix oracle; over a slice it is the oracle of that slice alone
+// and leaves the other rows untouched.
+TEST_P(LossGradCheck, RowRangeMatchesWholeMatrixOracleBitwise) {
+  const LossKind kind = GetParam();
+  const Matrix pred{{0.3, -1.7}, {2.2, 0.0}, {-0.4, 1.1}};
+  const Matrix target{{0.0, 0.5}, {2.0, 0.0}, {0.1, 3.0}};
+  Matrix want;
+  ref::loss_grad(kind, pred, target, want);
+  Matrix got(pred.rows(), pred.cols());
+  loss_grad_rows(kind, pred, target, 0, pred.rows(), got);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << loss_name(kind) << " " << i;
+  }
+
+  const Matrix pred_tail{{2.2, 0.0}, {-0.4, 1.1}};
+  const Matrix target_tail{{2.0, 0.0}, {0.1, 3.0}};
+  ref::loss_grad(kind, pred_tail, target_tail, want);
+  Matrix slice(pred.rows(), pred.cols(), 7.0);
+  loss_grad_rows(kind, pred, target, 1, 2, slice);
+  EXPECT_EQ(slice(0, 0), 7.0);
+  EXPECT_EQ(slice(0, 1), 7.0);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(slice.data()[2 + i], want.data()[i]) << loss_name(kind);
   }
 }
 

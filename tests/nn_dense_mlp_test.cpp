@@ -117,7 +117,7 @@ TEST(Mlp, GradientCheckSmallNet) {
   const FusedSlice slices[] = {{0, x.rows()}};
   const Matrix& pred = engine.forward(nets, slices, x);
   Matrix grad;
-  loss_grad(LossKind::kMse, pred, target, grad);
+  ref::loss_grad(LossKind::kMse, pred, target, grad);
   net.zero_grad();
   engine.backward(nets, slices, grad);
 

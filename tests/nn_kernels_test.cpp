@@ -117,6 +117,8 @@ TEST(NnKernels, AxpyBitwiseMatchesReference) {
   }
 }
 
+// The outer-product oracle of the slab kernels is rows of the production
+// axpy, bit for bit.
 TEST(NnKernels, OuterAccBitwiseMatchesRowwiseReference) {
   util::Rng rng(10);
   const std::size_t m = 13, n = 96;  // GRU gate width, ragged row count
@@ -124,9 +126,9 @@ TEST(NnKernels, OuterAccBitwiseMatchesRowwiseReference) {
   const auto d = random_vec(n, rng);
   auto g_got = random_vec(m * n, rng);
   auto g_want = g_got;
-  kernels::outer_acc(x.data(), m, d.data(), n, g_got.data());
+  ref::outer_acc(x.data(), m, d.data(), n, g_got.data());
   for (std::size_t k = 0; k < m; ++k) {
-    ref::axpy(x[k], d.data(), g_want.data() + k * n, n);
+    kernels::axpy(x[k], d.data(), g_want.data() + k * n, n);
   }
   EXPECT_EQ(g_got, g_want);
 }
@@ -238,7 +240,7 @@ const std::size_t kSlabM[] = {1, 3, 4, 5, 18, 32, 64};
 const std::size_t kSlabN[] = {1, 3, 4, 7, 8, 9, 32, 128};
 
 // slab_outer_acc against the per-row sequence it replaces: for each row,
-// the bias loop and kernels::outer_acc (itself bitwise nn::ref::axpy per
+// the bias loop and nn::ref::outer_acc (itself bitwise kernels::axpy per
 // k-row), on operands with row strides wider than their extents.
 TEST(NnKernels, SlabOuterAccMatchesPerRowBitwise) {
   util::Rng rng(21);
@@ -264,8 +266,8 @@ TEST(NnKernels, SlabOuterAccMatchesPerRowBitwise) {
               dense[k * n + j] = g_want[k * gs + j];
             }
           }
-          kernels::outer_acc(x.data() + r * xs, m, d.data() + r * ds, n,
-                             dense.data());
+          ref::outer_acc(x.data() + r * xs, m, d.data() + r * ds, n,
+                         dense.data());
           for (std::size_t k = 0; k < m; ++k) {
             for (std::size_t j = 0; j < n; ++j) {
               g_want[k * gs + j] = dense[k * n + j];

@@ -375,6 +375,59 @@ TEST(Dqn, CaptureRestoreContinuesBitwise) {
   for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_EQ(pa[i], pb[i]);
 }
 
+void expect_same_state(const DqnAgentState& a, const DqnAgentState& b) {
+  EXPECT_EQ(a.online_params, b.online_params);
+  EXPECT_EQ(a.target_params, b.target_params);
+  EXPECT_EQ(a.optimizer.m, b.optimizer.m);
+  EXPECT_EQ(a.optimizer.v, b.optimizer.v);
+  EXPECT_EQ(a.optimizer.t, b.optimizer.t);
+  EXPECT_EQ(a.replay.entries.size(), b.replay.entries.size());
+  EXPECT_EQ(a.replay.next, b.replay.next);
+  EXPECT_EQ(a.replay.total_pushed, b.replay.total_pushed);
+  EXPECT_EQ(a.rng.s, b.rng.s);
+  EXPECT_EQ(a.rng.seed, b.rng.seed);
+  EXPECT_EQ(a.act_steps, b.act_steps);
+  EXPECT_EQ(a.learn_steps, b.learn_steps);
+}
+
+// Homologous agents share one initial draw: an agent built from another
+// untrained agent's network is the agent its config would draw, in its
+// captured state and over act/remember/learn steps (past a target sync).
+TEST(Dqn, InitialNetworkCtorMatchesSeedCtor) {
+  auto cfg = small_config();
+  cfg.batch_size = 4;
+  cfg.target_replace_every = 3;
+  cfg.exploration_seed = 77;
+  DqnAgent drawn(cfg);
+  DqnAgent copied(cfg, DqnAgent(cfg).network());
+  expect_same_state(copied.capture_state(), drawn.capture_state());
+
+  FusedDqnLearner learner;
+  util::Rng traj(905);
+  for (int i = 0; i < 10; ++i) {
+    const std::vector<double> s = {traj.uniform(), traj.uniform(),
+                                   traj.uniform()};
+    const int action = drawn.act(s);
+    ASSERT_EQ(copied.act(s), action) << "step " << i;
+    Transition t;
+    t.state = s;
+    t.action = action;
+    t.reward = traj.uniform(-1, 1);
+    t.next_state = {traj.uniform(), traj.uniform(), traj.uniform()};
+    Transition t2 = t;
+    drawn.remember(std::move(t));
+    copied.remember(std::move(t2));
+    ASSERT_EQ(learn_alone(learner, copied), learn_alone(learner, drawn))
+        << "step " << i;
+  }
+  EXPECT_GE(drawn.learn_steps(), 6u);
+  expect_same_state(copied.capture_state(), drawn.capture_state());
+
+  auto wider = cfg;
+  wider.hidden = {16, 17};
+  EXPECT_THROW(DqnAgent(wider, drawn.network()), std::invalid_argument);
+}
+
 // restore_state must keep the captured target network and Adam moments;
 // set_network_parameters (checkpoint-style restore) resets both. The
 // two must therefore diverge after the same subsequent learn step.
