@@ -1,6 +1,7 @@
 // Micro-benchmarks of the computational kernels underlying the system:
 // dense forward/backward, MLP and LSTM train batches (one-member fused
-// groups, the way a home trains alone), LSTM steps, a day of forecast
+// groups, the way a home trains alone), a fused DQN learn step over a
+// city_ems group, LSTM steps, a day of forecast
 // feature rows (flat and sequence builders), the Adam step, replay
 // sampling, message bus broadcast, federated averaging and the exchange
 // round. Inference and optimizer kernels run beside a per-row or scalar
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "nn/ref.hpp"
 #include "nn/workspace.hpp"
 #include "rl/dqn.hpp"
+#include "rl/fused.hpp"
 #include "rl/replay.hpp"
 #include "util/rng.hpp"
 
@@ -209,7 +212,7 @@ void BM_MlpTrainBatch(benchmark::State& state) {
 BENCHMARK(BM_MlpTrainBatch);
 
 // The backward pass of a 32-row batch (a DQN learn minibatch, a BP
-// forecaster batch) through nn::FusedMlp (one member) on the slab
+// forecaster batch) through nn::mlp_backward (one member) on the slab
 // kernels. net 0 is the BP forecaster 18-64-32-1, net 1 the EMS DQN
 // 5-32x4-3.
 void BM_DenseBackward(benchmark::State& state) {
@@ -225,18 +228,23 @@ void BM_DenseBackward(benchmark::State& state) {
   nn::Matrix grad(rows, dims.back());
   for (double& v : x.data()) v = rng.normal();
   for (double& v : grad.data()) v = rng.normal();
-  nn::FusedMlp fused;
-  nn::Mlp* const nets[] = {&net};
-  const nn::FusedSlice slices[] = {{0, rows}};
-  fused.forward(nets, slices, x);
+  std::vector<double> grads(net.parameter_count());
+  nn::Workspace ws;
+  const nn::MlpTape tape = nn::mlp_forward(net, x, 0, rows, ws);
   std::size_t macs = 0;
   for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
     macs += dims[l] * dims[l + 1] * (l > 0 ? 2 : 1);  // dW, and dX above l 0
   }
   for (auto _ : state) {
-    net.zero_grad();
-    fused.backward(nets, slices, grad);
-    benchmark::DoNotOptimize(net.gradients().data());
+    // Re-take the forward's activation slots (same shapes, so their
+    // contents stay) to put the backward's delta slots after them.
+    ws.reset();
+    for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+      benchmark::DoNotOptimize(ws.take(rows, dims[l + 1]).data().data());
+    }
+    std::fill(grads.begin(), grads.end(), 0.0);
+    nn::mlp_backward(net, tape, grad, grads, ws);
+    benchmark::DoNotOptimize(grads.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * macs));
@@ -244,6 +252,48 @@ void BM_DenseBackward(benchmark::State& state) {
                  ", slab tiles; items = MACs");
 }
 BENCHMARK(BM_DenseBackward)->ArgName("dqn")->Arg(0)->Arg(1);
+
+// One fused DQN learn step over city_ems's group shape: 28 agents with a
+// 4x32 Q-network over a 5-wide state, 3 actions, batch 32, each replay
+// warm (full) before timing. scratch_bytes is the process's workspace
+// total after the run (nn::Workspace::total_bytes()).
+void BM_FusedDqnLearn(benchmark::State& state) {
+  const auto agents_n = static_cast<std::size_t>(state.range(0));
+  rl::DqnConfig cfg;
+  cfg.state_dim = 5;
+  cfg.hidden = {32, 32, 32, 32};
+  cfg.replay_capacity = 256;
+  util::Rng fill(21);
+  std::vector<std::unique_ptr<rl::DqnAgent>> agents;
+  std::vector<rl::DqnAgent*> group;
+  for (std::size_t i = 0; i < agents_n; ++i) {
+    cfg.exploration_seed = 100 + i;
+    agents.push_back(std::make_unique<rl::DqnAgent>(cfg));
+    for (std::size_t t = 0; t < cfg.replay_capacity; ++t) {
+      rl::Transition tr;
+      for (std::size_t k = 0; k < cfg.state_dim; ++k) {
+        tr.state.push_back(fill.normal());
+        tr.next_state.push_back(fill.normal());
+      }
+      tr.action = static_cast<int>(t % cfg.num_actions);
+      tr.reward = fill.uniform(-1.0, 1.0);
+      agents.back()->remember(std::move(tr));
+    }
+    group.push_back(agents.back().get());
+  }
+  rl::FusedDqnLearner learner;
+  std::vector<double> losses(agents_n);
+  for (auto _ : state) {
+    learner.learn(group, losses);
+    benchmark::DoNotOptimize(losses.data());
+  }
+  state.counters["scratch_bytes"] =
+      static_cast<double>(nn::Workspace::total_bytes());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(agents_n));
+  state.SetLabel("city_ems group: 4x32 DQN, batch 32; items = agent steps");
+}
+BENCHMARK(BM_FusedDqnLearn)->ArgName("agents")->Arg(28);
 
 void BM_LstmTrainBatch(benchmark::State& state) {
   util::Rng rng(4);

@@ -2,8 +2,9 @@
 // synthetic neighbourhood and print the results — the "try the system on
 // your parameters" entry point.
 //
-//   $ ./examples/pfdrl_cli --method pfdrl --homes 8 --days 6 \
-//       --alpha 6 --beta 12 --gamma 12 --seed 7 [--paper-scale] [--secure]
+//   $ ./examples/pfdrl_cli --method pfdrl --homes 8 --days 6 --alpha 6
+//       --beta 12 --gamma 12 --seed 7 [--paper-scale] [--secure]
+//   (one command line, wrapped here)
 //
 // Flags (all optional):
 //   --method  local | cloud | fl | frl | pfdrl      (default pfdrl)

@@ -300,8 +300,9 @@ class EmsPipeline {
   /// cumulative across train_ems calls (ems.pipeline.*).
   std::optional<fl::RoundPipeline> rounds_;
   /// Per-group fused DQN learners. Group boundaries are pinned by (jobs,
-  /// shards, pool size), so group g reuses the same learner's slab
-  /// capacity every round.
+  /// shards, pool size), so group g keeps one learner — its cache
+  /// counters and active-agent list; the learning scratch lives in each
+  /// thread's nn::thread_scratch().
   std::vector<std::unique_ptr<rl::FusedDqnLearner>> fused_learners_;
   std::uint64_t ems_rounds_done_ = 0;
   std::uint64_t on_round_end_every_ = 1;

@@ -237,8 +237,7 @@ double train_group_of_one(Forecaster& forecaster,
 }
 
 std::size_t FusedForecastTrainer::retained_bytes() const noexcept {
-  std::size_t bytes = lstm_.scratch_bytes() + gru_.scratch_bytes() +
-                      mlp_.scratch_bytes() + slab_y_.capacity() * sizeof(double);
+  std::size_t bytes = slab_y_.capacity() * sizeof(double);
   for (const nn::Matrix& slab : slab_xs_) {
     bytes += slab.capacity() * sizeof(double);
   }

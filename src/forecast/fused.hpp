@@ -80,9 +80,10 @@ class FusedForecastTrainer {
   bool train(std::span<FusedTrainJob> jobs, std::size_t begin,
              std::size_t end, const TrainConfig& cfg);
 
-  /// Heap bytes the trainer holds between train() calls: batch slabs,
-  /// dispatch buffers and the engines' scratch. Bounded by the group size
-  /// and the batch size, independent of the round's length.
+  /// Heap bytes the trainer holds between train() calls: batch slabs and
+  /// dispatch buffers. Bounded by the group size and the batch size,
+  /// independent of the round's length. (Training intermediates live in
+  /// each thread's nn::thread_scratch(), not here.)
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
  private:

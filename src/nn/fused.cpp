@@ -1,6 +1,6 @@
 #include "nn/fused.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -30,17 +30,16 @@ void block_rows_const(const M& m, std::size_t r,
   for (std::size_t i = 0; i < kRB; ++i) out[i] = m.row(r + i).data();
 }
 
-/// Head backward for one slice: bias/outer accumulation into the member's
-/// head gradients and dh[r][k] = dot(grad_out[r], W_head row k), on the
-/// slab kernels (bitwise their per-row sequence, see kernels.hpp).
-void head_backward_slice(const double* w, std::size_t h, std::size_t o,
-                         const Matrix& grad_out, const Matrix& h_last,
-                         Matrix& dh, double* gw_head, double* gb_head,
-                         const FusedSlice& s) {
-  const double* go = grad_out.row(s.row_begin).data();
-  kernels::slab_outer_acc(h_last.row(s.row_begin).data(), h, h, go, o, o,
-                          s.rows, gw_head, o, gb_head);
-  kernels::slab_dot(go, o, o, s.rows, w, o, h, dh.row(s.row_begin).data(), h);
+/// Head backward over a member's rows: bias/outer accumulation into the
+/// member's head gradients and dh[r][k] = dot(grad_out[r], W_head row k),
+/// on the slab kernels (bitwise their per-row sequence, see kernels.hpp).
+void head_backward(const double* w, std::size_t h, std::size_t o,
+                   const Matrix& grad_out, const Matrix& h_last, Matrix& dh,
+                   double* gw_head, double* gb_head, std::size_t rows) {
+  const double* go = grad_out.row(0).data();
+  kernels::slab_outer_acc(h_last.row(0).data(), h, h, go, o, o, rows, gw_head,
+                          o, gb_head);
+  kernels::slab_dot(go, o, o, rows, w, o, h, dh.row(0).data(), h);
 }
 
 /// Member shape uniformity is checked by each trainer; the slices must
@@ -56,6 +55,59 @@ void check_slices(std::span<const FusedSlice> slices, std::size_t rows) {
   if (at != rows) {
     throw std::invalid_argument("fused: slices must cover every slab row");
   }
+}
+
+/// Validates a recurrent batch (slice tiling, one (F, H, O) shape across
+/// members, inputs covering the batch) and returns its slab row count.
+template <class Net>
+std::size_t recurrent_batch_rows(std::span<Net* const> nets,
+                                 std::span<const FusedSlice> slices,
+                                 std::span<const Matrix* const> xs,
+                                 const Matrix& y, std::size_t src_row0,
+                                 const char* mismatch) {
+  std::size_t rows = 0;
+  for (const FusedSlice& s : slices) rows += s.rows;
+  check_slices(slices, rows);
+  const Net& n0 = *nets[0];
+  for (const Net* n : nets) {
+    if (n->feature_dim() != n0.feature_dim() ||
+        n->hidden_dim() != n0.hidden_dim() ||
+        n->output_dim() != n0.output_dim()) {
+      throw std::invalid_argument(mismatch);
+    }
+  }
+#ifndef NDEBUG
+  for (const Matrix* x : xs) {
+    assert(x->rows() >= src_row0 + rows && x->cols() == n0.feature_dim());
+  }
+  assert(y.rows() >= src_row0 + rows);
+#else
+  (void)xs;
+  (void)y;
+  (void)src_row0;
+#endif
+  return rows;
+}
+
+/// The member step's gradient span: n zeroed doubles of its scratch.
+std::span<double> take_gradients(Workspace& ws, std::size_t n) {
+  const std::span<double> g = ws.take_span(n);
+  std::fill(g.begin(), g.end(), 0.0);
+  return g;
+}
+
+/// Global-norm clip of the member's gradients (when clip_norm > 0), then
+/// its optimizer step.
+void clip_and_step(std::span<double> g, double clip_norm, Optimizer& opt,
+                   std::span<double> params) {
+  if (clip_norm > 0.0) {
+    const double norm = std::sqrt(kernels::dot(g.data(), g.data(), g.size()));
+    if (norm > clip_norm) {
+      const double scale = clip_norm / norm;
+      for (double& gv : g) gv *= scale;
+    }
+  }
+  opt.step(params, g);
 }
 
 // ---------------------------------------------------------------- LSTM --
@@ -128,23 +180,21 @@ GruOffsets gru_offsets(std::size_t f, std::size_t h, std::size_t o) {
 
 // ----------------------------------------------------------------- MLP --
 
-/// Dense backward for one slice on the slab kernels: bias/weight
-/// gradients into the member's own gradient slice, dL/dx rows into
-/// grad_x. `grad_y` must already hold the pre-activation delta (the
-/// caller scales the slab once — element-independent, so slab-wide
-/// equals per-slice).
-void dense_backward_slice(std::span<const double> params, std::size_t in,
-                          std::size_t out, const Matrix& x,
-                          std::size_t in_row0, const Matrix& grad_y,
-                          std::span<double> grad_params, Matrix* grad_x,
-                          const FusedSlice& s) {
-  const double* dy = grad_y.row(s.row_begin).data();
-  kernels::slab_outer_acc(x.row(in_row0 + s.row_begin).data(), x.cols(), in,
-                          dy, out, out, s.rows, grad_params.data(), out,
+/// Dense backward over a member's rows on the slab kernels: bias/weight
+/// gradients into the member's gradient slice, dL/dx rows into grad_x.
+/// x rows are read at in_row0 + r. `grad_y` must already hold the
+/// pre-activation delta.
+void dense_backward(std::span<const double> params, std::size_t in,
+                    std::size_t out, const Matrix& x, std::size_t in_row0,
+                    const Matrix& grad_y, std::span<double> grad_params,
+                    Matrix* grad_x, std::size_t rows) {
+  const double* dy = grad_y.row(0).data();
+  kernels::slab_outer_acc(x.row(in_row0).data(), x.cols(), in, dy, out, out,
+                          rows, grad_params.data(), out,
                           grad_params.data() + in * out);
   if (grad_x != nullptr) {
-    kernels::slab_dot(dy, out, out, s.rows, params.data(), out, in,
-                      grad_x->row(s.row_begin).data(), grad_x->cols());
+    kernels::slab_dot(dy, out, out, rows, params.data(), out, in,
+                      grad_x->row(0).data(), grad_x->cols());
   }
 }
 
@@ -319,100 +369,90 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
   assert(slices.size() == members && opts.size() == members &&
          losses.size() == members);
   const std::size_t T = xs.size();
-  std::size_t rows = 0;
-  for (const FusedSlice& s : slices) rows += s.rows;
-  check_slices(slices, rows);
+  const std::size_t rows = recurrent_batch_rows(
+      nets, slices, xs, y, src_row0, "FusedLstm: member shape mismatch");
   if (rows == 0) return;
   const LstmRegressor& n0 = *nets[0];
   const std::size_t f = n0.feature_dim();
   const std::size_t h = n0.hidden_dim();
   const std::size_t o = n0.output_dim();
   const LstmOffsets ofs = lstm_offsets(f, h, o);
-  for (const LstmRegressor* n : nets) {
-    if (n->feature_dim() != f || n->hidden_dim() != h ||
-        n->output_dim() != o) {
-      throw std::invalid_argument("FusedLstm: member shape mismatch");
-    }
-  }
-
-  ws_.reset();
-  gates_.resize(T);
-  c_.resize(T);
-  tanh_c_.resize(T);
-  h_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    gates_[t] = &ws_.take(rows, 4 * h);
-    c_[t] = &ws_.take(rows, h);
-    tanh_c_[t] = &ws_.take(rows, h);
-    h_[t] = &ws_.take(rows, h);
-  }
-  Matrix& h0 = ws_.take(rows, h);
-  Matrix& c0 = ws_.take(rows, h);
-  Matrix& pred = ws_.take(rows, o);
-  Matrix& grad_out = ws_.take(rows, o);
-  Matrix& dh = ws_.take(rows, h);
-  Matrix& dc = ws_.take(rows, h);
-  Matrix& dz = ws_.take(rows, 4 * h);
-  h0.zero();
-  c0.zero();
-
-#ifndef NDEBUG
-  for (std::size_t t = 0; t < T; ++t) {
-    assert(xs[t]->rows() >= src_row0 + rows && xs[t]->cols() == f);
-  }
-  assert(y.rows() >= src_row0 + rows);
-#endif
 
   // ---- Member-major execution: one task per member runs its forward,
-  // loss, BPTT, clip and Adam step over its own slice rows against its
-  // own bank. Members share the activation/delta slabs but write
-  // disjoint row ranges and never share an accumulator, so fanning the
-  // members out across the pool cannot change any member's arithmetic —
-  // each member's result stays bitwise its group-of-one result at every
-  // thread count. Member-major order also keeps each bank hot in cache
-  // for the whole sequence instead of re-streaming every bank per
-  // timestep.
-  grads_.assign(members * ofs.total, 0.0);
-  dc.zero();
+  // loss, BPTT, clip and Adam step on its own slab rows against its own
+  // bank, with every intermediate and its gradient span in the running
+  // thread's scratch. Members share no accumulator, so fanning them out
+  // across the pool cannot change any member's arithmetic — each member's
+  // result stays bitwise its group-of-one result at every thread count.
+  // Member-major order also keeps each bank hot in cache for the whole
+  // sequence instead of re-streaming every bank per timestep.
   const auto member_task = [&](std::size_t i) {
-    const FusedSlice& s = slices[i];
+    const std::size_t n = slices[i].rows;
+    const std::size_t x0 = src_row0 + slices[i].row_begin;  // slab rows
+    const FusedSlice own{0, n};
     const double* p = nets[i]->parameters().data();
+    Workspace& ws = thread_scratch();
+    ws.reset();
+    const std::span<double> gspan = take_gradients(ws, ofs.total);
+    double* g = gspan.data();
+    // Step t's gates, c, tanh(c) and h are slots first + 4t + 0..3.
+    const std::size_t first = ws.cursor();
+    for (std::size_t t = 0; t < T; ++t) {
+      ws.take(n, 4 * h);
+      for (int k = 0; k < 3; ++k) ws.take(n, h);
+    }
+    const auto gates = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 4 * t);
+    };
+    const auto cell = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 4 * t + 1);
+    };
+    const auto tanh_c = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 4 * t + 2);
+    };
+    const auto hid = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 4 * t + 3);
+    };
+    Matrix& h0 = ws.take(n, h);
+    Matrix& c0 = ws.take(n, h);
+    Matrix& pred = ws.take(n, o);
+    Matrix& grad_out = ws.take(n, o);
+    Matrix& dh = ws.take(n, h);
+    Matrix& dc = ws.take(n, h);
+    Matrix& dz = ws.take(n, 4 * h);
+    h0.zero();
+    c0.zero();
+    dc.zero();
 
     // ---- Forward: all T steps over this member's rows. ----
     for (std::size_t t = 0; t < T; ++t) {
-      const Matrix& hp = t > 0 ? *h_[t - 1] : h0;
-      const Matrix& cp = t > 0 ? *c_[t - 1] : c0;
-      lstm_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t],
-                      src_row0, hp, cp, *gates_[t], *c_[t], *tanh_c_[t],
-                      *h_[t], s);
+      const Matrix& hp = t > 0 ? hid(t - 1) : h0;
+      const Matrix& cp = t > 0 ? cell(t - 1) : c0;
+      lstm_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], x0, hp,
+                      cp, gates(t), cell(t), tanh_c(t), hid(t), own);
     }
-    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, *h_[T - 1], 0, pred,
-                        s);
+    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), 0, pred,
+                        own);
 
-    // ---- Loss over this member's row range (targets sit at the arena
-    // offset; predictions are batch-local). ----
-    losses[i] = loss_value_rows(loss, pred, s.row_begin, y,
-                                src_row0 + s.row_begin, s.rows);
-    loss_grad_rows(loss, pred, s.row_begin, y, src_row0 + s.row_begin, s.rows,
-                   grad_out);
+    // ---- Loss over this member's rows (targets sit at its slab rows). ----
+    losses[i] = loss_value_rows(loss, pred, 0, y, x0, n);
+    loss_grad_rows(loss, pred, 0, y, x0, n, grad_out);
 
-    // ---- Backward: shared delta slabs, own gradient bank. ----
-    double* g = grads_.data() + i * ofs.total;
-    head_backward_slice(p + ofs.w_head, h, o, grad_out, *h_[T - 1], dh,
-                        g + ofs.w_head, g + ofs.b_head, s);
+    // ---- Backward into the member's gradient span. ----
+    head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
+                  g + ofs.w_head, g + ofs.b_head, n);
     const double* pwh = p + ofs.wh;
     for (std::size_t t = T; t-- > 0;) {
-      const Matrix& gates = *gates_[t];
-      const Matrix& tanh_c = *tanh_c_[t];
-      const Matrix* c_prev = t > 0 ? c_[t - 1] : nullptr;
-      const Matrix& h_prev = t > 0 ? *h_[t - 1] : h0;
-      const std::size_t r_end = s.row_begin + s.rows;
+      const Matrix& gt = gates(t);
+      const Matrix& tc_t = tanh_c(t);
+      const Matrix* c_prev = t > 0 ? &cell(t - 1) : nullptr;
+      const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
       // Phase 1 — elementwise deltas (identical scalar sequence per
       // row). The c_prev presence test is hoisted to a template
       // parameter so the j loop is branch-free and auto-vectorizes.
-      for (std::size_t r = s.row_begin; r < r_end; ++r) {
-        const double* zg = gates.row(r).data();
-        const double* tc = tanh_c.row(r).data();
+      for (std::size_t r = 0; r < n; ++r) {
+        const double* zg = gt.row(r).data();
+        const double* tc = tc_t.row(r).data();
         double* dhr = dh.row(r).data();
         double* dcr = dc.row(r).data();
         double* dzr = dz.row(r).data();
@@ -423,33 +463,21 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
           lstm_phase1_row<false>(zg, tc, nullptr, dhr, dcr, dzr, h);
         }
       }
-      // Phase 2 — parameter gradients + dh_{t-1} over the whole slice
-      // on the slab kernels (rows ascending per element, as per row).
-      const double* dz0 = dz.row(s.row_begin).data();
-      kernels::slab_outer_acc(xs[t]->row(src_row0 + s.row_begin).data(), f,
-                              f, dz0, 4 * h, 4 * h, s.rows, g + ofs.wx, 4 * h,
-                              g + ofs.b);
+      // Phase 2 — parameter gradients + dh_{t-1} over all the member's
+      // rows on the slab kernels (rows ascending per element, as per row).
+      const double* dz0 = dz.row(0).data();
+      kernels::slab_outer_acc(xs[t]->row(x0).data(), f, f, dz0, 4 * h, 4 * h,
+                              n, g + ofs.wx, 4 * h, g + ofs.b);
       // At t == 0 there is no h_{-1}: no recurrent gradient, and dh_{-1}
       // would be read by nothing.
       if (t == 0) continue;
-      kernels::slab_outer_acc(h_prev.row(s.row_begin).data(), h, h, dz0,
-                              4 * h, 4 * h, s.rows, g + ofs.wh, 4 * h,
-                              nullptr);
-      kernels::slab_dot(dz0, 4 * h, 4 * h, s.rows, pwh, 4 * h, h,
-                        dh.row(s.row_begin).data(), h);
+      kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 4 * h, 4 * h,
+                              n, g + ofs.wh, 4 * h, nullptr);
+      kernels::slab_dot(dz0, 4 * h, 4 * h, n, pwh, 4 * h, h, dh.row(0).data(),
+                        h);
     }
 
-    // ---- Clip + optimizer step. ----
-    std::span<double> gspan(g, ofs.total);
-    if (clip_norm > 0.0) {
-      const double sq = kernels::dot(gspan.data(), gspan.data(), gspan.size());
-      const double norm = std::sqrt(sq);
-      if (norm > clip_norm) {
-        const double scale = clip_norm / norm;
-        for (double& gv : gspan) gv *= scale;
-      }
-    }
-    opts[i]->step(nets[i]->parameters(), gspan);
+    clip_and_step(gspan, clip_norm, *opts[i], nets[i]->parameters());
     kernels::note_train_batch();
   };
   util::ThreadPool::global().parallel_for(0, members, member_task);
@@ -469,85 +497,72 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
   assert(slices.size() == members && opts.size() == members &&
          losses.size() == members);
   const std::size_t T = xs.size();
-  std::size_t rows = 0;
-  for (const FusedSlice& s : slices) rows += s.rows;
-  check_slices(slices, rows);
+  const std::size_t rows = recurrent_batch_rows(
+      nets, slices, xs, y, src_row0, "FusedGru: member shape mismatch");
   if (rows == 0) return;
   const GruRegressor& n0 = *nets[0];
   const std::size_t f = n0.feature_dim();
   const std::size_t h = n0.hidden_dim();
   const std::size_t o = n0.output_dim();
   const GruOffsets ofs = gru_offsets(f, h, o);
-  for (const GruRegressor* n : nets) {
-    if (n->feature_dim() != f || n->hidden_dim() != h ||
-        n->output_dim() != o) {
-      throw std::invalid_argument("FusedGru: member shape mismatch");
-    }
-  }
 
-  ws_.reset();
-  gates_.resize(T);
-  h_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    gates_[t] = &ws_.take(rows, 3 * h);
-    h_[t] = &ws_.take(rows, h);
-  }
-  Matrix& h0 = ws_.take(rows, h);
-  Matrix& pred = ws_.take(rows, o);
-  Matrix& grad_out = ws_.take(rows, o);
-  Matrix& dh = ws_.take(rows, h);
-  Matrix& dz = ws_.take(rows, 3 * h);
-  // kRB (r ⊙ h) coefficient rows per member — member-private scratch.
-  Matrix& coeff = ws_.take(members * kRB, h);
-  // Backward per-row scratch (recurrent dots, then (r ⊙ h) coefficients);
-  // each member uses its own slice rows.
-  Matrix& scratch = ws_.take(rows, h);
-  h0.zero();
-
-#ifndef NDEBUG
-  for (std::size_t t = 0; t < T; ++t) {
-    assert(xs[t]->rows() >= src_row0 + rows && xs[t]->cols() == f);
-  }
-  assert(y.rows() >= src_row0 + rows);
-#endif
-
-  // Member-major execution, same scheme (and same bitwise argument) as
-  // FusedLstm::train_batch: disjoint slice rows, no shared accumulators,
-  // members fan out across the pool.
-  grads_.assign(members * ofs.total, 0.0);
+  // Member-major execution on thread scratch, same scheme (and same
+  // bitwise argument) as FusedLstm::train_batch.
   const auto member_task = [&](std::size_t i) {
-    const FusedSlice& s = slices[i];
+    const std::size_t n = slices[i].rows;
+    const std::size_t x0 = src_row0 + slices[i].row_begin;  // slab rows
+    const FusedSlice own{0, n};
     const double* p = nets[i]->parameters().data();
-    const std::size_t coeff_base = i * kRB;
+    Workspace& ws = thread_scratch();
+    ws.reset();
+    const std::span<double> gspan = take_gradients(ws, ofs.total);
+    double* g = gspan.data();
+    // Step t's gates and h are slots first + 2t + 0..1.
+    const std::size_t first = ws.cursor();
+    for (std::size_t t = 0; t < T; ++t) {
+      ws.take(n, 3 * h);
+      ws.take(n, h);
+    }
+    const auto gates = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 2 * t);
+    };
+    const auto hid = [&](std::size_t t) -> Matrix& {
+      return ws.slot(first + 2 * t + 1);
+    };
+    Matrix& h0 = ws.take(n, h);
+    Matrix& pred = ws.take(n, o);
+    Matrix& grad_out = ws.take(n, o);
+    Matrix& dh = ws.take(n, h);
+    Matrix& dz = ws.take(n, 3 * h);
+    // kRB (r ⊙ h) coefficient rows for the forward step.
+    Matrix& coeff = ws.take(kRB, h);
+    // Backward per-row scratch (recurrent dots, then (r ⊙ h) coefficients).
+    Matrix& scratch = ws.take(n, h);
+    h0.zero();
 
     for (std::size_t t = 0; t < T; ++t) {
-      const Matrix& hp = t > 0 ? *h_[t - 1] : h0;
-      gru_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t],
-                     src_row0, hp, *gates_[t], *h_[t], coeff, coeff_base, s);
+      const Matrix& hp = t > 0 ? hid(t - 1) : h0;
+      gru_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], x0, hp,
+                     gates(t), hid(t), coeff, 0, own);
     }
-    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, *h_[T - 1], 0, pred,
-                        s);
+    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), 0, pred,
+                        own);
 
-    losses[i] = loss_value_rows(loss, pred, s.row_begin, y,
-                                src_row0 + s.row_begin, s.rows);
-    loss_grad_rows(loss, pred, s.row_begin, y, src_row0 + s.row_begin, s.rows,
-                   grad_out);
+    losses[i] = loss_value_rows(loss, pred, 0, y, x0, n);
+    loss_grad_rows(loss, pred, 0, y, x0, n, grad_out);
 
-    double* g = grads_.data() + i * ofs.total;
-    head_backward_slice(p + ofs.w_head, h, o, grad_out, *h_[T - 1], dh,
-                        g + ofs.w_head, g + ofs.b_head, s);
+    head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
+                  g + ofs.w_head, g + ofs.b_head, n);
     const double* pwh = p + ofs.wh;
     for (std::size_t t = T; t-- > 0;) {
-      const Matrix& gates = *gates_[t];
-      const Matrix& h_prev = t > 0 ? *h_[t - 1] : h0;
-      const std::size_t r_end = s.row_begin + s.rows;
-      // Phase 1 — elementwise deltas, then the recurrent dots over the
-      // whole slice into the member's rows of `scratch`, then their
-      // elementwise uses: the candidate dots read only dz[2h, 3h),
-      // written above them, and all of them land before the z/r dots
-      // read dz[0, 2h).
-      for (std::size_t r = s.row_begin; r < r_end; ++r) {
-        const double* zg = gates.row(r).data();
+      const Matrix& gt = gates(t);
+      const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
+      // Phase 1 — elementwise deltas, then the recurrent dots over all
+      // the member's rows into `scratch`, then their elementwise uses:
+      // the candidate dots read only dz[2h, 3h), written above them, and
+      // all of them land before the z/r dots read dz[0, 2h).
+      for (std::size_t r = 0; r < n; ++r) {
+        const double* zg = gt.row(r).data();
         const double* hp = h_prev.row(r).data();
         double* dhr = dh.row(r).data();
         double* dzr = dz.row(r).data();
@@ -566,12 +581,12 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
           dzr[h + j] = 0.0;
         }
       }
-      const double* dz0 = dz.row(s.row_begin).data();
-      double* sc0 = scratch.row(s.row_begin).data();
-      kernels::slab_dot(dz0 + 2 * h, 3 * h, h, s.rows, pwh + 2 * h, 3 * h, h,
-                        sc0, h);
-      for (std::size_t r = s.row_begin; r < r_end; ++r) {
-        const double* zg = gates.row(r).data();
+      const double* dz0 = dz.row(0).data();
+      double* sc0 = scratch.row(0).data();
+      kernels::slab_dot(dz0 + 2 * h, 3 * h, h, n, pwh + 2 * h, 3 * h, h, sc0,
+                        h);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double* zg = gt.row(r).data();
         const double* hp = h_prev.row(r).data();
         const double* sc = scratch.row(r).data();
         double* dhr = dh.row(r).data();
@@ -583,42 +598,31 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
         }
       }
       if (t > 0) {  // dh_{-1} would be read by nothing
-        kernels::slab_dot(dz0, 3 * h, 2 * h, s.rows, pwh, 3 * h, h, sc0, h);
-        for (std::size_t r = s.row_begin; r < r_end; ++r) {
+        kernels::slab_dot(dz0, 3 * h, 2 * h, n, pwh, 3 * h, h, sc0, h);
+        for (std::size_t r = 0; r < n; ++r) {
           const double* sc = scratch.row(r).data();
           double* dhr = dh.row(r).data();
           for (std::size_t k = 0; k < h; ++k) dhr[k] += sc[k];
         }
       }
-      // Phase 2 — parameter gradients over the whole slice. The
+      // Phase 2 — parameter gradients over all the member's rows. The
       // candidate column block of W_h takes the (r ⊙ h) coefficients,
       // built into `scratch` (the dots above are consumed).
-      const double* hp0 = h_prev.row(s.row_begin).data();
-      kernels::slab_outer_acc(xs[t]->row(src_row0 + s.row_begin).data(), f,
-                              f, dz0, 3 * h, 3 * h, s.rows, g + ofs.wx, 3 * h,
-                              g + ofs.b);
-      kernels::slab_outer_acc(hp0, h, h, dz0, 3 * h, 2 * h, s.rows,
-                              g + ofs.wh, 3 * h, nullptr);
-      for (std::size_t r = s.row_begin; r < r_end; ++r) {
-        const double* zg = gates.row(r).data();
+      kernels::slab_outer_acc(xs[t]->row(x0).data(), f, f, dz0, 3 * h, 3 * h,
+                              n, g + ofs.wx, 3 * h, g + ofs.b);
+      kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 3 * h, 2 * h,
+                              n, g + ofs.wh, 3 * h, nullptr);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double* zg = gt.row(r).data();
         const double* hp = h_prev.row(r).data();
         double* cf = scratch.row(r).data();
         for (std::size_t k = 0; k < h; ++k) cf[k] = zg[h + k] * hp[k];
       }
-      kernels::slab_outer_acc(sc0, h, h, dz0 + 2 * h, 3 * h, h, s.rows,
+      kernels::slab_outer_acc(sc0, h, h, dz0 + 2 * h, 3 * h, h, n,
                               g + ofs.wh + 2 * h, 3 * h, nullptr);
     }
 
-    std::span<double> gspan(g, ofs.total);
-    if (clip_norm > 0.0) {
-      const double sq = kernels::dot(gspan.data(), gspan.data(), gspan.size());
-      const double norm = std::sqrt(sq);
-      if (norm > clip_norm) {
-        const double scale = clip_norm / norm;
-        for (double& gv : gspan) gv *= scale;
-      }
-    }
-    opts[i]->step(nets[i]->parameters(), gspan);
+    clip_and_step(gspan, clip_norm, *opts[i], nets[i]->parameters());
     kernels::note_train_batch();
   };
   util::ThreadPool::global().parallel_for(0, members, member_task);
@@ -627,104 +631,49 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
 
 // ------------------------------------------------------------- FusedMlp --
 
-std::size_t FusedMlp::begin_forward(std::span<Mlp* const> nets,
-                                    std::span<const FusedSlice> slices,
-                                    const Matrix& x, std::size_t src_row0) {
-  assert(!nets.empty() && nets.size() == slices.size());
-  const Mlp& n0 = *nets[0];
-  std::size_t rows = 0;
-  for (const FusedSlice& s : slices) rows += s.rows;
-  check_slices(slices, rows);
-  if (src_row0 + rows > x.rows()) {
-    throw std::invalid_argument("FusedMlp: batch rows exceed input rows");
-  }
-  for (const Mlp* n : nets) {
-    if (!n->same_architecture(n0)) {
-      throw std::invalid_argument("FusedMlp: member architecture mismatch");
-    }
-  }
-  const auto& dims = n0.dims();
-  const std::size_t layers = n0.num_layers();
-  ws_.reset();
-  acts_.assign(layers + 1, nullptr);
-  input_ = &x;
-  input_row0_ = src_row0;
-  for (std::size_t l = 0; l < layers; ++l) {
-    acts_[l + 1] = &ws_.take(rows, dims[l + 1]);
-  }
-  return rows;
-}
-
-void FusedMlp::take_delta_slabs(const Mlp& n0, std::size_t rows) {
-  // Delta slabs for layers layers-1 .. 1, taken up front so the member
-  // tasks never touch the workspace.
-  const std::size_t layers = n0.num_layers();
-  grad_slabs_.assign(layers, nullptr);
-  for (std::size_t l = layers; l-- > 1;) {
-    grad_slabs_[l] = &ws_.take(rows, n0.dims()[l]);
-  }
-}
-
-// Member-major: each member drives its own slice rows through the whole
-// layer stack (its activations depend on its own rows only), so the
-// members fan out across the pool without changing any member's
-// arithmetic. The per-slice activation application is bitwise the
-// slab-wide one (element-independent).
-void FusedMlp::forward_member(const Mlp& net, const FusedSlice& s) {
+// A row's activations depend on its own input row only, and the
+// per-member activation application is bitwise the whole-batch one
+// (element-independent), so a member's pass never depends on where its
+// rows sit in the caller's slab.
+MlpTape mlp_forward(const Mlp& net, const Matrix& x, std::size_t x_row0,
+                    std::size_t rows, Workspace& ws) {
   const auto& dims = net.dims();
   const std::size_t layers = net.num_layers();
-  const Matrix* cur = input_;
+  const FusedSlice own{0, rows};
+  MlpTape tape{&x, x_row0, rows, ws.cursor(), nullptr};
+  const Matrix* cur = &x;
   for (std::size_t l = 0; l < layers; ++l) {
-    Matrix& slab = *acts_[l + 1];
+    Matrix& out = ws.take(rows, dims[l + 1]);
     dense_forward_slice(net.layer_parameters(l), dims[l], dims[l + 1], *cur,
-                        l == 0 ? input_row0_ : 0, slab, s);
+                        l == 0 ? x_row0 : 0, out, own);
     const Activation act =
         l + 1 == layers ? net.output_activation() : net.hidden_activation();
-    activate_rows(act, slab, s.row_begin, s.rows);
-    cur = &slab;
+    activate_rows(act, out, 0, rows);
+    cur = &out;
   }
+  tape.out = cur;
+  return tape;
 }
 
-// Same scheme as forward_member: the member back-propagates its own slice
-// rows into its own Mlp::gradients() buffer.
-void FusedMlp::backward_member(Mlp& net, const FusedSlice& s,
-                               Matrix& grad_out) {
-  assert(net.gradients().size() == net.parameter_count() &&
-         "zero_grad() before backward()");
+void mlp_backward(const Mlp& net, const MlpTape& tape, Matrix& grad_out,
+                  std::span<double> grads, Workspace& ws) {
+  assert(grads.size() == net.parameter_count());
   const auto& dims = net.dims();
   const std::size_t layers = net.num_layers();
   Matrix* g = &grad_out;
   for (std::size_t l = layers; l-- > 0;) {
     const Activation act =
         l + 1 == layers ? net.output_activation() : net.hidden_activation();
-    scale_by_activation_grad_rows(act, *acts_[l + 1], *g, s.row_begin, s.rows);
-    Matrix* gx = l > 0 ? grad_slabs_[l] : nullptr;
-    const Matrix& in = l == 0 ? *input_ : *acts_[l];
-    auto grad_slice =
-        net.gradients().subspan(net.layer_offset(l), net.layer_param_count(l));
-    dense_backward_slice(net.layer_parameters(l), dims[l], dims[l + 1], in,
-                         l == 0 ? input_row0_ : 0, *g, grad_slice, gx, s);
+    scale_by_activation_grad_rows(act, ws.slot(tape.first_slot + l), *g, 0,
+                                  tape.rows);
+    Matrix* gx = l > 0 ? &ws.take(tape.rows, dims[l]) : nullptr;
+    const Matrix& in = l == 0 ? *tape.x : ws.slot(tape.first_slot + l - 1);
+    dense_backward(net.layer_parameters(l), dims[l], dims[l + 1], in,
+                   l == 0 ? tape.x_row0 : 0, *g,
+                   grads.subspan(net.layer_offset(l), net.layer_param_count(l)),
+                   gx, tape.rows);
     g = gx;
   }
-}
-
-const Matrix& FusedMlp::forward(std::span<Mlp* const> nets,
-                                std::span<const FusedSlice> slices,
-                                const Matrix& x, std::size_t src_row0) {
-  begin_forward(nets, slices, x, src_row0);
-  util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    forward_member(*nets[i], slices[i]);
-  });
-  return *acts_.back();
-}
-
-void FusedMlp::backward(std::span<Mlp* const> nets,
-                        std::span<const FusedSlice> slices, Matrix& grad_out) {
-  assert(input_ != nullptr && "backward() requires a preceding forward()");
-  take_delta_slabs(*nets[0], grad_out.rows());
-  util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    backward_member(*nets[i], slices[i], grad_out);
-  });
 }
 
 void FusedMlp::train_batch(std::span<Mlp* const> nets,
@@ -732,24 +681,34 @@ void FusedMlp::train_batch(std::span<Mlp* const> nets,
                            const Matrix& y, LossKind loss,
                            std::span<Optimizer* const> opts,
                            std::span<double> losses, std::size_t src_row0) {
-  assert(opts.size() == nets.size() && losses.size() == nets.size());
-  const std::size_t rows = begin_forward(nets, slices, x, src_row0);
-  const Matrix& pred = *acts_.back();
-  Matrix& grad = ws_.take(rows, pred.cols());
-  take_delta_slabs(*nets[0], rows);
+  assert(!nets.empty() && slices.size() == nets.size() &&
+         opts.size() == nets.size() && losses.size() == nets.size());
+  std::size_t rows = 0;
+  for (const FusedSlice& s : slices) rows += s.rows;
+  check_slices(slices, rows);
+  if (src_row0 + rows > x.rows()) {
+    throw std::invalid_argument("FusedMlp: batch rows exceed input rows");
+  }
+  for (const Mlp* n : nets) {
+    if (!n->same_architecture(*nets[0])) {
+      throw std::invalid_argument("FusedMlp: member architecture mismatch");
+    }
+  }
   // One task per member runs forward, loss, backward and step over its
-  // own slice rows and its own bank: one pool barrier per batch, and the
-  // same per-member sequence as forward() + backward() + step.
+  // own slab rows and its own bank, on its thread's scratch.
   util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    const FusedSlice& s = slices[i];
-    forward_member(*nets[i], s);
-    losses[i] = loss_value_rows(loss, pred, s.row_begin, y,
-                                src_row0 + s.row_begin, s.rows);
-    loss_grad_rows(loss, pred, s.row_begin, y, src_row0 + s.row_begin, s.rows,
-                   grad);
-    nets[i]->zero_grad();
-    backward_member(*nets[i], s, grad);
-    opts[i]->step(nets[i]->parameters(), nets[i]->gradients());
+    Mlp& net = *nets[i];
+    const std::size_t n = slices[i].rows;
+    const std::size_t x0 = src_row0 + slices[i].row_begin;
+    Workspace& ws = thread_scratch();
+    ws.reset();
+    const std::span<double> grads = take_gradients(ws, net.parameter_count());
+    const MlpTape tape = mlp_forward(net, x, x0, n, ws);
+    Matrix& grad = ws.take(n, net.output_dim());
+    losses[i] = loss_value_rows(loss, *tape.out, 0, y, x0, n);
+    loss_grad_rows(loss, *tape.out, 0, y, x0, n, grad);
+    mlp_backward(net, tape, grad, grads, ws);
+    opts[i]->step(net.parameters(), grads);
     kernels::note_train_batch();
   });
   note_fused_batch(nets.size(), rows);

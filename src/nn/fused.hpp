@@ -4,24 +4,22 @@
 // window shapes, so a federation round is thousands of tiny per-home
 // batches that leave the PR 5 strip-mined kernels starved. The fused
 // layer gathers a group of homes' minibatches into one home-major slab —
-// rows [home0's batch | home1's batch | ...] — and runs the whole slab
+// rows [home0's batch | home1's batch | ...] — and runs each home's slice
 // through register-blocked kernels (nn::kernels::fused_* forward,
-// nn::kernels::slab_* backward), slice by slice against each home's own
-// parameter bank, then scatters per-home gradient slices back into each
-// home's own optimizer state.
+// nn::kernels::slab_* backward) against the home's own parameter bank,
+// stepping the home's own optimizer state with the home's gradients.
 //
 // Because parameter banks stay per-home, the "one big matmul per gate"
 // is block-diagonal: each home's row slice multiplies its own weights.
-// The win is structural, not algebraic — one assembly pass, one scratch
-// arena, 4-row register tiles that stream each weight row once per
-// kernels::kRowBlock rows, and member-major scheduling: since members
-// share no accumulators (disjoint slab row slices, own parameter bank,
-// own gradient buffer, own optimizer state), each member's entire
-// forward/loss/backward/step becomes one task fanned out across
-// util::ThreadPool — each bank stays hot in cache for the whole
-// sequence, and the pool's static chunking leaves every member's
-// arithmetic untouched, so results are bitwise identical at any thread
-// count.
+// The win is structural, not algebraic — one gather pass, 4-row register
+// tiles that stream each weight row once per kernels::kRowBlock rows, and
+// member-major scheduling: since members share no accumulators (own
+// input rows, own parameter bank, own gradient span, own optimizer
+// state), each member's entire forward/loss/backward/clip/step is one
+// task fanned out across util::ThreadPool — each bank stays hot in cache
+// for the whole sequence, and the pool's static chunking leaves every
+// member's arithmetic untouched, so results are bitwise identical at any
+// thread count.
 //
 // This is the only training path: a home that trains alone (a
 // Forecaster::train call, a one-agent DQN learner) is a group of one.
@@ -30,23 +28,27 @@
 // kernel keeps each output element a single accumulator walked in
 // ascending term order whatever rows share its tile (see kernels.hpp),
 // every nonlinearity runs over the member's own rows, and each member's
-// loss/clip/optimizer step runs on its own slice, gradient bank and
+// loss/clip/optimizer step runs on its own rows, gradient span and
 // optimizer. So a member's bits never depend on the rest of its group:
 // an N-member batch equals N one-member batches bitwise (pinned by
 // nn_fused_test for LSTM/GRU/MLP and rl_dqn_test for the DQN), and the
 // gradient math itself is pinned by finite-difference checks on groups
 // of one (nn_lstm_test, nn_gru_test, nn_dense_mlp_test).
 //
-// All scratch lives in nn::Workspace slots (and capacity-reusing member
-// buffers), so steady-state fused batches of a stable shape perform no
-// heap allocation — the same zero-churn contract as the PR 4/5 paths,
-// pinned by the fused zero-alloc test.
+// Memory: only the inputs are group-wide — the caller's slab, read at
+// src_row0 + slice.row_begin. Every intermediate (activations, deltas,
+// recurrent state) and the gradient span of a member step live in the
+// running thread's nn::thread_scratch(), sized for that one member, so
+// training scratch is bounded by threads x one member step, never by
+// members or groups, and no network keeps a gradient buffer between
+// steps. A thread's scratch keeps its capacity, so steady-state batches
+// of a stable shape allocate nothing once each thread has run a member
+// step (pinned by nn_fused_test).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/matrix.hpp"
@@ -68,7 +70,8 @@ struct FusedSlice {
 
 // ---- Per-layer step functions ----------------------------------------
 // One forward implementation per layer type. The fused trainers run them
-// over each member's slice; inference (Mlp::predict through
+// over each member's rows — member-local state as FusedSlice{0, rows},
+// the slab input offset in x_row0 / in_row0; inference (Mlp::predict through
 // dense_forward, LstmRegressor/GruRegressor::predict) runs them over all
 // rows of its batch. Rows go through kernels::fused_gates_rows in blocks of
 // kernels::kRowBlock; leftover rows take the per-row path. Both keep each
@@ -110,7 +113,7 @@ void note_fused_batch(std::size_t members, std::size_t rows) noexcept;
 
 /// Fused multi-home LSTM trainer. One train_batch call runs forward +
 /// per-slice loss + BPTT + per-member clip and optimizer step for every
-/// member over the shared slab — bitwise identical, per member, to a
+/// member as one pool task each — bitwise identical, per member, to a
 /// one-member train_batch on slice i's rows alone.
 class FusedLstm {
  public:
@@ -128,19 +131,6 @@ class FusedLstm {
                    LossKind loss, std::span<Optimizer* const> opts,
                    std::span<double> losses, double clip_norm = 5.0,
                    std::size_t src_row0 = 0);
-
-  /// Heap bytes of scratch held between batches (arena + gradient arena).
-  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
-    return ws_.bytes() + grads_.capacity() * sizeof(double);
-  }
-
- private:
-  Workspace ws_;
-  // Per-step slab pointers into ws_ (stable addresses; rebuilt per batch).
-  std::vector<Matrix*> gates_, c_, tanh_c_, h_;
-  // Per-member gradient arena (member count x parameter count), zeroed
-  // per batch with capacity reuse.
-  std::vector<double> grads_;
 };
 
 /// Fused multi-home GRU trainer; same contract as FusedLstm.
@@ -152,63 +142,49 @@ class FusedGru {
                    LossKind loss, std::span<Optimizer* const> opts,
                    std::span<double> losses, double clip_norm = 5.0,
                    std::size_t src_row0 = 0);
-
-  /// Heap bytes of scratch held between batches (arena + gradient arena).
-  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
-    return ws_.bytes() + grads_.capacity() * sizeof(double);
-  }
-
- private:
-  Workspace ws_;
-  std::vector<Matrix*> gates_, h_;
-  std::vector<double> grads_;
 };
 
-/// Fused multi-home MLP: shared activation slabs, per-home weight banks.
-/// forward() caches slab activations for backward(); backward()
-/// accumulates each member's gradients into that member's own
-/// Mlp::gradients() buffer (callers zero_grad before and step after, per
-/// member, as train_batch does). All nets must share architecture
-/// (Mlp::same_architecture).
+/// Fused multi-home MLP trainer: per-home weight banks, one pool task per
+/// member (mlp_forward, loss, mlp_backward, optimizer step). All nets
+/// must share architecture (Mlp::same_architecture).
 class FusedMlp {
  public:
   /// As with the recurrent trainers, src_row0 offsets the rows read from
-  /// x / y (epoch-arena batches); the returned prediction slab and
-  /// grad_out stay batch-local (rows [0, total_rows)).
-  const Matrix& forward(std::span<Mlp* const> nets,
-                        std::span<const FusedSlice> slices, const Matrix& x,
-                        std::size_t src_row0 = 0);
-  void backward(std::span<Mlp* const> nets, std::span<const FusedSlice> slices,
-                Matrix& grad_out);
-  /// Forward + per-slice loss + backward + per-member optimizer step, as
-  /// one pool task per member (a single barrier per batch).
+  /// x / y (epoch-arena batches).
   void train_batch(std::span<Mlp* const> nets,
                    std::span<const FusedSlice> slices, const Matrix& x,
                    const Matrix& y, LossKind loss,
                    std::span<Optimizer* const> opts, std::span<double> losses,
                    std::size_t src_row0 = 0);
-
-  /// Heap bytes of the activation/gradient slab arena.
-  [[nodiscard]] std::size_t scratch_bytes() const noexcept {
-    return ws_.bytes();
-  }
-
- private:
-  /// Validate the batch, reset the arena and take the activation slabs;
-  /// returns the slab row count.
-  std::size_t begin_forward(std::span<Mlp* const> nets,
-                            std::span<const FusedSlice> slices,
-                            const Matrix& x, std::size_t src_row0);
-  /// Take the backward delta slabs (layers num_layers-1 .. 1).
-  void take_delta_slabs(const Mlp& n0, std::size_t rows);
-  void forward_member(const Mlp& net, const FusedSlice& s);
-  void backward_member(Mlp& net, const FusedSlice& s, Matrix& grad_out);
-
-  Workspace ws_;
-  std::vector<Matrix*> acts_;  // acts_[i] = layer i output slab (1-based)
-  std::vector<Matrix*> grad_slabs_;  // backward delta slab per layer (l >= 1)
-  const Matrix* input_ = nullptr;
-  std::size_t input_row0_ = 0;  // forward()'s src_row0, for backward()
 };
+
+// ---- One member's MLP training pass ------------------------------------
+// The member-level forward/backward pair every MLP trainer runs on: the
+// fused MLP batch and the DQN learner (rl/fused.hpp), each member step on
+// its thread's scratch.
+
+/// Where mlp_forward left one member's activations: layer l's output is
+/// slot first_slot + l of the workspace it ran on.
+struct MlpTape {
+  const Matrix* x = nullptr;  // the input, read at rows [x_row0, +rows)
+  std::size_t x_row0 = 0;
+  std::size_t rows = 0;
+  std::size_t first_slot = 0;
+  const Matrix* out = nullptr;  // the output rows [0, rows)
+};
+
+/// Forward of `net` over rows [x_row0, x_row0 + rows) of x: takes one
+/// rows x width slot per layer from ws, in layer order (zero rows takes
+/// the slots and computes nothing). Bitwise Mlp::predict on those rows.
+MlpTape mlp_forward(const Mlp& net, const Matrix& x, std::size_t x_row0,
+                    std::size_t rows, Workspace& ws);
+
+/// Backward of the tape's pass, on the workspace mlp_forward ran on with
+/// no reset() between: grad_out (rows x output, dL/d output) is scaled
+/// in place into the output delta, dL/dparams accumulates into `grads`
+/// (parameter_count() doubles, zeroed by the caller), and the hidden
+/// deltas take num_layers() - 1 slots from ws.
+void mlp_backward(const Mlp& net, const MlpTape& tape, Matrix& grad_out,
+                  std::span<double> grads, Workspace& ws);
 
 }  // namespace pfdrl::nn

@@ -51,8 +51,6 @@ const Matrix& Mlp::predict(const Matrix& x, Workspace& ws) const {
   return *cur;
 }
 
-void Mlp::zero_grad() { grads_.assign(params_.size(), 0.0); }
-
 bool Mlp::same_architecture(const Mlp& other) const noexcept {
   return dims_ == other.dims_ && hidden_act_ == other.hidden_act_ &&
          output_act_ == other.output_act_;

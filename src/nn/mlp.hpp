@@ -6,10 +6,10 @@
 // layers and the rest as local "personalization" layers; with this layout
 // that is exactly the flat prefix [0, layer_offset(alpha)).
 //
-// The class owns parameters and a gradient buffer and runs inference;
-// training (forward caches, backward into gradients(), the optimizer
-// step) runs through nn::FusedMlp, a lone network being a group of one
-// (nn/fused.hpp).
+// The class owns parameters and runs inference; training (forward
+// caches, backward, the optimizer step) runs through nn::mlp_forward /
+// nn::mlp_backward on the training thread's scratch, which also holds
+// the gradients for the one step that needs them (nn/fused.hpp).
 #pragma once
 
 #include <cstddef>
@@ -55,14 +55,6 @@ class Mlp {
   [[nodiscard]] std::span<const double> parameters() const noexcept {
     return params_;
   }
-  /// The gradient buffer FusedMlp::backward accumulates into: empty
-  /// until the first zero_grad(), so a network that only runs inference
-  /// (a DQN target network) never allocates it.
-  [[nodiscard]] std::span<double> gradients() noexcept { return grads_; }
-  [[nodiscard]] std::span<const double> gradients() const noexcept {
-    return grads_;
-  }
-
   /// Flat offset of layer i's slice; layer_offset(num_layers()) is the
   /// total parameter count, so [offset(a), offset(b)) spans layers [a, b).
   [[nodiscard]] std::size_t layer_offset(std::size_t i) const noexcept {
@@ -92,9 +84,6 @@ class Mlp {
   /// cycle; it survives further take() calls within the same cycle.
   const Matrix& predict(const Matrix& x, Workspace& ws) const;
 
-  /// Size gradients() to parameter_count() and zero it.
-  void zero_grad();
-
   /// Structural equality of shapes (same dims/activations) — a
   /// precondition for federated parameter exchange.
   [[nodiscard]] bool same_architecture(const Mlp& other) const noexcept;
@@ -105,7 +94,6 @@ class Mlp {
   Activation output_act_;
   std::vector<std::size_t> offsets_;  // per-layer flat offsets, + total
   std::vector<double> params_;
-  std::vector<double> grads_;
 
   [[nodiscard]] Activation layer_act(std::size_t i) const noexcept {
     return i + 1 == num_layers() ? output_act_ : hidden_act_;

@@ -14,8 +14,9 @@ constexpr std::uint32_t kVersion = 1;
 
 template <typename T>
 void append_pod(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 template <typename T>

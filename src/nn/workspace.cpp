@@ -30,6 +30,11 @@ Matrix& Workspace::take(std::size_t rows, std::size_t cols) {
   return m;
 }
 
+Workspace& thread_scratch() {
+  thread_local Workspace ws;
+  return ws;
+}
+
 std::uint64_t Workspace::total_allocations() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
 }

@@ -19,7 +19,8 @@
 //     shrinks; shrinking reshapes reuse the existing capacity.
 //   * Thread affinity — a Workspace is single-threaded state, exactly
 //     like util::Rng: give each agent/forecaster its own instance and
-//     never share one across concurrent callers.
+//     never share one across concurrent callers. thread_scratch() is the
+//     one instance per thread that every training member step runs on.
 //   * Contents of a fresh take() are unspecified (possibly stale); every
 //     kernel that writes into a slot must fully overwrite it.
 //
@@ -56,6 +57,12 @@ class Workspace {
   /// Flat scratch span of n doubles (a 1 x n slot's row).
   std::span<double> take_span(std::size_t n) { return take(1, n).row(0); }
 
+  /// Index of the slot the next take() hands out.
+  [[nodiscard]] std::size_t cursor() const noexcept { return next_; }
+  /// Slot i of the current cycle (i < cursor()), as take() returned it —
+  /// how a backward pass finds the activations its forward pass took.
+  [[nodiscard]] Matrix& slot(std::size_t i) noexcept { return *slots_[i]; }
+
   /// Heap bytes currently held by this workspace's slots.
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
   /// Number of pooled slots (high-water mark of takes per cycle).
@@ -73,5 +80,13 @@ class Workspace {
   std::size_t next_ = 0;
   std::size_t bytes_ = 0;
 };
+
+/// The calling thread's training scratch. Every training member step
+/// (nn::FusedLstm/FusedGru/FusedMlp::train_batch, rl::FusedDqnLearner)
+/// resets it and takes its intermediates and its gradient span from it.
+/// A member step starts no parallel_for, so a thread never holds two of
+/// them at once: the process holds at most one member step's scratch per
+/// thread that has trained, whatever the group sizes.
+Workspace& thread_scratch();
 
 }  // namespace pfdrl::nn

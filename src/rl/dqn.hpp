@@ -156,8 +156,10 @@ class DqnAgent {
   // so the steady-state act path stops allocating once warm. Mutable:
   // taking scratch does not change the agent's observable state.
   mutable nn::Workspace ws_;
-  // The learner's sampled minibatch (capacity reused across steps).
+  // The learner's sampled minibatch and its replay slots (capacity
+  // reused across steps).
   std::vector<const Transition*> batch_;
+  std::vector<std::size_t> batch_slots_;
   // Target bootstrap cache, read and written by FusedDqnLearner only.
   // Per replay slot: the target network's Q row for the slot's
   // next_state (boot_q_, num_actions values per slot) and the target

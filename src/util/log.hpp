@@ -19,7 +19,7 @@ namespace detail {
 template <typename... Args>
 std::string concat(Args&&... args) {
   std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
+  ((os << std::forward<Args>(args)), ...);
   return os.str();
 }
 }  // namespace detail

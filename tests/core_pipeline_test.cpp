@@ -38,9 +38,9 @@ TEST(Pipeline, ProtectedDevicesHaveNoAgent) {
   for (std::size_t h = 0; h < scenario.traces.size(); ++h) {
     for (std::size_t d = 0; d < scenario.traces[h].devices.size(); ++d) {
       if (scenario.traces[h].devices[d].spec.protected_device) {
-        EXPECT_THROW(pipeline.agent(h, d), std::out_of_range);
+        EXPECT_THROW((void)pipeline.agent(h, d), std::out_of_range);
       } else {
-        EXPECT_NO_THROW(pipeline.agent(h, d));
+        EXPECT_NO_THROW((void)pipeline.agent(h, d));
       }
     }
   }

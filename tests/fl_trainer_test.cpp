@@ -182,7 +182,7 @@ TEST(CloudTrainer, OneModelPerType) {
   // Every device type present maps to a model; absent types throw.
   for (const auto& home : traces) {
     for (const auto& dev : home.devices) {
-      EXPECT_NO_THROW(trainer.model_for_type(dev.spec.type));
+      EXPECT_NO_THROW((void)trainer.model_for_type(dev.spec.type));
     }
   }
 }
@@ -199,7 +199,7 @@ TEST(CloudTrainer, UnknownTypeThrows) {
     if (d.spec.type == data::DeviceType::kGameConsole) has_console = true;
   }
   if (!has_console) {
-    EXPECT_THROW(trainer.model_for_type(data::DeviceType::kGameConsole),
+    EXPECT_THROW((void)trainer.model_for_type(data::DeviceType::kGameConsole),
                  std::out_of_range);
   }
 }

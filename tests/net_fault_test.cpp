@@ -62,12 +62,12 @@ TEST(FaultPlanParse, WindowSpecs) {
   EXPECT_EQ(c.agent, 4u);
   EXPECT_EQ(c.from_round, 2u);
   EXPECT_EQ(c.until_round, 9u);
-  EXPECT_THROW(parse_crash("4:2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash("4:2"), std::invalid_argument);
 
   const auto s = parse_straggler("3:0.25");
   EXPECT_EQ(s.agent, 3u);
   EXPECT_DOUBLE_EQ(s.compute_delay_s, 0.25);
-  EXPECT_THROW(parse_straggler("3"), std::invalid_argument);
+  EXPECT_THROW((void)parse_straggler("3"), std::invalid_argument);
 }
 
 TEST(FaultSeed, DerivationIsDeterministicAndDecorrelated) {

@@ -9,6 +9,7 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
@@ -94,9 +95,9 @@ TEST(Mlp, SetParametersRoundTrip) {
 }
 
 // Finite-difference check of the MLP backward: the gradients a
-// one-member FusedMlp::forward/backward accumulates into
-// Mlp::gradients(). Three layers, so the dL/dx each layer hands the one
-// below is checked through the first two layers' parameter gradients.
+// one-member mlp_forward/mlp_backward pass accumulates into its gradient
+// span. Three layers, so the dL/dx each layer hands the one below is
+// checked through the first two layers' parameter gradients.
 TEST(Mlp, GradientCheckSmallNet) {
   util::Rng rng(10);
   Mlp net({2, 4, 3, 1}, Activation::kTanh, Activation::kIdentity,
@@ -112,17 +113,14 @@ TEST(Mlp, GradientCheckSmallNet) {
     return loss_value(LossKind::kMse, pred, target);
   };
 
-  FusedMlp engine;
-  Mlp* nets[] = {&net};
-  const FusedSlice slices[] = {{0, x.rows()}};
-  const Matrix& pred = engine.forward(nets, slices, x);
+  Workspace ws;
+  const MlpTape tape = mlp_forward(net, x, 0, x.rows(), ws);
   Matrix grad;
-  ref::loss_grad(LossKind::kMse, pred, target, grad);
-  net.zero_grad();
-  engine.backward(nets, slices, grad);
+  ref::loss_grad(LossKind::kMse, *tape.out, target, grad);
+  std::vector<double> grads(net.parameter_count(), 0.0);
+  mlp_backward(net, tape, grad, grads, ws);
 
   const auto params = net.parameters();
-  const auto grads = net.gradients();
   std::vector<double> base(params.begin(), params.end());
   const double eps = 1e-6;
   for (std::size_t i = 0; i < base.size(); i += 3) {  // subsample for speed
@@ -238,18 +236,16 @@ TEST(Dense, Batch1MatchesBatchedBitwise) {
   }
 }
 
-// predict() (inference) and a one-member FusedMlp::forward (training)
-// share the same dense kernels, so their outputs must be bitwise equal.
+// predict() (inference) and a one-member mlp_forward (training) share
+// the same dense kernels, so their outputs must be bitwise equal.
 TEST(Mlp, PredictMatchesFusedForwardBitwise) {
   util::Rng rng(32);
   Mlp net({5, 9, 7, 3}, Activation::kRelu, Activation::kIdentity,
           InitScheme::kHeNormal, rng);
   Matrix x(4, 5);
   for (double& v : x.data()) v = rng.normal();
-  FusedMlp engine;
-  Mlp* nets[] = {&net};
-  const FusedSlice slices[] = {{0, x.rows()}};
-  const Matrix& fwd = engine.forward(nets, slices, x);
+  Workspace ws;
+  const Matrix& fwd = *mlp_forward(net, x, 0, x.rows(), ws).out;
   const Matrix pred = net.predict(x);
   ASSERT_EQ(pred.rows(), fwd.rows());
   ASSERT_EQ(pred.cols(), fwd.cols());

@@ -1,6 +1,6 @@
 // Group-of-N against groups of one for the fused training engines, plus
-// the steady-state zero-alloc pin for the fused assembly
-// (docs/fused_training.md). These tests are the determinism contract: a
+// the scratch pins: training scratch bounded by threads, not members, and
+// steady-state batches allocation-free (docs/fused_training.md). These tests are the determinism contract: a
 // home trained alone is a group of one, and an N-member batch must give
 // every member the bits of its own one-member batch, so members never
 // mix — every EXPECT below compares doubles with EXPECT_EQ. (The
@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "nn/fused.hpp"
@@ -18,7 +21,10 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/workspace.hpp"
+#include "rl/dqn.hpp"
+#include "rl/fused.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -34,6 +40,7 @@ using pfdrl::nn::LossKind;
 using pfdrl::nn::LstmRegressor;
 using pfdrl::nn::Matrix;
 using pfdrl::nn::Mlp;
+using pfdrl::nn::Workspace;
 using pfdrl::util::Rng;
 
 void fill_random(Matrix& m, Rng& rng) {
@@ -290,24 +297,214 @@ TEST(NnFused, SliceTableMustTileTheSlab) {
   nets_store.emplace_back(std::vector<std::size_t>{2, 4, 1}, Activation::kRelu,
                           Activation::kIdentity, InitScheme::kHeNormal, i1);
   std::vector<Mlp*> nets = {&nets_store[0], &nets_store[1]};
+  std::vector<Adam> opts_store(2, Adam(1e-3));
+  std::vector<pfdrl::nn::Optimizer*> opts = {&opts_store[0], &opts_store[1]};
+  std::vector<double> losses(2);
   Matrix x(6, 2);
+  Matrix y(6, 1);
   fill_random(x, rng);
+  fill_random(y, rng);
   FusedMlp fused;
+  const auto train = [&](const std::vector<FusedSlice>& slices,
+                         std::size_t src_row0 = 0) {
+    fused.train_batch(nets, slices, x, y, LossKind::kMse, opts, losses,
+                      src_row0);
+  };
   // Gap between slices.
   std::vector<FusedSlice> gap = {{0, 2}, {3, 3}};
-  EXPECT_THROW(fused.forward(nets, gap, x), std::invalid_argument);
+  EXPECT_THROW(train(gap), std::invalid_argument);
   // Short coverage is a legal epoch-arena prefix batch (rows [0, 4) of
   // the 6-row source), not an error.
   std::vector<FusedSlice> short_cover = {{0, 2}, {2, 2}};
-  EXPECT_NO_THROW(fused.forward(nets, short_cover, x));
+  EXPECT_NO_THROW(train(short_cover));
   // But the batch may never reach past the source rows, with or without
   // an arena offset.
   std::vector<FusedSlice> over = {{0, 4}, {4, 3}};
-  EXPECT_THROW(fused.forward(nets, over, x), std::invalid_argument);
-  EXPECT_THROW(fused.forward(nets, short_cover, x, /*src_row0=*/3),
-               std::invalid_argument);
+  EXPECT_THROW(train(over), std::invalid_argument);
+  EXPECT_THROW(train(short_cover, /*src_row0=*/3), std::invalid_argument);
 }
 
+// ---- Scratch bounds ----------------------------------------------------
+// Every member step runs on its thread's nn::thread_scratch(), so what a
+// fused batch adds to the workspace totals is bounded by the threads
+// that run members, never by the member count.
+
+/// Workspace growth while `step` runs on a fresh thread, whose scratch
+/// starts empty. A group of one runs inline on its caller, so this is
+/// exactly one cold member step (its thread's scratch is released when
+/// the thread exits).
+struct Growth {
+  std::uint64_t bytes = 0;
+  std::uint64_t allocs = 0;
+};
+template <class Step>
+Growth cold_member_step(Step&& step) {
+  Growth g;
+  std::thread t([&] {
+    const std::uint64_t bytes0 = Workspace::total_bytes();
+    const std::uint64_t allocs0 = Workspace::total_allocations();
+    step();
+    g.bytes = Workspace::total_bytes() - bytes0;
+    g.allocs = Workspace::total_allocations() - allocs0;
+  });
+  t.join();
+  return g;
+}
+
+/// Threads that can run a member step: the pool's workers plus the
+/// calling thread.
+std::uint64_t member_threads() {
+  return pfdrl::util::ThreadPool::global().size() + 1;
+}
+
+/// Runs `group` (a fused batch of many members) and checks that the
+/// workspace bytes it adds stay within member_threads() cold member
+/// steps of `solo` (the same step as a group of one).
+template <class Solo, class Group>
+void expect_scratch_bounded_by_threads(const char* what, Solo&& solo,
+                                       Group&& group) {
+  const Growth one = cold_member_step(solo);
+  ASSERT_GT(one.bytes, 0u) << what;
+  const std::uint64_t bytes0 = Workspace::total_bytes();
+  for (int rep = 0; rep < 3; ++rep) group();
+  EXPECT_LE(Workspace::total_bytes() - bytes0, member_threads() * one.bytes)
+      << what << ": fused scratch must be bounded by threads x one member "
+      << "step (" << one.bytes << " bytes), not by the member count";
+}
+
+TEST(NnFused, ScratchIsBoundedByThreadsNotMembers) {
+  // Few rows and wide layers, so a member's gradient span is a large
+  // share of its step: scratch that grew with members (a group-wide
+  // gradient arena) would overrun the bound.
+  constexpr std::size_t kMembers = 24;
+  constexpr std::size_t kBs = 4;
+  constexpr std::size_t kWide = 32;
+  constexpr std::size_t kRows = kMembers * kBs;
+  Rng rng(2024);
+  std::vector<FusedSlice> slices;
+  for (std::size_t i = 0; i < kMembers; ++i) slices.push_back({i * kBs, kBs});
+  const FusedSlice solo_slice[] = {{0, kBs}};
+  std::vector<Adam> opts_store(kMembers + 1, Adam(1e-3));
+  std::vector<pfdrl::nn::Optimizer*> opts;
+  for (std::size_t i = 0; i < kMembers; ++i) opts.push_back(&opts_store[i]);
+  pfdrl::nn::Optimizer* solo_opt[] = {&opts_store[kMembers]};
+  std::vector<double> losses(kMembers);
+  double solo_loss = 0.0;
+
+  std::vector<Matrix> slab_xs(kT, Matrix(kRows, kF));
+  for (Matrix& m : slab_xs) fill_random(m, rng);
+  const auto xs_ptrs = step_ptrs(slab_xs);
+  Matrix slab_y(kRows, 1);
+  fill_random(slab_y, rng);
+
+  {
+    std::vector<LstmRegressor> store;
+    store.reserve(kMembers + 1);
+    for (std::size_t i = 0; i <= kMembers; ++i) {
+      Rng init = rng.fork(i);
+      store.emplace_back(kF, kWide, 1, init);
+    }
+    std::vector<LstmRegressor*> nets;
+    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
+    LstmRegressor* solo_net[] = {&store[kMembers]};
+    FusedLstm engine;
+    expect_scratch_bounded_by_threads(
+        "lstm",
+        [&] {
+          engine.train_batch(solo_net, solo_slice, xs_ptrs, slab_y,
+                             LossKind::kMae, solo_opt, {&solo_loss, 1});
+        },
+        [&] {
+          engine.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae,
+                             opts, losses);
+        });
+  }
+  {
+    std::vector<GruRegressor> store;
+    store.reserve(kMembers + 1);
+    for (std::size_t i = 0; i <= kMembers; ++i) {
+      Rng init = rng.fork(100 + i);
+      store.emplace_back(kF, kWide, 1, init);
+    }
+    std::vector<GruRegressor*> nets;
+    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
+    GruRegressor* solo_net[] = {&store[kMembers]};
+    FusedGru engine;
+    expect_scratch_bounded_by_threads(
+        "gru",
+        [&] {
+          engine.train_batch(solo_net, solo_slice, xs_ptrs, slab_y,
+                             LossKind::kMae, solo_opt, {&solo_loss, 1});
+        },
+        [&] {
+          engine.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae,
+                             opts, losses);
+        });
+  }
+  {
+    const std::vector<std::size_t> dims = {kF, 2 * kWide, kWide, 1};
+    std::vector<Mlp> store;
+    store.reserve(kMembers + 1);
+    for (std::size_t i = 0; i <= kMembers; ++i) {
+      Rng init = rng.fork(200 + i);
+      store.emplace_back(dims, Activation::kRelu, Activation::kIdentity,
+                         InitScheme::kHeNormal, init);
+    }
+    std::vector<Mlp*> nets;
+    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
+    Mlp* solo_net[] = {&store[kMembers]};
+    FusedMlp engine;
+    expect_scratch_bounded_by_threads(
+        "mlp",
+        [&] {
+          engine.train_batch(solo_net, solo_slice, slab_xs[0], slab_y,
+                             LossKind::kHuber, solo_opt, {&solo_loss, 1});
+        },
+        [&] {
+          engine.train_batch(nets, slices, slab_xs[0], slab_y,
+                             LossKind::kHuber, opts, losses);
+        });
+  }
+  {
+    // city_ems's group shape: 4x32 DQN over a 5-wide state, 3 actions.
+    pfdrl::rl::DqnConfig cfg;
+    cfg.state_dim = 5;
+    cfg.hidden = {32, 32, 32, 32};
+    cfg.replay_capacity = 64;
+    std::vector<std::unique_ptr<pfdrl::rl::DqnAgent>> agents;
+    for (std::size_t i = 0; i <= kMembers; ++i) {
+      cfg.exploration_seed = 900 + i;
+      agents.push_back(std::make_unique<pfdrl::rl::DqnAgent>(cfg));
+      for (std::size_t t = 0; t < cfg.replay_capacity; ++t) {
+        pfdrl::rl::Transition tr;
+        tr.state.resize(cfg.state_dim);
+        tr.next_state.resize(cfg.state_dim);
+        for (double& v : tr.state) v = rng.normal();
+        for (double& v : tr.next_state) v = rng.normal();
+        tr.action = static_cast<int>(t % cfg.num_actions);
+        tr.reward = rng.uniform(-1.0, 1.0);
+        agents[i]->remember(std::move(tr));
+      }
+    }
+    std::vector<pfdrl::rl::DqnAgent*> group;
+    for (std::size_t i = 0; i < kMembers; ++i) group.push_back(agents[i].get());
+    pfdrl::rl::DqnAgent* solo_agent[] = {agents[kMembers].get()};
+    pfdrl::rl::FusedDqnLearner learner;
+    expect_scratch_bounded_by_threads(
+        "dqn",
+        [&] {
+          ASSERT_TRUE(learner.learn(solo_agent, {&solo_loss, 1}));
+        },
+        [&] { ASSERT_TRUE(learner.learn(group, losses)); });
+  }
+}
+
+// Steady-state fused batches allocate nothing once warm. Which pool
+// thread runs which member varies from batch to batch, so a thread may
+// still grow when it runs its first member step; the whole run may
+// therefore grow by at most member_threads() cold member steps — and
+// runs more batches than that bound, so even one allocation per batch
+// fails. A group of one runs on its caller: zero growth once warm.
 TEST(NnFused, SteadyStateFusedBatchesAllocateNothing) {
   Rng rng(42);
   const std::size_t members = 6;
@@ -339,21 +536,34 @@ TEST(NnFused, SteadyStateFusedBatchesAllocateNothing) {
   }
   const auto xs_ptrs = step_ptrs(slab_xs);
   std::vector<double> losses(members);
-
   FusedLstm fused;
-  // Warm-up: slots, gradient arena, and Adam moments all grow here.
-  fused.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae, opts,
-                    losses);
-  fused.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae, opts,
-                    losses);
+  const auto train_one = [&] {
+    fused.train_batch(std::span(nets).first(1), std::span(slices).first(1),
+                      xs_ptrs, slab_y, LossKind::kMae,
+                      std::span(opts).first(1), std::span(losses).first(1));
+  };
 
-  const std::uint64_t before = pfdrl::nn::Workspace::total_allocations();
-  for (int i = 0; i < 3; ++i) {
+  // Group of one, on the calling thread: warm-up grows the scratch and
+  // the Adam moments, then nothing.
+  train_one();
+  train_one();
+  const std::uint64_t solo_before = Workspace::total_allocations();
+  for (int i = 0; i < 3; ++i) train_one();
+  EXPECT_EQ(Workspace::total_allocations(), solo_before)
+      << "a warm group of one must not grow its thread's scratch";
+
+  // The whole group, fanned out across the pool.
+  const std::uint64_t a1 = cold_member_step(train_one).allocs;
+  ASSERT_GT(a1, 0u);
+  const std::uint64_t bound = member_threads() * a1;
+  const std::uint64_t before = Workspace::total_allocations();
+  for (std::uint64_t i = 0; i <= bound; ++i) {
     fused.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae, opts,
                       losses);
   }
-  EXPECT_EQ(pfdrl::nn::Workspace::total_allocations(), before)
-      << "steady-state fused batches must not grow workspace slots";
+  EXPECT_LE(Workspace::total_allocations() - before, bound)
+      << "fused batches may grow a thread's scratch only on its first "
+      << "member step";
 }
 
 TEST(NnFused, TelemetryCountsBatchesRowsAndMembers) {

@@ -289,9 +289,10 @@ TEST(Dqn, ActPathAllocationFreePaperNet) {
 }
 
 // The learn path gets the same pin: once the replay is full and a few
-// warm-up steps of a one-agent learner have sized its slabs (the first
-// step scores every row, so the target pass's slab is as large as it
-// gets), further learn steps must not grow any workspace arena.
+// warm-up steps of a one-agent learner have sized its thread's scratch
+// (a group of one runs on the caller; the first step scores every row,
+// so the target pass's rows are as many as they get), further learn
+// steps must not grow any workspace arena.
 TEST(Dqn, LearnPathAllocationFreeSteadyState) {
   DqnAgent agent(small_config());
   FusedDqnLearner learner;

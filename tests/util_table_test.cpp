@@ -31,7 +31,9 @@ TEST(TextTable, ColumnsAligned) {
   while (start < out.size()) {
     const auto end = out.find('\n', start);
     const auto len = (end == std::string::npos ? out.size() : end) - start;
-    if (prev != std::string::npos) EXPECT_EQ(len, prev);
+    if (prev != std::string::npos) {
+      EXPECT_EQ(len, prev);
+    }
     prev = len;
     if (end == std::string::npos) break;
     start = end + 1;

@@ -23,11 +23,11 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(kernels_json "${WORK_DIR}/BENCH_kernels.json")
 
 # --- micro_kernels: google-benchmark JSON emitter, minimal time budget,
-# restricted to the batch-1 act-path benchmarks and the day-of-rows
-# dataset builders to keep the smoke fast.
+# restricted to the batch-1 act-path benchmarks, the day-of-rows
+# dataset builders and the fused DQN learn step to keep the smoke fast.
 execute_process(
   COMMAND "${MICRO_KERNELS}"
-    --benchmark_filter=BM_Matvec1|BM_DenseForwardBatch1|BM_MlpPredict|BM_DqnActGreedy|BM_MakeSupervised1440|BM_MakeSequences1440
+    --benchmark_filter=BM_Matvec1|BM_DenseForwardBatch1|BM_MlpPredict|BM_DqnActGreedy|BM_MakeSupervised1440|BM_MakeSequences1440|BM_FusedDqnLearn
     --benchmark_min_time=0.01
     --benchmark_out=${kernels_json}
     --benchmark_out_format=json

@@ -91,7 +91,10 @@ std::set<std::string> collect_anchors(const fs::path& file) {
     // every heading that names a file or identifier.
     std::string slug = slugify(text);
     const int n = seen[slug]++;
-    if (n > 0) slug += "-" + std::to_string(n);
+    if (n > 0) {
+      slug += '-';
+      slug += std::to_string(n);
+    }
     anchors.insert(slug);
   }
   return anchors;
