@@ -101,7 +101,7 @@ int main() {
          std::to_string(reg.counter("exchange.stale_rounds").value()),
          std::to_string(reg.counter("exchange.late_msgs").value()),
          std::to_string(reg.counter("fault.drops").value()),
-         std::to_string(reg.counter("fault.crashes").value())});
+         std::to_string(reg.counter("exchange.crashed_items").value())});
 
     // Fold per-profile counters into the global registry under a
     // profile prefix so the metrics sidecar captures the whole ladder.

@@ -1,7 +1,6 @@
 // Micro-benchmarks of the computational kernels underlying the system:
-// dense forward/backward, MLP and LSTM train batches (one-member fused
-// groups, the way a home trains alone), a fused DQN learn step over a
-// city_ems group, LSTM steps, a day of forecast
+// dense forward/backward, MLP and LSTM member train steps, one lockstep
+// DQN learn tick over a city_ems group, LSTM steps, a day of forecast
 // feature rows (flat and sequence builders), the Adam step, replay
 // sampling, message bus broadcast, federated averaging and the exchange
 // round. Inference and optimizer kernels run beside a per-row or scalar
@@ -30,9 +29,9 @@
 #include "nn/ref.hpp"
 #include "nn/workspace.hpp"
 #include "rl/dqn.hpp"
-#include "rl/fused.hpp"
 #include "rl/replay.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -197,17 +196,12 @@ void BM_MlpTrainBatch(benchmark::State& state) {
   nn::Matrix y(32, 3);
   for (double& v : x.data()) v = rng.normal();
   for (double& v : y.data()) v = rng.normal();
-  nn::FusedMlp fused;
-  nn::Mlp* const nets[] = {&net};
-  const nn::FusedSlice slices[] = {{0, 32}};
-  nn::Optimizer* const opts[] = {&opt};
-  double loss = 0.0;
   for (auto _ : state) {
-    fused.train_batch(nets, slices, x, y, nn::LossKind::kHuber, opts,
-                      {&loss, 1});
+    const double loss =
+        nn::mlp_train_step(net, x, y, nn::LossKind::kHuber, opt);
     benchmark::DoNotOptimize(loss);
   }
-  state.SetLabel("paper 8x100 DQN net, batch 32, group of one");
+  state.SetLabel("paper 8x100 DQN net, batch 32, one member step");
 }
 BENCHMARK(BM_MlpTrainBatch);
 
@@ -230,7 +224,7 @@ void BM_DenseBackward(benchmark::State& state) {
   for (double& v : grad.data()) v = rng.normal();
   std::vector<double> grads(net.parameter_count());
   nn::Workspace ws;
-  const nn::MlpTape tape = nn::mlp_forward(net, x, 0, rows, ws);
+  const nn::MlpTape tape = nn::mlp_forward(net, x, rows, ws);
   std::size_t macs = 0;
   for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
     macs += dims[l] * dims[l + 1] * (l > 0 ? 2 : 1);  // dW, and dX above l 0
@@ -253,10 +247,11 @@ void BM_DenseBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseBackward)->ArgName("dqn")->Arg(0)->Arg(1);
 
-// One fused DQN learn step over city_ems's group shape: 28 agents with a
-// 4x32 Q-network over a 5-wide state, 3 actions, batch 32, each replay
-// warm (full) before timing. scratch_bytes is the process's workspace
-// total after the run (nn::Workspace::total_bytes()).
+// One lockstep DQN learn tick over city_ems's group shape — every agent's
+// DqnAgent::learn as one pool task, as the EMS rounds run it: 28 agents
+// with a 4x32 Q-network over a 5-wide state, 3 actions, batch 32, each
+// replay warm (full) before timing. scratch_bytes is the process's
+// workspace total after the run (nn::Workspace::total_bytes()).
 void BM_FusedDqnLearn(benchmark::State& state) {
   const auto agents_n = static_cast<std::size_t>(state.range(0));
   rl::DqnConfig cfg;
@@ -281,10 +276,11 @@ void BM_FusedDqnLearn(benchmark::State& state) {
     }
     group.push_back(agents.back().get());
   }
-  rl::FusedDqnLearner learner;
   std::vector<double> losses(agents_n);
+  util::ThreadPool& pool = util::ThreadPool::global();
   for (auto _ : state) {
-    learner.learn(group, losses);
+    pool.parallel_for(0, agents_n,
+                      [&](std::size_t i) { losses[i] = group[i]->learn(); });
     benchmark::DoNotOptimize(losses.data());
   }
   state.counters["scratch_bytes"] =
@@ -305,19 +301,14 @@ void BM_LstmTrainBatch(benchmark::State& state) {
     for (double& v : m.data()) v = rng.normal();
   }
   for (double& v : y.data()) v = rng.normal();
-  nn::FusedLstm fused;
-  nn::LstmRegressor* const nets[] = {&net};
-  const nn::FusedSlice slices[] = {{0, 32}};
   std::vector<const nn::Matrix*> steps;
   for (const nn::Matrix& m : xs) steps.push_back(&m);
-  nn::Optimizer* const opts[] = {&opt};
-  double loss = 0.0;
   for (auto _ : state) {
-    fused.train_batch(nets, slices, steps, y, nn::LossKind::kMae, opts,
-                      {&loss, 1});
+    const double loss =
+        nn::lstm_train_step(net, steps, y, nn::LossKind::kMae, opt);
     benchmark::DoNotOptimize(loss);
   }
-  state.SetLabel("window 16, hidden 32, batch 32, group of one");
+  state.SetLabel("window 16, hidden 32, batch 32, one member step");
 }
 BENCHMARK(BM_LstmTrainBatch);
 

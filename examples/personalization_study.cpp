@@ -9,7 +9,6 @@
 #include "core/layer_split.hpp"
 #include "nn/serialize.hpp"
 #include "rl/dqn.hpp"
-#include "rl/fused.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -43,7 +42,6 @@ int main() {
   // Let the agents diverge (their own experience, each learning alone),
   // then federate alpha=6.
   util::Rng rng(3);
-  rl::FusedDqnLearner learner;
   for (rl::DqnAgent* agent : {&home_a, &home_b}) {
     for (int i = 0; i < 256; ++i) {
       rl::Transition t;
@@ -55,8 +53,7 @@ int main() {
       t.terminal = true;
       agent->remember(std::move(t));
     }
-    double loss = 0.0;
-    for (int i = 0; i < 50; ++i) learner.learn({&agent, 1}, {&loss, 1});
+    for (int i = 0; i < 50; ++i) agent->learn();
   }
 
   const auto digest = [](const rl::DqnAgent& agent, std::size_t lo,

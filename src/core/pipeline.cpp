@@ -11,8 +11,8 @@
 
 #include "forecast/metrics.hpp"
 #include "net/shard_router.hpp"
+#include "nn/fused.hpp"
 #include "obs/metrics.hpp"
-#include "rl/fused.hpp"
 #include "util/shard.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -222,7 +222,7 @@ std::vector<double> EmsPipeline::forecast_series(std::size_t home,
   return out;
 }
 
-EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
+EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() const {
   EmsRoundPlan plan;
   for (std::size_t h = 0; h < agents_.size(); ++h) {
     for (std::size_t d = 0; d < agents_[h].size(); ++d) {
@@ -232,15 +232,11 @@ EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
       }
     }
   }
-  // Fused groups (docs/fused_training.md): one per shard, or one per pool
-  // worker when unsharded. Per-agent act/remember/learn sequences do not
-  // depend on the grouping, so neither do the results.
+  // Lockstep groups (docs/fused_training.md): one per shard, or one per
+  // pool worker when unsharded. Per-agent act/remember/learn sequences do
+  // not depend on the grouping, so neither do the results.
   plan.slices = util::slice_jobs(plan.job_homes, agents_.size(), shards_,
                                  util::ThreadPool::global().size());
-  const std::size_t groups = plan.slices.group_begin.size() - 1;
-  while (fused_learners_.size() < groups) {
-    fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
-  }
   return plan;
 }
 
@@ -250,8 +246,8 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   // The group's rollouts run in lockstep, one decision step per meter
   // interval: each agent commits a mode when a fresh reading arrives,
   // holds it until the next report and banks the reward integrated over
-  // the held interval; on learn ticks the group's minibatches stack into
-  // one fused learn step.
+  // the held interval; on learn ticks every agent of the group takes its
+  // own learn step, one pool task each.
   const std::size_t stride =
       std::max<std::size_t>(1, cfg_.meter_interval_minutes);
   const std::size_t gb = plan.slices.group_begin[g];
@@ -279,10 +275,16 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
   std::vector<std::array<double, ems::EmsEnvironment::kStateDim>>
       next_states(n);
   for (std::size_t i = 0; i < n; ++i) envs[i].state_into(0, states[i]);
-  std::vector<double> losses(n);
-  rl::FusedDqnLearner& learner = *fused_learners_[g];
-  const std::uint64_t hits_before = learner.cache_hits();
-  const std::uint64_t misses_before = learner.cache_misses();
+  const auto cache_counts = [&] {
+    std::uint64_t hits = 0, misses = 0;
+    for (const rl::DqnAgent* a : group_agents) {
+      hits += a->cache_hits();
+      misses += a->cache_misses();
+    }
+    return std::pair{hits, misses};
+  };
+  const auto [hits_before, misses_before] = cache_counts();
+  util::ThreadPool& pool = util::ThreadPool::global();
   for (std::size_t t = 0; t < len; t += stride) {
     const std::size_t t_next = std::min(t + stride, len);
     const bool terminal = t_next >= len;
@@ -313,19 +315,31 @@ void EmsPipeline::run_ems_group(const EmsRoundPlan& plan, std::size_t g,
     // meter interval (and unaliased against `begin`). The gate depends
     // only on (begin, t), so the whole group learns on the same ticks.
     if ((begin + t) % cfg_.learn_every_minutes < stride) {
-      // Every agent is built from cfg_.dqn, so the group always fuses.
-      if (!learner.learn(group_agents, losses)) {
-        throw std::logic_error("EmsPipeline: EMS group did not fuse");
+      // An agent's step touches only its own state, so the fan-out cannot
+      // change any agent's bits. Until an agent's replay holds a batch
+      // its learn() returns at once; a tick where no agent is past that
+      // warm-up starts no tasks and is no group batch.
+      std::size_t active = 0, rows = 0;
+      for (const rl::DqnAgent* a : group_agents) {
+        const std::size_t bs = a->config().batch_size;
+        if (a->replay().size() < bs) continue;
+        ++active;
+        rows += bs;
+      }
+      if (active > 0) {
+        pool.parallel_for(0, n,
+                          [&](std::size_t i) { group_agents[i]->learn(); });
+        nn::note_fused_batch(active, rows);
       }
       learns += n;
     }
     steps += n;
   }
+  const auto [hits_after, misses_after] = cache_counts();
   counters.env_steps.add(steps);
-  counters.replay_pushes.add(steps);
   counters.learn_calls.add(learns);
-  counters.target_cache_hits.add(learner.cache_hits() - hits_before);
-  counters.target_cache_misses.add(learner.cache_misses() - misses_before);
+  counters.target_cache_hits.add(hits_after - hits_before);
+  counters.target_cache_misses.add(misses_after - misses_before);
 }
 
 void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
@@ -339,7 +353,6 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
 
   obs::MetricsRegistry& reg = metrics();
   const EmsRoundCounters counters{reg.counter("ems.env_steps"),
-                                  reg.counter("ems.replay_pushes"),
                                   reg.counter("ems.learn_calls"),
                                   reg.counter("rl.target_cache_hits"),
                                   reg.counter("rl.target_cache_misses")};
@@ -536,8 +549,6 @@ void EmsPipeline::sync_runtime_metrics() const {
   obs::record_nn_workspace_stats(reg);
   obs::record_nn_kernel_stats(reg);
   obs::record_nn_fused_stats(reg);
-  reg.counter("forecast.fused_fallbacks")
-      .set(dfl_ ? dfl_->fused_fallbacks() : 0);
 }
 
 const rl::DqnAgent& EmsPipeline::agent(std::size_t home,

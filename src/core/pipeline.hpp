@@ -38,10 +38,6 @@ class Counter;
 class MetricsRegistry;
 }
 
-namespace pfdrl::rl {
-class FusedDqnLearner;
-}
-
 namespace pfdrl::core {
 
 struct PipelineConfig {
@@ -260,18 +256,16 @@ class EmsPipeline {
   };
   struct EmsRoundCounters {
     obs::Counter& env_steps;
-    obs::Counter& replay_pushes;
     obs::Counter& learn_calls;
     obs::Counter& target_cache_hits;
     obs::Counter& target_cache_misses;
   };
-  /// Build the round plan (and grow fused_learners_ to match — group
-  /// boundaries are pinned by (jobs, shards, pool size), so this is
-  /// idempotent across rounds).
-  [[nodiscard]] EmsRoundPlan prepare_round_plan();
+  /// Build the round plan (group boundaries are pinned by (jobs, shards,
+  /// pool size), so it is the same every round).
+  [[nodiscard]] EmsRoundPlan prepare_round_plan() const;
   /// EMS rollout+train pass of group g's jobs over trace minutes
-  /// [begin, end), in lockstep so learn ticks stack into one fused DQN
-  /// step. Independent across groups; groups never share a home.
+  /// [begin, end), in lockstep so every agent of the group learns on the
+  /// same ticks. Independent across groups; groups never share a home.
   void run_ems_group(const EmsRoundPlan& plan, std::size_t g,
                      std::size_t begin, std::size_t end,
                      const EmsRoundCounters& counters);
@@ -299,11 +293,6 @@ class EmsPipeline {
   /// graph, or a self-only graph without a federation. Its stats are
   /// cumulative across train_ems calls (ems.pipeline.*).
   std::optional<fl::RoundPipeline> rounds_;
-  /// Per-group fused DQN learners. Group boundaries are pinned by (jobs,
-  /// shards, pool size), so group g keeps one learner — its cache
-  /// counters and active-agent list; the learning scratch lives in each
-  /// thread's nn::thread_scratch().
-  std::vector<std::unique_ptr<rl::FusedDqnLearner>> fused_learners_;
   std::uint64_t ems_rounds_done_ = 0;
   std::uint64_t on_round_end_every_ = 1;
   std::function<void(std::uint64_t)> on_round_end_;

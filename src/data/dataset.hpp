@@ -3,7 +3,7 @@
 // train/test split (the paper's setting), and per-device normalization.
 //
 // One encoder: every forecast feature row — make_supervised's,
-// make_sequences' and the fused trainer's batch gather
+// make_sequences' and the group trainer's per-member batch rows
 // (forecast/fused.hpp) — is copied out of an EncodedSpan, which encodes
 // each trace minute its rows can touch exactly once (WattCodec), plus
 // the hour-of-day table's pair for the row's minute. A sliding window

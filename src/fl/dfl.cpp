@@ -1,7 +1,6 @@
 #include "fl/dfl.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -164,9 +163,6 @@ void DflTrainer::run_rounds(
     windows_per_job[w] = span / std::max<std::size_t>(1, train[w].stride);
   }
 
-  // Groups that could not fuse. Relaxed atomic: groups only accumulate;
-  // the fold happens once below.
-  std::atomic<std::uint64_t> fallbacks{0};
   const std::uint64_t r0 = rounds_done_;
   const auto train_group = [&](std::size_t g, std::uint64_t r) {
     const auto [begin, end] = windows[static_cast<std::size_t>(r - r0)];
@@ -186,13 +182,11 @@ void DflTrainer::run_rounds(
                        &traces_[job_homes[j]].devices[job_devs[j]],
                        &rngs[j - gb], 0.0};
     }
-    // A trainer per group and round: nothing it sizes outlives the round.
     const forecast::TrainConfig& tc = train[static_cast<std::size_t>(r - r0)];
-    forecast::FusedForecastTrainer trainer;
-    if (!trainer.train(fjobs, begin, end, tc)) {
-      // Closed-form method (or mismatched shapes): per-job training with
-      // the still-unconsumed forked RNGs, counted as a fused fallback.
-      fallbacks.fetch_add(1, std::memory_order_relaxed);
+    if (forecast::minibatch_method(cfg_.method)) {
+      forecast::FusedForecastTrainer().train(fjobs, begin, end, tc);
+    } else {
+      // LR and SVR have their own training loops: one job at a time.
       for (forecast::FusedTrainJob& fj : fjobs) {
         fj.forecaster->train(*fj.trace, begin, end, tc, *fj.rng);
       }
@@ -239,12 +233,6 @@ void DflTrainer::run_rounds(
   };
   if (staged) {
     ops.publish = [&](std::size_t s, std::uint64_t r) {
-      // A closed-form fit may have replaced a model's parameter buffer.
-      for (std::size_t j = slices.shard_job_begin[s];
-           j < slices.shard_job_begin[s + 1]; ++j) {
-        staged->set_send(
-            j, agents_[job_homes[j]].devices[job_devs[j]]->parameters());
-      }
       staged->publish_shard(s, r);
     };
     if (staged->has_hub()) {
@@ -262,7 +250,6 @@ void DflTrainer::run_rounds(
         .add(job_homes.size() * windows_per_job[static_cast<std::size_t>(r - r0)]);
   };
   pipeline_.run(pool, r0, windows.size(), ops);
-  fused_fallbacks_ += fallbacks.load(std::memory_order_relaxed);
 
   if (cfg_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *cfg_.metrics;
@@ -272,7 +259,6 @@ void DflTrainer::run_rounds(
       reg.counter("dfl.contributions_rejected").add(stats.rejected);
       staged->record_metrics(windows.size());
     }
-    reg.counter("forecast.fused_fallbacks").set(fused_fallbacks_);
     obs::record_bus_stats(reg, "bus.forecast", bus_.stats());
     if (router_) {
       obs::record_shard_router_stats(reg, "bus.forecast", router_->stats());

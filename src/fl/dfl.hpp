@@ -152,12 +152,6 @@ class DflTrainer {
   [[nodiscard]] const net::ShardRouter* shard_router() const noexcept {
     return router_.get();
   }
-  /// Training groups that could not fuse (closed-form LR/SVR methods,
-  /// mismatched shapes) and trained per job instead, summed over rounds.
-  /// Folded into the registry as `forecast.fused_fallbacks`.
-  [[nodiscard]] std::uint64_t fused_fallbacks() const noexcept {
-    return fused_fallbacks_;
-  }
 
  private:
   /// True when rounds exchange parameters (an aggregation mode and at
@@ -180,7 +174,6 @@ class DflTrainer {
   /// when the trainer does not federate); its stats are cumulative.
   RoundPipeline pipeline_;
   std::uint64_t rounds_done_ = 0;
-  std::uint64_t fused_fallbacks_ = 0;
 };
 
 }  // namespace pfdrl::fl

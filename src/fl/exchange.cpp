@@ -142,7 +142,6 @@ void record_exchange_metrics(obs::MetricsRegistry& reg, const ExchangeStats& d,
       .add(after.messages_duplicated - before.messages_duplicated);
   reg.counter("fault.delayed_msgs")
       .add(after.messages_delayed - before.messages_delayed);
-  reg.counter("fault.crashes").add(d.crashed_items);
 }
 
 // Compressed adjacency: row a lists entries [begin[a], begin[a + 1]).
@@ -912,10 +911,6 @@ StagedExchange::StagedExchange(net::MessageBus& bus,
 StagedExchange::~StagedExchange() = default;
 
 bool StagedExchange::has_hub() const noexcept { return impl_->star; }
-
-void StagedExchange::set_send(std::size_t item, std::span<const double> send) {
-  impl_->items.at(item).send = send;
-}
 
 void StagedExchange::publish_shard(std::size_t shard, std::uint64_t round_id) {
   impl_->publish_shard(shard, round_id);

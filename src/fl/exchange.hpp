@@ -201,14 +201,16 @@ class ParamExchange {
 ///
 /// Contract: construct once per run with items sorted ascending by agent
 /// (required when the bus has a shard router), at most one item per
-/// (agent, device type). For every round r, publish_shard(s, r) must run
-/// before apply_shard(d, r) for every shard d that s broadcasts into; on
-/// a star, hub_step(r) runs after every shard published r and before any
-/// shard applies r (readiness is the pipeline's job). Within one shard
-/// the calls are sequential. Every round has its own board, which lives
-/// until every shard has applied that round: on a directed graph a shard
-/// may publish several rounds ahead of a slow reader, and its round-r
-/// entries stay readable until the last round-r apply.
+/// (agent, device type), each item's `send` span valid for the session's
+/// life (its model's parameter buffer never moves). For every round r,
+/// publish_shard(s, r) must run before apply_shard(d, r) for every shard
+/// d that s broadcasts into; on a star, hub_step(r) runs after every
+/// shard published r and before any shard applies r (readiness is the
+/// pipeline's job). Within one shard the calls are sequential. Every
+/// round has its own board, which lives until every shard has applied
+/// that round: on a directed graph a shard may publish several rounds
+/// ahead of a slow reader, and its round-r entries stay readable until
+/// the last round-r apply.
 ///
 /// Stats accumulate across rounds (order-independent atomic sums);
 /// record_metrics() folds exchange.*/fault.* deltas per segment.
@@ -225,11 +227,6 @@ class StagedExchange {
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_; }
   /// True on a star topology: every round needs hub_step().
   [[nodiscard]] bool has_hub() const noexcept;
-
-  /// Re-point item `item`'s outgoing slice (a model whose parameter
-  /// buffer moved since construction). Only the item's own shard may
-  /// call this, between its apply and its next publish.
-  void set_send(std::size_t item, std::span<const double> send);
 
   /// Phase 1 for `shard` at `round_id`: write every live owned item to
   /// the round's board and bill the shard's sends (and, sharded, its

@@ -55,7 +55,7 @@ void BpForecaster::set_parameters(std::span<const double> values) {
   // Adam moments are intentionally kept: federated averaging moves the
   // weights only slightly (peers share init and are re-averaged every
   // round), and resetting the moments at every broadcast acted as a
-  // repeated warm restart that measurably hurt DFL accuracy.  // moments refer to the replaced parameters
+  // repeated warm restart that measurably hurt DFL accuracy.
 }
 
 std::vector<double> BpForecaster::train_state() const {

@@ -1,5 +1,6 @@
 #include "forecast/lr.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -86,7 +87,9 @@ double LrForecaster::train(const data::DeviceTrace& trace, std::size_t begin,
   if (!cholesky_solve(gram, n, solution)) {
     throw std::runtime_error("LrForecaster: singular normal equations");
   }
-  weights_ = std::move(solution);
+  // Copy into the existing buffer (same size): the exchange reads the
+  // model through a span of it that must stay valid across rounds.
+  std::copy(solution.begin(), solution.end(), weights_.begin());
 
   // Mean squared error on the training windows (scaled units).
   double mse = 0.0;

@@ -53,34 +53,10 @@ void activate_inplace(Activation a, Matrix& m) {
   }
 }
 
-// Row ranges of a row-major matrix are contiguous, so the fused-slice
-// variants run the same elementwise kernels over a subspan.
-void activate_rows(Activation a, Matrix& m, std::size_t row_begin,
-                   std::size_t rows) {
-  assert(row_begin + rows <= m.rows());
-  if (rows == 0 || a == Activation::kIdentity) return;
-  const auto xs = m.data().subspan(row_begin * m.cols(), rows * m.cols());
-  switch (a) {
-    case Activation::kIdentity: return;
-    case Activation::kRelu:
-      for (double& x : xs) x = x > 0.0 ? x : 0.0;
-      return;
-    case Activation::kSigmoid:
-      for (double& x : xs) x = 1.0 / (1.0 + std::exp(-x));
-      return;
-    case Activation::kTanh:
-      for (double& x : xs) x = std::tanh(x);
-      return;
-  }
-}
-
-void scale_by_activation_grad_rows(Activation a, const Matrix& y, Matrix& grad,
-                                   std::size_t row_begin, std::size_t rows) {
+void scale_by_activation_grad(Activation a, const Matrix& y, Matrix& grad) {
   assert(y.rows() == grad.rows() && y.cols() == grad.cols());
-  assert(row_begin + rows <= y.rows());
-  if (rows == 0 || a == Activation::kIdentity) return;
-  const auto ys = y.data().subspan(row_begin * y.cols(), rows * y.cols());
-  const auto gs = grad.data().subspan(row_begin * y.cols(), rows * y.cols());
+  const auto ys = y.data();
+  const auto gs = grad.data();
   switch (a) {
     case Activation::kIdentity: return;
     case Activation::kRelu:

@@ -83,7 +83,7 @@ void dense_forward(std::span<const double> params, std::size_t in,
   assert(x.cols() == in);
   const std::size_t batch = x.rows();
   y.reshape(batch, out);
-  dense_forward_slice(params, in, out, x, 0, y, FusedSlice{0, batch});
+  dense_forward_slice(params, in, out, x, y, batch);
   // Activation over the whole matrix, not per row: libmvec's split between
   // vector lanes and scalar tail depends on the extent of the call.
   activate_inplace(act, y);

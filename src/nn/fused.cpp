@@ -11,7 +11,6 @@
 #include "nn/kernels.hpp"
 #include "nn/lstm.hpp"
 #include "nn/mlp.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfdrl::nn {
 
@@ -19,7 +18,7 @@ namespace {
 
 constexpr std::size_t kRB = kernels::kRowBlock;
 
-/// Row pointers of a block of kRB consecutive slab rows.
+/// Row pointers of a block of kRB consecutive rows.
 template <class M>
 void block_rows(M& m, std::size_t r, double* out[kRB]) noexcept {
   for (std::size_t i = 0; i < kRB; ++i) out[i] = m.row(r + i).data();
@@ -40,53 +39,6 @@ void head_backward(const double* w, std::size_t h, std::size_t o,
   kernels::slab_outer_acc(h_last.row(0).data(), h, h, go, o, o, rows, gw_head,
                           o, gb_head);
   kernels::slab_dot(go, o, o, rows, w, o, h, dh.row(0).data(), h);
-}
-
-/// Member shape uniformity is checked by each trainer; the slices must
-/// tile [0, rows) of the slab in order.
-void check_slices(std::span<const FusedSlice> slices, std::size_t rows) {
-  std::size_t at = 0;
-  for (const FusedSlice& s : slices) {
-    if (s.row_begin != at) {
-      throw std::invalid_argument("fused: slices must tile the slab in order");
-    }
-    at += s.rows;
-  }
-  if (at != rows) {
-    throw std::invalid_argument("fused: slices must cover every slab row");
-  }
-}
-
-/// Validates a recurrent batch (slice tiling, one (F, H, O) shape across
-/// members, inputs covering the batch) and returns its slab row count.
-template <class Net>
-std::size_t recurrent_batch_rows(std::span<Net* const> nets,
-                                 std::span<const FusedSlice> slices,
-                                 std::span<const Matrix* const> xs,
-                                 const Matrix& y, std::size_t src_row0,
-                                 const char* mismatch) {
-  std::size_t rows = 0;
-  for (const FusedSlice& s : slices) rows += s.rows;
-  check_slices(slices, rows);
-  const Net& n0 = *nets[0];
-  for (const Net* n : nets) {
-    if (n->feature_dim() != n0.feature_dim() ||
-        n->hidden_dim() != n0.hidden_dim() ||
-        n->output_dim() != n0.output_dim()) {
-      throw std::invalid_argument(mismatch);
-    }
-  }
-#ifndef NDEBUG
-  for (const Matrix* x : xs) {
-    assert(x->rows() >= src_row0 + rows && x->cols() == n0.feature_dim());
-  }
-  assert(y.rows() >= src_row0 + rows);
-#else
-  (void)xs;
-  (void)y;
-  (void)src_row0;
-#endif
-  return rows;
 }
 
 /// The member step's gradient span: n zeroed doubles of its scratch.
@@ -182,14 +134,13 @@ GruOffsets gru_offsets(std::size_t f, std::size_t h, std::size_t o) {
 
 /// Dense backward over a member's rows on the slab kernels: bias/weight
 /// gradients into the member's gradient slice, dL/dx rows into grad_x.
-/// x rows are read at in_row0 + r. `grad_y` must already hold the
-/// pre-activation delta.
+/// `grad_y` must already hold the pre-activation delta.
 void dense_backward(std::span<const double> params, std::size_t in,
-                    std::size_t out, const Matrix& x, std::size_t in_row0,
-                    const Matrix& grad_y, std::span<double> grad_params,
-                    Matrix* grad_x, std::size_t rows) {
+                    std::size_t out, const Matrix& x, const Matrix& grad_y,
+                    std::span<double> grad_params, Matrix* grad_x,
+                    std::size_t rows) {
   const double* dy = grad_y.row(0).data();
-  kernels::slab_outer_acc(x.row(in_row0).data(), x.cols(), in, dy, out, out,
+  kernels::slab_outer_acc(x.row(0).data(), x.cols(), in, dy, out, out,
                           rows, grad_params.data(), out,
                           grad_params.data() + in * out);
   if (grad_x != nullptr) {
@@ -202,31 +153,28 @@ void dense_backward(std::span<const double> params, std::size_t in,
 
 // ------------------------------------------------- per-layer step functions --
 
-// One LSTM step over one slice's rows: blocked gate preactivation, then
-// the per-row nonlinearity/state-update sequence. `x_row0` offsets the
-// rows read from x (the forecast epoch arena); the state slabs stay
-// batch-local.
+// One LSTM step over rows [0, rows): blocked gate preactivation, then
+// the per-row nonlinearity/state-update sequence.
 void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
                      std::size_t f, std::size_t h, const Matrix& x,
-                     std::size_t x_row0, const Matrix& h_prev,
-                     const Matrix& c_prev, Matrix& gates, Matrix& c,
-                     Matrix& tanh_c, Matrix& hm, const FusedSlice& s) {
+                     const Matrix& h_prev, const Matrix& c_prev,
+                     Matrix& gates, Matrix& c, Matrix& tanh_c, Matrix& hm,
+                     std::size_t rows) {
   const std::size_t g4 = 4 * h;
-  const std::size_t r_end = s.row_begin + s.rows;
-  std::size_t r = s.row_begin;
-  for (; r + kRB <= r_end; r += kRB) {
+  std::size_t r = 0;
+  for (; r + kRB <= rows; r += kRB) {
     double* zr[kRB];
     const double* xr[kRB];
     const double* hr[kRB];
     block_rows(gates, r, zr);
-    block_rows_const(x, x_row0 + r, xr);
+    block_rows_const(x, r, xr);
     block_rows_const(h_prev, r, hr);
     kernels::fused_gates_rows(pb, xr, f, pwx, hr, h, pwh, g4, zr, g4);
   }
-  for (; r < r_end; ++r) {
+  for (; r < rows; ++r) {
     double* z = gates.row(r).data();
     for (std::size_t j = 0; j < g4; ++j) z[j] = pb[j];
-    const double* xr = x.row(x_row0 + r).data();
+    const double* xr = x.row(r).data();
     for (std::size_t k = 0; k < f; ++k) {
       kernels::axpy(xr[k], pwx + k * g4, z, g4);
     }
@@ -235,7 +183,7 @@ void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
       kernels::axpy(hr[k], pwh + k * g4, z, g4);
     }
   }
-  for (r = s.row_begin; r < r_end; ++r) {
+  for (r = 0; r < rows; ++r) {
     double* z = gates.row(r).data();
     kernels::sigmoid_inplace(z, 2 * h);
     kernels::tanh_inplace(z + 2 * h, h);
@@ -253,26 +201,23 @@ void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
   }
 }
 
-// One GRU step over one slice's rows. `x_row0` offsets the rows read
-// from x, as in lstm_step_slice. The bias fill + input matrix ride the
-// specialized fused_gates_rows register tile (its generic fallback is
+// One GRU step over rows [0, rows). The bias fill + input matrix ride
+// the specialized fused_gates_rows register tile (its generic fallback is
 // literally that bias-fill + fused_acc_rows sequence, so the swap is
 // bitwise free); the recurrent matrix cannot join the same call because
 // it only feeds the z/r gate columns until (r ⊙ h) is known.
 void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
                     std::size_t f, std::size_t h, const Matrix& x,
-                    std::size_t x_row0, const Matrix& h_prev, Matrix& gates,
-                    Matrix& hm, Matrix& coeff, std::size_t coeff_base,
-                    const FusedSlice& s) {
+                    const Matrix& h_prev, Matrix& gates, Matrix& hm,
+                    Matrix& coeff, std::size_t rows) {
   const std::size_t g3 = 3 * h;
-  const std::size_t r_end = s.row_begin + s.rows;
-  std::size_t r = s.row_begin;
-  for (; r + kRB <= r_end; r += kRB) {
+  std::size_t r = 0;
+  for (; r + kRB <= rows; r += kRB) {
     double* zr[kRB];
     const double* xr[kRB];
     const double* hp[kRB];
     block_rows(gates, r, zr);
-    block_rows_const(x, x_row0 + r, xr);
+    block_rows_const(x, r, xr);
     block_rows_const(h_prev, r, hp);
     kernels::fused_gates_rows(pb, xr, f, pwx, nullptr, 0, nullptr, g3, zr,
                               g3);
@@ -288,7 +233,7 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
     double* zc[kRB];
     const double* cf_const[kRB];
     for (std::size_t i = 0; i < kRB; ++i) {
-      cf[i] = coeff.row(coeff_base + i).data();
+      cf[i] = coeff.row(i).data();
       zc[i] = zr[i] + 2 * h;
       cf_const[i] = cf[i];
       for (std::size_t k = 0; k < h; ++k) cf[i][k] = zr[i][h + k] * hp[i][k];
@@ -303,10 +248,10 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
       }
     }
   }
-  for (; r < r_end; ++r) {
+  for (; r < rows; ++r) {
     double* z = gates.row(r).data();
     for (std::size_t j = 0; j < g3; ++j) z[j] = pb[j];
-    const double* xr = x.row(x_row0 + r).data();
+    const double* xr = x.row(r).data();
     for (std::size_t k = 0; k < f; ++k) {
       kernels::axpy(xr[k], pwx + k * g3, z, g3);
     }
@@ -327,28 +272,26 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
   }
 }
 
-// Dense forward preactivation for one slice (activation applies to the
-// whole slab or slice afterwards). `in_row0` offsets the rows read from x
-// (nonzero only for the input layer when the batch lives inside an epoch
-// arena). Leftover rows go through matvec1, bitwise the tile's rows by the
-// dense.hpp contract, so slicing never changes results.
+// Dense forward preactivation over rows [0, rows) (the activation
+// applies to the whole output afterwards). Leftover rows go through
+// matvec1, bitwise the tile's rows by the dense.hpp contract, so the row
+// count never changes a row's result.
 void dense_forward_slice(std::span<const double> params, std::size_t in,
-                         std::size_t out, const Matrix& x, std::size_t in_row0,
-                         Matrix& y, const FusedSlice& s) {
+                         std::size_t out, const Matrix& x, Matrix& y,
+                         std::size_t rows) {
   const double* w = params.data();
   const double* b = params.data() + in * out;
-  const std::size_t r_end = s.row_begin + s.rows;
-  std::size_t r = s.row_begin;
-  for (; r + kRB <= r_end; r += kRB) {
+  std::size_t r = 0;
+  for (; r + kRB <= rows; r += kRB) {
     double* yr[kRB];
     const double* xr[kRB];
     block_rows(y, r, yr);
-    block_rows_const(x, in_row0 + r, xr);
+    block_rows_const(x, r, xr);
     kernels::fused_gates_rows(b, xr, in, w, nullptr, 0, nullptr, out, yr, out);
   }
-  for (; r < r_end; ++r) {
-    matvec1(params.first(in * out), params.subspan(in * out, out),
-            x.row(in_row0 + r), in, out, y.row(r));
+  for (; r < rows; ++r) {
+    matvec1(params.first(in * out), params.subspan(in * out, out), x.row(r),
+            in, out, y.row(r));
   }
 }
 
@@ -356,299 +299,267 @@ void dense_forward_slice(std::span<const double> params, std::size_t in,
 // next to the train-batch counter, so the sanitizer stress jobs (which
 // rebuild kernels.cpp + metrics.cpp without this file) still link.
 
-// ------------------------------------------------------------ FusedLstm --
+// ------------------------------------------------------------- LSTM step --
 
-void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
-                            std::span<const FusedSlice> slices,
-                            std::span<const Matrix* const> xs, const Matrix& y,
-                            LossKind loss, std::span<Optimizer* const> opts,
-                            std::span<double> losses, double clip_norm,
-                            std::size_t src_row0) {
-  const std::size_t members = nets.size();
-  if (members == 0 || xs.empty()) return;
-  assert(slices.size() == members && opts.size() == members &&
-         losses.size() == members);
+double lstm_train_step(LstmRegressor& net, std::span<const Matrix* const> xs,
+                       const Matrix& y, LossKind loss, Optimizer& opt,
+                       double clip_norm) {
   const std::size_t T = xs.size();
-  const std::size_t rows = recurrent_batch_rows(
-      nets, slices, xs, y, src_row0, "FusedLstm: member shape mismatch");
-  if (rows == 0) return;
-  const LstmRegressor& n0 = *nets[0];
-  const std::size_t f = n0.feature_dim();
-  const std::size_t h = n0.hidden_dim();
-  const std::size_t o = n0.output_dim();
+  const std::size_t n = y.rows();
+  const std::size_t f = net.feature_dim();
+  const std::size_t h = net.hidden_dim();
+  const std::size_t o = net.output_dim();
+  assert(T > 0 && y.cols() == o);
+#ifndef NDEBUG
+  for (const Matrix* x : xs) assert(x->rows() >= n && x->cols() == f);
+#endif
   const LstmOffsets ofs = lstm_offsets(f, h, o);
+  const double* p = net.parameters().data();
 
-  // ---- Member-major execution: one task per member runs its forward,
-  // loss, BPTT, clip and Adam step on its own slab rows against its own
-  // bank, with every intermediate and its gradient span in the running
-  // thread's scratch. Members share no accumulator, so fanning them out
-  // across the pool cannot change any member's arithmetic — each member's
-  // result stays bitwise its group-of-one result at every thread count.
-  // Member-major order also keeps each bank hot in cache for the whole
-  // sequence instead of re-streaming every bank per timestep.
-  const auto member_task = [&](std::size_t i) {
-    const std::size_t n = slices[i].rows;
-    const std::size_t x0 = src_row0 + slices[i].row_begin;  // slab rows
-    const FusedSlice own{0, n};
-    const double* p = nets[i]->parameters().data();
-    Workspace& ws = thread_scratch();
-    ws.reset();
-    const std::span<double> gspan = take_gradients(ws, ofs.total);
-    double* g = gspan.data();
-    // Step t's gates, c, tanh(c) and h are slots first + 4t + 0..3.
-    const std::size_t first = ws.cursor();
-    for (std::size_t t = 0; t < T; ++t) {
-      ws.take(n, 4 * h);
-      for (int k = 0; k < 3; ++k) ws.take(n, h);
-    }
-    const auto gates = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 4 * t);
-    };
-    const auto cell = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 4 * t + 1);
-    };
-    const auto tanh_c = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 4 * t + 2);
-    };
-    const auto hid = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 4 * t + 3);
-    };
-    Matrix& h0 = ws.take(n, h);
-    Matrix& c0 = ws.take(n, h);
-    Matrix& pred = ws.take(n, o);
-    Matrix& grad_out = ws.take(n, o);
-    Matrix& dh = ws.take(n, h);
-    Matrix& dc = ws.take(n, h);
-    Matrix& dz = ws.take(n, 4 * h);
-    h0.zero();
-    c0.zero();
-    dc.zero();
-
-    // ---- Forward: all T steps over this member's rows. ----
-    for (std::size_t t = 0; t < T; ++t) {
-      const Matrix& hp = t > 0 ? hid(t - 1) : h0;
-      const Matrix& cp = t > 0 ? cell(t - 1) : c0;
-      lstm_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], x0, hp,
-                      cp, gates(t), cell(t), tanh_c(t), hid(t), own);
-    }
-    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), 0, pred,
-                        own);
-
-    // ---- Loss over this member's rows (targets sit at its slab rows). ----
-    losses[i] = loss_value_rows(loss, pred, 0, y, x0, n);
-    loss_grad_rows(loss, pred, 0, y, x0, n, grad_out);
-
-    // ---- Backward into the member's gradient span. ----
-    head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
-                  g + ofs.w_head, g + ofs.b_head, n);
-    const double* pwh = p + ofs.wh;
-    for (std::size_t t = T; t-- > 0;) {
-      const Matrix& gt = gates(t);
-      const Matrix& tc_t = tanh_c(t);
-      const Matrix* c_prev = t > 0 ? &cell(t - 1) : nullptr;
-      const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
-      // Phase 1 — elementwise deltas (identical scalar sequence per
-      // row). The c_prev presence test is hoisted to a template
-      // parameter so the j loop is branch-free and auto-vectorizes.
-      for (std::size_t r = 0; r < n; ++r) {
-        const double* zg = gt.row(r).data();
-        const double* tc = tc_t.row(r).data();
-        double* dhr = dh.row(r).data();
-        double* dcr = dc.row(r).data();
-        double* dzr = dz.row(r).data();
-        if (c_prev != nullptr) {
-          lstm_phase1_row<true>(zg, tc, c_prev->row(r).data(), dhr, dcr, dzr,
-                                h);
-        } else {
-          lstm_phase1_row<false>(zg, tc, nullptr, dhr, dcr, dzr, h);
-        }
-      }
-      // Phase 2 — parameter gradients + dh_{t-1} over all the member's
-      // rows on the slab kernels (rows ascending per element, as per row).
-      const double* dz0 = dz.row(0).data();
-      kernels::slab_outer_acc(xs[t]->row(x0).data(), f, f, dz0, 4 * h, 4 * h,
-                              n, g + ofs.wx, 4 * h, g + ofs.b);
-      // At t == 0 there is no h_{-1}: no recurrent gradient, and dh_{-1}
-      // would be read by nothing.
-      if (t == 0) continue;
-      kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 4 * h, 4 * h,
-                              n, g + ofs.wh, 4 * h, nullptr);
-      kernels::slab_dot(dz0, 4 * h, 4 * h, n, pwh, 4 * h, h, dh.row(0).data(),
-                        h);
-    }
-
-    clip_and_step(gspan, clip_norm, *opts[i], nets[i]->parameters());
-    kernels::note_train_batch();
+  // Forward, loss, BPTT, clip and Adam step over the member's own rows
+  // against its own bank, with every intermediate and the gradient span
+  // in the running thread's scratch. The step reads no other member's
+  // state, so its bits do not depend on the thread or on the members
+  // training beside it.
+  Workspace& ws = thread_scratch();
+  const std::size_t mark = ws.cursor();
+  const std::span<double> gspan = take_gradients(ws, ofs.total);
+  double* g = gspan.data();
+  // Step t's gates, c, tanh(c) and h are slots first + 4t + 0..3.
+  const std::size_t first = ws.cursor();
+  for (std::size_t t = 0; t < T; ++t) {
+    ws.take(n, 4 * h);
+    for (int k = 0; k < 3; ++k) ws.take(n, h);
+  }
+  const auto gates = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 4 * t);
   };
-  util::ThreadPool::global().parallel_for(0, members, member_task);
-  note_fused_batch(members, rows);
+  const auto cell = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 4 * t + 1);
+  };
+  const auto tanh_c = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 4 * t + 2);
+  };
+  const auto hid = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 4 * t + 3);
+  };
+  Matrix& h0 = ws.take(n, h);
+  Matrix& c0 = ws.take(n, h);
+  Matrix& pred = ws.take(n, o);
+  Matrix& grad_out = ws.take(n, o);
+  Matrix& dh = ws.take(n, h);
+  Matrix& dc = ws.take(n, h);
+  Matrix& dz = ws.take(n, 4 * h);
+  h0.zero();
+  c0.zero();
+  dc.zero();
+
+  // ---- Forward: all T steps. ----
+  for (std::size_t t = 0; t < T; ++t) {
+    const Matrix& hp = t > 0 ? hid(t - 1) : h0;
+    const Matrix& cp = t > 0 ? cell(t - 1) : c0;
+    lstm_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], hp, cp,
+                    gates(t), cell(t), tanh_c(t), hid(t), n);
+  }
+  dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), pred, n);
+
+  const double value = loss_value(loss, pred, y);
+  loss_grad(loss, pred, y, grad_out);
+
+  // ---- Backward into the gradient span. ----
+  head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
+                g + ofs.w_head, g + ofs.b_head, n);
+  const double* pwh = p + ofs.wh;
+  for (std::size_t t = T; t-- > 0;) {
+    const Matrix& gt = gates(t);
+    const Matrix& tc_t = tanh_c(t);
+    const Matrix* c_prev = t > 0 ? &cell(t - 1) : nullptr;
+    const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
+    // Phase 1 — elementwise deltas (identical scalar sequence per row).
+    // The c_prev presence test is hoisted to a template parameter so the
+    // j loop is branch-free and auto-vectorizes.
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* zg = gt.row(r).data();
+      const double* tc = tc_t.row(r).data();
+      double* dhr = dh.row(r).data();
+      double* dcr = dc.row(r).data();
+      double* dzr = dz.row(r).data();
+      if (c_prev != nullptr) {
+        lstm_phase1_row<true>(zg, tc, c_prev->row(r).data(), dhr, dcr, dzr,
+                              h);
+      } else {
+        lstm_phase1_row<false>(zg, tc, nullptr, dhr, dcr, dzr, h);
+      }
+    }
+    // Phase 2 — parameter gradients + dh_{t-1} over all rows on the slab
+    // kernels (rows ascending per element, as per row).
+    const double* dz0 = dz.row(0).data();
+    kernels::slab_outer_acc(xs[t]->row(0).data(), f, f, dz0, 4 * h, 4 * h, n,
+                            g + ofs.wx, 4 * h, g + ofs.b);
+    // At t == 0 there is no h_{-1}: no recurrent gradient, and dh_{-1}
+    // would be read by nothing.
+    if (t == 0) continue;
+    kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 4 * h, 4 * h, n,
+                            g + ofs.wh, 4 * h, nullptr);
+    kernels::slab_dot(dz0, 4 * h, 4 * h, n, pwh, 4 * h, h, dh.row(0).data(),
+                      h);
+  }
+
+  clip_and_step(gspan, clip_norm, opt, net.parameters());
+  kernels::note_train_batch();
+  ws.reset(mark);
+  return value;
 }
 
-// ------------------------------------------------------------- FusedGru --
+// -------------------------------------------------------------- GRU step --
 
-void FusedGru::train_batch(std::span<GruRegressor* const> nets,
-                           std::span<const FusedSlice> slices,
-                           std::span<const Matrix* const> xs, const Matrix& y,
-                           LossKind loss, std::span<Optimizer* const> opts,
-                           std::span<double> losses, double clip_norm,
-                           std::size_t src_row0) {
-  const std::size_t members = nets.size();
-  if (members == 0 || xs.empty()) return;
-  assert(slices.size() == members && opts.size() == members &&
-         losses.size() == members);
+double gru_train_step(GruRegressor& net, std::span<const Matrix* const> xs,
+                      const Matrix& y, LossKind loss, Optimizer& opt,
+                      double clip_norm) {
   const std::size_t T = xs.size();
-  const std::size_t rows = recurrent_batch_rows(
-      nets, slices, xs, y, src_row0, "FusedGru: member shape mismatch");
-  if (rows == 0) return;
-  const GruRegressor& n0 = *nets[0];
-  const std::size_t f = n0.feature_dim();
-  const std::size_t h = n0.hidden_dim();
-  const std::size_t o = n0.output_dim();
+  const std::size_t n = y.rows();
+  const std::size_t f = net.feature_dim();
+  const std::size_t h = net.hidden_dim();
+  const std::size_t o = net.output_dim();
+  assert(T > 0 && y.cols() == o);
+#ifndef NDEBUG
+  for (const Matrix* x : xs) assert(x->rows() >= n && x->cols() == f);
+#endif
   const GruOffsets ofs = gru_offsets(f, h, o);
+  const double* p = net.parameters().data();
 
-  // Member-major execution on thread scratch, same scheme (and same
-  // bitwise argument) as FusedLstm::train_batch.
-  const auto member_task = [&](std::size_t i) {
-    const std::size_t n = slices[i].rows;
-    const std::size_t x0 = src_row0 + slices[i].row_begin;  // slab rows
-    const FusedSlice own{0, n};
-    const double* p = nets[i]->parameters().data();
-    Workspace& ws = thread_scratch();
-    ws.reset();
-    const std::span<double> gspan = take_gradients(ws, ofs.total);
-    double* g = gspan.data();
-    // Step t's gates and h are slots first + 2t + 0..1.
-    const std::size_t first = ws.cursor();
-    for (std::size_t t = 0; t < T; ++t) {
-      ws.take(n, 3 * h);
-      ws.take(n, h);
-    }
-    const auto gates = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 2 * t);
-    };
-    const auto hid = [&](std::size_t t) -> Matrix& {
-      return ws.slot(first + 2 * t + 1);
-    };
-    Matrix& h0 = ws.take(n, h);
-    Matrix& pred = ws.take(n, o);
-    Matrix& grad_out = ws.take(n, o);
-    Matrix& dh = ws.take(n, h);
-    Matrix& dz = ws.take(n, 3 * h);
-    // kRB (r ⊙ h) coefficient rows for the forward step.
-    Matrix& coeff = ws.take(kRB, h);
-    // Backward per-row scratch (recurrent dots, then (r ⊙ h) coefficients).
-    Matrix& scratch = ws.take(n, h);
-    h0.zero();
+  // Same scheme (and same bitwise argument) as lstm_train_step.
+  Workspace& ws = thread_scratch();
+  const std::size_t mark = ws.cursor();
+  const std::span<double> gspan = take_gradients(ws, ofs.total);
+  double* g = gspan.data();
+  // Step t's gates and h are slots first + 2t + 0..1.
+  const std::size_t first = ws.cursor();
+  for (std::size_t t = 0; t < T; ++t) {
+    ws.take(n, 3 * h);
+    ws.take(n, h);
+  }
+  const auto gates = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 2 * t);
+  };
+  const auto hid = [&](std::size_t t) -> Matrix& {
+    return ws.slot(first + 2 * t + 1);
+  };
+  Matrix& h0 = ws.take(n, h);
+  Matrix& pred = ws.take(n, o);
+  Matrix& grad_out = ws.take(n, o);
+  Matrix& dh = ws.take(n, h);
+  Matrix& dz = ws.take(n, 3 * h);
+  // kRB (r ⊙ h) coefficient rows for the forward step.
+  Matrix& coeff = ws.take(kRB, h);
+  // Backward per-row scratch (recurrent dots, then (r ⊙ h) coefficients).
+  Matrix& scratch = ws.take(n, h);
+  h0.zero();
 
-    for (std::size_t t = 0; t < T; ++t) {
-      const Matrix& hp = t > 0 ? hid(t - 1) : h0;
-      gru_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], x0, hp,
-                     gates(t), hid(t), coeff, 0, own);
-    }
-    dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), 0, pred,
-                        own);
+  for (std::size_t t = 0; t < T; ++t) {
+    const Matrix& hp = t > 0 ? hid(t - 1) : h0;
+    gru_step_slice(p + ofs.wx, p + ofs.wh, p + ofs.b, f, h, *xs[t], hp,
+                   gates(t), hid(t), coeff, n);
+  }
+  dense_forward_slice({p + ofs.w_head, h * o + o}, h, o, hid(T - 1), pred, n);
 
-    losses[i] = loss_value_rows(loss, pred, 0, y, x0, n);
-    loss_grad_rows(loss, pred, 0, y, x0, n, grad_out);
+  const double value = loss_value(loss, pred, y);
+  loss_grad(loss, pred, y, grad_out);
 
-    head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
-                  g + ofs.w_head, g + ofs.b_head, n);
-    const double* pwh = p + ofs.wh;
-    for (std::size_t t = T; t-- > 0;) {
-      const Matrix& gt = gates(t);
-      const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
-      // Phase 1 — elementwise deltas, then the recurrent dots over all
-      // the member's rows into `scratch`, then their elementwise uses:
-      // the candidate dots read only dz[2h, 3h), written above them, and
-      // all of them land before the z/r dots read dz[0, 2h).
-      for (std::size_t r = 0; r < n; ++r) {
-        const double* zg = gt.row(r).data();
-        const double* hp = h_prev.row(r).data();
-        double* dhr = dh.row(r).data();
-        double* dzr = dz.row(r).data();
-        for (std::size_t j = 0; j < h; ++j) {
-          const double z_g = zg[j];
-          const double cand = zg[2 * h + j];
-          const double dht = dhr[j];
+  head_backward(p + ofs.w_head, h, o, grad_out, hid(T - 1), dh,
+                g + ofs.w_head, g + ofs.b_head, n);
+  const double* pwh = p + ofs.wh;
+  for (std::size_t t = T; t-- > 0;) {
+    const Matrix& gt = gates(t);
+    const Matrix& h_prev = t > 0 ? hid(t - 1) : h0;
+    // Phase 1 — elementwise deltas, then the recurrent dots over all rows
+    // into `scratch`, then their elementwise uses: the candidate dots
+    // read only dz[2h, 3h), written above them, and all of them land
+    // before the z/r dots read dz[0, 2h).
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* zg = gt.row(r).data();
+      const double* hp = h_prev.row(r).data();
+      double* dhr = dh.row(r).data();
+      double* dzr = dz.row(r).data();
+      for (std::size_t j = 0; j < h; ++j) {
+        const double z_g = zg[j];
+        const double cand = zg[2 * h + j];
+        const double dht = dhr[j];
 
-          const double dzg = dht * (cand - hp[j]);
-          const double dcand = dht * z_g;
-          dhr[j] = dht * (1.0 - z_g);
+        const double dzg = dht * (cand - hp[j]);
+        const double dcand = dht * z_g;
+        dhr[j] = dht * (1.0 - z_g);
 
-          const double dcand_pre = dcand * (1.0 - cand * cand);
-          dzr[2 * h + j] = dcand_pre;
-          dzr[j] = dzg * z_g * (1.0 - z_g);
-          dzr[h + j] = 0.0;
-        }
+        const double dcand_pre = dcand * (1.0 - cand * cand);
+        dzr[2 * h + j] = dcand_pre;
+        dzr[j] = dzg * z_g * (1.0 - z_g);
+        dzr[h + j] = 0.0;
       }
-      const double* dz0 = dz.row(0).data();
-      double* sc0 = scratch.row(0).data();
-      kernels::slab_dot(dz0 + 2 * h, 3 * h, h, n, pwh + 2 * h, 3 * h, h, sc0,
-                        h);
+    }
+    const double* dz0 = dz.row(0).data();
+    double* sc0 = scratch.row(0).data();
+    kernels::slab_dot(dz0 + 2 * h, 3 * h, h, n, pwh + 2 * h, 3 * h, h, sc0, h);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* zg = gt.row(r).data();
+      const double* hp = h_prev.row(r).data();
+      const double* sc = scratch.row(r).data();
+      double* dhr = dh.row(r).data();
+      double* dzr = dz.row(r).data();
+      for (std::size_t k = 0; k < h; ++k) {
+        const double rk = zg[h + k];
+        dzr[h + k] = sc[k] * hp[k] * rk * (1.0 - rk);
+        if (t > 0) dhr[k] += sc[k] * rk;
+      }
+    }
+    if (t > 0) {  // dh_{-1} would be read by nothing
+      kernels::slab_dot(dz0, 3 * h, 2 * h, n, pwh, 3 * h, h, sc0, h);
       for (std::size_t r = 0; r < n; ++r) {
-        const double* zg = gt.row(r).data();
-        const double* hp = h_prev.row(r).data();
         const double* sc = scratch.row(r).data();
         double* dhr = dh.row(r).data();
-        double* dzr = dz.row(r).data();
-        for (std::size_t k = 0; k < h; ++k) {
-          const double rk = zg[h + k];
-          dzr[h + k] = sc[k] * hp[k] * rk * (1.0 - rk);
-          if (t > 0) dhr[k] += sc[k] * rk;
-        }
+        for (std::size_t k = 0; k < h; ++k) dhr[k] += sc[k];
       }
-      if (t > 0) {  // dh_{-1} would be read by nothing
-        kernels::slab_dot(dz0, 3 * h, 2 * h, n, pwh, 3 * h, h, sc0, h);
-        for (std::size_t r = 0; r < n; ++r) {
-          const double* sc = scratch.row(r).data();
-          double* dhr = dh.row(r).data();
-          for (std::size_t k = 0; k < h; ++k) dhr[k] += sc[k];
-        }
-      }
-      // Phase 2 — parameter gradients over all the member's rows. The
-      // candidate column block of W_h takes the (r ⊙ h) coefficients,
-      // built into `scratch` (the dots above are consumed).
-      kernels::slab_outer_acc(xs[t]->row(x0).data(), f, f, dz0, 3 * h, 3 * h,
-                              n, g + ofs.wx, 3 * h, g + ofs.b);
-      kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 3 * h, 2 * h,
-                              n, g + ofs.wh, 3 * h, nullptr);
-      for (std::size_t r = 0; r < n; ++r) {
-        const double* zg = gt.row(r).data();
-        const double* hp = h_prev.row(r).data();
-        double* cf = scratch.row(r).data();
-        for (std::size_t k = 0; k < h; ++k) cf[k] = zg[h + k] * hp[k];
-      }
-      kernels::slab_outer_acc(sc0, h, h, dz0 + 2 * h, 3 * h, h, n,
-                              g + ofs.wh + 2 * h, 3 * h, nullptr);
     }
+    // Phase 2 — parameter gradients over all rows. The candidate column
+    // block of W_h takes the (r ⊙ h) coefficients, built into `scratch`
+    // (the dots above are consumed).
+    kernels::slab_outer_acc(xs[t]->row(0).data(), f, f, dz0, 3 * h, 3 * h, n,
+                            g + ofs.wx, 3 * h, g + ofs.b);
+    kernels::slab_outer_acc(h_prev.row(0).data(), h, h, dz0, 3 * h, 2 * h, n,
+                            g + ofs.wh, 3 * h, nullptr);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* zg = gt.row(r).data();
+      const double* hp = h_prev.row(r).data();
+      double* cf = scratch.row(r).data();
+      for (std::size_t k = 0; k < h; ++k) cf[k] = zg[h + k] * hp[k];
+    }
+    kernels::slab_outer_acc(sc0, h, h, dz0 + 2 * h, 3 * h, h, n,
+                            g + ofs.wh + 2 * h, 3 * h, nullptr);
+  }
 
-    clip_and_step(gspan, clip_norm, *opts[i], nets[i]->parameters());
-    kernels::note_train_batch();
-  };
-  util::ThreadPool::global().parallel_for(0, members, member_task);
-  note_fused_batch(members, rows);
+  clip_and_step(gspan, clip_norm, opt, net.parameters());
+  kernels::note_train_batch();
+  ws.reset(mark);
+  return value;
 }
 
-// ------------------------------------------------------------- FusedMlp --
+// -------------------------------------------------------------- MLP step --
 
-// A row's activations depend on its own input row only, and the
-// per-member activation application is bitwise the whole-batch one
-// (element-independent), so a member's pass never depends on where its
-// rows sit in the caller's slab.
-MlpTape mlp_forward(const Mlp& net, const Matrix& x, std::size_t x_row0,
-                    std::size_t rows, Workspace& ws) {
+// A row's activations depend on its own input row only, and activations
+// are element-independent, so a pass over rows [0, rows) is bitwise
+// those rows of a pass over any larger batch.
+MlpTape mlp_forward(const Mlp& net, const Matrix& x, std::size_t rows,
+                    Workspace& ws) {
   const auto& dims = net.dims();
   const std::size_t layers = net.num_layers();
-  const FusedSlice own{0, rows};
-  MlpTape tape{&x, x_row0, rows, ws.cursor(), nullptr};
+  MlpTape tape{&x, rows, ws.cursor(), nullptr};
   const Matrix* cur = &x;
   for (std::size_t l = 0; l < layers; ++l) {
     Matrix& out = ws.take(rows, dims[l + 1]);
     dense_forward_slice(net.layer_parameters(l), dims[l], dims[l + 1], *cur,
-                        l == 0 ? x_row0 : 0, out, own);
+                        out, rows);
     const Activation act =
         l + 1 == layers ? net.output_activation() : net.hidden_activation();
-    activate_rows(act, out, 0, rows);
+    activate_inplace(act, out);
     cur = &out;
   }
   tape.out = cur;
@@ -664,54 +575,35 @@ void mlp_backward(const Mlp& net, const MlpTape& tape, Matrix& grad_out,
   for (std::size_t l = layers; l-- > 0;) {
     const Activation act =
         l + 1 == layers ? net.output_activation() : net.hidden_activation();
-    scale_by_activation_grad_rows(act, ws.slot(tape.first_slot + l), *g, 0,
-                                  tape.rows);
+    scale_by_activation_grad(act, ws.slot(tape.first_slot + l), *g);
     Matrix* gx = l > 0 ? &ws.take(tape.rows, dims[l]) : nullptr;
     const Matrix& in = l == 0 ? *tape.x : ws.slot(tape.first_slot + l - 1);
-    dense_backward(net.layer_parameters(l), dims[l], dims[l + 1], in,
-                   l == 0 ? tape.x_row0 : 0, *g,
+    dense_backward(net.layer_parameters(l), dims[l], dims[l + 1], in, *g,
                    grads.subspan(net.layer_offset(l), net.layer_param_count(l)),
                    gx, tape.rows);
     g = gx;
   }
 }
 
-void FusedMlp::train_batch(std::span<Mlp* const> nets,
-                           std::span<const FusedSlice> slices, const Matrix& x,
-                           const Matrix& y, LossKind loss,
-                           std::span<Optimizer* const> opts,
-                           std::span<double> losses, std::size_t src_row0) {
-  assert(!nets.empty() && slices.size() == nets.size() &&
-         opts.size() == nets.size() && losses.size() == nets.size());
-  std::size_t rows = 0;
-  for (const FusedSlice& s : slices) rows += s.rows;
-  check_slices(slices, rows);
-  if (src_row0 + rows > x.rows()) {
-    throw std::invalid_argument("FusedMlp: batch rows exceed input rows");
+double mlp_train_step(Mlp& net, const Matrix& x, const Matrix& y,
+                      LossKind loss, Optimizer& opt) {
+  const std::size_t n = y.rows();
+  if (x.rows() < n) {
+    throw std::invalid_argument("mlp_train_step: batch rows exceed input rows");
   }
-  for (const Mlp* n : nets) {
-    if (!n->same_architecture(*nets[0])) {
-      throw std::invalid_argument("FusedMlp: member architecture mismatch");
-    }
-  }
-  // One task per member runs forward, loss, backward and step over its
-  // own slab rows and its own bank, on its thread's scratch.
-  util::ThreadPool::global().parallel_for(0, nets.size(), [&](std::size_t i) {
-    Mlp& net = *nets[i];
-    const std::size_t n = slices[i].rows;
-    const std::size_t x0 = src_row0 + slices[i].row_begin;
-    Workspace& ws = thread_scratch();
-    ws.reset();
-    const std::span<double> grads = take_gradients(ws, net.parameter_count());
-    const MlpTape tape = mlp_forward(net, x, x0, n, ws);
-    Matrix& grad = ws.take(n, net.output_dim());
-    losses[i] = loss_value_rows(loss, *tape.out, 0, y, x0, n);
-    loss_grad_rows(loss, *tape.out, 0, y, x0, n, grad);
-    mlp_backward(net, tape, grad, grads, ws);
-    opts[i]->step(net.parameters(), grads);
-    kernels::note_train_batch();
-  });
-  note_fused_batch(nets.size(), rows);
+  assert(x.cols() == net.input_dim() && y.cols() == net.output_dim());
+  Workspace& ws = thread_scratch();
+  const std::size_t mark = ws.cursor();
+  const std::span<double> grads = take_gradients(ws, net.parameter_count());
+  const MlpTape tape = mlp_forward(net, x, n, ws);
+  Matrix& grad = ws.take(n, net.output_dim());
+  const double value = loss_value(loss, *tape.out, y);
+  loss_grad(loss, *tape.out, y, grad);
+  mlp_backward(net, tape, grad, grads, ws);
+  opt.step(net.parameters(), grads);
+  kernels::note_train_batch();
+  ws.reset(mark);
+  return value;
 }
 
 }  // namespace pfdrl::nn

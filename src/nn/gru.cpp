@@ -57,16 +57,15 @@ void GruRegressor::step_compute(const Matrix& x, const Matrix& h_prev,
 
   const double* wx = params_.data();
   const double* wh = wx + f_ * 3 * h_;
-  gru_step_slice(wx, wh, wh + h_ * 3 * h_, f_, h_, x, 0, h_prev, gates, h,
-                 coeff, 0, FusedSlice{0, batch});
+  gru_step_slice(wx, wh, wh + h_ * 3 * h_, f_, h_, x, h_prev, gates, h, coeff,
+                 batch);
 }
 
 void GruRegressor::head_into(const Matrix& h_last, Matrix& out) const {
   const std::size_t batch = h_last.rows();
   out.reshape(batch, o_);
   const double* w = params_.data() + f_ * 3 * h_ + h_ * 3 * h_ + 3 * h_;
-  dense_forward_slice({w, h_ * o_ + o_}, h_, o_, h_last, 0, out,
-                      FusedSlice{0, batch});
+  dense_forward_slice({w, h_ * o_ + o_}, h_, o_, h_last, out, batch);
 }
 
 Matrix GruRegressor::predict(const std::vector<Matrix>& xs) const {

@@ -1,8 +1,8 @@
 // Single-layer GRU regressor with a dense head — the lighter recurrent
 // alternative to the LSTM (extension beyond the paper; compared in
 // bench/ablation_design). Inference lives here; training runs through
-// nn::FusedGru (nn/fused.hpp). Same flat-parameter contract as the LSTM
-// so it can participate in federated averaging:
+// nn::gru_train_step (nn/fused.hpp). Same flat-parameter contract as the
+// LSTM so it can participate in federated averaging:
 //   [ Wx (F x 3H) | Wh (H x 3H) | b (3H) | W_head (H x O) | b_head (O) ]
 // Gate order inside the 3H dimension: update (z), reset (r), candidate.
 #pragma once
@@ -45,8 +45,8 @@ class GruRegressor {
  private:
   /// One recurrent step into caller-provided scratch (outputs reshaped in
   /// place, fully overwritten) through nn::gru_step_slice, the step
-  /// FusedGru trains with; `coeff` is kernels::kRowBlock x H (r ⊙ h)
-  /// scratch.
+  /// gru_train_step trains with; `coeff` is kernels::kRowBlock x H
+  /// (r ⊙ h) scratch.
   void step_compute(const Matrix& x, const Matrix& h_prev, Matrix& gates,
                     Matrix& h, Matrix& coeff) const;
   /// Dense head: out = h_last * W_head + b_head (out reshaped in place).

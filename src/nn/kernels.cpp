@@ -342,9 +342,9 @@ void note_train_batch() noexcept {
 
 }  // namespace pfdrl::nn::kernels
 
-// Fused-batch telemetry (declared in nn/fused.hpp). Defined here, next
+// Group-batch telemetry (declared in nn/fused.hpp). Defined here, next
 // to the train-batch counter, so translation units that link metrics
-// recording without the fused engines (the sanitizer stress jobs build
+// recording without the member train steps (the sanitizer stress jobs build
 // kernels.cpp + metrics.cpp directly) still resolve these symbols.
 namespace pfdrl::nn {
 

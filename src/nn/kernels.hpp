@@ -5,7 +5,7 @@
 //   dot(x, y, n)        — reduction over n products;
 //   axpy(a, x, y, n)    — y[j] += a * x[j] (no reduction);
 //   outer products      — g[k][j] += x[k] * d[j] (rows of axpy, summed
-//                         over a slice's rows by slab_outer_acc).
+//                         over a batch's rows by slab_outer_acc).
 //
 // The old kernels guarded each k-term with `if (x[k] == 0.0) continue;`
 // (profitable for sparse ReLU activations, fatal for auto-vectorization:
@@ -72,7 +72,7 @@ inline void axpy(double a, const double* __restrict x, double* __restrict y,
   for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
 }
 
-/// Row block width of the fused cross-home kernels below. Four rows share
+/// Row block width of the fused row kernels below. Four rows share
 /// one weight stream: a register tile of kRowBlock x (a few columns)
 /// accumulators turns the per-row axpy read-modify-write sweeps into
 /// load-once/store-once tiles. Unlike kLanes this is not a reduction
@@ -80,16 +80,15 @@ inline void axpy(double a, const double* __restrict x, double* __restrict y,
 /// accumulator, so changing it would not require a golden re-bless.
 inline constexpr std::size_t kRowBlock = 4;
 
-/// Fused-batch accumulate for a block of kRowBlock rows sharing one
+/// Fused-row accumulate for a block of kRowBlock rows sharing one
 /// weight matrix: z[r][j] += sum_k x[r][k] * w[k * w_stride + j] for
 /// j in [0, n), with each (r, j) element a SINGLE accumulator initialized
 /// from the stored z value and advanced in ascending k. That is exactly
 /// the rounding sequence of running axpy(x[r][k], w + k * w_stride,
 /// z[r], n) over k for each row separately — so a row's result does not
-/// depend on the rows sharing its tile, and an N-member fused batch is
-/// bitwise N groups of one (docs/fused_training.md) — while the weight
-/// row is streamed once per 4 rows and z is touched twice per tile
-/// instead of once per k-term.
+/// depend on the rows sharing its tile (docs/fused_training.md) — while
+/// the weight row is streamed once per 4 rows and z is touched twice per
+/// tile instead of once per k-term.
 /// `w_stride` >= n lets callers accumulate into a column window of a
 /// wider gate matrix (the GRU candidate block). x rows, w and z rows must
 /// not overlap.
@@ -333,7 +332,7 @@ inline void fused_gates_rows(const double* b, const double* const* x,
 }
 
 // ---- Slab backward kernels --------------------------------------------
-// The fused backward passes hand a whole slice of slab rows to one call:
+// The member backward passes hand all of a batch's rows to one call:
 // row r of an operand starts at base + r * stride, so a caller can pass
 // a column window of a wider gate matrix (the GRU candidate block) as
 // base + offset with the full row stride.
@@ -392,13 +391,13 @@ void tanh_inplace(double* x, std::size_t n) noexcept;
 /// translation unit so it tests the flags the kernels were built with.
 [[nodiscard]] bool fp_contraction_active() noexcept;
 
-/// Process-wide count of member train steps of the fused trainers
-/// (FusedLstm/FusedGru/FusedMlp::train_batch, one per member per batch).
+/// Process-wide count of member train steps of the forecaster networks
+/// (nn::lstm/gru/mlp_train_step, one per member per batch).
 /// Exported by the obs layer as `nn.kernel_train_batches`; one relaxed
 /// atomic add per member step, so the telemetry costs nothing the inner
 /// loops can feel.
 [[nodiscard]] std::uint64_t total_train_batches() noexcept;
-/// Bump the train-batch counter (once per member per fused batch).
+/// Bump the train-batch counter (once per member train step).
 void note_train_batch() noexcept;
 
 }  // namespace pfdrl::nn::kernels

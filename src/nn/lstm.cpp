@@ -83,15 +83,15 @@ void LstmRegressor::step_compute(const Matrix& x, const Matrix& h_prev,
   tanh_c.reshape(batch, h_);
   h.reshape(batch, h_);
 
-  lstm_step_slice(wx().data(), wh().data(), bias().data(), f_, h_, x, 0,
-                  h_prev, c_prev, gates, c, tanh_c, h, FusedSlice{0, batch});
+  lstm_step_slice(wx().data(), wh().data(), bias().data(), f_, h_, x, h_prev,
+                  c_prev, gates, c, tanh_c, h, batch);
 }
 
 void LstmRegressor::head_into(const Matrix& h_last, Matrix& out) const {
   const std::size_t batch = h_last.rows();
   out.reshape(batch, o_);
-  dense_forward_slice({w_head().data(), h_ * o_ + o_}, h_, o_, h_last, 0, out,
-                      FusedSlice{0, batch});
+  dense_forward_slice({w_head().data(), h_ * o_ + o_}, h_, o_, h_last, out,
+                      batch);
 }
 
 Matrix LstmRegressor::predict(const std::vector<Matrix>& xs) const {

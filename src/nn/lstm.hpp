@@ -1,8 +1,7 @@
 // Single-layer LSTM regressor with a dense head. Used by the LSTM load
 // forecaster (the paper's best-performing prediction model). The class
 // owns the parameters and runs inference; training (BPTT, clip and the
-// optimizer step) runs through nn::FusedLstm, a lone regressor being a
-// group of one (nn/fused.hpp).
+// optimizer step) runs through nn::lstm_train_step (nn/fused.hpp).
 //
 // All parameters live in one flat buffer so the model can participate in
 // federated averaging exactly like the MLP:
@@ -63,7 +62,7 @@ class LstmRegressor {
 
   /// One recurrent step into caller-provided scratch (all outputs are
   /// reshaped in place and fully overwritten) through nn::lstm_step_slice,
-  /// the step FusedLstm trains with.
+  /// the step lstm_train_step trains with.
   void step_compute(const Matrix& x, const Matrix& h_prev,
                     const Matrix& c_prev, Matrix& gates, Matrix& c,
                     Matrix& tanh_c, Matrix& h) const;

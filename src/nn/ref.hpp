@@ -1,8 +1,8 @@
 // Scalar reference kernels — the pre-vectorization implementations,
 // preserved verbatim so the strip-mined nn::kernels layer stays testable
-// against the math it replaced — and the whole-matrix forms the
-// row-range production paths are checked against (outer_acc for the slab
-// backward kernels, loss_grad for loss_grad_rows).
+// against the math it replaced — and the forms the production paths are
+// checked against (outer_acc for the slab backward kernels, loss_grad for
+// nn::loss_grad).
 //
 // These are the single-accumulator, ascending-k, zero-skipping loops the
 // library shipped before the multi-accumulator rewrite (the semantics the
@@ -41,7 +41,7 @@ void outer_acc(const double* x, std::size_t m, const double* d,
                std::size_t n, double* g) noexcept;
 
 /// d(mean loss)/d(pred) over all of pred into `grad` (resized to pred's
-/// shape); loss_grad_rows over the full row range is bitwise this.
+/// shape); the production nn::loss_grad is bitwise this.
 void loss_grad(LossKind kind, const Matrix& pred, const Matrix& target,
                Matrix& grad, double huber_delta = 1.0);
 

@@ -48,8 +48,9 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Rewind the slot cursor; buffers (and their capacity) are kept.
-  void reset() noexcept { next_ = 0; }
+  /// Rewind the slot cursor to `cursor` (a value cursor() returned this
+  /// cycle; default the start); buffers (and their capacity) are kept.
+  void reset(std::size_t cursor = 0) noexcept { next_ = cursor; }
 
   /// Next scratch matrix, reshaped to rows x cols. Contents unspecified.
   Matrix& take(std::size_t rows, std::size_t cols);
@@ -81,12 +82,12 @@ class Workspace {
   std::size_t bytes_ = 0;
 };
 
-/// The calling thread's training scratch. Every training member step
-/// (nn::FusedLstm/FusedGru/FusedMlp::train_batch, rl::FusedDqnLearner)
-/// resets it and takes its intermediates and its gradient span from it.
-/// A member step starts no parallel_for, so a thread never holds two of
-/// them at once: the process holds at most one member step's scratch per
-/// thread that has trained, whatever the group sizes.
+/// The calling thread's training scratch. Every member train step
+/// (nn::lstm/gru/mlp_train_step, rl::DqnAgent::learn) takes its
+/// intermediates and its gradient span from it. A member step starts no
+/// parallel_for, so a thread never holds two of them at once: the
+/// process holds at most one member step's scratch per thread that has
+/// trained, whatever the group sizes.
 Workspace& thread_scratch();
 
 }  // namespace pfdrl::nn

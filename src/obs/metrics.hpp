@@ -256,17 +256,17 @@ void record_thread_pool_stats(MetricsRegistry& registry,
 void record_nn_workspace_stats(MetricsRegistry& registry);
 
 /// Fold the process-wide nn::kernels telemetry into an
-/// `nn.kernel_train_batches` counter (member train steps of the fused
-/// forecaster engines since process start) and an `nn.kernel_lanes`
+/// `nn.kernel_train_batches` counter (forecaster member train steps,
+/// nn::lstm/gru/mlp_train_step, since process start) and an `nn.kernel_lanes`
 /// gauge (the fixed accumulator-lane count of the strip-mined reduction
 /// kernels — a build constant, recorded so dumps are self-describing).
 /// Idempotent (set, not add) so it can run after every round.
 void record_nn_kernel_stats(MetricsRegistry& registry);
 
-/// Fold the process-wide fused-batch telemetry (nn/fused.hpp) into an
-/// `nn.fused_batches` counter (fused train steps), an
-/// `nn.fused_batch_rows` counter (cumulative slab rows trained fused),
-/// and an `nn.fused_homes` gauge (high-water group members per fused
+/// Fold the process-wide group-batch telemetry (nn/fused.hpp) into an
+/// `nn.fused_batches` counter (group batches of the lockstep schedules),
+/// an `nn.fused_batch_rows` counter (cumulative member rows those batches
+/// trained), and an `nn.fused_homes` gauge (high-water members per group
 /// batch — 1 when every group held one member). Idempotent (set, not
 /// add) so it can run after every round.
 void record_nn_fused_stats(MetricsRegistry& registry);

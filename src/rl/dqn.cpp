@@ -4,6 +4,9 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "nn/fused.hpp"
+#include "nn/loss.hpp"
+
 namespace pfdrl::rl {
 
 namespace {
@@ -101,6 +104,113 @@ void DqnAgent::remember(Transition t) {
   } else {
     boot_version_[slot] = 0;
   }
+}
+
+double DqnAgent::learn() {
+  const std::size_t bs = cfg_.batch_size;
+  // Warm-up gate before any RNG use.
+  if (replay_.size() < bs) return 0.0;
+  const std::size_t state_dim = cfg_.state_dim;
+  const std::size_t num_actions = cfg_.num_actions;
+  const bool double_dqn = cfg_.double_dqn;
+
+  // Every take has the same shape on every step of a configuration — the
+  // target pass included, whose rows are the step's misses — so a warm
+  // thread takes its slots at capacity.
+  nn::Workspace& ws = nn::thread_scratch();
+  ws.reset();
+  const std::span<double> grads = ws.take_span(net_.parameter_count());
+  std::fill(grads.begin(), grads.end(), 0.0);
+  nn::Matrix& states = ws.take(bs, state_dim);
+  nn::Matrix& next_states = ws.take(double_dqn ? bs : 0, state_dim);
+  nn::Matrix& miss_states = ws.take(bs, state_dim);  // first `misses` rows
+  nn::Matrix& q_next = ws.take(bs, num_actions);  // target Q rows
+  nn::Matrix& grad_out = ws.take(bs, num_actions);
+
+  // Sample the minibatch and copy its rows. A sampled slot whose cached
+  // bootstrap row is current copies it into q_next (a hit); the others
+  // queue their next_state for the target pass.
+  replay_.sample_into(bs, rng_, batch_, &batch_slots_);
+  std::size_t misses = 0;
+  for (std::size_t i = 0; i < bs; ++i) {
+    const Transition& tr = *batch_[i];
+    std::copy(tr.state.begin(), tr.state.end(), states.row(i).begin());
+    if (double_dqn) {
+      std::copy(tr.next_state.begin(), tr.next_state.end(),
+                next_states.row(i).begin());
+    }
+    const std::size_t slot = batch_slots_[i];
+    if (boot_version_[slot] == target_version_) {
+      const double* cached = boot_q_.data() + slot * num_actions;
+      std::copy(cached, cached + num_actions, q_next.row(i).begin());
+    } else {
+      std::copy(tr.next_state.begin(), tr.next_state.end(),
+                miss_states.row(misses++).begin());
+    }
+  }
+
+  // Target bootstrap over the stale rows only. A row's forward never
+  // depends on the rows beside it (nn::mlp_forward), so each result is
+  // bitwise the row a pass over the full batch would compute; it lands
+  // in q_next and in the cache. The versions advance only after every
+  // miss is placed: a slot drawn twice stays a miss both times.
+  const nn::Matrix& q_miss =
+      *nn::mlp_forward(target_, miss_states, misses, ws).out;
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < bs; ++i) {
+    const std::size_t slot = batch_slots_[i];
+    if (boot_version_[slot] == target_version_) continue;  // a hit
+    const auto q = q_miss.row(r++);
+    std::copy(q.begin(), q.end(), q_next.row(i).begin());
+    std::copy(q.begin(), q.end(),
+              boot_q_.begin() +
+                  static_cast<std::ptrdiff_t>(slot * num_actions));
+  }
+  for (const std::size_t slot : batch_slots_) {
+    boot_version_[slot] = target_version_;
+  }
+  cache_hits_ += bs - misses;
+  cache_misses_ += misses;
+  const nn::Matrix* q_next_online =
+      double_dqn ? nn::mlp_forward(net_, next_states, bs, ws).out : nullptr;
+  const nn::MlpTape online = nn::mlp_forward(net_, states, bs, ws);
+  const nn::Matrix& q_pred = *online.out;
+
+  // Per-row Huber TD gradients, only on each row's taken action.
+  grad_out.zero();
+  const double inv_bs = 1.0 / static_cast<double>(bs);
+  double td_loss = 0.0;
+  for (std::size_t i = 0; i < bs; ++i) {
+    double max_next;
+    if (q_next_online != nullptr) {
+      const nn::Matrix& q_online = *q_next_online;
+      std::size_t best = 0;
+      for (std::size_t act = 1; act < num_actions; ++act) {
+        if (q_online(i, act) > q_online(i, best)) best = act;
+      }
+      max_next = q_next(i, best);
+    } else {
+      max_next = q_next(i, 0);
+      for (std::size_t act = 1; act < num_actions; ++act) {
+        max_next = std::max(max_next, q_next(i, act));
+      }
+    }
+    const Transition& tr = *batch_[i];
+    const double target =
+        tr.reward + (tr.terminal ? 0.0 : cfg_.discount * max_next);
+    const auto action = static_cast<std::size_t>(tr.action);
+    const double td_error = q_pred(i, action) - target;
+    td_loss += nn::huber(td_error) * inv_bs;
+    grad_out(i, action) = nn::huber_grad(td_error) * inv_bs;
+  }
+
+  // Backward into the thread's gradient span, then the agent's own Adam
+  // step and target schedule.
+  nn::mlp_backward(net_, online, grad_out, grads, ws);
+  opt_.step(net_.parameters(), grads);
+  ++learn_steps_;
+  if (learn_steps_ % cfg_.target_replace_every == 0) sync_target();
+  return td_loss;
 }
 
 void DqnAgent::set_network_parameters(std::span<const double> values) {

@@ -6,9 +6,10 @@
 //
 // The network is an nn::Mlp, so its flat parameter buffer and per-layer
 // offsets are directly usable by the PFDRL base/personalization split.
-// The agent acts and remembers; its learning step (Algorithm 2's replay
-// minibatch, Huber TD loss, Adam, target refresh) runs through
-// rl::FusedDqnLearner, one agent or a whole group at a time.
+// The agent acts, remembers and learns (Algorithm 2's replay minibatch,
+// Huber TD loss, Adam, target refresh); the EMS lockstep runs a group's
+// learn steps side by side, one pool task per agent
+// (docs/fused_training.md).
 #pragma once
 
 #include <cstdint>
@@ -104,6 +105,26 @@ class DqnAgent {
   void remember(Transition t);
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
 
+  /// One DQN learning step: sample a minibatch (the agent's own RNG),
+  /// bootstrap its targets (cached rows plus the target network's pass
+  /// over the rest, and the online pass when double_dqn), Huber TD
+  /// gradient, backward, Adam step and target schedule. Returns the TD
+  /// loss — or 0.0, without touching the RNG or learn_steps(), while the
+  /// replay holds less than one batch. Runs on the calling thread's
+  /// nn::thread_scratch() and touches no other agent, so a group's steps
+  /// may run concurrently, one per thread.
+  double learn();
+
+  /// Sampled rows whose target Q row came from the bootstrap cache, and
+  /// rows the target network had to score, over this agent's lifetime
+  /// (the EMS rounds fold them into rl.target_cache_hits/misses).
+  [[nodiscard]] std::uint64_t cache_hits() const noexcept {
+    return cache_hits_;
+  }
+  [[nodiscard]] std::uint64_t cache_misses() const noexcept {
+    return cache_misses_;
+  }
+
   /// Current exploration rate.
   [[nodiscard]] double epsilon() const noexcept;
   [[nodiscard]] std::uint64_t learn_steps() const noexcept {
@@ -134,11 +155,6 @@ class DqnAgent {
   void restore_state(const DqnAgentState& state);
 
  private:
-  // Learning runs through rl::FusedDqnLearner (rl/fused.hpp); an agent
-  // that learns alone is a group of one. The learner owns the learning
-  // step, so it reads and writes the private state below.
-  friend class FusedDqnLearner;
-
   /// Single-state forward through the workspace; returns the Q-row, which
   /// lives in ws_ until the next q_row() call.
   [[nodiscard]] std::span<const double> q_row(
@@ -156,11 +172,11 @@ class DqnAgent {
   // so the steady-state act path stops allocating once warm. Mutable:
   // taking scratch does not change the agent's observable state.
   mutable nn::Workspace ws_;
-  // The learner's sampled minibatch and its replay slots (capacity
-  // reused across steps).
+  // learn()'s sampled minibatch and its replay slots (capacity reused
+  // across steps).
   std::vector<const Transition*> batch_;
   std::vector<std::size_t> batch_slots_;
-  // Target bootstrap cache, read and written by FusedDqnLearner only.
+  // Target bootstrap cache, read and written by learn() only.
   // Per replay slot: the target network's Q row for the slot's
   // next_state (boot_q_, num_actions values per slot) and the target
   // version it was computed under (boot_version_; 0 = never). A row is
@@ -171,6 +187,8 @@ class DqnAgent {
   std::vector<double> boot_q_;
   std::vector<std::uint64_t> boot_version_;
   std::uint64_t target_version_ = 1;
+  std::uint64_t cache_hits_ = 0;
+  std::uint64_t cache_misses_ = 0;
 };
 
 }  // namespace pfdrl::rl

@@ -4,7 +4,7 @@
 
 #include "core/layer_split.hpp"
 #include "obs/metrics.hpp"
-#include "rl/fused.hpp"
+#include "rl/dqn.hpp"
 
 namespace pfdrl::core {
 namespace {
@@ -34,10 +34,7 @@ void jiggle(rl::DqnAgent& agent, std::uint64_t seed) {
     t.terminal = true;
     agent.remember(std::move(t));
   }
-  rl::FusedDqnLearner learner;
-  rl::DqnAgent* alone[] = {&agent};
-  double loss = 0.0;
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(learner.learn(alone, {&loss, 1}));
+  for (int i = 0; i < 10; ++i) agent.learn();
 }
 
 TEST(Federation, PrefixAveragedSuffixLocal) {

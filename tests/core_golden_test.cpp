@@ -147,7 +147,7 @@ struct ChaosOutcome {
   std::uint64_t quorum_missed = 0;
   std::uint64_t stale_rounds = 0;
   std::uint64_t fault_drops = 0;
-  std::uint64_t fault_crashes = 0;
+  std::uint64_t crashed_items = 0;
   std::uint64_t late_msgs = 0;
 };
 
@@ -198,7 +198,7 @@ ChaosOutcome run_chaos(std::uint64_t seed, std::size_t shards = 0) {
   out.quorum_missed = reg.counter("exchange.quorum_missed").value();
   out.stale_rounds = reg.counter("exchange.stale_rounds").value();
   out.fault_drops = reg.counter("fault.drops").value();
-  out.fault_crashes = reg.counter("fault.crashes").value();
+  out.crashed_items = reg.counter("exchange.crashed_items").value();
   out.late_msgs = reg.counter("exchange.late_msgs").value();
   return out;
 }
@@ -210,7 +210,7 @@ TEST(GoldenChaos, SeededChaosRunIsBitwiseReproducible) {
   // The chaos actually engaged: faults fired and the degradation
   // machinery made real decisions (otherwise this test pins nothing).
   EXPECT_GT(first.fault_drops, 0u);
-  EXPECT_GT(first.fault_crashes, 0u);
+  EXPECT_GT(first.crashed_items, 0u);
   EXPECT_GT(first.quorum_met + first.quorum_missed, 0u);
   EXPECT_GT(first.late_msgs + first.stale_rounds, 0u);
 
@@ -238,7 +238,7 @@ TEST(GoldenChaos, SeededChaosRunIsBitwiseReproducible) {
 TEST(GoldenChaos, ChaosRunIsIndependentOfShardCount) {
   const auto flat = run_chaos(42);
   EXPECT_GT(flat.fault_drops, 0u);
-  EXPECT_GT(flat.fault_crashes, 0u);
+  EXPECT_GT(flat.crashed_items, 0u);
   EXPECT_GT(flat.quorum_met + flat.quorum_missed, 0u);
 
   for (const std::size_t shards : {2, 3}) {
@@ -249,7 +249,7 @@ TEST(GoldenChaos, ChaosRunIsIndependentOfShardCount) {
         << shards << " shards";
     EXPECT_EQ(flat.stale_rounds, sharded.stale_rounds) << shards << " shards";
     EXPECT_EQ(flat.fault_drops, sharded.fault_drops) << shards << " shards";
-    EXPECT_EQ(flat.fault_crashes, sharded.fault_crashes)
+    EXPECT_EQ(flat.crashed_items, sharded.crashed_items)
         << shards << " shards";
     EXPECT_EQ(flat.late_msgs, sharded.late_msgs) << shards << " shards";
     ASSERT_EQ(flat.results.size(), sharded.results.size());

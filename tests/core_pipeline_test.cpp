@@ -197,7 +197,6 @@ TEST(Pipeline, LearnCadenceAndAccountingFollowMeterInterval) {
 
   EXPECT_EQ(reg.counter("ems.rounds").value(), 1u);
   EXPECT_EQ(reg.counter("ems.env_steps").value(), actionable * 16);
-  EXPECT_EQ(reg.counter("ems.replay_pushes").value(), actionable * 16);
   EXPECT_EQ(reg.counter("ems.learn_calls").value(), actionable * 6);
   for (std::size_t h = 0; h < scenario.traces.size(); ++h) {
     for (std::size_t d = 0; d < scenario.traces[h].devices.size(); ++d) {
@@ -230,13 +229,13 @@ std::uint64_t fnv1a(const std::vector<double>& values) {
   return h;
 }
 
-// The fused-training contract end-to-end (docs/fused_training.md): every
-// round runs in fused groups — one per shard, or one per pool worker when
-// unsharded — so forecast minibatches stack per gate and EMS rollouts run
-// in lockstep with stacked DQN learn slabs. Every agent parameter and
-// evaluation number must match the fingerprint recorded from the per-home
-// pipeline, at every shard count here and every pool size through the
-// PFDRL_POOL_WORKERS reruns in tests/CMakeLists.txt.
+// The lockstep-group contract end-to-end (docs/fused_training.md): every
+// round runs in groups — one per shard, or one per pool worker when
+// unsharded — whose forecast batches and EMS learn ticks run one member
+// step per home. Every agent parameter and evaluation number must match
+// the fingerprint recorded from the per-home pipeline, at every shard
+// count here and every pool size through the PFDRL_POOL_WORKERS reruns
+// in tests/CMakeLists.txt.
 TEST(Pipeline, FusedGroupsMatchPerHomeGolden) {
   const auto scenario = tiny();
   const std::size_t day = data::kMinutesPerDay;
@@ -261,34 +260,14 @@ TEST(Pipeline, FusedGroupsMatchPerHomeGolden) {
     }
     return fnv1a(fingerprint);
   };
-  // kLr forecasts fall back per job (closed form); kBp forecasts fuse.
-  // The EMS rounds fuse either way.
+  // kLr forecasts train job by job (closed form); kBp forecasts train in
+  // lockstep groups. The EMS rounds run in lockstep either way.
   for (const std::size_t shards : {0, 2, 3}) {
     EXPECT_EQ(run(shards, forecast::Method::kLr), 0x5926488e54b7658aULL)
         << "LR shards " << shards;
     EXPECT_EQ(run(shards, forecast::Method::kBp), 0x5317c3ac5bcefacbULL)
         << "BP shards " << shards;
   }
-}
-
-// No silent fallback: groups of a closed-form forecaster train per job
-// and say so in forecast.fused_fallbacks; NN forecasters never fall back.
-TEST(Pipeline, FusedFallbacksAreCounted) {
-  const auto scenario = tiny();
-  const std::size_t day = data::kMinutesPerDay;
-  const auto fallbacks = [&](forecast::Method fm) {
-    auto cfg = tiny_pipeline(EmsMethod::kPfdrl);
-    cfg.forecast_method = fm;
-    cfg.forecast_train.epochs = 1;
-    obs::MetricsRegistry reg;
-    cfg.metrics = &reg;
-    EmsPipeline pipeline(scenario.traces, cfg);
-    pipeline.train_forecasters(0, day);
-    pipeline.sync_runtime_metrics();
-    return reg.counter("forecast.fused_fallbacks").value();
-  };
-  EXPECT_GT(fallbacks(forecast::Method::kLr), 0u);
-  EXPECT_EQ(fallbacks(forecast::Method::kLstm), 0u);
 }
 
 // The evaluation rollout stacks an episode's states into batched

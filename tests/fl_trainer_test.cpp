@@ -320,7 +320,6 @@ TEST(DflTrainer, FusedGroupsMatchPerJobGolden) {
       trainer.run(0, data::kMinutesPerDay);
       EXPECT_EQ(fnv1a(all_parameters(trainer, traces)), c.golden)
           << forecast::method_name(c.method) << " shards " << shards;
-      EXPECT_EQ(trainer.fused_fallbacks(), 0u);
     }
   }
   // The Local baseline trains on every window (no sampling cap).
@@ -336,10 +335,10 @@ TEST(DflTrainer, FusedGroupsMatchPerJobGolden) {
   }
 }
 
-// Closed-form methods have no minibatch loop, so every group falls back
-// to per-job training — counted, never silent — and, with the forked RNGs
-// handed over unconsumed, still reproduces the per-job golden.
-TEST(DflTrainer, ClosedFormGroupsFallBackCountedAndBitwise) {
+// Closed-form methods have no minibatch loop, so their jobs train one by
+// one through Forecaster::train and, with the forked RNGs handed over
+// unconsumed, reproduce the per-job golden.
+TEST(DflTrainer, ClosedFormJobsTrainAloneBitwise) {
   const auto traces = small_traces(4, 1);
   for (const std::size_t shards : {0, 2}) {
     auto cfg = fast_dfl(AggregationMode::kDecentralized);  // kLr
@@ -348,7 +347,6 @@ TEST(DflTrainer, ClosedFormGroupsFallBackCountedAndBitwise) {
     trainer.run(0, data::kMinutesPerDay);
     EXPECT_EQ(fnv1a(all_parameters(trainer, traces)), kGoldenLr)
         << "shards " << shards;
-    EXPECT_GT(trainer.fused_fallbacks(), 0u);
   }
 }
 
@@ -407,7 +405,7 @@ TEST(FusedForecastTrainer, MatchesPerJobTrainBitwise) {
       }
     }
     forecast::FusedForecastTrainer trainer;
-    ASSERT_TRUE(trainer.train(jobs, begin, end, train));
+    trainer.train(jobs, begin, end, train);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const auto a = fused[j]->parameters();
       const auto b = solo[j]->parameters();
@@ -419,36 +417,30 @@ TEST(FusedForecastTrainer, MatchesPerJobTrainBitwise) {
   }
 }
 
-// What a fused trainer keeps between rounds is sized by the group and
-// the batch — never by the round: after a round 4x longer it holds no
-// more bytes than after the short one.
-TEST(FusedForecastTrainer, RetainedBytesDoNotGrowWithRoundLength) {
-  const auto traces = small_traces(3, 2);
+// A group is one minibatch method: a closed-form group and a mixed group
+// are refused before any job is touched.
+TEST(FusedForecastTrainer, GroupIsOneMinibatchMethod) {
+  const auto traces = small_traces(1, 1);
   const data::WindowConfig window = fast_dfl(AggregationMode::kNone).window;
-  auto models = make_models(forecast::Method::kLstm, traces, window);
-  forecast::TrainConfig train;
-  train.epochs = 1;
-  train.stride = 1;
-  forecast::FusedForecastTrainer trainer;
-  const auto round = [&](std::size_t begin, std::size_t end) {
-    std::vector<util::Rng> rngs;
-    rngs.reserve(models.size());
-    std::vector<forecast::FusedTrainJob> jobs;
-    std::size_t m = 0;
-    for (const auto& home : traces) {
-      for (const auto& dev : home.devices) {
-        rngs.emplace_back(m);
-        jobs.push_back({models[m].get(), &dev, &rngs.back(), 0.0});
-        ++m;
-      }
-    }
-    ASSERT_TRUE(trainer.train(jobs, begin, end, train));
+  const data::DeviceTrace& dev = traces[0].devices[0];
+  auto lr = forecast::make_forecaster(forecast::Method::kLr, window, 1);
+  auto lstm = forecast::make_forecaster(forecast::Method::kLstm, window, 1);
+  auto gru = forecast::make_forecaster(forecast::Method::kGru, window, 1);
+  const auto params = [](const forecast::Forecaster& f) {
+    return std::vector<double>(f.parameters().begin(), f.parameters().end());
   };
-  round(0, 180);
-  const std::size_t short_round = trainer.retained_bytes();
-  EXPECT_GT(short_round, 0u);
-  round(180, 180 + 4 * 180);
-  EXPECT_LE(trainer.retained_bytes(), short_round);
+  const std::vector<double> lstm_before = params(*lstm);
+  util::Rng rng(1);
+  forecast::FusedForecastTrainer trainer;
+  std::vector<forecast::FusedTrainJob> closed_form = {
+      {lr.get(), &dev, &rng, 0.0}};
+  EXPECT_THROW(trainer.train(closed_form, 0, data::kMinutesPerDay, {}),
+               std::invalid_argument);
+  std::vector<forecast::FusedTrainJob> mixed = {{lstm.get(), &dev, &rng, 0.0},
+                                                {gru.get(), &dev, &rng, 0.0}};
+  EXPECT_THROW(trainer.train(mixed, 0, data::kMinutesPerDay, {}),
+               std::invalid_argument);
+  EXPECT_EQ(params(*lstm), lstm_before);
 }
 
 TEST(DflTrainer, SmallBatchCapOnlyAppliesToFederatedModes) {

@@ -99,6 +99,23 @@ TEST_P(AllMethods, ParametersRoundTripChangesBehavior) {
   for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_DOUBLE_EQ(pa[i], pb[i]);
 }
 
+// The exchange reads every model through a span of its parameter buffer
+// taken once per run (fl::StagedExchange), so neither training nor
+// set_parameters may move the buffer.
+TEST_P(AllMethods, TrainKeepsTheParameterBuffer) {
+  const auto trace = sample_trace();
+  auto model = make_forecaster(GetParam(), small_window(), 7);
+  const double* buffer = model->parameters().data();
+  TrainConfig tc;
+  tc.epochs = 1;
+  util::Rng rng(4);
+  model->train(trace, 0, data::kMinutesPerDay, tc, rng);
+  EXPECT_EQ(model->parameters().data(), buffer) << model->name();
+  const std::vector<double> zeros(model->parameters().size(), 0.0);
+  model->set_parameters(zeros);
+  EXPECT_EQ(model->parameters().data(), buffer) << model->name();
+}
+
 TEST_P(AllMethods, SetParametersSizeMismatchThrows) {
   auto model = make_forecaster(GetParam(), small_window(), 7);
   EXPECT_THROW(model->set_parameters(std::vector<double>(3)),

@@ -114,7 +114,7 @@ TEST(Mlp, GradientCheckSmallNet) {
   };
 
   Workspace ws;
-  const MlpTape tape = mlp_forward(net, x, 0, x.rows(), ws);
+  const MlpTape tape = mlp_forward(net, x, x.rows(), ws);
   Matrix grad;
   ref::loss_grad(LossKind::kMse, *tape.out, target, grad);
   std::vector<double> grads(net.parameter_count(), 0.0);
@@ -147,14 +147,8 @@ TEST(Mlp, TrainBatchLearnsToyRegression) {
     x(i, 1) = data_rng.uniform(-1, 1);
     y(i, 0) = 2 * x(i, 0) - x(i, 1);
   }
-  FusedMlp engine;
-  Mlp* nets[] = {&net};
-  const FusedSlice slices[] = {{0, x.rows()}};
-  Optimizer* opts[] = {&opt};
   const auto step = [&] {
-    double loss = 0.0;
-    engine.train_batch(nets, slices, x, y, LossKind::kMse, opts, {&loss, 1});
-    return loss;
+    return mlp_train_step(net, x, y, LossKind::kMse, opt);
   };
   const double first = step();
   double last = first;
@@ -236,8 +230,8 @@ TEST(Dense, Batch1MatchesBatchedBitwise) {
   }
 }
 
-// predict() (inference) and a one-member mlp_forward (training) share
-// the same dense kernels, so their outputs must be bitwise equal.
+// predict() (inference) and mlp_forward (training) share the same dense
+// kernels, so their outputs must be bitwise equal.
 TEST(Mlp, PredictMatchesFusedForwardBitwise) {
   util::Rng rng(32);
   Mlp net({5, 9, 7, 3}, Activation::kRelu, Activation::kIdentity,
@@ -245,7 +239,7 @@ TEST(Mlp, PredictMatchesFusedForwardBitwise) {
   Matrix x(4, 5);
   for (double& v : x.data()) v = rng.normal();
   Workspace ws;
-  const Matrix& fwd = *mlp_forward(net, x, 0, x.rows(), ws).out;
+  const Matrix& fwd = *mlp_forward(net, x, x.rows(), ws).out;
   const Matrix pred = net.predict(x);
   ASSERT_EQ(pred.rows(), fwd.rows());
   ASSERT_EQ(pred.cols(), fwd.cols());

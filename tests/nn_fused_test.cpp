@@ -1,16 +1,18 @@
-// Group-of-N against groups of one for the fused training engines, plus
-// the scratch pins: training scratch bounded by threads, not members, and
-// steady-state batches allocation-free (docs/fused_training.md). These tests are the determinism contract: a
-// home trained alone is a group of one, and an N-member batch must give
-// every member the bits of its own one-member batch, so members never
-// mix — every EXPECT below compares doubles with EXPECT_EQ. (The
-// gradient math of a group of one is pinned by the finite-difference
-// checks in nn_lstm_test, nn_gru_test and nn_dense_mlp_test.)
+// The member train steps' scratch contract (docs/fused_training.md):
+// a step leaves the slots its caller holds (the forecast trainer copies a
+// step's inputs into them) and the cursor as it found them, training
+// scratch is bounded by threads, not members, and steady-state steps are
+// allocation-free. Every EXPECT below that compares doubles uses
+// EXPECT_EQ. (The gradient math of each step is pinned by the
+// finite-difference checks in nn_lstm_test, nn_gru_test and
+// nn_dense_mlp_test; that members of a group never mix, by the
+// trainer-level tests in fl_trainer_test and core_pipeline_test.)
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,7 +24,6 @@
 #include "nn/optimizer.hpp"
 #include "nn/workspace.hpp"
 #include "rl/dqn.hpp"
-#include "rl/fused.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -30,10 +31,6 @@ namespace {
 
 using pfdrl::nn::Activation;
 using pfdrl::nn::Adam;
-using pfdrl::nn::FusedGru;
-using pfdrl::nn::FusedLstm;
-using pfdrl::nn::FusedMlp;
-using pfdrl::nn::FusedSlice;
 using pfdrl::nn::GruRegressor;
 using pfdrl::nn::InitScheme;
 using pfdrl::nn::LossKind;
@@ -47,29 +44,6 @@ void fill_random(Matrix& m, Rng& rng) {
   for (double& v : m.data()) v = rng.uniform(-1.0, 1.0);
 }
 
-/// Home-major slab + slice table from per-home batches.
-struct Slab {
-  std::vector<FusedSlice> slices;
-  std::size_t total_rows = 0;
-};
-
-Slab make_slices(const std::vector<std::size_t>& batch_sizes) {
-  Slab s;
-  for (std::size_t bs : batch_sizes) {
-    s.slices.push_back({s.total_rows, bs});
-    s.total_rows += bs;
-  }
-  return s;
-}
-
-void copy_rows(const Matrix& src, Matrix& dst, std::size_t dst_begin) {
-  for (std::size_t r = 0; r < src.rows(); ++r) {
-    for (std::size_t c = 0; c < src.cols(); ++c) {
-      dst(dst_begin + r, c) = src(r, c);
-    }
-  }
-}
-
 void expect_bitwise_equal(std::span<const double> a, std::span<const double> b,
                           const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -78,261 +52,129 @@ void expect_bitwise_equal(std::span<const double> a, std::span<const double> b,
   }
 }
 
-constexpr std::size_t kF = 3;     // features per step
-constexpr std::size_t kH = 10;    // hidden width (exercises j-tile tails)
-constexpr std::size_t kT = 5;     // sequence length
-constexpr std::size_t kRounds = 4;
-// Mixed batch sizes: multiples of the row block, remainders, and a
-// batch-1 member (the matvec1 leftover-row case for the MLP).
-const std::vector<std::size_t> kBatches = {5, 8, 1, 4, 7};
+constexpr std::size_t kF = 3;   // features per step
+constexpr std::size_t kH = 10;  // hidden width (exercises j-tile tails)
+constexpr std::size_t kT = 5;   // sequence length
 
-/// Step pointers for a recurrent engine's train_batch.
+/// Step pointers for a recurrent train step.
 std::vector<const Matrix*> step_ptrs(const std::vector<Matrix>& xs) {
   std::vector<const Matrix*> ptrs;
   for (const Matrix& m : xs) ptrs.push_back(&m);
   return ptrs;
 }
 
-/// One-member batch of a recurrent engine (FusedLstm / FusedGru) over all
-/// rows of (xs, y); returns the member's loss.
-template <class Engine, class Net>
-double train_alone(Engine& engine, Net& net, const std::vector<Matrix>& xs,
-                   const Matrix& y, LossKind loss,
-                   pfdrl::nn::Optimizer& opt) {
-  Net* nets[] = {&net};
-  const FusedSlice slices[] = {{0, y.rows()}};
-  pfdrl::nn::Optimizer* opts[] = {&opt};
-  double value = 0.0;
-  engine.train_batch(nets, slices, step_ptrs(xs), y, loss, opts, {&value, 1});
-  return value;
+/// Runs `train(xs, y)` twice on twin networks: once on the caller's own
+/// matrices, once on copies the caller holds in its thread's scratch —
+/// the forecast trainer's layout. Both runs must give the same loss
+/// (checked by the caller on the twins' parameters), and the step must
+/// leave the caller's slots and the scratch cursor as it found them.
+template <class Train>
+void expect_caller_slots_kept(const std::vector<Matrix>& xs, const Matrix& y,
+                              Train&& train, const char* what) {
+  const double own = train(step_ptrs(xs), y, 0);
+  Workspace& ws = pfdrl::nn::thread_scratch();
+  ws.reset();
+  std::vector<const Matrix*> held;
+  for (const Matrix& x : xs) {
+    Matrix& slot = ws.take(x.rows(), x.cols());
+    std::copy(x.data().begin(), x.data().end(), slot.data().begin());
+    held.push_back(&slot);
+  }
+  Matrix& held_y = ws.take(y.rows(), y.cols());
+  std::copy(y.data().begin(), y.data().end(), held_y.data().begin());
+  const std::size_t cursor = ws.cursor();
+  const double in_scratch = train(held, held_y, 1);
+  EXPECT_EQ(in_scratch, own) << what;
+  EXPECT_EQ(ws.cursor(), cursor) << what << ": the step must rewind";
+  for (std::size_t t = 0; t < xs.size(); ++t) {
+    expect_bitwise_equal(held[t]->data(), xs[t].data(), what);
+  }
+  expect_bitwise_equal(held_y.data(), y.data(), what);
+  ws.reset();
 }
 
-TEST(NnFused, LstmBitwiseMatchesPerHome) {
+TEST(NnFused, StepsKeepCallerSlotsAndCursor) {
   Rng rng(1234);
-  const std::size_t members = kBatches.size();
-  std::vector<LstmRegressor> base;
-  base.reserve(members);
-  for (std::size_t i = 0; i < members; ++i) {
-    Rng init = rng.fork(100 + i);
-    base.emplace_back(kF, kH, 1, init);
+  constexpr std::size_t kRows = 7;  // a row block plus leftover rows
+  std::vector<Matrix> xs(kT, Matrix(kRows, kF));
+  for (Matrix& m : xs) fill_random(m, rng);
+  Matrix y(kRows, 1);
+  fill_random(y, rng);
+  {
+    Rng init = rng.fork(1);
+    const LstmRegressor base(kF, kH, 1, init);
+    std::vector<LstmRegressor> twins(2, base);
+    std::vector<Adam> opts(2, Adam(3e-3));
+    expect_caller_slots_kept(
+        xs, y,
+        [&](std::span<const Matrix* const> in, const Matrix& target,
+            std::size_t k) {
+          return pfdrl::nn::lstm_train_step(twins[k], in, target,
+                                            LossKind::kMae, opts[k]);
+        },
+        "lstm");
+    expect_bitwise_equal(twins[0].parameters(), twins[1].parameters(),
+                         "lstm params");
   }
-  std::vector<LstmRegressor> solo = base;  // trained in groups of one
-
-  const Slab slab = make_slices(kBatches);
-  FusedLstm fused;
-  FusedLstm solo_engine;
-  std::vector<Adam> fused_opts(members, Adam(3e-3));
-  std::vector<Adam> solo_opts(members, Adam(3e-3));
-
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    // Per-home batches and the fused slab built from the same data.
-    std::vector<std::vector<Matrix>> xs(members);
-    std::vector<Matrix> ys(members);
-    std::vector<Matrix> slab_xs(kT);
-    Matrix slab_y(slab.total_rows, 1);
-    for (Matrix& m : slab_xs) m = Matrix(slab.total_rows, kF);
-    for (std::size_t i = 0; i < members; ++i) {
-      xs[i].resize(kT);
-      for (std::size_t t = 0; t < kT; ++t) {
-        xs[i][t] = Matrix(kBatches[i], kF);
-        fill_random(xs[i][t], rng);
-        copy_rows(xs[i][t], slab_xs[t], slab.slices[i].row_begin);
-      }
-      ys[i] = Matrix(kBatches[i], 1);
-      fill_random(ys[i], rng);
-      copy_rows(ys[i], slab_y, slab.slices[i].row_begin);
-    }
-
-    std::vector<double> solo_losses(members);
-    for (std::size_t i = 0; i < members; ++i) {
-      solo_losses[i] = train_alone(solo_engine, solo[i], xs[i], ys[i],
-                                   LossKind::kMae, solo_opts[i]);
-    }
-
-    std::vector<LstmRegressor*> nets;
-    std::vector<pfdrl::nn::Optimizer*> opts;
-    for (std::size_t i = 0; i < members; ++i) {
-      nets.push_back(&base[i]);
-      opts.push_back(&fused_opts[i]);
-    }
-    const auto xs_ptrs = step_ptrs(slab_xs);
-    std::vector<double> fused_losses(members);
-    fused.train_batch(nets, slab.slices, xs_ptrs, slab_y, LossKind::kMae,
-                      opts, fused_losses);
-
-    for (std::size_t i = 0; i < members; ++i) {
-      ASSERT_EQ(fused_losses[i], solo_losses[i]) << "round " << round;
-      expect_bitwise_equal(base[i].parameters(), solo[i].parameters(),
-                           "lstm params");
-    }
+  {
+    Rng init = rng.fork(2);
+    const GruRegressor base(kF, kH, 1, init);
+    std::vector<GruRegressor> twins(2, base);
+    std::vector<Adam> opts(2, Adam(3e-3));
+    expect_caller_slots_kept(
+        xs, y,
+        [&](std::span<const Matrix* const> in, const Matrix& target,
+            std::size_t k) {
+          return pfdrl::nn::gru_train_step(twins[k], in, target,
+                                           LossKind::kMae, opts[k]);
+        },
+        "gru");
+    expect_bitwise_equal(twins[0].parameters(), twins[1].parameters(),
+                         "gru params");
+  }
+  {
+    Rng init = rng.fork(3);
+    const Mlp base({kF, 12, 9, 1}, Activation::kRelu, Activation::kIdentity,
+                   InitScheme::kHeNormal, init);
+    std::vector<Mlp> twins(2, base);
+    std::vector<Adam> opts(2, Adam(1e-3));
+    expect_caller_slots_kept(
+        {xs.front()}, y,
+        [&](std::span<const Matrix* const> in, const Matrix& target,
+            std::size_t k) {
+          return pfdrl::nn::mlp_train_step(twins[k], *in.front(), target,
+                                           LossKind::kHuber, opts[k]);
+        },
+        "mlp");
+    expect_bitwise_equal(twins[0].parameters(), twins[1].parameters(),
+                         "mlp params");
   }
 }
 
-TEST(NnFused, GruBitwiseMatchesPerHome) {
-  Rng rng(987);
-  const std::size_t members = kBatches.size();
-  std::vector<GruRegressor> base;
-  base.reserve(members);
-  for (std::size_t i = 0; i < members; ++i) {
-    Rng init = rng.fork(200 + i);
-    base.emplace_back(kF, kH, 1, init);
-  }
-  std::vector<GruRegressor> solo = base;  // trained in groups of one
-
-  const Slab slab = make_slices(kBatches);
-  FusedGru fused;
-  FusedGru solo_engine;
-  std::vector<Adam> fused_opts(members, Adam(3e-3));
-  std::vector<Adam> solo_opts(members, Adam(3e-3));
-
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    std::vector<std::vector<Matrix>> xs(members);
-    std::vector<Matrix> ys(members);
-    std::vector<Matrix> slab_xs(kT);
-    Matrix slab_y(slab.total_rows, 1);
-    for (Matrix& m : slab_xs) m = Matrix(slab.total_rows, kF);
-    for (std::size_t i = 0; i < members; ++i) {
-      xs[i].resize(kT);
-      for (std::size_t t = 0; t < kT; ++t) {
-        xs[i][t] = Matrix(kBatches[i], kF);
-        fill_random(xs[i][t], rng);
-        copy_rows(xs[i][t], slab_xs[t], slab.slices[i].row_begin);
-      }
-      ys[i] = Matrix(kBatches[i], 1);
-      fill_random(ys[i], rng);
-      copy_rows(ys[i], slab_y, slab.slices[i].row_begin);
-    }
-
-    std::vector<double> solo_losses(members);
-    for (std::size_t i = 0; i < members; ++i) {
-      solo_losses[i] = train_alone(solo_engine, solo[i], xs[i], ys[i],
-                                   LossKind::kMae, solo_opts[i]);
-    }
-
-    std::vector<GruRegressor*> nets;
-    std::vector<pfdrl::nn::Optimizer*> opts;
-    for (std::size_t i = 0; i < members; ++i) {
-      nets.push_back(&base[i]);
-      opts.push_back(&fused_opts[i]);
-    }
-    const auto xs_ptrs = step_ptrs(slab_xs);
-    std::vector<double> fused_losses(members);
-    fused.train_batch(nets, slab.slices, xs_ptrs, slab_y, LossKind::kMae,
-                      opts, fused_losses);
-
-    for (std::size_t i = 0; i < members; ++i) {
-      ASSERT_EQ(fused_losses[i], solo_losses[i]) << "round " << round;
-      expect_bitwise_equal(base[i].parameters(), solo[i].parameters(),
-                           "gru params");
-    }
-  }
-}
-
-TEST(NnFused, MlpBitwiseMatchesPerHome) {
-  Rng rng(555);
-  const std::size_t members = kBatches.size();
-  const std::vector<std::size_t> dims = {4, 12, 9, 2};
-  std::vector<Mlp> base;
-  base.reserve(members);
-  for (std::size_t i = 0; i < members; ++i) {
-    Rng init = rng.fork(300 + i);
-    base.emplace_back(dims, Activation::kRelu, Activation::kIdentity,
-                      InitScheme::kHeNormal, init);
-  }
-  std::vector<Mlp> solo = base;  // trained in groups of one
-
-  const Slab slab = make_slices(kBatches);
-  FusedMlp fused;
-  FusedMlp solo_engine;
-  std::vector<Adam> fused_opts(members, Adam(1e-3));
-  std::vector<Adam> solo_opts(members, Adam(1e-3));
-
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    std::vector<Matrix> xs(members), ys(members);
-    Matrix slab_x(slab.total_rows, dims.front());
-    Matrix slab_y(slab.total_rows, dims.back());
-    for (std::size_t i = 0; i < members; ++i) {
-      xs[i] = Matrix(kBatches[i], dims.front());
-      ys[i] = Matrix(kBatches[i], dims.back());
-      fill_random(xs[i], rng);
-      fill_random(ys[i], rng);
-      copy_rows(xs[i], slab_x, slab.slices[i].row_begin);
-      copy_rows(ys[i], slab_y, slab.slices[i].row_begin);
-    }
-
-    std::vector<double> solo_losses(members);
-    for (std::size_t i = 0; i < members; ++i) {
-      Mlp* one[] = {&solo[i]};
-      const FusedSlice all_rows[] = {{0, kBatches[i]}};
-      pfdrl::nn::Optimizer* one_opt[] = {&solo_opts[i]};
-      solo_engine.train_batch(one, all_rows, xs[i], ys[i], LossKind::kHuber,
-                              one_opt, {&solo_losses[i], 1});
-    }
-
-    std::vector<Mlp*> nets;
-    std::vector<pfdrl::nn::Optimizer*> opts;
-    for (std::size_t i = 0; i < members; ++i) {
-      nets.push_back(&base[i]);
-      opts.push_back(&fused_opts[i]);
-    }
-    std::vector<double> fused_losses(members);
-    fused.train_batch(nets, slab.slices, slab_x, slab_y, LossKind::kHuber,
-                      opts, fused_losses);
-
-    for (std::size_t i = 0; i < members; ++i) {
-      ASSERT_EQ(fused_losses[i], solo_losses[i]) << "round " << round;
-      expect_bitwise_equal(base[i].parameters(), solo[i].parameters(),
-                           "mlp params");
-    }
-  }
-}
-
-TEST(NnFused, SliceTableMustTileTheSlab) {
+// A batch may never read past its input rows.
+TEST(NnFused, MlpStepRejectsInputShorterThanTargets) {
   Rng rng(77);
-  Rng i0 = rng.fork(0);
-  Rng i1 = rng.fork(1);
-  std::vector<Mlp> nets_store;
-  nets_store.emplace_back(std::vector<std::size_t>{2, 4, 1}, Activation::kRelu,
-                          Activation::kIdentity, InitScheme::kHeNormal, i0);
-  nets_store.emplace_back(std::vector<std::size_t>{2, 4, 1}, Activation::kRelu,
-                          Activation::kIdentity, InitScheme::kHeNormal, i1);
-  std::vector<Mlp*> nets = {&nets_store[0], &nets_store[1]};
-  std::vector<Adam> opts_store(2, Adam(1e-3));
-  std::vector<pfdrl::nn::Optimizer*> opts = {&opts_store[0], &opts_store[1]};
-  std::vector<double> losses(2);
-  Matrix x(6, 2);
-  Matrix y(6, 1);
+  Mlp net({2, 4, 1}, Activation::kRelu, Activation::kIdentity,
+          InitScheme::kHeNormal, rng);
+  Adam opt(1e-3);
+  Matrix x(3, 2);
+  Matrix y(4, 1);
   fill_random(x, rng);
   fill_random(y, rng);
-  FusedMlp fused;
-  const auto train = [&](const std::vector<FusedSlice>& slices,
-                         std::size_t src_row0 = 0) {
-    fused.train_batch(nets, slices, x, y, LossKind::kMse, opts, losses,
-                      src_row0);
-  };
-  // Gap between slices.
-  std::vector<FusedSlice> gap = {{0, 2}, {3, 3}};
-  EXPECT_THROW(train(gap), std::invalid_argument);
-  // Short coverage is a legal epoch-arena prefix batch (rows [0, 4) of
-  // the 6-row source), not an error.
-  std::vector<FusedSlice> short_cover = {{0, 2}, {2, 2}};
-  EXPECT_NO_THROW(train(short_cover));
-  // But the batch may never reach past the source rows, with or without
-  // an arena offset.
-  std::vector<FusedSlice> over = {{0, 4}, {4, 3}};
-  EXPECT_THROW(train(over), std::invalid_argument);
-  EXPECT_THROW(train(short_cover, /*src_row0=*/3), std::invalid_argument);
+  EXPECT_THROW(
+      pfdrl::nn::mlp_train_step(net, x, y, LossKind::kMse, opt),
+      std::invalid_argument);
 }
 
 // ---- Scratch bounds ----------------------------------------------------
 // Every member step runs on its thread's nn::thread_scratch(), so what a
-// fused batch adds to the workspace totals is bounded by the threads
-// that run members, never by the member count.
+// group batch — one pool task per member, as the lockstep schedules run
+// it — adds to the workspace totals is bounded by the threads that run
+// members, never by the member count.
 
 /// Workspace growth while `step` runs on a fresh thread, whose scratch
-/// starts empty. A group of one runs inline on its caller, so this is
-/// exactly one cold member step (its thread's scratch is released when
-/// the thread exits).
+/// starts empty: exactly one cold member step (its thread's scratch is
+/// released when the thread exits).
 struct Growth {
   std::uint64_t bytes = 0;
   std::uint64_t allocs = 0;
@@ -357,9 +199,15 @@ std::uint64_t member_threads() {
   return pfdrl::util::ThreadPool::global().size() + 1;
 }
 
-/// Runs `group` (a fused batch of many members) and checks that the
+/// One group batch: member_step(i) for every member, one pool task each.
+template <class Step>
+void group_batch(std::size_t members, Step&& member_step) {
+  pfdrl::util::ThreadPool::global().parallel_for(0, members, member_step);
+}
+
+/// Runs `group` (a group batch of many members) and checks that the
 /// workspace bytes it adds stay within member_threads() cold member
-/// steps of `solo` (the same step as a group of one).
+/// steps of `solo` (one member's step).
 template <class Solo, class Group>
 void expect_scratch_bounded_by_threads(const char* what, Solo&& solo,
                                        Group&& group) {
@@ -368,8 +216,8 @@ void expect_scratch_bounded_by_threads(const char* what, Solo&& solo,
   const std::uint64_t bytes0 = Workspace::total_bytes();
   for (int rep = 0; rep < 3; ++rep) group();
   EXPECT_LE(Workspace::total_bytes() - bytes0, member_threads() * one.bytes)
-      << what << ": fused scratch must be bounded by threads x one member "
-      << "step (" << one.bytes << " bytes), not by the member count";
+      << what << ": training scratch must be bounded by threads x one "
+      << "member step (" << one.bytes << " bytes), not by the member count";
 }
 
 TEST(NnFused, ScratchIsBoundedByThreadsNotMembers) {
@@ -379,91 +227,58 @@ TEST(NnFused, ScratchIsBoundedByThreadsNotMembers) {
   constexpr std::size_t kMembers = 24;
   constexpr std::size_t kBs = 4;
   constexpr std::size_t kWide = 32;
-  constexpr std::size_t kRows = kMembers * kBs;
   Rng rng(2024);
-  std::vector<FusedSlice> slices;
-  for (std::size_t i = 0; i < kMembers; ++i) slices.push_back({i * kBs, kBs});
-  const FusedSlice solo_slice[] = {{0, kBs}};
-  std::vector<Adam> opts_store(kMembers + 1, Adam(1e-3));
-  std::vector<pfdrl::nn::Optimizer*> opts;
-  for (std::size_t i = 0; i < kMembers; ++i) opts.push_back(&opts_store[i]);
-  pfdrl::nn::Optimizer* solo_opt[] = {&opts_store[kMembers]};
-  std::vector<double> losses(kMembers);
-  double solo_loss = 0.0;
-
-  std::vector<Matrix> slab_xs(kT, Matrix(kRows, kF));
-  for (Matrix& m : slab_xs) fill_random(m, rng);
-  const auto xs_ptrs = step_ptrs(slab_xs);
-  Matrix slab_y(kRows, 1);
-  fill_random(slab_y, rng);
+  std::vector<Adam> opts(kMembers + 1, Adam(1e-3));
+  // Every member reads the same (read-only) batch.
+  std::vector<Matrix> xs(kT, Matrix(kBs, kF));
+  for (Matrix& m : xs) fill_random(m, rng);
+  const auto xs_ptrs = step_ptrs(xs);
+  Matrix y(kBs, 1);
+  fill_random(y, rng);
 
   {
-    std::vector<LstmRegressor> store;
-    store.reserve(kMembers + 1);
+    std::vector<LstmRegressor> nets;
+    nets.reserve(kMembers + 1);
     for (std::size_t i = 0; i <= kMembers; ++i) {
       Rng init = rng.fork(i);
-      store.emplace_back(kF, kWide, 1, init);
+      nets.emplace_back(kF, kWide, 1, init);
     }
-    std::vector<LstmRegressor*> nets;
-    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
-    LstmRegressor* solo_net[] = {&store[kMembers]};
-    FusedLstm engine;
+    const auto step = [&](std::size_t i) {
+      pfdrl::nn::lstm_train_step(nets[i], xs_ptrs, y, LossKind::kMae, opts[i]);
+    };
     expect_scratch_bounded_by_threads(
-        "lstm",
-        [&] {
-          engine.train_batch(solo_net, solo_slice, xs_ptrs, slab_y,
-                             LossKind::kMae, solo_opt, {&solo_loss, 1});
-        },
-        [&] {
-          engine.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae,
-                             opts, losses);
-        });
+        "lstm", [&] { step(kMembers); },
+        [&] { group_batch(kMembers, step); });
   }
   {
-    std::vector<GruRegressor> store;
-    store.reserve(kMembers + 1);
+    std::vector<GruRegressor> nets;
+    nets.reserve(kMembers + 1);
     for (std::size_t i = 0; i <= kMembers; ++i) {
       Rng init = rng.fork(100 + i);
-      store.emplace_back(kF, kWide, 1, init);
+      nets.emplace_back(kF, kWide, 1, init);
     }
-    std::vector<GruRegressor*> nets;
-    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
-    GruRegressor* solo_net[] = {&store[kMembers]};
-    FusedGru engine;
+    const auto step = [&](std::size_t i) {
+      pfdrl::nn::gru_train_step(nets[i], xs_ptrs, y, LossKind::kMae, opts[i]);
+    };
     expect_scratch_bounded_by_threads(
-        "gru",
-        [&] {
-          engine.train_batch(solo_net, solo_slice, xs_ptrs, slab_y,
-                             LossKind::kMae, solo_opt, {&solo_loss, 1});
-        },
-        [&] {
-          engine.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae,
-                             opts, losses);
-        });
+        "gru", [&] { step(kMembers); },
+        [&] { group_batch(kMembers, step); });
   }
   {
     const std::vector<std::size_t> dims = {kF, 2 * kWide, kWide, 1};
-    std::vector<Mlp> store;
-    store.reserve(kMembers + 1);
+    std::vector<Mlp> nets;
+    nets.reserve(kMembers + 1);
     for (std::size_t i = 0; i <= kMembers; ++i) {
       Rng init = rng.fork(200 + i);
-      store.emplace_back(dims, Activation::kRelu, Activation::kIdentity,
-                         InitScheme::kHeNormal, init);
+      nets.emplace_back(dims, Activation::kRelu, Activation::kIdentity,
+                        InitScheme::kHeNormal, init);
     }
-    std::vector<Mlp*> nets;
-    for (std::size_t i = 0; i < kMembers; ++i) nets.push_back(&store[i]);
-    Mlp* solo_net[] = {&store[kMembers]};
-    FusedMlp engine;
+    const auto step = [&](std::size_t i) {
+      pfdrl::nn::mlp_train_step(nets[i], xs[0], y, LossKind::kHuber, opts[i]);
+    };
     expect_scratch_bounded_by_threads(
-        "mlp",
-        [&] {
-          engine.train_batch(solo_net, solo_slice, slab_xs[0], slab_y,
-                             LossKind::kHuber, solo_opt, {&solo_loss, 1});
-        },
-        [&] {
-          engine.train_batch(nets, slices, slab_xs[0], slab_y,
-                             LossKind::kHuber, opts, losses);
-        });
+        "mlp", [&] { step(kMembers); },
+        [&] { group_batch(kMembers, step); });
   }
   {
     // city_ems's group shape: 4x32 DQN over a 5-wide state, 3 actions.
@@ -486,83 +301,64 @@ TEST(NnFused, ScratchIsBoundedByThreadsNotMembers) {
         agents[i]->remember(std::move(tr));
       }
     }
-    std::vector<pfdrl::rl::DqnAgent*> group;
-    for (std::size_t i = 0; i < kMembers; ++i) group.push_back(agents[i].get());
-    pfdrl::rl::DqnAgent* solo_agent[] = {agents[kMembers].get()};
-    pfdrl::rl::FusedDqnLearner learner;
+    const auto step = [&](std::size_t i) { agents[i]->learn(); };
     expect_scratch_bounded_by_threads(
-        "dqn",
-        [&] {
-          ASSERT_TRUE(learner.learn(solo_agent, {&solo_loss, 1}));
-        },
-        [&] { ASSERT_TRUE(learner.learn(group, losses)); });
+        "dqn", [&] { step(kMembers); },
+        [&] { group_batch(kMembers, step); });
   }
 }
 
-// Steady-state fused batches allocate nothing once warm. Which pool
+// Steady-state group batches allocate nothing once warm. Which pool
 // thread runs which member varies from batch to batch, so a thread may
 // still grow when it runs its first member step; the whole run may
 // therefore grow by at most member_threads() cold member steps — and
 // runs more batches than that bound, so even one allocation per batch
-// fails. A group of one runs on its caller: zero growth once warm.
+// fails. One member stepped on its caller: zero growth once warm.
 TEST(NnFused, SteadyStateFusedBatchesAllocateNothing) {
   Rng rng(42);
   const std::size_t members = 6;
   const std::size_t bs = 7;
-  std::vector<LstmRegressor> nets_store;
-  nets_store.reserve(members);
-  std::vector<Adam> opts_store(members, Adam(3e-3));
+  std::vector<LstmRegressor> nets;
+  nets.reserve(members);
+  std::vector<Adam> opts(members, Adam(3e-3));
   for (std::size_t i = 0; i < members; ++i) {
     Rng init = rng.fork(i);
-    nets_store.emplace_back(kF, kH, 1, init);
+    nets.emplace_back(kF, kH, 1, init);
   }
-  std::vector<FusedSlice> slices;
-  for (std::size_t i = 0; i < members; ++i) slices.push_back({i * bs, bs});
-  const std::size_t rows = members * bs;
-
-  std::vector<Matrix> slab_xs(kT);
-  for (Matrix& m : slab_xs) {
-    m = Matrix(rows, kF);
-    fill_random(m, rng);
-  }
-  Matrix slab_y(rows, 1);
-  fill_random(slab_y, rng);
-
-  std::vector<LstmRegressor*> nets;
-  std::vector<pfdrl::nn::Optimizer*> opts;
+  std::vector<std::vector<Matrix>> xs(members, std::vector<Matrix>(kT));
+  std::vector<std::vector<const Matrix*>> xs_ptrs;
+  std::vector<Matrix> ys(members, Matrix(bs, 1));
   for (std::size_t i = 0; i < members; ++i) {
-    nets.push_back(&nets_store[i]);
-    opts.push_back(&opts_store[i]);
+    for (Matrix& m : xs[i]) {
+      m = Matrix(bs, kF);
+      fill_random(m, rng);
+    }
+    xs_ptrs.push_back(step_ptrs(xs[i]));
+    fill_random(ys[i], rng);
   }
-  const auto xs_ptrs = step_ptrs(slab_xs);
-  std::vector<double> losses(members);
-  FusedLstm fused;
-  const auto train_one = [&] {
-    fused.train_batch(std::span(nets).first(1), std::span(slices).first(1),
-                      xs_ptrs, slab_y, LossKind::kMae,
-                      std::span(opts).first(1), std::span(losses).first(1));
+  const auto step = [&](std::size_t i) {
+    pfdrl::nn::lstm_train_step(nets[i], xs_ptrs[i], ys[i], LossKind::kMae,
+                               opts[i]);
   };
+  const auto train_one = [&] { step(0); };
 
-  // Group of one, on the calling thread: warm-up grows the scratch and
-  // the Adam moments, then nothing.
+  // One member on the calling thread: warm-up grows the scratch and the
+  // Adam moments, then nothing.
   train_one();
   train_one();
   const std::uint64_t solo_before = Workspace::total_allocations();
   for (int i = 0; i < 3; ++i) train_one();
   EXPECT_EQ(Workspace::total_allocations(), solo_before)
-      << "a warm group of one must not grow its thread's scratch";
+      << "a warm member step must not grow its thread's scratch";
 
   // The whole group, fanned out across the pool.
   const std::uint64_t a1 = cold_member_step(train_one).allocs;
   ASSERT_GT(a1, 0u);
   const std::uint64_t bound = member_threads() * a1;
   const std::uint64_t before = Workspace::total_allocations();
-  for (std::uint64_t i = 0; i <= bound; ++i) {
-    fused.train_batch(nets, slices, xs_ptrs, slab_y, LossKind::kMae, opts,
-                      losses);
-  }
+  for (std::uint64_t i = 0; i <= bound; ++i) group_batch(members, step);
   EXPECT_LE(Workspace::total_allocations() - before, bound)
-      << "fused batches may grow a thread's scratch only on its first "
+      << "group batches may grow a thread's scratch only on its first "
       << "member step";
 }
 

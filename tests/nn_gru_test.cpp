@@ -21,20 +21,14 @@ std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
   return xs;
 }
 
-/// One training step of `net` alone: a one-member FusedGru batch over
-/// all rows of (xs, y). Returns the batch loss.
-double train_alone(FusedGru& engine, GruRegressor& net,
-                   const std::vector<Matrix>& xs, const Matrix& y,
-                   LossKind loss, Optimizer& opt, double clip_norm = 5.0) {
-  GruRegressor* nets[] = {&net};
-  const FusedSlice slices[] = {{0, y.rows()}};
+/// One training step of `net` over all rows of (xs, y). Returns the
+/// batch loss.
+double train_step(GruRegressor& net, const std::vector<Matrix>& xs,
+                  const Matrix& y, LossKind loss, Optimizer& opt,
+                  double clip_norm = 5.0) {
   std::vector<const Matrix*> steps;
   for (const Matrix& x : xs) steps.push_back(&x);
-  Optimizer* opts[] = {&opt};
-  double value = 0.0;
-  engine.train_batch(nets, slices, steps, y, loss, opts, {&value, 1},
-                     clip_norm);
-  return value;
+  return gru_train_step(net, steps, y, loss, opt, clip_norm);
 }
 
 TEST(Gru, ConstructionValidation) {
@@ -82,7 +76,7 @@ TEST(Gru, SetParametersRoundTrip) {
 }
 
 // Finite-difference check of the GRU BPTT: the update of a plain-SGD,
-// unclipped one-member FusedGru batch against the numeric gradient.
+// unclipped gru_train_step against the numeric gradient.
 TEST(Gru, GradientCheckViaSgdStep) {
   util::Rng rng(9);
   GruRegressor net(2, 3, 1, rng);
@@ -104,8 +98,7 @@ TEST(Gru, GradientCheckViaSgdStep) {
   const double lr = 1e-3;
   Sgd opt(lr);
   GruRegressor trained = net;
-  FusedGru engine;
-  train_alone(engine, trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  train_step(trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   const double eps = 1e-6;
@@ -127,7 +120,6 @@ TEST(Gru, LearnsSequenceMean) {
   util::Rng rng(11);
   GruRegressor net(1, 8, 1, rng);
   Adam opt(0.01);
-  FusedGru engine;
   util::Rng data_rng(12);
   double first_loss = -1.0;
   double last_loss = 0.0;
@@ -143,7 +135,7 @@ TEST(Gru, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = train_alone(engine, net, xs, y, LossKind::kMse, opt);
+    last_loss = train_step(net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);

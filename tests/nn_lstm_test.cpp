@@ -21,20 +21,14 @@ std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
   return xs;
 }
 
-/// One training step of `net` alone: a one-member FusedLstm batch over
-/// all rows of (xs, y). Returns the batch loss.
-double train_alone(FusedLstm& engine, LstmRegressor& net,
-                   const std::vector<Matrix>& xs, const Matrix& y,
-                   LossKind loss, Optimizer& opt, double clip_norm = 5.0) {
-  LstmRegressor* nets[] = {&net};
-  const FusedSlice slices[] = {{0, y.rows()}};
+/// One training step of `net` over all rows of (xs, y). Returns the
+/// batch loss.
+double train_step(LstmRegressor& net, const std::vector<Matrix>& xs,
+                  const Matrix& y, LossKind loss, Optimizer& opt,
+                  double clip_norm = 5.0) {
   std::vector<const Matrix*> steps;
   for (const Matrix& x : xs) steps.push_back(&x);
-  Optimizer* opts[] = {&opt};
-  double value = 0.0;
-  engine.train_batch(nets, slices, steps, y, loss, opts, {&value, 1},
-                     clip_norm);
-  return value;
+  return lstm_train_step(net, steps, y, loss, opt, clip_norm);
 }
 
 TEST(Lstm, ConstructionValidation) {
@@ -119,8 +113,8 @@ TEST(Lstm, SetParametersRoundTrip) {
 
 TEST(Lstm, GradientCheckViaTraining) {
   // Finite-difference check of the full BPTT path: compare the parameter
-  // update direction of a plain-SGD, unclipped one-member FusedLstm
-  // batch against the numeric gradient of the loss.
+  // update direction of a plain-SGD, unclipped lstm_train_step against
+  // the numeric gradient of the loss.
   util::Rng rng(11);
   LstmRegressor net(2, 3, 1, rng);
   util::Rng data_rng(12);
@@ -141,8 +135,7 @@ TEST(Lstm, GradientCheckViaTraining) {
   const double lr = 1e-3;
   Sgd opt(lr);
   LstmRegressor trained = net;
-  FusedLstm engine;
-  train_alone(engine, trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  train_step(trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   // Implied gradient from the SGD step: g = (before - after) / lr.
@@ -166,7 +159,6 @@ TEST(Lstm, LearnsSequenceMean) {
   util::Rng rng(13);
   LstmRegressor net(1, 8, 1, rng);
   Adam opt(0.01);
-  FusedLstm engine;
   util::Rng data_rng(14);
 
   double first_loss = -1.0;
@@ -183,7 +175,7 @@ TEST(Lstm, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = train_alone(engine, net, xs, y, LossKind::kMse, opt);
+    last_loss = train_step(net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);
@@ -199,8 +191,7 @@ TEST(Lstm, ClipNormBoundsUpdate) {
 
   Sgd opt(1.0);
   LstmRegressor clipped = net;
-  FusedLstm engine;
-  train_alone(engine, clipped, xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
+  train_step(clipped, xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
   double update_sq = 0.0;
   for (std::size_t i = 0; i < net.parameter_count(); ++i) {
     const double d = clipped.parameters()[i] - net.parameters()[i];

@@ -7,13 +7,17 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "nn/workspace.hpp"
+#include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 
 namespace pfdrl::obs {
 namespace {
@@ -407,6 +411,90 @@ TEST(RuntimeStats, NnWorkspaceFoldIsIdempotent) {
   record_nn_workspace_stats(reg);
   EXPECT_DOUBLE_EQ(reg.gauge("nn.scratch_bytes").value(),
                    static_cast<double>(nn::Workspace::total_bytes()));
+}
+
+// ---------------------------------------------------------------------------
+// Catalogue check: the ems.*, rl.*, nn.* and forecast.* instruments a small
+// sharded PFDRL run registers are exactly the names docs/observability.md
+// documents in those families — every backticked name in the first cell
+// of a catalogue table row.
+
+const std::vector<std::string> kCatalogueFamilies = {"ems.", "rl.", "nn.",
+                                                     "forecast."};
+
+bool in_catalogue_families(const std::string& name) {
+  for (const std::string& f : kCatalogueFamilies) {
+    if (name.rfind(f, 0) == 0) return true;
+  }
+  return false;
+}
+
+std::set<std::string> documented_names(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::set<std::string> names;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t a = cell.find('`'); a != std::string::npos;) {
+      const std::size_t b = cell.find('`', a + 1);
+      if (b == std::string::npos) break;
+      const std::string name = cell.substr(a + 1, b - a - 1);
+      if (in_catalogue_families(name)) names.insert(name);
+      a = cell.find('`', b + 1);
+    }
+  }
+  return names;
+}
+
+std::set<std::string> registered_names(const MetricsRegistry& reg) {
+  std::set<std::string> names;
+  const MetricsSnapshot snap = reg.capture_state();
+  for (const auto& [name, v] : snap.counters) names.insert(name);
+  for (const auto& [name, v] : snap.gauges) names.insert(name);
+  for (const auto& [name, v] : snap.series) names.insert(name);
+  // Histograms are not in the snapshot; the CSV lists each one.
+  std::istringstream csv(reg.to_csv());
+  std::string row;
+  while (std::getline(csv, row)) {
+    if (row.rfind("histogram,", 0) != 0) continue;
+    names.insert(row.substr(10, row.find(',', 10) - 10));
+  }
+  std::erase_if(names, [](const std::string& n) {
+    return !in_catalogue_families(n);
+  });
+  return names;
+}
+
+TEST(Catalogue, RunFamiliesMatchObservabilityDoc) {
+  const auto scenario = sim::Scenario::generate(sim::tiny_scenario(42));
+  auto cfg = sim::fast_pipeline(core::EmsMethod::kPfdrl, 42);
+  cfg.forecast_method = forecast::Method::kLstm;
+  cfg.forecast_train.epochs = 1;
+  cfg.dqn.hidden = {12, 12};
+  cfg.shards = 2;
+  MetricsRegistry reg;
+  cfg.metrics = &reg;
+  const std::size_t day = data::kMinutesPerDay;
+  core::EmsPipeline pipeline(scenario.traces, cfg);
+  pipeline.train_forecasters(0, day);
+  pipeline.train_ems(day, 2 * day);
+  (void)pipeline.evaluate(day, 2 * day);
+  pipeline.sync_runtime_metrics();
+
+  const std::set<std::string> registered = registered_names(reg);
+  const std::set<std::string> documented =
+      documented_names(PFDRL_OBSERVABILITY_MD);
+  ASSERT_FALSE(registered.empty());
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(documented.contains(name))
+        << name << " is registered but has no row in observability.md";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(registered.contains(name))
+        << name << " is documented but the run never registered it";
+  }
 }
 
 }  // namespace

@@ -6,11 +6,12 @@
 #include <array>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "nn/workspace.hpp"
-#include "rl/fused.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pfdrl::rl {
 namespace {
@@ -26,15 +27,6 @@ DqnConfig small_config() {
   cfg.epsilon_decay_steps = 100;
   cfg.seed = 5;
   return cfg;
-}
-
-/// One learning step of `agent` alone: a group of one through `learner`.
-/// Returns the TD loss (0.0 while the replay holds less than a batch).
-double learn_alone(FusedDqnLearner& learner, DqnAgent& agent) {
-  DqnAgent* group[] = {&agent};
-  double loss = -1.0;
-  EXPECT_TRUE(learner.learn(group, {&loss, 1}));
-  return loss;
 }
 
 TEST(Dqn, QValuesShape) {
@@ -69,8 +61,7 @@ TEST(Dqn, EpsilonSchedule) {
 
 TEST(Dqn, LearnNoOpUntilBatchAvailable) {
   DqnAgent agent(small_config());
-  FusedDqnLearner learner;
-  EXPECT_EQ(learn_alone(learner, agent), 0.0);
+  EXPECT_EQ(agent.learn(), 0.0);
   EXPECT_EQ(agent.learn_steps(), 0u);
 }
 
@@ -86,8 +77,7 @@ TEST(Dqn, TargetSyncSchedule) {
     t.next_state = {0.2, 0.3, 0.4};
     agent.remember(t);
   }
-  FusedDqnLearner learner;
-  for (int i = 0; i < 7; ++i) learn_alone(learner, agent);
+  for (int i = 0; i < 7; ++i) agent.learn();
   EXPECT_EQ(agent.learn_steps(), 7u);
 }
 
@@ -129,7 +119,6 @@ TEST(Dqn, LearnsContextualBandit) {
   cfg.epsilon_end = 0.05;
   cfg.learning_rate = 3e-3;
   DqnAgent agent(cfg);
-  FusedDqnLearner learner;
   util::Rng rng(3);
 
   for (int step = 0; step < 1500; ++step) {
@@ -145,7 +134,7 @@ TEST(Dqn, LearnsContextualBandit) {
     t.next_state = state;
     t.terminal = true;
     agent.remember(std::move(t));
-    learn_alone(learner, agent);
+    agent.learn();
   }
 
   int correct = 0;
@@ -168,7 +157,6 @@ TEST(Dqn, DoubleDqnLearnsBanditToo) {
   cfg.epsilon_end = 0.05;
   cfg.learning_rate = 3e-3;
   DqnAgent agent(cfg);
-  FusedDqnLearner learner;
   util::Rng rng(4);
   for (int step = 0; step < 1500; ++step) {
     std::vector<double> state(3);
@@ -183,7 +171,7 @@ TEST(Dqn, DoubleDqnLearnsBanditToo) {
     t.next_state = state;
     t.terminal = true;
     agent.remember(std::move(t));
-    learn_alone(learner, agent);
+    agent.learn();
   }
   int correct = 0;
   for (int i = 0; i < 300; ++i) {
@@ -212,10 +200,9 @@ TEST(Dqn, DoubleDqnChangesLearningTrajectory) {
     a.remember(t);
     b.remember(t);
   }
-  FusedDqnLearner learner;
   for (int i = 0; i < 30; ++i) {
-    learn_alone(learner, a);
-    learn_alone(learner, b);
+    a.learn();
+    b.learn();
   }
   // Non-terminal transitions bootstrap differently under double DQN.
   const auto pa = a.network().parameters();
@@ -289,13 +276,11 @@ TEST(Dqn, ActPathAllocationFreePaperNet) {
 }
 
 // The learn path gets the same pin: once the replay is full and a few
-// warm-up steps of a one-agent learner have sized its thread's scratch
-// (a group of one runs on the caller; the first step scores every row,
-// so the target pass's rows are as many as they get), further learn
-// steps must not grow any workspace arena.
+// warm-up learn steps have sized the calling thread's scratch (the first
+// step scores every row, so the target pass's rows are as many as they
+// get), further learn steps must not grow any workspace arena.
 TEST(Dqn, LearnPathAllocationFreeSteadyState) {
   DqnAgent agent(small_config());
-  FusedDqnLearner learner;
   util::Rng rng(77);
   for (int i = 0; i < 64; ++i) {
     Transition t;
@@ -305,9 +290,9 @@ TEST(Dqn, LearnPathAllocationFreeSteadyState) {
     t.next_state = {rng.normal(), rng.normal(), rng.normal()};
     agent.remember(t);
   }
-  for (int i = 0; i < 4; ++i) learn_alone(learner, agent);  // warm the slots
+  for (int i = 0; i < 4; ++i) agent.learn();  // warm the slots
   const std::uint64_t allocs = nn::Workspace::total_allocations();
-  for (int i = 0; i < 200; ++i) learn_alone(learner, agent);
+  for (int i = 0; i < 200; ++i) agent.learn();
   EXPECT_EQ(nn::Workspace::total_allocations(), allocs);
 }
 
@@ -316,9 +301,7 @@ TEST(Dqn, LearnPathAllocationFreeSteadyState) {
 namespace {
 /// Drive `agent` through n interleaved act/remember/learn steps with its
 /// own trajectory RNG, so exploration, replay sampling and Adam all move.
-/// The agent learns alone, through a one-agent learner.
 void drive(DqnAgent& agent, util::Rng& rng, int steps) {
-  FusedDqnLearner learner;
   for (int i = 0; i < steps; ++i) {
     std::vector<double> state = {rng.uniform(), rng.uniform(), rng.uniform()};
     const int action = agent.act(state);
@@ -328,7 +311,7 @@ void drive(DqnAgent& agent, util::Rng& rng, int steps) {
     t.reward = rng.uniform(-1, 1);
     t.next_state = {rng.uniform(), rng.uniform(), rng.uniform()};
     agent.remember(std::move(t));
-    learn_alone(learner, agent);
+    agent.learn();
   }
 }
 }  // namespace
@@ -349,7 +332,6 @@ TEST(Dqn, CaptureRestoreContinuesBitwise) {
   // Same trajectory stream for both from here on. The original's
   // bootstrap cache is warm, the restored agent's empty: the losses must
   // agree anyway.
-  FusedDqnLearner learner;
   util::Rng traj_a(902), traj_b(902);
   for (int i = 0; i < 60; ++i) {
     std::vector<double> s = {traj_a.uniform(), traj_a.uniform(),
@@ -365,7 +347,7 @@ TEST(Dqn, CaptureRestoreContinuesBitwise) {
     Transition tb = ta;
     original.remember(std::move(ta));
     restored.remember(std::move(tb));
-    ASSERT_EQ(learn_alone(learner, original), learn_alone(learner, restored))
+    ASSERT_EQ(original.learn(), restored.learn())
         << "step " << i;
   }
   EXPECT_EQ(original.epsilon(), restored.epsilon());
@@ -403,7 +385,6 @@ TEST(Dqn, InitialNetworkCtorMatchesSeedCtor) {
   DqnAgent copied(cfg, DqnAgent(cfg).network());
   expect_same_state(copied.capture_state(), drawn.capture_state());
 
-  FusedDqnLearner learner;
   util::Rng traj(905);
   for (int i = 0; i < 10; ++i) {
     const std::vector<double> s = {traj.uniform(), traj.uniform(),
@@ -418,7 +399,7 @@ TEST(Dqn, InitialNetworkCtorMatchesSeedCtor) {
     Transition t2 = t;
     drawn.remember(std::move(t));
     copied.remember(std::move(t2));
-    ASSERT_EQ(learn_alone(learner, copied), learn_alone(learner, drawn))
+    ASSERT_EQ(copied.learn(), drawn.learn())
         << "step " << i;
   }
   EXPECT_GE(drawn.learn_steps(), 6u);
@@ -469,9 +450,8 @@ TEST(Dqn, RestoreKeepsTargetAndAdamUnlikeSetNetworkParameters) {
     warm.remember(std::move(t));
     cold.remember(std::move(t2));
   }
-  FusedDqnLearner learner;
-  learn_alone(learner, warm);
-  learn_alone(learner, cold);
+  warm.learn();
+  cold.learn();
   const auto aw = warm.network().parameters();
   const auto ac = cold.network().parameters();
   bool diverged = false;
@@ -492,7 +472,7 @@ TEST(Dqn, RestoreRejectsShapeMismatch) {
   EXPECT_THROW(agent.restore_state(state2), std::invalid_argument);
 }
 
-// --- Cross-home fused learning (rl/fused.hpp) -------------------------
+// --- Lockstep learning (docs/fused_training.md) ----------------------
 
 namespace {
 
@@ -535,34 +515,53 @@ std::vector<DqnAgent*> pointers(
   return ptrs;
 }
 
-/// The uncached twin of one learn step: `agent` learns alone after a
+/// The uncached twin of one learn step: `agent` learns after a
 /// capture_state()/restore_state() round trip, which advances its target
 /// version and clears its bootstrap cache and changes nothing else — so
 /// the target network scores every sampled row. Checks that every row
 /// missed and returns the TD loss.
-double learn_uncached(FusedDqnLearner& learner, DqnAgent& agent) {
+double learn_uncached(DqnAgent& agent) {
   agent.restore_state(agent.capture_state());
-  const std::uint64_t hits = learner.cache_hits();
-  const std::uint64_t misses = learner.cache_misses();
-  const double loss = learn_alone(learner, agent);
+  const std::uint64_t hits = agent.cache_hits();
+  const std::uint64_t misses = agent.cache_misses();
+  const double loss = agent.learn();
   const std::size_t batch = agent.config().batch_size;
   const std::uint64_t rows = agent.replay().size() >= batch ? batch : 0;
-  EXPECT_EQ(learner.cache_hits(), hits);
-  EXPECT_EQ(learner.cache_misses() - misses, rows);
+  EXPECT_EQ(agent.cache_hits(), hits);
+  EXPECT_EQ(agent.cache_misses() - misses, rows);
   return loss;
+}
+
+/// One lockstep learn tick, as the EMS rounds run it: every agent's
+/// learn step as one pool task. Writes each agent's TD loss.
+void learn_tick(const std::vector<DqnAgent*>& agents,
+                std::vector<double>& losses) {
+  util::ThreadPool::global().parallel_for(
+      0, agents.size(), [&](std::size_t i) { losses[i] = agents[i]->learn(); });
+}
+
+/// Bootstrap-cache hits and misses summed over a group.
+std::pair<std::uint64_t, std::uint64_t> cache_counts(
+    const std::vector<DqnAgent*>& agents) {
+  std::uint64_t hits = 0, misses = 0;
+  for (const DqnAgent* a : agents) {
+    hits += a->cache_hits();
+    misses += a->cache_misses();
+  }
+  return {hits, misses};
 }
 
 }  // namespace
 
-// The fused-learning contract: one FusedDqnLearner::learn() call over a
-// group is bitwise one learn step per agent in groups of one — identical
-// losses every step and identical parameters after many steps (replay
-// sampling, Adam moments and target syncs all included). The twin group
-// learns uncached (learn_uncached), so it is also the oracle for the
-// fused learner's bootstrap cache, exercised here across every event
-// that must invalidate it: target syncs, pushes that wrap the ring
-// (capacity 40, batch 32), restore_state() rewinding the agents mid-run,
-// and set_network_parameters().
+// The lockstep contract: a learn tick over a group, its agents stepping
+// concurrently on the pool, is bitwise one learn step per agent on its
+// own — identical losses every step and identical parameters after many
+// steps (replay sampling, Adam moments and target syncs all included).
+// The twin group learns uncached (learn_uncached), so it is also the
+// oracle for the agents' bootstrap caches, exercised here across every
+// event that must invalidate them: target syncs, pushes that wrap the
+// ring (capacity 40, batch 32), restore_state() rewinding the agents
+// mid-run, and set_network_parameters().
 TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
   constexpr std::size_t kAgents = 4;
   constexpr std::size_t kBatch = 32;
@@ -571,8 +570,7 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
     auto fused_group = make_group(kAgents, double_dqn, 36, 40, kBatch);
     auto twin_group = make_group(kAgents, double_dqn, 36, 40, kBatch);
     const auto ptrs = pointers(fused_group);
-    FusedDqnLearner learner;
-    FusedDqnLearner twin_learner;
+    const auto twin_ptrs = pointers(twin_group);
     std::vector<double> losses(ptrs.size(), -1.0);
     std::vector<DqnAgentState> fused_saved, twin_saved;
     util::Rng push_rng(17);
@@ -612,16 +610,17 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
         fused_group[0]->set_network_parameters(reset_params);
         twin_group[0]->set_network_parameters(reset_params);
       }
-      ASSERT_TRUE(learner.learn(ptrs, losses));
+      learn_tick(ptrs, losses);
       for (std::size_t i = 0; i < twin_group.size(); ++i) {
-        ASSERT_EQ(losses[i], learn_uncached(twin_learner, *twin_group[i]))
+        ASSERT_EQ(losses[i], learn_uncached(*twin_group[i]))
             << "double_dqn=" << double_dqn << " step " << step << " agent "
             << i;
       }
-      const std::uint64_t hits = learner.cache_hits() - prev_hits;
-      const std::uint64_t misses = learner.cache_misses() - prev_misses;
-      prev_hits = learner.cache_hits();
-      prev_misses = learner.cache_misses();
+      const auto [total_hits, total_misses] = cache_counts(ptrs);
+      const std::uint64_t hits = total_hits - prev_hits;
+      const std::uint64_t misses = total_misses - prev_misses;
+      prev_hits = total_hits;
+      prev_misses = total_misses;
       ASSERT_EQ(hits + misses, kAgents * kBatch) << "step " << step;
       if (all_stale) {
         EXPECT_EQ(misses, kAgents * kBatch) << "step " << step;
@@ -637,8 +636,8 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
         EXPECT_GT(hits, 0u) << "step " << step;
       }
     }
-    EXPECT_GT(learner.cache_hits(), learner.cache_misses());
-    EXPECT_EQ(twin_learner.cache_hits(), 0u);
+    EXPECT_GT(prev_hits, prev_misses);
+    EXPECT_EQ(cache_counts(twin_ptrs).first, 0u);
     for (std::size_t i = 0; i < twin_group.size(); ++i) {
       EXPECT_EQ(fused_group[i]->learn_steps(), twin_group[i]->learn_steps());
       EXPECT_EQ(fused_group[i]->replay().total_pushed(),
@@ -656,7 +655,7 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
 
 // Agents whose replay is still below one batch are skipped: loss 0.0, no
 // learn step, no RNG use — so the cold agent trains identically to its
-// uncached twin, learned in groups of one, once it does warm up.
+// uncached twin, learning on its own, once it does warm up.
 TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
   auto fused_group = make_group(3, false, 64);
   auto twin_group = make_group(3, false, 64);
@@ -666,15 +665,13 @@ TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
   fused_group[1] = std::make_unique<DqnAgent>(cfg);
   twin_group[1] = std::make_unique<DqnAgent>(cfg);
   const auto ptrs = pointers(fused_group);
-  FusedDqnLearner learner;
-  FusedDqnLearner twin_learner;
   std::vector<double> losses(ptrs.size(), -1.0);
-  ASSERT_TRUE(learner.learn(ptrs, losses));
+  learn_tick(ptrs, losses);
   EXPECT_EQ(losses[1], 0.0);
   EXPECT_EQ(fused_group[1]->learn_steps(), 0u);
   EXPECT_NE(losses[0], 0.0);
-  // Warm the cold agent up and keep fusing: it must still track its
-  // twin bitwise (its sampling RNG was never touched early).
+  // Warm the cold agent up and keep learning in lockstep: it must still
+  // track its twin bitwise (its sampling RNG was never touched early).
   util::Rng fill(999);
   for (int t = 0; t < 32; ++t) {
     Transition tr;
@@ -686,52 +683,19 @@ TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
     fused_group[1]->remember(std::move(tr));
     twin_group[1]->remember(std::move(tr2));
   }
-  // Catch the twins up to the fused step above.
-  learn_uncached(twin_learner, *twin_group[0]);
-  learn_uncached(twin_learner, *twin_group[2]);
+  // Catch the twins up to the tick above.
+  learn_uncached(*twin_group[0]);
+  learn_uncached(*twin_group[2]);
   for (int step = 0; step < 6; ++step) {
-    ASSERT_TRUE(learner.learn(ptrs, losses));
+    learn_tick(ptrs, losses);
     for (std::size_t i = 0; i < twin_group.size(); ++i) {
-      ASSERT_EQ(losses[i], learn_uncached(twin_learner, *twin_group[i]))
+      ASSERT_EQ(losses[i], learn_uncached(*twin_group[i]))
           << "step " << step;
     }
   }
   const auto pf = fused_group[1]->network().parameters();
   const auto pl = twin_group[1]->network().parameters();
   for (std::size_t k = 0; k < pf.size(); ++k) ASSERT_EQ(pf[k], pl[k]);
-}
-
-// Non-fusable groups must be refused with no agent state touched, so the
-// caller can split them into fusable groups from a clean slate.
-TEST(FusedDqn, RejectsMixedGroupsUntouched) {
-  auto group = make_group(2, false, 64);
-  auto cfg = small_config();
-  cfg.hidden = {16, 16, 16};  // different architecture
-  group.push_back(std::make_unique<DqnAgent>(cfg));
-  util::Rng fill(77);
-  for (int t = 0; t < 64; ++t) {
-    Transition tr;
-    tr.state = {fill.normal(), fill.normal(), fill.normal()};
-    tr.action = t % 3;
-    tr.reward = fill.uniform(-1, 1);
-    tr.next_state = {fill.normal(), fill.normal(), fill.normal()};
-    group[2]->remember(std::move(tr));
-  }
-  const auto ptrs = pointers(group);
-  const auto before = [&] {
-    std::vector<double> all;
-    for (const auto& a : group) {
-      const auto p = a->network().parameters();
-      all.insert(all.end(), p.begin(), p.end());
-    }
-    return all;
-  };
-  const auto snapshot = before();
-  FusedDqnLearner learner;
-  std::vector<double> losses(ptrs.size(), -1.0);
-  EXPECT_FALSE(learner.learn(ptrs, losses));
-  EXPECT_EQ(before(), snapshot);
-  for (const auto& a : group) EXPECT_EQ(a->learn_steps(), 0u);
 }
 
 }  // namespace

@@ -127,8 +127,7 @@ void expect_runs_equal(const sim::RunSnapshot& a, const sim::RunSnapshot& b) {
   }
   // Deterministic instruments only — wall-time series are excluded.
   for (const char* key :
-       {"ems.rounds", "ems.env_steps", "ems.replay_pushes",
-        "ems.learn_calls"}) {
+       {"ems.rounds", "ems.env_steps", "ems.learn_calls"}) {
     const auto ia = a.metrics.counters.find(key);
     const auto ib = b.metrics.counters.find(key);
     ASSERT_NE(ia, a.metrics.counters.end()) << key;

@@ -1,13 +1,13 @@
-// Data-race stress for the fused training engines: four fused groups at
+// Data-race stress for the member train steps: four lockstep groups at
 // once on a 4-worker pool — one group task per worker, as the DFL and EMS
-// rounds drive them — each running rl::FusedDqnLearner::learn,
-// nn::FusedLstm::train_batch and nn::FusedMlp::train_batch, so member
-// steps land on whichever thread picks them up and run on that thread's
-// nn::thread_scratch(). Built with -fsanitize=thread (see
+// rounds drive them — each running one batch of rl::DqnAgent::learn,
+// nn::lstm_train_step and nn::mlp_train_step as one pool task per member,
+// so member steps land on whichever thread picks them up and run on that
+// thread's nn::thread_scratch(). Built with -fsanitize=thread (see
 // tests/CMakeLists.txt); a clean exit 0 is the pass signal. Every
-// repetition must reproduce, bitwise, the same members learned as
-// sequential groups of one, so the checks double as a shared-scratch
-// detector when the binary is run without TSan.
+// repetition must reproduce, bitwise, the same members stepped one by
+// one, so the checks double as a shared-scratch detector when the binary
+// is run without TSan.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -20,7 +20,6 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/dqn.hpp"
-#include "rl/fused.hpp"
 #include "rl/replay.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -63,23 +62,24 @@ void fill(nn::Matrix& m, util::Rng& rng) {
   for (double& v : m.data()) v = rng.uniform(-1.0, 1.0);
 }
 
-/// One fused group: its members' networks and optimizers, and the
-/// home-major input slabs they train on (kRows rows per member).
+/// One lockstep group: its members' networks and optimizers, and each
+/// member's own batch (kRows rows).
 struct Group {
   std::vector<std::unique_ptr<rl::DqnAgent>> agents;
   std::vector<nn::LstmRegressor> lstms;
   std::vector<nn::Mlp> mlps;
   std::vector<nn::Adam> lstm_opts, mlp_opts;
-  std::vector<nn::Matrix> xs;
-  nn::Matrix y, mlp_x;
+  std::vector<std::vector<nn::Matrix>> xs;  // per member, per step
+  std::vector<nn::Matrix> ys, mlp_xs;       // per member
   std::vector<double> dqn_loss, lstm_loss, mlp_loss;
 
   explicit Group(std::size_t g)
       : lstm_opts(kMembers, nn::Adam(3e-3)),
         mlp_opts(kMembers, nn::Adam(1e-3)),
-        xs(kSteps, nn::Matrix(kMembers * kRows, kFeatures)),
-        y(kMembers * kRows, 1),
-        mlp_x(kMembers * kRows, kFeatures),
+        xs(kMembers,
+           std::vector<nn::Matrix>(kSteps, nn::Matrix(kRows, kFeatures))),
+        ys(kMembers, nn::Matrix(kRows, 1)),
+        mlp_xs(kMembers, nn::Matrix(kRows, kFeatures)),
         dqn_loss(kMembers),
         lstm_loss(kMembers),
         mlp_loss(kMembers) {
@@ -97,60 +97,34 @@ struct Group {
       mlps.emplace_back(std::vector<std::size_t>{kFeatures, 12, 1},
                         nn::Activation::kRelu, nn::Activation::kIdentity,
                         nn::InitScheme::kHeNormal, init);
+      for (nn::Matrix& m : xs[i]) fill(m, rng);
+      fill(ys[i], rng);
+      fill(mlp_xs[i], rng);
     }
-    for (nn::Matrix& m : xs) fill(m, rng);
-    fill(y, rng);
-    fill(mlp_x, rng);
   }
 
-  std::vector<const nn::Matrix*> steps() const {
-    std::vector<const nn::Matrix*> out;
-    for (const nn::Matrix& m : xs) out.push_back(&m);
-    return out;
+  /// Member i's steps: one DQN learn step, one LSTM and one MLP batch.
+  void step(std::size_t i) {
+    dqn_loss[i] = agents[i]->learn();
+    std::vector<const nn::Matrix*> steps;
+    for (const nn::Matrix& m : xs[i]) steps.push_back(&m);
+    lstm_loss[i] = nn::lstm_train_step(lstms[i], steps, ys[i],
+                                       nn::LossKind::kMae, lstm_opts[i]);
+    mlp_loss[i] = nn::mlp_train_step(mlps[i], mlp_xs[i], ys[i],
+                                     nn::LossKind::kHuber, mlp_opts[i]);
   }
 
-  /// One repetition as one fused batch per engine.
+  /// One repetition as one group batch: a pool task per member.
   void train_fused(std::uint64_t rep) {
     push(rep);
-    std::vector<rl::DqnAgent*> group;
-    std::vector<nn::LstmRegressor*> lstm_nets;
-    std::vector<nn::Mlp*> mlp_nets;
-    std::vector<nn::Optimizer*> lstm_o, mlp_o;
-    std::vector<nn::FusedSlice> slices;
-    for (std::size_t i = 0; i < kMembers; ++i) {
-      group.push_back(agents[i].get());
-      lstm_nets.push_back(&lstms[i]);
-      mlp_nets.push_back(&mlps[i]);
-      lstm_o.push_back(&lstm_opts[i]);
-      mlp_o.push_back(&mlp_opts[i]);
-      slices.push_back({i * kRows, kRows});
-    }
-    rl::FusedDqnLearner learner;
-    if (!learner.learn(group, dqn_loss)) std::abort();
-    nn::FusedLstm().train_batch(lstm_nets, slices, steps(), y,
-                                nn::LossKind::kMae, lstm_o, lstm_loss);
-    nn::FusedMlp().train_batch(mlp_nets, slices, mlp_x, y,
-                               nn::LossKind::kHuber, mlp_o, mlp_loss);
+    util::ThreadPool::global().parallel_for(
+        0, kMembers, [&](std::size_t i) { step(i); });
   }
 
-  /// The same repetition as sequential groups of one, each member
-  /// reading its own rows of the slabs through src_row0.
+  /// The same repetition with the members stepped one by one.
   void train_alone(std::uint64_t rep) {
     push(rep);
-    const nn::FusedSlice one[] = {{0, kRows}};
-    for (std::size_t i = 0; i < kMembers; ++i) {
-      rl::DqnAgent* agent[] = {agents[i].get()};
-      nn::LstmRegressor* lstm[] = {&lstms[i]};
-      nn::Mlp* mlp[] = {&mlps[i]};
-      nn::Optimizer* lo[] = {&lstm_opts[i]};
-      nn::Optimizer* mo[] = {&mlp_opts[i]};
-      rl::FusedDqnLearner learner;
-      if (!learner.learn(agent, {&dqn_loss[i], 1})) std::abort();
-      nn::FusedLstm().train_batch(lstm, one, steps(), y, nn::LossKind::kMae,
-                                  lo, {&lstm_loss[i], 1}, 5.0, i * kRows);
-      nn::FusedMlp().train_batch(mlp, one, mlp_x, y, nn::LossKind::kHuber, mo,
-                                 {&mlp_loss[i], 1}, i * kRows);
-    }
+    for (std::size_t i = 0; i < kMembers; ++i) step(i);
   }
 
  private:
@@ -212,15 +186,15 @@ int main() {
       if (!matches(fused[g], alone[g])) {
         std::fprintf(stderr,
                      "tsan_fused_stress: group %zu diverged from its "
-                     "groups of one at repetition %d\n",
+                     "members stepped one by one at repetition %d\n",
                      g, rep);
         return 1;
       }
       ++checked;
     }
   }
-  std::printf("tsan_fused_stress: %d concurrent fused group repetitions "
-              "(DQN, LSTM, MLP) matched sequential groups of one — OK\n",
+  std::printf("tsan_fused_stress: %d concurrent group repetitions "
+              "(DQN, LSTM, MLP) matched members stepped one by one — OK\n",
               checked);
   return 0;
 }
